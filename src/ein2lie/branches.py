@@ -797,8 +797,6 @@ def _catalog() -> Tuple[BranchSpec, ...]:
 
 BRANCHES: Tuple[BranchSpec, ...] = _catalog()
 BRANCHES_BY_LABEL = {spec.label: spec for spec in BRANCHES}
-THEOREMS = tuple(dict.fromkeys(spec.theorem for spec in BRANCHES))
-THEOREM_FAMILY = {spec.theorem: spec.family for spec in BRANCHES}
 
 
 def branches_for(family: str) -> Tuple[BranchSpec, ...]:

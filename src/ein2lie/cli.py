@@ -441,19 +441,14 @@ def cmd_scan(job: JobConfig) -> int:
             kwargs[name] = value
         try:
             params = FamilyParams(job.family, **kwargs)
-            result = classify(params, job.convention, mode)
-            rows.append(reporting.scan_row(params, result))
         except LieAlgebraError as exc:
-            params = None
-            try:
-                params = FamilyParams(
-                    job.family,
-                    **{k: v for k, v in kwargs.items() if k != "eta"},
-                    eta=kwargs.get("eta"),
-                )
-            except LieAlgebraError:
-                raise InputError(str(exc)) from exc
+            raise InputError(str(exc)) from exc
+        try:
+            result = classify(params, job.convention, mode)
+        except LieAlgebraError as exc:
             rows.append(reporting.scan_row(params, None, error=str(exc)))
+        else:
+            rows.append(reporting.scan_row(params, result))
 
     fmt = job.format or "csv"
     if fmt != "csv":

@@ -20,12 +20,27 @@ Index conventions, fixed once for the whole package:
 The Ricci sign convention above is taken verbatim from the tabulated
 classification data this package verifies; it is anchored to those
 tables, not to any textbook convention.
+
+`ricci` does not build the curvature tensor: `curvature` is not on the
+Ricci path.  It contracts the connection straight into the 27 traced
+components that rho needs,
+
+  rho[i][j] = -sum_a sum_m (Gamma[a][j][m] Gamma[i][m][a]
+                            - Gamma[i][j][m] Gamma[a][m][a]
+                            - c[i][a][m] Gamma[m][j][a]),
+
+and for an exact table it does so on integers: with L the lcm of the
+denominators of c, both L c and H = 2 L Gamma are integer tables, and
+rho = N / (4 L^2), where N is the same sum with Gamma replaced by H
+and c by 2 L c.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import truediv
 from typing import Optional, Tuple
 
 from .liealg import EPS, StructureConstants, require_lie_algebra
@@ -47,9 +62,6 @@ class ConnectionCoefficients:
 
     gamma: Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
-    def entry(self, i: int, j: int, k: int) -> Scalar:
-        return self.gamma[i][j][k]
-
     def derivative(self, i: int, j: int) -> Tuple[Scalar, ...]:
         """The coefficient triple of nabla_{e_i} e_j."""
         return self.gamma[i][j]
@@ -60,9 +72,6 @@ class CurvatureTensor:
     """r[i][j][k][l] is the e_l coefficient of R(e_i, e_j) e_k."""
 
     r: Tuple
-
-    def entry(self, i: int, j: int, k: int, l: int) -> Scalar:
-        return self.r[i][j][k][l]
 
 
 @dataclass(frozen=True)
@@ -79,6 +88,20 @@ class RicciData:
     rho_sq: Matrix
 
 
+def _koszul(c) -> list:
+    """2 Gamma^k_ij = c^k_ij - eps_i eps_k c^i_jk + eps_j eps_k c^j_ki."""
+    return [
+        [
+            [
+                c[i][j][k] - EPS[i] * EPS[k] * c[j][k][i] + EPS[j] * EPS[k] * c[k][i][j]
+                for k in range(3)
+            ]
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+
+
 def levi_civita(sc: StructureConstants, mode: Optional[Mode] = None) -> ConnectionCoefficients:
     """Unique torsion-free metric connection, via the Koszul formula.
 
@@ -89,21 +112,8 @@ def levi_civita(sc: StructureConstants, mode: Optional[Mode] = None) -> Connecti
     Raises NotLieAlgebra when the Jacobi residual is nonzero.
     """
     require_lie_algebra(sc, mode)
-    c = sc.c
     gamma = tuple(
-        tuple(
-            tuple(
-                (
-                    c[i][j][k]
-                    - EPS[i] * EPS[k] * c[j][k][i]
-                    + EPS[j] * EPS[k] * c[k][i][j]
-                )
-                * _HALF
-                for k in range(3)
-            )
-            for j in range(3)
-        )
-        for i in range(3)
+        tuple(tuple(x * _HALF for x in row) for row in plane) for plane in _koszul(sc.c)
     )
     return ConnectionCoefficients(gamma)
 
@@ -159,21 +169,78 @@ def curvature(sc: StructureConstants, conn: ConnectionCoefficients) -> Curvature
 
 
 def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
-    """Ricci tensor, operator and rho^2 via the signed frame trace.
+    """Ricci tensor, operator and rho^2, contracted straight from the table.
 
-    rho(e_i, e_j) = -sum_a R^a_{i a j}  (the eps weights of the trace and
-    of the frame inner product cancel), rho_op[i][j] = eps_j rho[i][j],
-    rho_sq[i][j] = sum_k eps_k rho_op[i][k] rho_op[j][k].
+    rho(e_i, e_j) = -sum_a R^a_{i a j} (the eps weights of the trace and
+    of the frame inner product cancel), rho_op[i][j] = eps_j rho[i][j]
+    and rho_sq[i][j] = sum_k eps_k rho_op[i][k] rho_op[j][k].  Only the
+    27 traced components are formed, each as the curvature formula
+    gives it, so `curvature` is not on this path:
+
+      R^a_{i a j} = sum_m (Gamma^m_aj Gamma^a_im - Gamma^m_ij Gamma^a_am
+                           - c^m_ia Gamma^a_mj).
+
+    The contraction runs in units of H = 2 L Gamma, where L is the lcm of
+    the table's denominators.  For an exact table L c and H are integer
+    tables, all the work is on ints, and each output Fraction is built
+    once from the integer contraction N:
+
+      rho[i][j] = N_ij / (4 L^2),
+      rho_sq[i][j] = sum_k eps_k N_ik N_jk / (16 L^4).
+
+    A float table runs the same contraction with L = 1.  Scaling by a
+    power of two is exact and the terms are added in the order
+    `curvature` adds them, so floats come out bit for bit as through the
+    full tensor.
+
+    Raises NotLieAlgebra when the Jacobi residual is nonzero.
     """
-    conn = levi_civita(sc, mode)
-    riem = curvature(sc, conn).r
-    rho = tuple(
-        tuple(-sum(riem[i][a][j][a] for a in range(3)) for j in range(3)) for i in range(3)
-    )
-    rho_op = tuple(tuple(EPS[j] * rho[i][j] for j in range(3)) for i in range(3))
+    require_lie_algebra(sc, mode)
+    c = sc.c
+    if sc.is_exact():
+        scale = lcm(*(x.denominator for x in sc.values()))
+        c = [
+            [[x.numerator * (scale // x.denominator) for x in row] for row in plane]
+            for plane in c
+        ]
+        zero, quotient = 0, Fraction
+    else:
+        # accumulators start at Fraction(0), as in `curvature`, so that a
+        # term-free entry keeps that type
+        scale, zero, quotient = 1, Fraction(0), truediv
+    h = _koszul(c)
+    n = []
+    for i in range(3):
+        hi, ci = h[i], c[i]
+        row = []
+        for j in range(3):
+            hij = hi[j]
+            total = 0
+            for a in range(3):
+                ha, cia = h[a], ci[a]
+                haj = ha[j]
+                acc = zero
+                for m in range(3):
+                    # skip zero factors as `curvature` does: a 0.0 product
+                    # would turn Fraction(0) into a float
+                    x, y = haj[m], hi[m][a]
+                    if x and y:
+                        acc = acc + x * y
+                    x, y = hij[m], ha[m][a]
+                    if x and y:
+                        acc = acc - x * y
+                    x, y = cia[m], h[m][j][a]
+                    if x and y:
+                        acc = acc - 2 * x * y
+                total = total + acc
+            row.append(-total)
+        n.append(row)
+    unit = 4 * scale * scale
+    rho = tuple(tuple(quotient(x, unit) for x in row) for row in n)
+    rho_op = tuple(tuple(-x if e < 0 else x for x, e in zip(row, EPS)) for row in rho)
     rho_sq = tuple(
         tuple(
-            sum(EPS[k] * rho_op[i][k] * rho_op[j][k] for k in range(3))
+            quotient(sum(EPS[k] * n[i][k] * n[j][k] for k in range(3)), unit * unit)
             for j in range(3)
         )
         for i in range(3)

@@ -77,9 +77,6 @@ class FrameMetric:
 
     diagonal: Tuple[int, int, int] = (1, 1, -1)
 
-    def inner(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-        return u[0] * v[0] + u[1] * v[1] - u[2] * v[2]
-
 
 FRAME = FrameMetric()
 EPS = FRAME.diagonal
@@ -101,9 +98,6 @@ class StructureConstants:
 
     def bracket(self, i: int, j: int) -> Vector:
         return self.c[i][j]
-
-    def entry(self, i: int, j: int, k: int) -> Scalar:
-        return self.c[i][j][k]
 
     def values(self):
         for plane in self.c:

@@ -56,10 +56,6 @@ def params_json(params: FamilyParams) -> Dict:
     return doc
 
 
-def mode_json(mode: Mode) -> Dict:
-    return {"kind": mode.kind, "tolerance": mode.tolerance}
-
-
 def solution_json(solution: Ein2Solution) -> Dict:
     doc: Dict = {"kind": solution.kind, "residual": scalar_json(solution.residual)}
     if solution.kind == POINT:

@@ -212,6 +212,30 @@ def test_scan_grid_point_violating_constraints_marked_invalid():
     assert rows[1]["kind"] == "point"
 
 
+def test_scan_invalid_parameter_exit_2():
+    code, out, err = run_cli(
+        "scan", "--family", "G4", "--alpha", "1", "--beta", "1", "--grid", "eta=1:2:1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "eta = 1 or -1" in err
+
+
+def test_scan_g5_degenerate_diagonal_rows_invalid():
+    code, out, _ = run_cli(
+        "scan", "--family", "G5", "--beta", "0", "--gamma", "0",
+        "--grid", "alpha=-1:1:1", "--grid", "delta=-1:1:1",
+    )
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 9
+    for row in rows:
+        on_diagonal = int(row["alpha"]) + int(row["delta"]) == 0
+        assert (row["kind"] == "invalid") == on_diagonal
+        if on_diagonal:
+            assert row["branches"] == "constraint violated: alpha + delta != 0"
+
+
 def test_scan_without_grid_exit_2():
     code, _, err = run_cli("scan", "--family", "G1")
     assert code == 2

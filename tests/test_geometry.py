@@ -2,25 +2,79 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ein2lie import (
+    ANCHORS,
+    BRANCHES,
     EPS,
+    FAMILIES,
+    ConstraintViolation,
     FamilyParams,
+    Mode,
     NotLieAlgebra,
     build_family,
     curvature,
     from_raw,
     levi_civita,
     ricci,
+    sample_branch,
 )
 from oracles import CONNECTION_TABLES, RHO_OP_TABLES, ricci_brute
 
 F = Fraction
 
 ABELIAN = from_raw([[[0] * 3 for _ in range(3)] for _ in range(3)])
+
+
+def _non_jacobi_table():
+    bad = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+    bad[0][1][2], bad[1][0][2] = F(1), F(-1)  # [e1,e2] = e3
+    bad[0][2][0], bad[2][0][0] = F(1), F(-1)  # [e1,e3] = e1
+    return bad
+
+
+def ricci_via_tensor(sc, mode=None):
+    """(rho, rho_op, rho_sq) through the full curvature tensor and its signed trace."""
+    riem = curvature(sc, levi_civita(sc, mode)).r
+    rho = tuple(
+        tuple(-sum(riem[i][a][j][a] for a in range(3)) for j in range(3)) for i in range(3)
+    )
+    rho_op = tuple(tuple(EPS[j] * rho[i][j] for j in range(3)) for i in range(3))
+    rho_sq = tuple(
+        tuple(
+            sum(EPS[k] * rho_op[i][k] * rho_op[j][k] for k in range(3))
+            for j in range(3)
+        )
+        for i in range(3)
+    )
+    return rho, rho_op, rho_sq
+
+
+def _bits(matrix):
+    """Entries with their type; floats by their exact bits."""
+    return tuple(
+        (type(x), x.hex() if isinstance(x, float) else x) for row in matrix for x in row
+    )
+
+
+def assert_matches_reference_routes(sc, mode=None):
+    """ricci against the tensor route (type and bits) and the brute-force oracle."""
+    rd = ricci(sc, mode)
+    for got, expected in zip((rd.rho, rd.rho_op, rd.rho_sq), ricci_via_tensor(sc, mode)):
+        assert _bits(got) == _bits(expected), sc.c
+    brute = ricci_brute(sc)
+    if sc.is_exact():
+        assert _bits(rd.rho) == _bits(brute), sc.c
+    else:
+        for got_row, brute_row in zip(rd.rho, brute):
+            for got, expected in zip(got_row, brute_row):
+                assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12), sc.c
 
 
 def test_levi_civita_g1_spot_values():
@@ -65,11 +119,13 @@ def test_levi_civita_matches_tables(family_samples_100):
 
 
 def test_levi_civita_rejects_non_lie_algebra():
-    bad = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
-    bad[0][1][2], bad[1][0][2] = F(1), F(-1)  # [e1,e2] = e3
-    bad[0][2][0], bad[2][0][0] = F(1), F(-1)  # [e1,e3] = e1
     with pytest.raises(NotLieAlgebra):
-        levi_civita(from_raw(bad))
+        levi_civita(from_raw(_non_jacobi_table()))
+
+
+def test_ricci_rejects_non_lie_algebra():
+    with pytest.raises(NotLieAlgebra):
+        ricci(from_raw(_non_jacobi_table()))
 
 
 def test_connection_invariants(family_samples_100):
@@ -166,9 +222,8 @@ def test_ricci_symmetry_and_self_adjointness(family_samples_100):
 
 def test_ricci_agrees_with_brute_force(family_samples_100):
     for samples in family_samples_100.values():
-        for params in samples[:25]:
-            sc = build_family(params)
-            assert ricci(sc).rho == ricci_brute(sc)
+        for params in samples:
+            assert_matches_reference_routes(build_family(params))
 
 
 def test_mode_promotion_to_float():
@@ -178,3 +233,75 @@ def test_mode_promotion_to_float():
     for i in range(3):
         for j in range(3):
             assert float(exact.rho_op[i][j]) == pytest.approx(mixed.rho_op[i][j])
+
+
+# ---------------------------------------------------------------------------
+# The contraction against the full-tensor route and the brute-force oracle
+# ---------------------------------------------------------------------------
+
+def test_ricci_equals_reference_routes_on_branch_samples():
+    float_points = 0
+    for spec in BRANCHES:
+        for params in sample_branch(spec, 50):
+            mode = params.mode()
+            float_points += not mode.is_exact
+            assert_matches_reference_routes(build_family(params, mode), mode)
+    assert float_points > 0
+
+
+def test_ricci_equals_reference_routes_on_anchors():
+    mode = Mode.approx()
+    for anchor in ANCHORS:
+        sc = build_family(anchor.params, mode)
+        assert not sc.is_exact()
+        assert_matches_reference_routes(sc, mode)
+
+
+def test_ricci_keeps_exact_zero_in_float_tables():
+    # Entries with no nonzero term stay Fraction(0) in a float table.
+    rd = ricci(build_family(FamilyParams("G5", alpha=0.5, beta=0, gamma=0, delta=1.5)))
+    assert type(rd.rho[0][1]) is Fraction and rd.rho[0][1] == 0
+    assert isinstance(rd.rho[0][0], float)
+
+
+_BIG_DENOMINATORS = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
+# decimals with full-width mantissas, so that reordered sums round differently
+_FULL_MANTISSA_FLOATS = st.integers(min_value=-10**16, max_value=10**16).map(lambda k: k * 1e-15)
+
+
+@st.composite
+def family_points(draw, scalars):
+    """A point on the family's parameter set, equalities solved for one parameter."""
+    family = draw(st.sampled_from(FAMILIES))
+    a, b, g, d = (draw(scalars) for _ in range(4))
+    if family == "G4":
+        return FamilyParams("G4", alpha=a, beta=b, eta=draw(st.sampled_from((1, -1))))
+    if family in ("G5", "G6", "G7"):
+        if family != "G7" and b:
+            d = (-a if family == "G5" else a) * g / b
+        elif draw(st.booleans()):
+            a = 0
+        else:
+            g = 0
+    return FamilyParams(family, alpha=a, beta=b, gamma=g, delta=d)
+
+
+def _valid_table(params):
+    try:
+        return build_family(params)
+    except ConstraintViolation:
+        assume(False)
+
+
+@given(params=family_points(_BIG_DENOMINATORS))
+@settings(max_examples=60, deadline=None)
+def test_ricci_equals_reference_routes_with_large_denominators(params):
+    assert_matches_reference_routes(_valid_table(params))
+
+
+@given(params=family_points(_FULL_MANTISSA_FLOATS))
+@settings(max_examples=60, deadline=None)
+def test_ricci_float_tables_bit_identical_to_tensor_route(params):
+    sc = _valid_table(params)
+    assume(not sc.is_exact())
+    assert_matches_reference_routes(sc)
