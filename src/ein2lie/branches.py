@@ -4,9 +4,25 @@ Each branch of the classification (labeled by theorem and case, "2.3"
 through "3.6(iv)") is recorded as a `BranchSpec`: the parameter
 constraints that define the branch, a seeded sampler that produces
 parameter points satisfying them, and the stated (lambda1, lambda2).
+
+The constraint text is the one statement of a branch: its membership
+test and, for the rational branches, its sampler are compiled from it.
+The text is a list of clauses separated by ", ".  A clause is a chain
+of `=` and `!=` over the parameters alpha..eta, integer constants,
++ - * / ^ and unary minus, so `alpha = beta != 0` reads as alpha = beta
+and beta != 0.  A product compared `!= 0` is tested factor by factor.
+The clause "alpha^2 a root of the branch quartic" tests the quartic
+whose coefficients (qa, qb, qc) in alpha^2 the entry gives as a
+function of (beta, gamma).
+
+A rational branch lists its free parameters in RNG order, "*" marking
+a nonzero draw ("alpha* delta beta"); eta is always a random sign.
+They are drawn from a fixed rational grid.  An equality with a bare,
+still unbound parameter on one side binds that parameter; every other
+relation is checked as soon as its parameters are bound, and a failed
+check rejects the draw.  Parameters neither drawn nor bound are 0.
 Three branch groups force irrational parameters (square roots of
-quartic roots); those sample as floats, everything else samples on a
-fixed rational grid.
+quartic roots); those keep hand-written samplers that draw floats.
 
 `verify_branch` replays a branch against the solver: every sample must
 be Ein(2) and the stated lambdas must lie in the computed solution set
@@ -31,6 +47,7 @@ from .liealg import (
     ConstraintViolation,
     FamilyParams,
     LieAlgebraError,
+    _compile_clauses,
     build_family,
     validate_params,
 )
@@ -240,13 +257,125 @@ def _recompute_g6(p: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
     return ExpectedLambdas.point(lam1, lam2)
 
 
-_G6_CASE_NOTE = (
-    "recomputed by eliminating lambda2 between the two trailing diagonal equations: "
-    "lambda1 = (V^2 + W^2) / (alpha + delta)^2, "
-    "lambda2 = V*W*(delta^2 - alpha^2 + beta^2 - gamma^2) / (alpha + delta)^2, "
-    "V = alpha^2 + alpha*delta - (beta^2 - gamma^2)/2, "
-    "W = delta^2 + alpha*delta + (beta^2 - gamma^2)/2"
-)
+#: The errata note of each recomputation: the identities it evaluates.
+_CASE_NOTES = {
+    _recompute_g3: (
+        "recomputed from the G3 case identities: lambda1 = gamma*(alpha + beta - gamma), "
+        "lambda2 = (alpha^2 - (beta - gamma)^2)*(beta^2 - (alpha - gamma)^2)/4, "
+        "with a separate identity at alpha = beta"
+    ),
+    _recompute_g5: (
+        "recomputed from the G5 case identities: lambda1 = -(alpha + delta)^2, "
+        "lambda2 = alpha*delta*(alpha + delta)^2 + (beta^2 - gamma^2)*(delta^2 - alpha^2)/2 "
+        "- (beta^2 - gamma^2)^2/4, with a separate identity on alpha^2 + beta^2 = gamma^2 + delta^2"
+    ),
+    _recompute_g6: (
+        "recomputed by eliminating lambda2 between the two trailing diagonal equations: "
+        "lambda1 = (V^2 + W^2) / (alpha + delta)^2, "
+        "lambda2 = V*W*(delta^2 - alpha^2 + beta^2 - gamma^2) / (alpha + delta)^2, "
+        "V = alpha^2 + alpha*delta - (beta^2 - gamma^2)/2, "
+        "W = delta^2 + alpha*delta + (beta^2 - gamma^2)/2"
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# Compiled constraints: membership tests and rational samplers
+# ---------------------------------------------------------------------------
+
+_QUARTIC_CLAUSE = "alpha^2 a root of the branch quartic"
+
+_THEOREM_FAMILY = {
+    "2.3": "G1", "2.5": "G2", "2.7": "G3", "2.9": "G4", "3.2": "G5", "3.4": "G6", "3.6": "G7"
+}
+
+
+def _quartic_32iv(b, g):
+    """Coefficients (qa, qb, qc) of the 3.2(iv) quartic qa*x^2 + qb*x + qc in x = alpha^2."""
+    k = (b**2 - g**2) ** 2 + (b + g) ** 4
+    return g * (3 * b**2 + 3 * g**2 - 2 * g * b), _H * b * k, _Q * b**3 * k
+
+
+def _quartic_34vii(b, g):
+    """Coefficients (qa, qb, qc) of the 3.4(vii) quartic qa*x^2 + qb*x + qc in x = alpha^2."""
+    return b + g, g * b * (g - b), -_H * b**3 * (b - g) ** 2
+
+
+def _quartic_root(quartic):
+    """Membership test of the clause `alpha^2 a root of the branch quartic`."""
+
+    def holds(values, mode: Mode) -> bool:
+        qa, qb, qc = quartic(values["beta"], values["gamma"])
+        alpha = values["alpha"]
+        return mode.is_zero(qa * alpha**4 + qb * alpha**2 + qc)
+
+    return holds
+
+
+def _member(checks) -> Callable[[FamilyParams, Mode], bool]:
+    """Membership test: every check holds, evaluated in order."""
+
+    def member(params: FamilyParams, mode: Mode) -> bool:
+        values = vars(params)
+        for check in checks:
+            if not check(values, mode):
+                return False
+        return True
+
+    return member
+
+
+def _next_step(pending, bound, free):
+    """Take the first pending relation that the `bound` parameters decide; return its step.
+
+    An equality binds a bare parameter only if it is neither bound nor free.
+    """
+    for relation in pending:
+        for side in (0, 1) if relation.equal else ():
+            name = relation.bare[side]
+            if name not in bound | free | {None} and relation.names[1 - side] <= bound:
+                pending.remove(relation)
+                bound.add(name)
+                return "set", name, relation.sides[1 - side]
+        if relation.names[0] | relation.names[1] <= bound:
+            pending.remove(relation)
+            return "check", None, relation
+    return None
+
+
+def _rational_draw(
+    family: str, free: str, relations
+) -> Callable[[random.Random], Optional[FamilyParams]]:
+    """Compile a rational branch's sampler from its free parameters and relations.
+
+    The plan draws each free parameter in turn, then binds or checks
+    every relation that has become decidable, as the module docstring
+    describes.
+    """
+    exact = Mode.exact()
+    plan, bound, pending = [], set(), list(relations)
+    free_names = {token.rstrip("*") for token in free.split()}
+    for token in free.split():
+        name = token.rstrip("*")
+        plan.append(("draw", name, token.endswith("*")))
+        bound.add(name)
+        while (step := _next_step(pending, bound, free_names)) is not None:
+            plan.append(step)
+    if pending:
+        raise ValueError(f"{family}: {pending[0].clause!r} is not fixed by {free!r}")
+
+    def draw(rng: random.Random) -> Optional[FamilyParams]:
+        values = {}
+        for kind, name, arg in plan:
+            if kind == "draw":
+                values[name] = _sign(rng) if name == "eta" else _frac(rng, nonzero=arg)
+            elif kind == "set":
+                values[name] = arg(values)
+            elif not arg.holds(values, exact):
+                return None
+        return FamilyParams(family, **values)
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -256,17 +385,24 @@ _G6_CASE_NOTE = (
 def _catalog() -> Tuple[BranchSpec, ...]:
     specs: List[BranchSpec] = []
 
-    def add(label, family, constraints, member, draw, expected, recompute=None, note=""):
+    def add(label, constraints, draw, expected, recompute=None, note="", quartic=None):
+        """Register a branch; `draw` is a sampler, or a rational branch's free parameters."""
+        family = _THEOREM_FAMILY[label.split("(")[0]]
+        text = constraints.removesuffix(", " + _QUARTIC_CLAUSE)
+        relations = _compile_clauses(text)
+        checks = [relation.holds for relation in relations]
+        if text != constraints:
+            checks.append(_quartic_root(quartic))
         specs.append(
             BranchSpec(
                 label=label,
                 family=family,
                 constraints=constraints,
-                member=member,
-                draw=draw,
+                member=_member(checks),
+                draw=_rational_draw(family, draw, relations) if isinstance(draw, str) else draw,
                 expected=expected,
                 recompute=recompute,
-                correction_note=note,
+                correction_note=note + _CASE_NOTES.get(recompute, ""),
             )
         )
 
@@ -275,42 +411,30 @@ def _catalog() -> Tuple[BranchSpec, ...]:
     # --- G1 ---------------------------------------------------------------
     add(
         "2.3",
-        "G1",
         "beta = 0, alpha != 0",
-        lambda p, m: m.is_zero(p.beta),
-        lambda rng: FamilyParams("G1", alpha=_frac(rng, nonzero=True), beta=zero),
+        "alpha*",
         lambda p: ExpectedLambdas.point(zero, zero),
     )
 
     # --- G2 ---------------------------------------------------------------
     add(
         "2.5",
-        "G2",
         "alpha = 2*beta, gamma != 0",
-        lambda p, m: m.eq(p.alpha, 2 * p.beta),
-        lambda rng: FamilyParams(
-            "G2", beta=(b := _frac(rng)), alpha=2 * b, gamma=_frac(rng, nonzero=True)
-        ),
+        "beta gamma*",
         lambda p: ExpectedLambdas.point(_H * p.alpha**2 + 2 * p.gamma**2, zero),
     )
 
     # --- G3 ---------------------------------------------------------------
     add(
         "2.7(i)",
-        "G3",
         "alpha = beta, gamma = 0",
-        lambda p, m: m.eq(p.alpha, p.beta) and m.is_zero(p.gamma),
-        lambda rng: FamilyParams("G3", alpha=(a := _frac(rng)), beta=a, gamma=zero),
+        "alpha",
         lambda p: ExpectedLambdas.free_lambda1(),
     )
     add(
         "2.7(ii)",
-        "G3",
         "alpha = beta != 0, gamma != 0",
-        lambda p, m: m.eq(p.alpha, p.beta) and m.is_nonzero(p.gamma) and m.is_nonzero(p.alpha),
-        lambda rng: FamilyParams(
-            "G3", alpha=(a := _frac(rng, nonzero=True)), beta=a, gamma=_frac(rng, nonzero=True)
-        ),
+        "alpha* gamma*",
         lambda p: ExpectedLambdas.point(
             p.gamma * ((2 * p.alpha - p.gamma) ** 2 + p.gamma**2) / (4 * p.alpha),
             p.gamma**3 * (-2 * p.alpha**2 + 3 * p.alpha * p.gamma - p.gamma**2) / (4 * p.alpha),
@@ -319,81 +443,34 @@ def _catalog() -> Tuple[BranchSpec, ...]:
     )
     add(
         "2.7(iii)",
-        "G3",
         "alpha = 0, beta = gamma != 0",
-        lambda p, m: m.is_zero(p.alpha) and m.is_nonzero(p.beta) and m.eq(p.beta, p.gamma),
-        lambda rng: FamilyParams("G3", alpha=zero, beta=(b := _frac(rng, nonzero=True)), gamma=b),
+        "beta*",
         lambda p: ExpectedLambdas.free_lambda1(),
     )
     add(
         "2.7(iv)",
-        "G3",
         "beta = 0, alpha = gamma != 0",
-        lambda p, m: m.is_zero(p.beta) and m.is_nonzero(p.alpha) and m.eq(p.alpha, p.gamma),
-        lambda rng: FamilyParams("G3", beta=zero, alpha=(a := _frac(rng, nonzero=True)), gamma=a),
+        "alpha*",
         lambda p: ExpectedLambdas.free_lambda1(),
     )
-
-    def draw_27v(rng):
-        a = _frac(rng, nonzero=True)
-        b = _frac(rng, nonzero=True)
-        if a == b:
-            return None
-        return FamilyParams("G3", alpha=a, beta=b, gamma=a + b)
-
     add(
         "2.7(v)",
-        "G3",
         "alpha != beta, alpha*beta != 0, gamma = alpha + beta",
-        lambda p, m: (
-            not m.eq(p.alpha, p.beta)
-            and m.is_nonzero(p.alpha)
-            and m.is_nonzero(p.beta)
-            and m.is_zero(p.alpha + p.beta - p.gamma)
-        ),
-        draw_27v,
+        "alpha* beta*",
         lambda p: ExpectedLambdas.point(2 * p.alpha * p.beta, zero),
         recompute=_recompute_g3,
     )
-
-    def draw_27vi(rng):
-        a = _frac(rng)
-        b = _frac(rng, nonzero=True)
-        if a == b:
-            return None
-        return FamilyParams("G3", alpha=a, beta=b, gamma=a - b)
-
     add(
         "2.7(vi)",
-        "G3",
         "alpha != beta, alpha + beta - gamma != 0, gamma = alpha - beta",
-        lambda p, m: (
-            not m.eq(p.alpha, p.beta)
-            and m.is_nonzero(p.alpha + p.beta - p.gamma)
-            and m.eq(p.gamma, p.alpha - p.beta)
-        ),
-        draw_27vi,
+        "alpha beta*",
         lambda p: ExpectedLambdas.point(2 * p.beta * (p.alpha - p.beta), zero),
         recompute=_recompute_g3,
     )
-
-    def draw_27vii(rng):
-        a = _frac(rng, nonzero=True)
-        b = _frac(rng)
-        if a == b:
-            return None
-        return FamilyParams("G3", alpha=a, beta=b, gamma=b - a)
-
     add(
         "2.7(vii)",
-        "G3",
         "alpha != beta, alpha + beta - gamma != 0, gamma = beta - alpha",
-        lambda p, m: (
-            not m.eq(p.alpha, p.beta)
-            and m.is_nonzero(p.alpha + p.beta - p.gamma)
-            and m.eq(p.gamma, p.beta - p.alpha)
-        ),
-        draw_27vii,
+        "alpha* beta",
         lambda p: ExpectedLambdas.point(2 * p.alpha * (p.beta - p.alpha), zero),
         recompute=_recompute_g3,
     )
@@ -416,13 +493,7 @@ def _catalog() -> Tuple[BranchSpec, ...]:
 
     add(
         "2.7(viii)",
-        "G3",
         "alpha != beta, alpha + beta - gamma != 0, gamma^2 = alpha^2 + beta^2",
-        lambda p, m: (
-            not m.eq(p.alpha, p.beta)
-            and m.is_nonzero(p.alpha + p.beta - p.gamma)
-            and m.is_zero(p.gamma**2 - p.alpha**2 - p.beta**2)
-        ),
         draw_27viii,
         expected_27viii,
         recompute=_recompute_g3,
@@ -431,77 +502,42 @@ def _catalog() -> Tuple[BranchSpec, ...]:
     # --- G4 ---------------------------------------------------------------
     add(
         "2.9(i)",
-        "G4",
         "alpha = 0, beta = eta",
-        lambda p, m: m.is_zero(p.alpha) and m.eq(p.beta, p.eta),
-        lambda rng: FamilyParams("G4", alpha=zero, beta=(e := _sign(rng)), eta=e),
+        "eta",
         lambda p: ExpectedLambdas.free_lambda1(),
     )
     add(
         "2.9(ii)",
-        "G4",
         "alpha != 0, beta = alpha/2 + eta",
-        lambda p, m: m.is_nonzero(p.alpha) and m.eq(p.beta, _H * p.alpha + p.eta),
-        lambda rng: FamilyParams(
-            "G4",
-            alpha=(a := _frac(rng, nonzero=True)),
-            eta=(e := _sign(rng)),
-            beta=_H * a + e,
-        ),
+        "alpha* eta",
         lambda p: ExpectedLambdas.point(_H * p.alpha**2, zero),
     )
-
-    def draw_29iii(rng):
-        e = _sign(rng)
-        b = _frac(rng)
-        if b == e:
-            return None
-        return FamilyParams("G4", alpha=zero, beta=b, eta=e)
-
     add(
         "2.9(iii)",
-        "G4",
         "alpha = 0, beta != eta",
-        lambda p, m: m.is_zero(p.alpha) and not m.eq(p.beta, p.eta),
-        draw_29iii,
+        "eta beta",
         lambda p: ExpectedLambdas.point(zero, zero),
     )
 
     # --- G5 ---------------------------------------------------------------
     add(
         "3.2(i)",
-        "G5",
         "gamma = -beta, alpha = delta != 0",
-        lambda p, m: m.eq(p.gamma, -p.beta) and m.eq(p.alpha, p.delta) and m.is_nonzero(p.delta),
-        lambda rng: FamilyParams(
-            "G5",
-            alpha=(a := _frac(rng, nonzero=True)),
-            delta=a,
-            beta=(b := _frac(rng)),
-            gamma=-b,
-        ),
+        "delta* beta",
         lambda p: ExpectedLambdas.point(-2 * p.alpha**2, zero),
         recompute=_recompute_g5,
     )
     add(
         "3.2(ii)",
-        "G5",
         "alpha = beta = gamma = 0, delta != 0",
-        lambda p, m: (
-            m.is_zero(p.alpha) and m.is_zero(p.beta) and m.is_zero(p.gamma) and m.is_nonzero(p.delta)
-        ),
-        lambda rng: FamilyParams("G5", delta=_frac(rng, nonzero=True)),
+        "delta*",
         lambda p: ExpectedLambdas.point(-(p.delta**2), zero),
         recompute=_recompute_g5,
     )
     add(
         "3.2(iii)",
-        "G5",
         "alpha != 0, beta = gamma = delta = 0",
-        lambda p, m: (
-            m.is_nonzero(p.alpha) and m.is_zero(p.beta) and m.is_zero(p.gamma) and m.is_zero(p.delta)
-        ),
-        lambda rng: FamilyParams("G5", alpha=_frac(rng, nonzero=True)),
+        "alpha*",
         lambda p: ExpectedLambdas.point(-(p.alpha**2), zero),
         recompute=_recompute_g5,
     )
@@ -511,33 +547,17 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         g = _frac(rng, nonzero=True)
         if b == g or b == -g:
             return None
-        k = (b**2 - g**2) ** 2 + (b + g) ** 4
-        qa = g * (3 * b**2 + 3 * g**2 - 2 * b * g)
-        qb = _H * b * k
-        qc = _Q * b**3 * k
-        roots = _positive_quadratic_roots(qa, qb, qc)
+        roots = _positive_quadratic_roots(*_quartic_32iv(b, g))
         if not roots:
             return None
         alpha = _sign(rng) * math.sqrt(rng.choice(roots))
         delta = float(-alpha * g / b)
         return FamilyParams("G5", alpha=alpha, beta=b, gamma=g, delta=delta)
 
-    def member_32iv(p, m):
-        a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-        if not (m.is_nonzero(a**2 + b**2 - d**2 - g**2) and m.is_nonzero(b)):
-            return False
-        if not m.eq(d, -a * g / b):
-            return False
-        k = (b**2 - g**2) ** 2 + (b + g) ** 4
-        quartic = g * (3 * b**2 + 3 * g**2 - 2 * g * b) * a**4 + _H * b * k * a**2 + _Q * b**3 * k
-        return m.is_zero(quartic)
-
     add(
         "3.2(iv)",
-        "G5",
         "beta != 0, delta = -alpha*gamma/beta, beta^2 != gamma^2, "
         "alpha^2 a root of the branch quartic",
-        member_32iv,
         draw_32iv,
         lambda p: ExpectedLambdas.point(
             -((p.alpha + p.delta) ** 2),
@@ -546,87 +566,42 @@ def _catalog() -> Tuple[BranchSpec, ...]:
             - _Q * (p.beta**2 - p.gamma**2) ** 2,
         ),
         recompute=_recompute_g5,
+        quartic=_quartic_32iv,
     )
 
     # --- G6 ---------------------------------------------------------------
     add(
         "3.4(i)",
-        "G6",
         "beta = gamma != 0, alpha = delta != 0",
-        lambda p, m: (
-            m.eq(p.beta, p.gamma)
-            and m.is_nonzero(p.beta)
-            and m.eq(p.alpha, p.delta)
-            and m.is_nonzero(p.alpha)
-        ),
-        lambda rng: FamilyParams(
-            "G6",
-            alpha=(a := _frac(rng, nonzero=True)),
-            delta=a,
-            beta=(b := _frac(rng, nonzero=True)),
-            gamma=b,
-        ),
+        "alpha* beta*",
         lambda p: ExpectedLambdas.point(2 * p.alpha**2, zero),
         recompute=_recompute_g6,
-        note=_G6_CASE_NOTE,
     )
     add(
         "3.4(ii)",
-        "G6",
         "beta = gamma = delta = 0, alpha != 0",
-        lambda p, m: (
-            m.is_zero(p.beta) and m.is_zero(p.gamma) and m.is_zero(p.delta) and m.is_nonzero(p.alpha)
-        ),
-        lambda rng: FamilyParams("G6", alpha=_frac(rng, nonzero=True)),
+        "alpha*",
         lambda p: ExpectedLambdas.point(p.alpha**2, zero),
         recompute=_recompute_g6,
-        note=_G6_CASE_NOTE,
     )
     add(
         "3.4(iii)",
-        "G6",
         "beta = gamma = 0, alpha = delta != 0",
-        lambda p, m: (
-            m.is_zero(p.beta) and m.is_zero(p.gamma) and m.eq(p.alpha, p.delta) and m.is_nonzero(p.alpha)
-        ),
-        lambda rng: FamilyParams("G6", alpha=(a := _frac(rng, nonzero=True)), delta=a),
+        "alpha*",
         lambda p: ExpectedLambdas.point(2 * p.alpha**2, zero),
         recompute=_recompute_g6,
-        note=_G6_CASE_NOTE,
     )
-
-    def draw_34iv(rng):
-        g = _frac(rng, nonzero=True)
-        b = _frac(rng)
-        if b == g or b == -g:
-            return None
-        return FamilyParams("G6", alpha=b, beta=b, gamma=g, delta=g)
-
     add(
         "3.4(iv)",
-        "G6",
         "beta != gamma, delta = gamma != 0, alpha = beta, alpha + delta != 0",
-        lambda p, m: (
-            not m.eq(p.beta, p.gamma)
-            and m.eq(p.delta, p.gamma)
-            and m.is_nonzero(p.gamma)
-            and m.eq(p.alpha, p.beta)
-        ),
-        draw_34iv,
+        "gamma* beta",
         lambda p: ExpectedLambdas.point(_H * (p.alpha + p.delta) ** 2, zero),
         recompute=_recompute_g6,
-        note=_G6_CASE_NOTE,
     )
     add(
         "3.4(v)",
-        "G6",
         "beta != gamma, delta = gamma = 0, alpha != 0",
-        lambda p, m: (
-            m.is_zero(p.delta) and m.is_zero(p.gamma) and m.is_nonzero(p.beta) and m.is_nonzero(p.alpha)
-        ),
-        lambda rng: FamilyParams(
-            "G6", alpha=_frac(rng, nonzero=True), beta=_frac(rng, nonzero=True)
-        ),
+        "alpha* beta*",
         # Stated as tabulated; the lambda1 numerator's trailing beta^4 term
         # fails recomputation (see the errata machinery).
         lambda p: ExpectedLambdas.point(
@@ -637,40 +612,21 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         note=(
             "lambda1 = (alpha^4 - alpha^2*beta^2 + beta^4/2) / alpha^2 "
             "(the tabulated numerator ends in beta^4 where the case identity gives beta^4/2); "
-            "lambda2 as tabulated. " + _G6_CASE_NOTE
+            "lambda2 as tabulated. "
         ),
     )
-
-    def draw_34vi(rng):
-        g = _frac(rng, nonzero=True)
-        b = _frac(rng)
-        if b == g or b == -g:
-            return None
-        return FamilyParams("G6", alpha=-b, beta=b, gamma=g, delta=-g)
-
     add(
         "3.4(vi)",
-        "G6",
         "beta != gamma, delta = -gamma != 0, alpha = -beta, alpha + delta != 0",
-        lambda p, m: (
-            not m.eq(p.beta, p.gamma)
-            and m.eq(p.delta, -p.gamma)
-            and m.is_nonzero(p.delta)
-            and m.eq(p.alpha, -p.beta)
-        ),
-        draw_34vi,
+        "gamma* beta",
         lambda p: ExpectedLambdas.point(_H * (p.alpha + p.delta) ** 2, zero),
         recompute=_recompute_g6,
-        note=_G6_CASE_NOTE,
     )
 
     def draw_34vii(rng):
         b = _frac(rng, nonzero=True)
         g = _frac(rng)
-        qa = b + g
-        qb = g * b * (g - b)
-        qc = -_H * b**3 * (b - g) ** 2
-        roots = _positive_quadratic_roots(qa, qb, qc)
+        roots = _positive_quadratic_roots(*_quartic_34vii(b, g))
         if not roots:
             return None
         alpha = _sign(rng) * math.sqrt(rng.choice(roots))
@@ -680,15 +636,6 @@ def _catalog() -> Tuple[BranchSpec, ...]:
             return None
         return FamilyParams("G6", alpha=alpha, beta=b, gamma=g, delta=delta)
 
-    def member_34vii(p, m):
-        a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-        if not (m.is_nonzero(b) and m.eq(d, a * g / b)):
-            return False
-        if not m.is_nonzero(d**2 - a * d + b * g - g**2):
-            return False
-        quartic = (b + g) * a**4 + g * b * (g - b) * a**2 - _H * b**3 * (b - g) ** 2
-        return m.is_zero(quartic)
-
     def expected_34vii(p):
         a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
         lam1 = 2 * a**2 + d**2 + a * d + b * g - b**2
@@ -697,22 +644,17 @@ def _catalog() -> Tuple[BranchSpec, ...]:
 
     add(
         "3.4(vii)",
-        "G6",
         "beta != 0, delta = alpha*gamma/beta, delta^2 - alpha*delta + beta*gamma - gamma^2 != 0, "
         "alpha^2 a root of the branch quartic",
-        member_34vii,
         draw_34vii,
         expected_34vii,
         recompute=_recompute_g6,
+        quartic=_quartic_34vii,
     )
     add(
         "3.4(viii)",
-        "G6",
         "alpha = beta = gamma = 0, delta != 0",
-        lambda p, m: (
-            m.is_zero(p.alpha) and m.is_zero(p.beta) and m.is_zero(p.gamma) and m.is_nonzero(p.delta)
-        ),
-        lambda rng: FamilyParams("G6", delta=_frac(rng, nonzero=True)),
+        "delta*",
         lambda p: ExpectedLambdas.point(p.delta**2, zero),
         recompute=_recompute_g6,
     )
@@ -724,14 +666,7 @@ def _catalog() -> Tuple[BranchSpec, ...]:
 
     add(
         "3.4(viiii)",
-        "G6",
         "alpha = beta = 0, gamma != 0, delta^2 = gamma^2/2",
-        lambda p, m: (
-            m.is_zero(p.alpha)
-            and m.is_zero(p.beta)
-            and m.is_nonzero(p.gamma)
-            and m.is_zero(p.delta**2 - _H * p.gamma**2)
-        ),
         draw_34viiii,
         lambda p: ExpectedLambdas.point(p.delta**2, zero),
         recompute=_recompute_g6,
@@ -740,55 +675,26 @@ def _catalog() -> Tuple[BranchSpec, ...]:
     # --- G7 ---------------------------------------------------------------
     add(
         "3.6(i)",
-        "G7",
         "alpha = beta = gamma = 0, delta != 0",
-        lambda p, m: (
-            m.is_zero(p.alpha) and m.is_zero(p.beta) and m.is_zero(p.gamma) and m.is_nonzero(p.delta)
-        ),
-        lambda rng: FamilyParams("G7", delta=_frac(rng, nonzero=True)),
+        "delta*",
         lambda p: ExpectedLambdas.free_lambda1(),
     )
     add(
         "3.6(ii)",
-        "G7",
         "alpha = gamma = 0, beta != 0, delta != 0",
-        lambda p, m: (
-            m.is_zero(p.alpha) and m.is_zero(p.gamma) and m.is_nonzero(p.beta) and m.is_nonzero(p.delta)
-        ),
-        lambda rng: FamilyParams(
-            "G7", beta=_frac(rng, nonzero=True), delta=_frac(rng, nonzero=True)
-        ),
+        "beta* delta*",
         lambda p: ExpectedLambdas.free_lambda1(),
     )
     add(
         "3.6(iii)",
-        "G7",
         "alpha != 0, gamma = 0, alpha = delta",
-        lambda p, m: m.is_nonzero(p.alpha) and m.is_zero(p.gamma) and m.eq(p.alpha, p.delta),
-        lambda rng: FamilyParams(
-            "G7", alpha=(a := _frac(rng, nonzero=True)), delta=a, beta=_frac(rng)
-        ),
+        "alpha* beta",
         lambda p: ExpectedLambdas.free_lambda1(),
     )
-
-    def draw_36iv(rng):
-        a = _frac(rng, nonzero=True)
-        d = _frac(rng)
-        if d == a or d == -a:
-            return None
-        return FamilyParams("G7", alpha=a, beta=_frac(rng), delta=d)
-
     add(
         "3.6(iv)",
-        "G7",
         "alpha != 0, gamma = 0, alpha != delta, alpha != -delta",
-        lambda p, m: (
-            m.is_nonzero(p.alpha)
-            and m.is_zero(p.gamma)
-            and not m.eq(p.alpha, p.delta)
-            and not m.eq(p.alpha, -p.delta)
-        ),
-        draw_36iv,
+        "alpha* delta beta",
         lambda p: ExpectedLambdas.point(zero, zero),
     )
 
@@ -866,7 +772,7 @@ def verify_branch(
         report.verdict = "verified"
     elif report.passed == 0 and all(f.recomputed_ok for f in report.failures):
         report.verdict = "errata"
-        report.correction = spec.correction_note or _G6_CASE_NOTE
+        report.correction = spec.correction_note
     else:
         report.verdict = "inconclusive"
     return report

@@ -10,16 +10,20 @@ described by its structure constants c^k_ij where
 Seven parameterized families G1..G7 cover the classification this
 package verifies.  G1-G4 are the unimodular ones, G5-G7 the
 non-unimodular ones.  Each family carries the parameter constraints
-listed in `FAMILY_CONSTRAINTS`; arbitrary tables enter through
-`from_raw`, which enforces antisymmetry but deliberately not the
-Jacobi identity, so that `jacobi_residual` stays observable.
+listed in `FAMILY_CONSTRAINTS`, which `validate_params` compiles and
+checks; arbitrary tables enter through `from_raw`, which enforces
+antisymmetry but deliberately not the Jacobi identity, so that
+`jacobi_residual` stays observable.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .scalars import Mode, Scalar, as_scalar, is_exact
 
@@ -155,14 +159,123 @@ class FamilyParams:
         return Mode.for_values(self.used_values(), tolerance)
 
 
+# ---------------------------------------------------------------------------
+# Constraint clauses
+# ---------------------------------------------------------------------------
+
+_PARAM_NAMES = ("alpha", "beta", "gamma", "delta", "eta")
+_OPERATORS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
+
+
+def _term(node: ast.expr) -> Tuple[Callable[[Mapping[str, Scalar]], Scalar], frozenset]:
+    """Compile one side of a relation to a function of the parameter values.
+
+    Returns the function and the parameters it reads.  Integer constants
+    stay ints, so a quotient's numerator must read a parameter: `alpha/2`
+    is exact, `1/2` would be a float.
+    """
+    if isinstance(node, ast.Name) and node.id in _PARAM_NAMES:
+        return operator.itemgetter(node.id), frozenset((node.id,))
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        value = node.value
+        return (lambda values: value), frozenset()
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand, names = _term(node.operand)
+        return (lambda values: -operand(values)), names
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+        op = _OPERATORS[type(node.op)]
+        (left, left_names), (right, right_names) = _term(node.left), _term(node.right)
+        if left_names or not isinstance(node.op, ast.Div):
+            return (lambda values: op(left(values), right(values))), left_names | right_names
+    raise ValueError(f"unsupported term {ast.unparse(node)!r}")
+
+
+def _factors(node: ast.expr) -> list:
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
+class _Relation:
+    """One link `left = right` or `left != right` of a constraint clause.
+
+    Sides read the parameters from a mapping of names to values, such as
+    vars(params).  `bare[i]` is side i's name if it is a bare parameter,
+    `names[i]` the parameters it reads.
+    """
+
+    def __init__(self, clause: str, equal: bool, left: ast.expr, right: ast.expr):
+        self.clause, self.equal = clause, equal
+        self.bare = tuple(getattr(side, "id", None) for side in (left, right))
+        (first, left_names), (second, right_names) = _term(left), _term(right)
+        self.sides, self.names = (first, second), (left_names, right_names)
+        if not (isinstance(right, ast.Constant) and right.value == 0):
+            self.terms = (lambda values: first(values) - second(values),)
+        elif equal or len(_factors(left)) == 1:
+            self.terms = (first,)
+        else:
+            # A product compared != 0 reads factor by factor: the same test
+            # in exact mode, while in approx mode each factor must clear
+            # the tolerance, not their far smaller product.
+            self.terms = tuple(_term(factor)[0] for factor in _factors(left))
+
+    def holds(self, values: Mapping[str, Scalar], mode: Mode) -> bool:
+        test = mode.is_zero if self.equal else mode.is_nonzero
+        for term in self.terms:
+            if not test(term(values)):
+                return False
+        return True
+
+
+def _compile_clauses(text: str) -> Tuple[_Relation, ...]:
+    """Compile a constraint text into its relations, in reading order.
+
+    Clauses are separated by ", " and read as Python comparisons, with
+    `^` for a power and `=` for equality, so `alpha = beta != 0` yields
+    `alpha = beta` and `beta != 0`.  Terms may use the names alpha..eta,
+    integer constants, + - * / ^ and unary minus; anything else raises
+    ValueError (SyntaxError for a clause that is no expression).
+    """
+    return tuple(relation for clause in text.split(", ") for relation in _compile_clause(clause))
+
+
+# The catalog repeats many clauses; relations are never mutated, so
+# branches share them and the import compiles each clause once.
+@functools.lru_cache(maxsize=None)
+def _compile_clause(clause: str) -> Tuple[_Relation, ...]:
+    tree = ast.parse(clause.replace("^", "**").replace(" = ", " == "), mode="eval").body
+    if not isinstance(tree, ast.Compare) or not all(
+        isinstance(op, (ast.Eq, ast.NotEq)) for op in tree.ops
+    ):
+        raise ValueError(f"constraint {clause!r} is not a chain of = and !=")
+    sides = [tree.left, *tree.comparators]
+    return tuple(
+        _Relation(clause, isinstance(op, ast.Eq), left, right)
+        for op, left, right in zip(tree.ops, sides, sides[1:])
+    )
+
+
 FAMILY_CONSTRAINTS = {
     "G1": "alpha != 0",
     "G2": "gamma != 0",
     "G3": "none",
     "G4": "eta = 1 or -1",
-    "G5": "alpha + delta != 0 and alpha*gamma + beta*delta = 0",
-    "G6": "alpha + delta != 0 and alpha*gamma - beta*delta = 0",
-    "G7": "alpha + delta != 0 and alpha*gamma = 0",
+    "G5": "alpha + delta != 0, alpha*gamma + beta*delta = 0",
+    "G6": "alpha + delta != 0, alpha*gamma - beta*delta = 0",
+    "G7": "alpha + delta != 0, alpha*gamma = 0",
+}
+
+# G3 is unconstrained and G4's eta is an integer sign, checked in code.
+_FAMILY_RELATIONS = {
+    family: _compile_clauses(text)
+    for family, text in FAMILY_CONSTRAINTS.items()
+    if family not in ("G3", "G4")
 }
 
 
@@ -172,44 +285,17 @@ def validate_params(params: FamilyParams, mode: Optional[Mode] = None) -> None:
     Equalities test exactly in exact mode and within tolerance in approx
     mode; strict inequalities read |expr| > tolerance in approx mode.
     """
+    if params.family == "G4" and params.eta not in (1, -1):
+        raise ConstraintViolation("eta = 1 or -1", f"got eta = {params.eta}")
     if mode is None:
         mode = params.mode()
-    a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
-    family = params.family
-    if family == "G1":
-        if not mode.is_nonzero(a):
-            raise ConstraintViolation("alpha != 0")
-    elif family == "G2":
-        if not mode.is_nonzero(g):
-            raise ConstraintViolation("gamma != 0")
-    elif family == "G3":
-        pass
-    elif family == "G4":
-        if params.eta not in (1, -1):
-            raise ConstraintViolation("eta = 1 or -1", f"got eta = {params.eta}")
-    elif family == "G5":
-        if not mode.is_nonzero(a + d):
-            raise ConstraintViolation("alpha + delta != 0")
-        if not mode.is_zero(a * g + b * d):
-            raise ConstraintViolation(
-                "alpha*gamma + beta*delta = 0",
-                f"alpha*gamma + beta*delta = {a * g + b * d}",
-            )
-    elif family == "G6":
-        if not mode.is_nonzero(a + d):
-            raise ConstraintViolation("alpha + delta != 0")
-        if not mode.is_zero(a * g - b * d):
-            raise ConstraintViolation(
-                "alpha*gamma - beta*delta = 0",
-                f"alpha*gamma - beta*delta = {a * g - b * d}",
-            )
-    elif family == "G7":
-        if not mode.is_nonzero(a + d):
-            raise ConstraintViolation("alpha + delta != 0")
-        if not mode.is_zero(a * g):
-            raise ConstraintViolation("alpha*gamma = 0", f"alpha*gamma = {a * g}")
-    else:  # pragma: no cover - guarded by FamilyParams
-        raise UnknownFamily(family)
+    values = vars(params)
+    for relation in _FAMILY_RELATIONS.get(params.family, ()):
+        if not relation.holds(values, mode):
+            # Family clauses are single relations; an equality shows its left side.
+            left = relation.clause.partition(" = ")[0]
+            detail = f"{left} = {relation.sides[0](values)}" if relation.equal else ""
+            raise ConstraintViolation(relation.clause, detail)
 
 
 def build_family(params: FamilyParams, mode: Optional[Mode] = None) -> StructureConstants:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,7 @@ from ein2lie import (
     ConstraintViolation,
     EmptyBranch,
     FamilyParams,
+    Mode,
     build_family,
     classify,
     is_ein2,
@@ -23,7 +27,8 @@ from ein2lie import (
     verify_anchor,
     verify_branch,
 )
-from ein2lie.branches import BranchSpec, ExpectedLambdas
+from ein2lie.branches import _QUARTIC_CLAUSE, BranchSpec, ExpectedLambdas, _rational_draw
+from ein2lie.liealg import FAMILY_CONSTRAINTS, _compile_clauses
 
 F = Fraction
 
@@ -222,3 +227,102 @@ def test_line_branches_are_exactly_the_flat_ones():
     assert line_labels == {
         "2.7(i)", "2.7(iii)", "2.7(iv)", "2.9(i)", "3.6(i)", "3.6(ii)", "3.6(iii)",
     }
+
+
+# sha256 of repr(sample_branch(spec, 50, seed=7)): the sampler streams the
+# verify report rests on.
+SAMPLE_STREAM_SHA256 = {
+    "2.3": "246dfd6e53c8fbfa3f9493509dba0503b0b855beef89e8a7f285116d0a6b45a7",
+    "2.5": "83efb9cb565f958c355135f387fcf2c02f696a36bc21adc925f98a5ec0db1db3",
+    "2.7(i)": "5702e3888ce4a84b4dff024a5554ba27a6308e3339d2f056eb644a4f2b8ed74c",
+    "2.7(ii)": "2fdaf874dd823124e37601eca7417fefe267d9329c7bcc6ae2350735c66fc11e",
+    "2.7(iii)": "a330709d03ebf8bae676d65b4ff9e0285a454a2d66a48a76e73386d8dbe33601",
+    "2.7(iv)": "7134f7384f6bfc2b87bac313a5561edb5f54be16aa2c67ea558e283698f9778d",
+    "2.7(v)": "1194c9747639032f57999a972773456094a95697af8a76743299bc7d06f38f0d",
+    "2.7(vi)": "84363b8838c8a93fb4e58b44caf94f3f83a492cbcb970fc87dbdbe87077d17ea",
+    "2.7(vii)": "ae93c49d72e3b6be5861565880d22a0b106055ed16e7f3975edaa9a19bcf957f",
+    "2.7(viii)": "92b5d2cb1e79b5a82a085a24cd4fcce92f3424e72a7a52118f190153ebba77ba",
+    "2.9(i)": "e0471f1f6b4269e96bbb844831f756f1fcb510140a9b16415907dea2744ad3cb",
+    "2.9(ii)": "8ef83218f16ba7525a31f0e00756b4b7374c75ff1d8a140ffe899855e6582f92",
+    "2.9(iii)": "20ee3bc310215c920f9b51dab573b980f36adb6ac37ef5056fcb78bd591e55fe",
+    "3.2(i)": "59485fbaf38692d9e019f9fd77062ff12386b8e3db3f52313be26e60b7eb82b8",
+    "3.2(ii)": "3bdaa297fbfd61276232a192294e28f19476004eff3f0fafbea142a80494b0b3",
+    "3.2(iii)": "f7c9625fa3c8645ba209939a92e4e5d38cc54a1ba61f7f8a63cd673bd87b7cbc",
+    "3.2(iv)": "1c46dad08f603586ceb13c2d3a33eeb60eaa087900dee1a83817b12fabe58d2b",
+    "3.4(i)": "ee94da2adb9ae64293013fb70495115da039f8b5d86844baa641dc6e1dcf1c5f",
+    "3.4(ii)": "62a24b069c0a5561826a2c9fc688c6124417d2b997dedf60cd8d3fcbc76eefba",
+    "3.4(iii)": "b5a2dd7909fcef5b00a9d247ea7a91a8bc6e4a5d7020310c89dffebca0ea0329",
+    "3.4(iv)": "73b2d9ff15b21705c1810d2f378849a87787e76eae8d2413a9be79aee5e4ddce",
+    "3.4(v)": "232cb837129c1582feba80bdd9e0f53e77aa433e296cb165ebf76ceaf4b743c8",
+    "3.4(vi)": "7cb85a3aae2b6a4fda488f23cef2e105a1d212e44a795e0e945bb593a65721f9",
+    "3.4(vii)": "d045706cb9642ca165f4a57803ed3417b08a6d415befe56e9847e66d8d571224",
+    "3.4(viii)": "983ed6d30182cbc3af3b49deb41690508d375c1c542fbebaea548399b12a6c5b",
+    "3.4(viiii)": "bd6a2ffe9110fbeb7bad7b6a447c41406f5222348f39269b087e673116bdb8ab",
+    "3.6(i)": "a3cf803ac4c862fedbc58fbfce277e1a170f3587665871632b03955e64d9f330",
+    "3.6(ii)": "3ee3756724d002d097ef4e9f39080714d8df4a0263f75c40db2d5291a6a5e5a6",
+    "3.6(iii)": "21f253e9866c81f9125e44c86c11664020e55e749fe78ba713fdd294b3c3b014",
+    "3.6(iv)": "63b8282d1a6de1e30429c219ad85da0fe27bd2e85f17a0f136b9357604d05b05",
+}
+
+
+def test_sample_streams_are_pinned():
+    streams = {
+        spec.label: hashlib.sha256(repr(sample_branch(spec, 50, seed=7)).encode()).hexdigest()
+        for spec in BRANCHES
+    }
+    assert streams == SAMPLE_STREAM_SHA256
+
+
+def test_every_constraint_clause_compiles():
+    texts = [spec.constraints for spec in BRANCHES]
+    texts += [text for family, text in FAMILY_CONSTRAINTS.items() if family not in ("G3", "G4")]
+    quartic_texts = set()
+    for text in texts:
+        for clause in text.split(", "):
+            if clause == _QUARTIC_CLAUSE:
+                quartic_texts.add(text)
+                continue
+            # Every "=" and "!=" of the clause becomes one relation.
+            assert len(_compile_clauses(clause)) == clause.count("="), clause
+    assert quartic_texts == {
+        BRANCHES_BY_LABEL["3.2(iv)"].constraints,
+        BRANCHES_BY_LABEL["3.4(vii)"].constraints,
+    }
+
+
+@pytest.mark.parametrize("text", ["zeta = 0", "alpha < beta", "alpha = 0.5", "alpha = 1/2"])
+def test_compiler_rejects_unknown_terms(text):
+    with pytest.raises(ValueError):
+        _compile_clauses(text)
+
+
+def test_sampler_rejects_relation_left_open():
+    # beta = gamma binds neither side when only alpha is drawn.
+    with pytest.raises(ValueError):
+        _rational_draw("G3", "alpha", _compile_clauses("beta = gamma"))
+
+
+def test_sampler_checks_equalities_on_free_parameters():
+    # beta is free, so beta = 0 is checked after beta is drawn, not bound
+    # before the draw and then overwritten.
+    draw = _rational_draw("G3", "alpha beta", _compile_clauses("beta = 0"))
+    rng = random.Random(0)
+    samples = [p for p in (draw(rng) for _ in range(200)) if p is not None]
+    assert samples and all(p.beta == 0 for p in samples)
+
+
+def test_product_nonzero_reads_factor_by_factor_in_approx_mode():
+    # alpha*beta = -1e-10 is within tolerance, but each factor is not.
+    spec = BRANCHES_BY_LABEL["2.7(v)"]
+    params = FamilyParams("G3", alpha=-1e-5, beta=1e-5, gamma=0.0)
+    assert spec.member(params, Mode.approx())
+
+
+def test_errata_note_is_the_family_case_note():
+    spec = dataclasses.replace(
+        BRANCHES_BY_LABEL["3.2(ii)"], expected=lambda p: ExpectedLambdas.point(F(1), F(0))
+    )
+    report = verify_branch(spec, count=5, seed=7)
+    assert report.verdict == "errata"
+    assert report.correction.startswith("recomputed from the G5 case identities")
+    assert "V*W" not in report.correction

@@ -164,6 +164,20 @@ def test_validate_params_examples():
         FamilyParams("G4", alpha=1, beta=1, eta=2)
 
 
+def test_validate_params_messages():
+    with pytest.raises(ConstraintViolation) as info:
+        validate_params(FamilyParams("G5", alpha=1, beta=1, gamma=1, delta=1))
+    assert str(info.value) == (
+        "constraint violated: alpha*gamma + beta*delta = 0 (alpha*gamma + beta*delta = 2)"
+    )
+    with pytest.raises(ConstraintViolation) as info:
+        validate_params(FamilyParams("G7", alpha=1, gamma=F(1, 2), delta=1))
+    assert str(info.value) == "constraint violated: alpha*gamma = 0 (alpha*gamma = 1/2)"
+    with pytest.raises(ConstraintViolation) as info:
+        validate_params(FamilyParams("G6", alpha=1, delta=-1))
+    assert str(info.value) == "constraint violated: alpha + delta != 0"
+
+
 def test_validate_params_approx_inequalities():
     approx = Mode.approx(1e-6)
     with pytest.raises(ConstraintViolation):
