@@ -816,11 +816,11 @@ def classify(
     """
     if mode is None:
         mode = params.mode()
-    validate_params(params, mode)
+    sc = build_family(params, mode)
     matched = tuple(
         spec.label for spec in branches_for(params.family) if spec.member(params, mode)
     )
-    solution = is_ein2(build_family(params, mode), convention, mode)
+    solution = is_ein2(sc, convention, mode)
     if matched and solution.kind != NONE:
         status = EIN2
     elif not matched and solution.kind == NONE:

@@ -21,15 +21,19 @@ conventions agree.
 `solve_lambdas` computes the affine solution set exactly (rational
 elimination) or with tolerance-based pivoting for float inputs.  For
 unsolvable systems the reported residual is the minimal achievable
-sup-norm over all (lambda1, lambda2), found by enumerating the vertices
-of the associated Chebyshev linear program.
+sup-norm over all (lambda1, lambda2).  It is read off the dual of that
+Chebyshev problem in closed form: the largest |sum w_r a_r| / sum |w_r|
+over the references of at most three rows (cofactor triples, parallel
+pairs, rows with b = c = 0), on integers after scaling exact rows by
+the lcm of their denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
+from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .geometry import RicciData, ricci
@@ -58,9 +62,6 @@ class Ein2Row:
     b: Scalar
     c: Scalar
 
-    def value_at(self, lam1: Scalar, lam2: Scalar) -> Scalar:
-        return self.a + lam1 * self.b + lam2 * self.c
-
 
 @dataclass(frozen=True)
 class Ein2System:
@@ -69,7 +70,7 @@ class Ein2System:
 
     def residual_at(self, lam1: Scalar, lam2: Scalar) -> Scalar:
         """Sup-norm of the six component equations at a candidate pair."""
-        return max(abs(row.value_at(lam1, lam2)) for row in self.rows)
+        return _sup_residual(tuple((r.a, r.b, r.c) for r in self.rows), lam1, lam2)
 
     def values(self):
         for row in self.rows:
@@ -100,7 +101,8 @@ class Ein2Solution:
     the direction scaled so its first nonzero entry is +1.  `residual`
     is the sup-norm of the system at the solution (zero/tolerance-small
     when solvable) or, for kind "none", the minimal achievable sup-norm,
-    computed lazily because it requires a small minimax search.
+    computed lazily by `_min_sup_residual` from the dual formula over row
+    references (on integers for exact rows, see its docstring).
     """
 
     def __init__(self, kind, rows, mode, point=None, line_base=None, line_direction=None):
@@ -161,95 +163,49 @@ def _sup_residual(rows, lam1, lam2):
     return max(abs(a + lam1 * b + lam2 * c) for a, b, c in rows)
 
 
-def _solve3(m, rhs):
-    """Solve a 3x3 linear system by Cramer's rule; None when singular."""
-    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = m
-    det = (
-        a11 * (a22 * a33 - a23 * a32)
-        - a12 * (a21 * a33 - a23 * a31)
-        + a13 * (a21 * a32 - a22 * a31)
-    )
-    if det == 0:
-        return None
-    b1, b2, b3 = rhs
-    x1 = (
-        b1 * (a22 * a33 - a23 * a32)
-        - a12 * (b2 * a33 - a23 * b3)
-        + a13 * (b2 * a32 - a22 * b3)
-    )
-    x2 = (
-        a11 * (b2 * a33 - a23 * b3)
-        - b1 * (a21 * a33 - a23 * a31)
-        + a13 * (a21 * b3 - b2 * a31)
-    )
-    x3 = (
-        a11 * (a22 * b3 - b2 * a32)
-        - a12 * (a21 * b3 - b2 * a31)
-        + b1 * (a21 * a32 - a22 * a31)
-    )
-    return (x1 / det, x2 / det, x3 / det)
-
-
 def _min_sup_residual(rows, mode):
     """Minimal achievable sup-norm min_{lambda} max_r |a + lambda1 b + lambda2 c|.
 
-    Solved as a tiny Chebyshev program by candidate enumeration; exact
-    over rationals, tolerance-guarded over floats.
+    By Chebyshev duality this equals the largest |sum w_r a_r| / sum |w_r|
+    over the nonzero w with sum w_r (b_r, c_r) = 0, and that maximum is
+    reached on a reference of at most three rows: a triple with w its cofactors, a
+    pair with parallel (b, c), or a row with b = c = 0.  Exact rows are
+    first scaled to integers by the lcm L of their denominators, so
+    candidates compare by cross-multiplication and one Fraction is built
+    at the end; float rows run the same enumeration with L = 1 and
+    tolerance-based degeneracy tests.
     """
-    coeffs = [(b, c) for _, b, c in rows]
-    effective = [rc for rc in coeffs if not (mode.is_zero(rc[0]) and mode.is_zero(rc[1]))]
-    if not effective:
-        return max(abs(a) for a, _, _ in rows)
-
-    rank_two = any(
-        not mode.is_zero(b1 * c2 - b2 * c1) for (b1, c1), (b2, c2) in combinations(effective, 2)
-    )
-    if not rank_two:
-        # One effective direction: residual depends on a single parameter s
-        # along the common gradient (b0, c0).
-        b0, c0 = max(effective, key=lambda rc: max(abs(rc[0]), abs(rc[1])))
-        lines = [(a, b * b0 + c * c0) for a, b, c in rows]
-        candidates = [Fraction(0) if mode.is_exact else 0.0]
-        for (a1, k1), (a2, k2) in combinations(lines, 2):
-            if not mode.is_zero(k1 - k2):
-                candidates.append((a2 - a1) / (k1 - k2))
-            if not mode.is_zero(k1 + k2):
-                candidates.append(-(a1 + a2) / (k1 + k2))
-        for a, k in lines:
-            if not mode.is_zero(k):
-                candidates.append(-a / k)
-        best = None
-        for s in candidates:
-            value = max(abs(a + k * s) for a, k in lines)
-            if best is None or value < best:
-                best = value
-        return best
-
-    # Full-rank case: enumerate basic solutions of the LP
-    #   minimize t  s.t.  sign*(a + lambda1 b + lambda2 c) <= t.
-    # All eight sign patterns are distinct tight-constraint systems.
-    best = None
-    signs = tuple(product((1, -1), repeat=3))
-    for triple in combinations(range(len(rows)), 3):
-        for s in signs:
-            m = []
-            rhs = []
-            for idx, sign in zip(triple, s):
-                a, b, c = rows[idx]
-                m.append((sign * b, sign * c, -1))
-                rhs.append(-sign * a)
-            sol = _solve3(m, rhs)
-            if sol is None:
-                continue
-            lam1, lam2, t = sol
-            if t < 0 and not mode.is_zero(t):
-                continue
-            value = _sup_residual(rows, lam1, lam2)
-            if best is None or value < best:
-                best = value
-    if best is None:  # pragma: no cover - rank-two systems always yield vertices
-        best = max(abs(a) for a, _, _ in rows)
-    return best
+    zero = mode.is_zero
+    scale = 1
+    if mode.is_exact:
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        rows = [tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows]
+    a = [row[0] for row in rows]
+    cross = {
+        (i, j): rows[i][1] * rows[j][2] - rows[j][1] * rows[i][2]
+        for i, j in combinations(range(len(rows)), 2)
+    }
+    # Each candidate is (|sum w_r a_r|, sum |w_r|) for one reference w.
+    candidates = [(abs(a[r]), 1) for r, (_, b, c) in enumerate(rows) if zero(b) and zero(c)]
+    for (i, j), det in cross.items():
+        if zero(det):
+            (_, bi, ci), (_, bj, cj) = rows[i], rows[j]
+            wi, wj = (cj, -ci) if zero(bi) and zero(bj) else (bj, -bi)
+            if not (zero(wi) and zero(wj)):
+                candidates.append((abs(wi * a[i] + wj * a[j]), abs(wi) + abs(wj)))
+    for i, j, k in combinations(range(len(rows)), 3):
+        wi, wj, wk = cross[j, k], -cross[i, k], cross[i, j]
+        if not (zero(wi) and zero(wj) and zero(wk)):
+            candidates.append(
+                (abs(wi * a[i] + wj * a[j] + wk * a[k]), abs(wi) + abs(wj) + abs(wk))
+            )
+    best_num, best_den = 0, 1
+    for num, den in candidates:
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    if mode.is_exact:
+        return Fraction(best_num, best_den * scale)
+    return best_num / best_den
 
 
 def _canonical_direction(d1, d2, mode):

@@ -9,15 +9,16 @@ Two kinds of oracle live here:
 
 * Brute force: a from-first-principles Ricci computation built on
   explicit vector algebra (bilinear bracket extension, frame inner
-  products, a Koszul right-hand side solved entry by entry), and a
-  minors-based affine solver for the component system.  Same
-  mathematics, different route.
+  products, a Koszul right-hand side solved entry by entry), a
+  minors-based affine solver for the component system, and the minimal
+  sup-norm residual by enumerating the vertices of the Chebyshev linear
+  program.  Same mathematics, different route.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 F = Fraction
 H = F(1, 2)
@@ -336,3 +337,104 @@ def solve_brute(rows):
     if on_base and along:
         return ("line", base, direction)
     return ("none",)
+
+
+# ---------------------------------------------------------------------------
+# Minimal sup-norm residual by Chebyshev LP vertex enumeration
+# ---------------------------------------------------------------------------
+
+def _sup_residual(rows, lam1, lam2):
+    return max(abs(a + lam1 * b + lam2 * c) for a, b, c in rows)
+
+
+def _solve3(m, rhs):
+    """Solve a 3x3 linear system by Cramer's rule; None when singular."""
+    (a11, a12, a13), (a21, a22, a23), (a31, a32, a33) = m
+    det = (
+        a11 * (a22 * a33 - a23 * a32)
+        - a12 * (a21 * a33 - a23 * a31)
+        + a13 * (a21 * a32 - a22 * a31)
+    )
+    if det == 0:
+        return None
+    b1, b2, b3 = rhs
+    x1 = (
+        b1 * (a22 * a33 - a23 * a32)
+        - a12 * (b2 * a33 - a23 * b3)
+        + a13 * (b2 * a32 - a22 * b3)
+    )
+    x2 = (
+        a11 * (b2 * a33 - a23 * b3)
+        - b1 * (a21 * a33 - a23 * a31)
+        + a13 * (a21 * b3 - b2 * a31)
+    )
+    x3 = (
+        a11 * (a22 * b3 - b2 * a32)
+        - a12 * (a21 * b3 - b2 * a31)
+        + b1 * (a21 * a32 - a22 * a31)
+    )
+    return (x1 / det, x2 / det, x3 / det)
+
+
+def min_sup_residual_vertices(rows, mode):
+    """Minimal achievable sup-norm min_{lambda} max_r |a + lambda1 b + lambda2 c|.
+
+    Solved as a tiny Chebyshev program by candidate enumeration; exact
+    over rationals, tolerance-guarded over floats.  Primal route (basic
+    solutions of the LP, a one-parameter search at rank one), checked
+    against the production dual formula.
+    """
+    coeffs = [(b, c) for _, b, c in rows]
+    effective = [rc for rc in coeffs if not (mode.is_zero(rc[0]) and mode.is_zero(rc[1]))]
+    if not effective:
+        return max(abs(a) for a, _, _ in rows)
+
+    rank_two = any(
+        not mode.is_zero(b1 * c2 - b2 * c1) for (b1, c1), (b2, c2) in combinations(effective, 2)
+    )
+    if not rank_two:
+        # One effective direction: residual depends on a single parameter s
+        # along the common gradient (b0, c0).
+        b0, c0 = max(effective, key=lambda rc: max(abs(rc[0]), abs(rc[1])))
+        lines = [(a, b * b0 + c * c0) for a, b, c in rows]
+        candidates = [Fraction(0) if mode.is_exact else 0.0]
+        for (a1, k1), (a2, k2) in combinations(lines, 2):
+            if not mode.is_zero(k1 - k2):
+                candidates.append((a2 - a1) / (k1 - k2))
+            if not mode.is_zero(k1 + k2):
+                candidates.append(-(a1 + a2) / (k1 + k2))
+        for a, k in lines:
+            if not mode.is_zero(k):
+                candidates.append(-a / k)
+        best = None
+        for s in candidates:
+            value = max(abs(a + k * s) for a, k in lines)
+            if best is None or value < best:
+                best = value
+        return best
+
+    # Full-rank case: enumerate basic solutions of the LP
+    #   minimize t  s.t.  sign*(a + lambda1 b + lambda2 c) <= t.
+    # All eight sign patterns are distinct tight-constraint systems.
+    best = None
+    signs = tuple(product((1, -1), repeat=3))
+    for triple in combinations(range(len(rows)), 3):
+        for s in signs:
+            m = []
+            rhs = []
+            for idx, sign in zip(triple, s):
+                a, b, c = rows[idx]
+                m.append((sign * b, sign * c, -1))
+                rhs.append(-sign * a)
+            sol = _solve3(m, rhs)
+            if sol is None:
+                continue
+            lam1, lam2, t = sol
+            if t < 0 and not mode.is_zero(t):
+                continue
+            value = _sup_residual(rows, lam1, lam2)
+            if best is None or value < best:
+                best = value
+    if best is None:  # pragma: no cover - rank-two systems always yield vertices
+        best = max(abs(a) for a, _, _ in rows)
+    return best

@@ -179,6 +179,26 @@ def test_classify_rejects_invalid_params():
         classify(FamilyParams("G6", alpha=1, beta=2, gamma=1, delta=2))
 
 
+def test_classify_validates_once(monkeypatch):
+    import ein2lie.branches as branches
+    import ein2lie.liealg as liealg
+
+    calls = []
+
+    def counting(params, mode=None):
+        calls.append(params)
+        return validate_params(params, mode)
+
+    for module in (branches, liealg):
+        monkeypatch.setattr(module, "validate_params", counting)
+    classify(FamilyParams("G5", alpha=1, beta=0, gamma=0, delta=1))
+    assert len(calls) == 1
+    with pytest.raises(ConstraintViolation) as info:
+        classify(FamilyParams("G5", alpha=1, beta=0, gamma=0, delta=-1))
+    assert str(info.value) == "constraint violated: alpha + delta != 0"
+    assert len(calls) == 2
+
+
 def test_classify_overlapping_branches():
     # alpha = 0, gamma = -beta is a rational point of the square-root locus
     # gamma^2 = alpha^2 + beta^2, so two branch constraint sets hold at once;

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ein2lie import (
@@ -22,7 +23,7 @@ from ein2lie import (
     ricci,
     solve_lambdas,
 )
-from oracles import solve_brute
+from oracles import min_sup_residual_vertices, solve_brute
 
 F = Fraction
 
@@ -197,3 +198,89 @@ def test_minimal_residual_never_exceeds_probes(triples):
     for l1 in (F(-1), F(0), F(1)):
         for l2 in (F(-1), F(0), F(1)):
             assert system.residual_at(l1, l2) >= best
+
+
+@st.composite
+def rank_forced_triples(draw):
+    """Six rows whose coefficient rank (0, 1 or 2) is chosen, not left to chance.
+
+    Uniform rows are almost always rank 2, so rank 0 (every (b, c) zero)
+    and rank 1 (every (b, c) a multiple of one direction, c = k*b or
+    b = 0) are built on purpose; duplicated, sign-flipped and zero-
+    coefficient rows are then mixed in.
+    """
+    rank = draw(st.sampled_from((0, 1, 2)))
+    a_column = draw(st.lists(small_fractions, min_size=6, max_size=6))
+    if rank == 0:
+        coefficients = [(F(0), F(0))] * 6
+    elif rank == 1:
+        u, v = draw(st.tuples(small_fractions, small_fractions).filter(lambda d: d != (0, 0)))
+        scales = draw(st.lists(small_fractions, min_size=6, max_size=6))
+        coefficients = [(t * u, t * v) for t in scales]
+    else:
+        coefficients = draw(st.lists(st.tuples(small_fractions, small_fractions), min_size=6, max_size=6))
+    rows = [(a, b, c) for a, (b, c) in zip(a_column, coefficients)]
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from(("duplicate", "flip", "zero")))
+        i, j = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+        if op == "duplicate":
+            rows[i] = rows[j]
+        elif op == "flip":
+            rows[i] = tuple(-x for x in rows[j])
+        else:
+            rows[i] = (rows[i][0], F(0), F(0))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "triples, expected",
+    [
+        # Rank 0: nothing to tune, the largest |a| remains.
+        ([(1, 0, 0), (-3, 0, 0), (2, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)], 3),
+        # Rank 1 with b = 0 throughout: lambda2 = -2 balances 1 and 3.
+        ([(1, 0, 1), (3, 0, 1), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)], 1),
+        # Rank 1 with c = 2b: s = lambda1 + 2 lambda2 = 0 balances |1 + s| and |2s - 1|.
+        ([(1, 1, 2), (-1, 2, 4), (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)], 1),
+        # Rank 2 with a duplicated and a sign-flipped row: |a| = 1 at the origin is optimal.
+        ([(1, 1, 0), (1, 1, 0), (-1, -1, 0), (1, 0, 1), (-1, 0, 1), (0, 1, 1)], 1),
+        # Rank 2 with a zero-coefficient row that dominates.
+        ([(F(7, 2), 0, 0), (1, 1, 0), (2, 0, 1), (0, 1, 1), (0, 0, 0), (0, 0, 0)], F(7, 2)),
+    ],
+)
+def test_minimal_residual_examples(triples, expected):
+    system = system_from_triples(triples)
+    solution = solve_lambdas(system)
+    assert solution.kind == "none"
+    assert solution.residual == expected
+    assert type(solution.residual) is Fraction
+    assert min_sup_residual_vertices(rows_of(system), Mode.exact()) == expected
+
+
+@given(triples=rank_forced_triples())
+@settings(max_examples=200, deadline=None)
+def test_minimal_residual_matches_vertex_oracle(triples):
+    system = system_from_triples(triples)
+    solution = solve_lambdas(system)
+    assume(solution.kind == "none")
+    residual = solution.residual
+    assert type(residual) is Fraction
+    assert residual == min_sup_residual_vertices(rows_of(system), Mode.exact())
+
+
+@given(triples=rank_forced_triples(), scale=st.sampled_from((F(1), F(1, 100), F(100))))
+@settings(max_examples=200, deadline=None)
+def test_float_minimal_residual_tracks_exact(triples, scale):
+    exact_system = system_from_triples([tuple(scale * F(x) for x in row) for row in triples])
+    float_system = Ein2System(
+        rows=tuple(
+            Ein2Row(i=r.i, j=r.j, a=float(r.a), b=float(r.b), c=float(r.c))
+            for r in exact_system.rows
+        ),
+        convention=DELTA,
+    )
+    exact = solve_lambdas(exact_system)
+    approx = solve_lambdas(float_system, Mode.approx())
+    assume(exact.kind == approx.kind == "none")
+    r = exact.residual
+    assert abs(approx.residual - r) <= 1e-9 * max(1, r)
+
