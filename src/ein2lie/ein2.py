@@ -18,8 +18,9 @@ The two differ only in row (3,3).  "delta" is the default; matching the
 tabulated systems fixes that choice, and whenever lambda2 = 0 the two
 conventions agree.
 
-`solve_lambdas` computes the affine solution set exactly (rational
-elimination) or with tolerance-based pivoting for float inputs.  For
+`solve_lambdas` computes the affine solution set from 2x2 minors, on
+integers for exact rows (which `is_ein2` builds straight from the integer
+Ricci contraction) and with tolerance tests for float inputs.  For
 unsolvable systems the reported residual is the minimal achievable
 sup-norm over all (lambda1, lambda2).  It is read off the dual of that
 Chebyshev problem in closed form: the largest |sum w_r a_r| / sum |w_r|
@@ -32,13 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .geometry import RicciData, ricci
 from .liealg import EPS, FamilyParams, StructureConstants, build_family
-from .scalars import Mode, Scalar
+from .scalars import Mode, Scalar, as_scalar
 
 DELTA = "delta"
 METRIC = "metric"
@@ -79,18 +81,20 @@ class Ein2System:
             yield row.c
 
 
-def build_system(rd: RicciData, convention: str = DELTA) -> Ein2System:
-    """Assemble the six component equations from Ricci data."""
+def _constants(convention: str) -> Tuple[int, ...]:
+    """The constant column c on PAIRS, as plain ints."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-    rows = []
-    for i, j in PAIRS:
-        if i == j:
-            c = Fraction(EPS[i]) if convention == METRIC else Fraction(1)
-        else:
-            c = Fraction(0)
-        rows.append(Ein2Row(i=i, j=j, a=rd.rho_sq[i][j], b=rd.rho[i][j], c=c))
-    return Ein2System(rows=tuple(rows), convention=convention)
+    return (1, 0, 0, 1, 0, EPS[2] if convention == METRIC else 1)
+
+
+def build_system(rd: RicciData, convention: str = DELTA) -> Ein2System:
+    """Assemble the six component equations from Ricci data."""
+    rows = tuple(
+        Ein2Row(i=i, j=j, a=rd.rho_sq[i][j], b=rd.rho[i][j], c=c)
+        for (i, j), c in zip(PAIRS, _constants(convention))
+    )
+    return Ein2System(rows=rows, convention=convention)
 
 
 class Ein2Solution:
@@ -102,43 +106,50 @@ class Ein2Solution:
     is the sup-norm of the system at the solution (zero/tolerance-small
     when solvable) or, for kind "none", the minimal achievable sup-norm,
     computed lazily by `_min_sup_residual` from the dual formula over row
-    references (on integers for exact rows, see its docstring).
+    references (on integers for exact rows, see its docstring).  It keeps
+    the rows scale * (a, b, c) it was solved from, ints in exact mode;
+    their Fractions are built only when a residual needs them.
     """
 
-    def __init__(self, kind, rows, mode, point=None, line_base=None, line_direction=None):
+    def __init__(self, kind, rows, mode, scale=1, point=None, line_base=None, line_direction=None):
         self.kind = kind
         self.mode = mode
         self.point = point
         self.line_base = line_base
         self.line_direction = line_direction
         self._rows = rows
-        self._residual = None
+        self._scale = scale
 
-    @property
+    @cached_property
+    def _values(self):
+        if not self.mode.is_exact:
+            return self._rows
+        return tuple(tuple(Fraction(x, self._scale) for x in row) for row in self._rows)
+
+    @cached_property
     def residual(self) -> Scalar:
-        if self._residual is None:
-            if self.kind == POINT:
-                self._residual = _sup_residual(self._rows, *self.point)
-            elif self.kind == LINE:
-                self._residual = _sup_residual(self._rows, *self.line_base)
-            elif self.kind == PLANE:
-                self._residual = max(abs(r[0]) for r in self._rows)
-            else:
-                self._residual = _min_sup_residual(self._rows, self.mode)
-        return self._residual
+        if self.kind == POINT:
+            return _sup_residual(self._values, *self.point)
+        if self.kind == LINE:
+            return _sup_residual(self._values, *self.line_base)
+        if self.kind == PLANE:
+            return max(abs(row[0]) for row in self._values)
+        return _min_sup_residual(self._rows, self._scale, self.mode)
 
     def is_ein2(self) -> bool:
         return self.kind != NONE
 
     def residual_of(self, lam1: Scalar, lam2: Scalar) -> Scalar:
         """Sup-norm of the underlying system at an arbitrary candidate pair."""
-        return _sup_residual(self._rows, lam1, lam2)
+        return _sup_residual(self._values, lam1, lam2)
 
     def contains(self, lam1: Scalar, lam2: Scalar) -> bool:
         """Membership of a candidate pair in the solution set."""
         if self.kind == NONE:
             return False
-        return self.mode.is_zero(_sup_residual(self._rows, lam1, lam2))
+        if self.kind == POINT and self.mode.is_exact:
+            return (lam1, lam2) == self.point
+        return self.mode.is_zero(_sup_residual(self._values, lam1, lam2))
 
     def lambda2_zero_line(self) -> bool:
         """True when the solution set is exactly {lambda2 = 0, lambda1 free}."""
@@ -163,27 +174,27 @@ def _sup_residual(rows, lam1, lam2):
     return max(abs(a + lam1 * b + lam2 * c) for a, b, c in rows)
 
 
-def _min_sup_residual(rows, mode):
+def _minor(u, v, j, k):
+    """The 2x2 minor u[j] v[k] - v[j] u[k] of two rows (a, b, c)."""
+    return u[j] * v[k] - v[j] * u[k]
+
+
+def _min_sup_residual(rows, scale, mode):
     """Minimal achievable sup-norm min_{lambda} max_r |a + lambda1 b + lambda2 c|.
 
     By Chebyshev duality this equals the largest |sum w_r a_r| / sum |w_r|
     over the nonzero w with sum w_r (b_r, c_r) = 0, and that maximum is
-    reached on a reference of at most three rows: a triple with w its cofactors, a
-    pair with parallel (b, c), or a row with b = c = 0.  Exact rows are
-    first scaled to integers by the lcm L of their denominators, so
-    candidates compare by cross-multiplication and one Fraction is built
-    at the end; float rows run the same enumeration with L = 1 and
+    reached on a reference of at most three rows: a triple with w its
+    cofactors, a pair with parallel (b, c), or a row with b = c = 0.
+    Exact rows arrive as the ints scale * (a, b, c), so candidates
+    compare by cross-multiplication and one Fraction is built at the
+    end; float rows run the same enumeration with scale 1 and
     tolerance-based degeneracy tests.
     """
     zero = mode.is_zero
-    scale = 1
-    if mode.is_exact:
-        scale = lcm(*(x.denominator for row in rows for x in row))
-        rows = [tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows]
     a = [row[0] for row in rows]
     cross = {
-        (i, j): rows[i][1] * rows[j][2] - rows[j][1] * rows[i][2]
-        for i, j in combinations(range(len(rows)), 2)
+        (i, j): _minor(rows[i], rows[j], 1, 2) for i, j in combinations(range(len(rows)), 2)
     }
     # Each candidate is (|sum w_r a_r|, sum |w_r|) for one reference w.
     candidates = [(abs(a[r]), 1) for r, (_, b, c) in enumerate(rows) if zero(b) and zero(c)]
@@ -208,87 +219,69 @@ def _min_sup_residual(rows, mode):
     return best_num / best_den
 
 
-def _canonical_direction(d1, d2, mode):
-    for lead in (d1, d2):
-        if not mode.is_zero(lead):
-            return (d1 / abs(lead), d2 / abs(lead))
-    return (d1, d2)
+def _solve(rows, scale, mode: Mode) -> Ein2Solution:
+    """Affine solution set of the rows scale * (a, b, c), decided by 2x2 minors.
+
+    The pivot is the largest |b| or |c|, the first on ties.  A row's minors
+    against the pivot row are its other coefficient and its constant after
+    elimination, times the pivot: ints for exact rows, read as minor / pivot
+    against the tolerance otherwise, where a point is refined by least squares.
+    """
+    exact, zero = mode.is_exact, mode.is_zero
+    entries = [(r, col) for r, row in enumerate(rows) for col in (1, 2) if not zero(row[col])]
+    if not entries:
+        kind = PLANE if all(zero(row[0]) for row in rows) else NONE
+        return Ein2Solution(kind, rows, mode, scale)
+    p, col = max(entries, key=lambda entry: abs(rows[entry[0]][entry[1]]))
+    prow = rows[p]
+    pivot = prow[col]
+
+    def reduced_zero(minor):
+        return minor == 0 if exact else zero(minor / pivot)
+
+    others = [row for row in rows if not reduced_zero(_minor(prow, row, 1, 2))]
+    if others:
+        qrow = max(others, key=lambda row: abs(_minor(prow, row, 1, 2)))
+        det = _minor(prow, qrow, 1, 2)
+        num1, num2 = _minor(qrow, prow, 0, 2), _minor(prow, qrow, 0, 1)
+        if exact:
+            if any(a * det + num1 * b + num2 * c for a, b, c in rows):
+                return Ein2Solution(NONE, rows, mode, scale)
+            point = (Fraction(num1, det), Fraction(num2, det))
+        else:
+            point = _least_squares(rows) or (num1 / det, num2 / det)
+            if not zero(_sup_residual(rows, *point)):
+                return Ein2Solution(NONE, rows, mode, scale)
+        return Ein2Solution(POINT, rows, mode, scale, point=point)
+
+    # Rank one: consistent iff every row's constant reduces to zero.
+    if not all(reduced_zero(_minor(prow, row, col, 0)) for row in rows):
+        return Ein2Solution(NONE, rows, mode, scale)
+    base = [Fraction(0), Fraction(0)]
+    base[col - 1] = Fraction(-prow[0], pivot) if exact else -prow[0] / pivot
+    # the direction (-c, b) with first nonzero entry +1; an int divides to a Fraction
+    d1, d2 = as_scalar(-prow[2]), as_scalar(prow[1])
+    lead = abs(d2 if zero(d1) else d1)
+    d1, d2 = d1 / lead, d2 / lead
+    if d1 < 0 or (zero(d1) and d2 < 0):
+        d1, d2 = -d1, -d2
+    return Ein2Solution(LINE, rows, mode, scale, line_base=tuple(base), line_direction=(d1, d2))
 
 
 def solve_lambdas(sys: Ein2System, mode: Optional[Mode] = None) -> Ein2Solution:
     """Affine solution set of {b*lambda1 + c*lambda2 = -a} over six rows.
 
-    Exact mode uses rational elimination with exact rank decisions;
-    approx mode pivots on the largest entries, thresholds at the mode
-    tolerance, and refines point solutions by least squares over all
-    rows.  kind reflects the solution-set dimension.
+    Exact rows are scaled to ints by the lcm of their denominators; see
+    `_solve`.  kind reflects the solution-set dimension.
     """
     if mode is None:
         mode = Mode.for_values(sys.values())
     rows = tuple((row.a, row.b, row.c) for row in sys.rows)
-
-    def zero(x):
-        return mode.is_zero(x)
-
-    # Pivot 1: the coefficient with the largest magnitude.
-    pivot = None
-    pivot_size = None
-    for r, (a, b, c) in enumerate(rows):
-        for col, coef in ((0, b), (1, c)):
-            if not zero(coef) and (pivot_size is None or abs(coef) > pivot_size):
-                pivot = (r, col)
-                pivot_size = abs(coef)
-    if pivot is None:
-        if all(zero(a) for a, _, _ in rows):
-            return Ein2Solution(PLANE, rows, mode)
-        return Ein2Solution(NONE, rows, mode)
-
-    pr, pc = pivot
-    pa, pb, pcoef = rows[pr]
-    pvec = (pb, pcoef)
-    other_col = 1 - pc
-
-    # Eliminate the pivot column from the other rows.
-    reduced = []
-    for r, (a, b, c) in enumerate(rows):
-        if r == pr:
-            continue
-        vec = (b, c)
-        factor = vec[pc] / pvec[pc]
-        reduced.append((a - factor * pa, vec[other_col] - factor * pvec[other_col]))
-
-    pivot2 = None
-    pivot2_size = None
-    for idx, (_, coef) in enumerate(reduced):
-        if not zero(coef) and (pivot2_size is None or abs(coef) > pivot2_size):
-            pivot2 = idx
-            pivot2_size = abs(coef)
-
-    if pivot2 is not None:
-        a2, k2 = reduced[pivot2]
-        other_value = -a2 / k2
-        pivot_value = (-pa - pvec[other_col] * other_value) / pvec[pc]
-        lam = [None, None]
-        lam[pc] = pivot_value
-        lam[other_col] = other_value
-        lam1, lam2 = lam
-        if not mode.is_exact:
-            refined = _least_squares(rows)
-            if refined is not None:
-                lam1, lam2 = refined
-        if zero(_sup_residual(rows, lam1, lam2)):
-            return Ein2Solution(POINT, rows, mode, point=(lam1, lam2))
-        return Ein2Solution(NONE, rows, mode)
-
-    # Rank one: consistent iff every reduced row vanished.
-    if any(not zero(a) for a, _ in reduced):
-        return Ein2Solution(NONE, rows, mode)
-    base = [Fraction(0), Fraction(0)]
-    base[pc] = -pa / pvec[pc]
-    direction = _canonical_direction(-pvec[1], pvec[0], mode)
-    if direction[0] < 0 or (zero(direction[0]) and direction[1] < 0):
-        direction = (-direction[0], -direction[1])
-    return Ein2Solution(LINE, rows, mode, line_base=tuple(base), line_direction=direction)
+    scale = 1
+    if mode.is_exact:
+        scale = lcm(*(x.denominator for row in rows for x in row))
+        rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+    return _solve(rows, scale, mode)
 
 
 def _least_squares(rows):
@@ -307,12 +300,22 @@ def _least_squares(rows):
 def is_ein2(
     sc: StructureConstants, convention: str = DELTA, mode: Optional[Mode] = None
 ) -> Ein2Solution:
-    """Decide the Ein(2) condition: compose ricci, build_system, solve_lambdas."""
+    """Decide the Ein(2) condition from one `ricci` call.
+
+    In exact mode row (i, j) times 16 L^4 is the int triple (S_ij,
+    4 L^2 N_ij, 16 L^4 c_ij), S = `RicciData.squares()`: no Ricci Fraction.
+    """
     if mode is None:
         mode = Mode.for_values(sc.values())
     rd = ricci(sc, mode)
-    system = build_system(rd, convention)
-    return solve_lambdas(system, mode)
+    if not mode.is_exact:
+        return solve_lambdas(build_system(rd, convention), mode)
+    unit, squares = 4 * rd.scale**2, rd.squares()
+    rows = tuple(
+        (squares[i][j], unit * rd.n[i][j], unit * unit * c)
+        for (i, j), c in zip(PAIRS, _constants(convention))
+    )
+    return _solve(rows, unit * unit, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -32,15 +32,16 @@ components that rho needs,
 and for an exact table it does so on integers: with L the lcm of the
 denominators of c, both L c and H = 2 L Gamma are integer tables, and
 rho = N / (4 L^2), where N is the same sum with Gamma replaced by H
-and c by 2 L c.
+and c by 2 L c.  `RicciData` carries N and L; `ein2.is_ein2` solves
+on them, so an exact decision builds no Ricci Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from operator import truediv
 from typing import Optional, Tuple
 
 from .liealg import EPS, StructureConstants, require_lie_algebra
@@ -78,14 +79,43 @@ class CurvatureTensor:
 class RicciData:
     """Ricci tensor, Ricci operator (row convention) and the rho^2 tensor.
 
-    rho is symmetric; rho_op satisfies rho[i][j] = eps_j * rho_op[i][j]
-    and is g-self-adjoint (eps_j rho_op[i][j] = eps_i rho_op[j][i]); in
-    Lorentzian signature it need not be diagonalizable.
+    Holds what `ricci` computes, the contraction n = 4 L^2 rho and its
+    scale L (see `ricci`); rho, rho_op and rho_sq are built from them on
+    first read.  rho is symmetric; rho_op satisfies rho[i][j] = eps_j *
+    rho_op[i][j] and is g-self-adjoint (eps_j rho_op[i][j] = eps_i
+    rho_op[j][i]); in Lorentzian signature it need not be diagonalizable.
     """
 
-    rho: Matrix
-    rho_op: Matrix
-    rho_sq: Matrix
+    n: Matrix
+    scale: int
+
+    def squares(self) -> Matrix:
+        """sum_k eps_k n[i][k] n[j][k], which is 16 L^4 rho_sq[i][j]."""
+        (e0, e1, e2), n = EPS, self.n
+        # summed from 0 in the order of `sum`, so float bits do not move
+        return tuple(
+            tuple(0 + e0 * u[0] * v[0] + e1 * u[1] * v[1] + e2 * u[2] * v[2] for v in n) for u in n
+        )
+
+    @cached_property
+    def rho(self) -> Matrix:
+        return _divide(self.n, 4 * self.scale**2)
+
+    @cached_property
+    def rho_op(self) -> Matrix:
+        return tuple(tuple(-x if e < 0 else x for x, e in zip(row, EPS)) for row in self.rho)
+
+    @cached_property
+    def rho_sq(self) -> Matrix:
+        return _divide(self.squares(), 16 * self.scale**4)
+
+
+def _divide(matrix, unit: int) -> Matrix:
+    """Exact entries become Fractions, float entries stay floats."""
+    return tuple(
+        tuple(x / unit if isinstance(x, float) else Fraction(x, unit) for x in row)
+        for row in matrix
+    )
 
 
 def _koszul(c) -> list:
@@ -182,8 +212,9 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
 
     The contraction runs in units of H = 2 L Gamma, where L is the lcm of
     the table's denominators.  For an exact table L c and H are integer
-    tables, all the work is on ints, and each output Fraction is built
-    once from the integer contraction N:
+    tables and all the work is on ints.  The result hands on the
+    contraction N and L; each Fraction is built from them once, and only
+    when it is read:
 
       rho[i][j] = N_ij / (4 L^2),
       rho_sq[i][j] = sum_k eps_k N_ik N_jk / (16 L^4).
@@ -203,11 +234,11 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
             [[x.numerator * (scale // x.denominator) for x in row] for row in plane]
             for plane in c
         ]
-        zero, quotient = 0, Fraction
+        zero = 0
     else:
         # accumulators start at Fraction(0), as in `curvature`, so that a
         # term-free entry keeps that type
-        scale, zero, quotient = 1, Fraction(0), truediv
+        scale, zero = 1, Fraction(0)
     h = _koszul(c)
     n = []
     for i in range(3):
@@ -234,15 +265,5 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
                         acc = acc - 2 * x * y
                 total = total + acc
             row.append(-total)
-        n.append(row)
-    unit = 4 * scale * scale
-    rho = tuple(tuple(quotient(x, unit) for x in row) for row in n)
-    rho_op = tuple(tuple(-x if e < 0 else x for x, e in zip(row, EPS)) for row in rho)
-    rho_sq = tuple(
-        tuple(
-            quotient(sum(EPS[k] * n[i][k] * n[j][k] for k in range(3)), unit * unit)
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-    return RicciData(rho=rho, rho_op=rho_op, rho_sq=rho_sq)
+        n.append(tuple(row))
+    return RicciData(n=tuple(n), scale=scale)

@@ -299,7 +299,13 @@ def validate_params(params: FamilyParams, mode: Optional[Mode] = None) -> None:
 
 
 def build_family(params: FamilyParams, mode: Optional[Mode] = None) -> StructureConstants:
-    """Construct the bracket table of the given family at a parameter point.
+    """Validate a parameter point, then construct its bracket table (`family_table`)."""
+    validate_params(params, mode)
+    return family_table(params)
+
+
+def family_table(params: FamilyParams) -> StructureConstants:
+    """The bracket table of a parameter point, which the caller has validated.
 
     All brackets not listed below are zero up to antisymmetry:
 
@@ -312,7 +318,6 @@ def build_family(params: FamilyParams, mode: Optional[Mode] = None) -> Structure
       G7: [e1,e2] = -a e1 - b e2 - b e3, [e1,e3] = a e1 + b e2 + b e3,
           [e2,e3] = g e1 + d e2 + d e3
     """
-    validate_params(params, mode)
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     family = params.family
     if family == "G1":

@@ -61,7 +61,8 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def is_exact(value) -> bool:
-    return isinstance(value, Rational)
+    # the concrete types first: the Rational check alone is slow
+    return isinstance(value, (Fraction, int)) or isinstance(value, Rational)
 
 
 def format_scalar(value: Scalar) -> str:

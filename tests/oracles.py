@@ -10,9 +10,10 @@ Two kinds of oracle live here:
 * Brute force: a from-first-principles Ricci computation built on
   explicit vector algebra (bilinear bracket extension, frame inner
   products, a Koszul right-hand side solved entry by entry), a
-  minors-based affine solver for the component system, and the minimal
-  sup-norm residual by enumerating the vertices of the Chebyshev linear
-  program.  Same mathematics, different route.
+  minors-based affine solver for the component system, the pivoted
+  row elimination the production solver used before its integer route,
+  and the minimal sup-norm residual by enumerating the vertices of the
+  Chebyshev linear program.  Same mathematics, different route.
 """
 
 from __future__ import annotations
@@ -438,3 +439,123 @@ def min_sup_residual_vertices(rows, mode):
     if best is None:  # pragma: no cover - rank-two systems always yield vertices
         best = max(abs(a) for a, _, _ in rows)
     return best
+
+
+# ---------------------------------------------------------------------------
+# Pivoted elimination (the production solver before the integer route)
+# ---------------------------------------------------------------------------
+
+class EliminationResult:
+    """What `solve_eliminate` decides, with the residual as Ein2Solution reads it."""
+
+    def __init__(self, kind, rows, mode, point=None, line_base=None, line_direction=None):
+        self.kind = kind
+        self.point = point
+        self.line_base = line_base
+        self.line_direction = line_direction
+        self._rows, self._mode = rows, mode
+
+    @property
+    def residual(self):
+        if self.kind == "point":
+            return _sup_residual(self._rows, *self.point)
+        if self.kind == "line":
+            return _sup_residual(self._rows, *self.line_base)
+        if self.kind == "plane":
+            return max(abs(r[0]) for r in self._rows)
+        return min_sup_residual_vertices(self._rows, self._mode)
+
+
+def _canonical_direction(d1, d2, mode):
+    for lead in (d1, d2):
+        if not mode.is_zero(lead):
+            return (d1 / abs(lead), d2 / abs(lead))
+    return (d1, d2)
+
+
+def _least_squares(rows):
+    """Normal-equation least squares for the float path."""
+    s11 = sum(b * b for _, b, _ in rows)
+    s12 = sum(b * c for _, b, c in rows)
+    s22 = sum(c * c for _, _, c in rows)
+    t1 = -sum(b * a for a, b, _ in rows)
+    t2 = -sum(c * a for a, _, c in rows)
+    det = s11 * s22 - s12 * s12
+    if det == 0:
+        return None
+    return ((t1 * s22 - t2 * s12) / det, (s11 * t2 - s12 * t1) / det)
+
+
+def solve_eliminate(rows, mode):
+    """Affine solution set of {b*lambda1 + c*lambda2 = -a} over the rows.
+
+    Rational elimination with exact rank decisions in exact mode; approx
+    mode pivots on the largest entries, thresholds at the mode
+    tolerance, and refines point solutions by least squares over all
+    rows.  The row reduction the integer solver replaced, kept verbatim
+    as its reference.
+    """
+    rows = tuple(tuple(row) for row in rows)
+
+    def zero(x):
+        return mode.is_zero(x)
+
+    # Pivot 1: the coefficient with the largest magnitude.
+    pivot = None
+    pivot_size = None
+    for r, (a, b, c) in enumerate(rows):
+        for col, coef in ((0, b), (1, c)):
+            if not zero(coef) and (pivot_size is None or abs(coef) > pivot_size):
+                pivot = (r, col)
+                pivot_size = abs(coef)
+    if pivot is None:
+        if all(zero(a) for a, _, _ in rows):
+            return EliminationResult("plane", rows, mode)
+        return EliminationResult("none", rows, mode)
+
+    pr, pc = pivot
+    pa, pb, pcoef = rows[pr]
+    pvec = (pb, pcoef)
+    other_col = 1 - pc
+
+    # Eliminate the pivot column from the other rows.
+    reduced = []
+    for r, (a, b, c) in enumerate(rows):
+        if r == pr:
+            continue
+        vec = (b, c)
+        factor = vec[pc] / pvec[pc]
+        reduced.append((a - factor * pa, vec[other_col] - factor * pvec[other_col]))
+
+    pivot2 = None
+    pivot2_size = None
+    for idx, (_, coef) in enumerate(reduced):
+        if not zero(coef) and (pivot2_size is None or abs(coef) > pivot2_size):
+            pivot2 = idx
+            pivot2_size = abs(coef)
+
+    if pivot2 is not None:
+        a2, k2 = reduced[pivot2]
+        other_value = -a2 / k2
+        pivot_value = (-pa - pvec[other_col] * other_value) / pvec[pc]
+        lam = [None, None]
+        lam[pc] = pivot_value
+        lam[other_col] = other_value
+        lam1, lam2 = lam
+        if not mode.is_exact:
+            refined = _least_squares(rows)
+            if refined is not None:
+                lam1, lam2 = refined
+        if zero(_sup_residual(rows, lam1, lam2)):
+            return EliminationResult("point", rows, mode, point=(lam1, lam2))
+        return EliminationResult("none", rows, mode)
+
+    # Rank one: consistent iff every reduced row vanished.
+    if any(not zero(a) for a, _ in reduced):
+        return EliminationResult("none", rows, mode)
+    base = [Fraction(0), Fraction(0)]
+    base[pc] = -pa / pvec[pc]
+    direction = _canonical_direction(-pvec[1], pvec[0], mode)
+    if direction[0] < 0 or (zero(direction[0]) and direction[1] < 0):
+        direction = (-direction[0], -direction[1])
+    return EliminationResult("line", rows, mode, line_base=tuple(base), line_direction=direction)

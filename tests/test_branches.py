@@ -199,6 +199,28 @@ def test_classify_validates_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_verify_branch_validates_each_sample_once(monkeypatch):
+    import ein2lie.branches as branches
+    import ein2lie.liealg as liealg
+
+    calls = []
+
+    def counting(params, mode=None):
+        calls.append(params)
+        return validate_params(params, mode)
+
+    for module in (branches, liealg):
+        monkeypatch.setattr(module, "validate_params", counting)
+    for label in ("2.3", "3.2(iv)", "3.4(v)"):
+        spec = BRANCHES_BY_LABEL[label]
+        calls.clear()
+        samples = sample_branch(spec, 5, seed=3)
+        sampled = len(calls)
+        calls.clear()
+        report = verify_branch(spec, count=5, seed=3)
+        assert len(calls) == sampled >= len(samples) == report.attempted
+
+
 def test_classify_overlapping_branches():
     # alpha = 0, gamma = -beta is a rational point of the square-root locus
     # gamma^2 = alpha^2 + beta^2, so two branch constraint sets hold at once;

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ein2lie import (
+    CONVENTIONS,
     DELTA,
     METRIC,
     Ein2Row,
@@ -23,7 +24,10 @@ from ein2lie import (
     ricci,
     solve_lambdas,
 )
-from oracles import min_sup_residual_vertices, solve_brute
+from ein2lie.ein2 import PAIRS
+from ein2lie.liealg import ConstraintViolation
+from oracles import min_sup_residual_vertices, solve_brute, solve_eliminate
+from test_geometry import family_points
 
 F = Fraction
 
@@ -34,10 +38,10 @@ def rows_of(system):
     return [(r.a, r.b, r.c) for r in system.rows]
 
 
-def system_from_triples(triples, convention=DELTA):
-    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+def system_from_triples(triples, convention=DELTA, scalar=F):
     rows = tuple(
-        Ein2Row(i=i, j=j, a=F(a), b=F(b), c=F(c)) for (i, j), (a, b, c) in zip(pairs, triples)
+        Ein2Row(i=i, j=j, a=scalar(a), b=scalar(b), c=scalar(c))
+        for (i, j), (a, b, c) in zip(PAIRS, triples)
     )
     return Ein2System(rows=rows, convention=convention)
 
@@ -284,3 +288,117 @@ def test_float_minimal_residual_tracks_exact(triples, scale):
     r = exact.residual
     assert abs(approx.residual - r) <= 1e-9 * max(1, r)
 
+
+# ---------------------------------------------------------------------------
+# The integer solver against the pivoted elimination it replaced
+# ---------------------------------------------------------------------------
+
+_FIELDS = ("point", "line_base", "line_direction", "residual")
+
+
+def assert_matches_elimination(solution, rows, mode):
+    """Exact: identical values and types; float: same kind, lambdas within 1e-9."""
+    oracle = solve_eliminate(rows, mode)
+    assert solution.kind == oracle.kind
+    if mode.is_exact:
+        assert repr([getattr(solution, f) for f in _FIELDS]) == repr(
+            [getattr(oracle, f) for f in _FIELDS]
+        )
+        probes = [(F(1), F(0)), oracle.point or oracle.line_base or (F(0), F(0))]
+        if oracle.kind == "line":
+            base, direction = oracle.line_base, oracle.line_direction
+            probes.append((base[0] + direction[0], base[1] + direction[1]))
+        for lam1, lam2 in probes:
+            on_rows = all(a + lam1 * b + lam2 * c == 0 for a, b, c in rows)
+            assert solution.contains(lam1, lam2) == (oracle.kind != "none" and on_rows)
+        return
+    for field in _FIELDS[:3]:
+        got, want = getattr(solution, field), getattr(oracle, field)
+        assert (got is None) == (want is None)
+        for x, y in zip(got or (), want or ()):
+            assert abs(x - y) <= 1e-9 * max(1, abs(y))
+
+
+@st.composite
+def oracle_triples(draw):
+    """Rows of a forced coefficient rank, made consistent half of the time."""
+    rows = draw(rank_forced_triples())
+    if draw(st.booleans()):
+        lam1, lam2 = draw(small_fractions), draw(small_fractions)
+        rows = [(-(lam1 * b + lam2 * c), b, c) for _, b, c in rows]
+    return rows
+
+
+@given(triples=oracle_triples())
+@settings(max_examples=120, deadline=None)
+def test_solver_matches_elimination_oracle(triples):
+    assert_matches_elimination(solve_lambdas(system_from_triples(triples)), triples, Mode.exact())
+    float_system = system_from_triples(triples, scalar=float)
+    floats = [tuple(float(x) for x in row) for row in triples]
+    assert_matches_elimination(solve_lambdas(float_system, Mode.approx()), floats, Mode.approx())
+
+
+_SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+_LARGE = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
+
+
+@given(
+    params=st.one_of(family_points(_SMALL), family_points(_LARGE)),
+    convention=st.sampled_from(CONVENTIONS),
+)
+@settings(max_examples=60, deadline=None)
+def test_is_ein2_matches_elimination_oracle_on_ricci_rows(params, convention):
+    try:
+        sc = build_family(params)
+    except ConstraintViolation:
+        assume(False)
+    system = build_system(ricci(sc), convention)
+    # the parent's rows carried the constant column as Fractions
+    rows = [(a, b, F(c)) for a, b, c in rows_of(system)]
+    assert_matches_elimination(is_ein2(sc, convention), rows, Mode.exact())
+    assert_matches_elimination(solve_lambdas(system), rows, Mode.exact())
+
+    values = {name: float(getattr(params, name)) for name in ("alpha", "beta", "gamma", "delta")}
+    approx = Mode.approx()
+    try:
+        float_sc = build_family(FamilyParams(params.family, eta=params.eta, **values), approx)
+    except ConstraintViolation:
+        return
+    float_system = build_system(ricci(float_sc, approx), convention)
+    float_rows = [(a, b, F(c)) for a, b, c in rows_of(float_system)]
+    assert_matches_elimination(is_ein2(float_sc, convention, approx), float_rows, approx)
+
+
+def test_systems_carry_plain_int_constants():
+    for params in (
+        FamilyParams("G1", alpha=1.0, beta=2.0),
+        FamilyParams("G5", alpha=0.5, beta=0.0, gamma=0.0, delta=1.5),
+        FamilyParams("G1", alpha=1, beta=2),
+    ):
+        rd = ricci(build_family(params))
+        for convention in CONVENTIONS:
+            constants = [row.c for row in build_system(rd, convention).rows]
+            assert all(type(c) is int for c in constants), (params, convention, constants)
+
+
+def test_exact_point_contains_compares_with_the_point():
+    solution = is_ein2(build_family(FamilyParams("G2", alpha=2, beta=1, gamma=1)))
+    assert solution.point == (4, 0)
+    assert solution.contains(4, 0) and solution.contains(F(4), F(0))
+    assert not solution.contains(4, F(1, 10**30))
+
+
+@pytest.mark.parametrize(
+    "triples, kind",
+    [
+        # The reduced coefficient 1e-12 of row 2 is negligible, its minor 1e-8 is not.
+        ([(-1e4, 1e4, 0.0), (-1e4, 1e4, 1e-12)] + [(0.0, 0.0, 0.0)] * 4, "line"),
+        # Only the least-squares point keeps both lambda1 rows within the tolerance.
+        ([(-1 + 9e-10, 1.0, 0.0), (-1 - 9e-10, 1.0, 0.0), (0.0, 0.0, 1.0)] + [(0.0, 0.0, 0.0)] * 3,
+         "point"),
+    ],
+)
+def test_float_decisions_at_the_tolerance(triples, kind):
+    solution = solve_lambdas(system_from_triples(triples, scalar=float), Mode.approx())
+    assert solution.kind == kind
+    assert_matches_elimination(solution, triples, Mode.approx())

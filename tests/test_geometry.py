@@ -257,6 +257,16 @@ def test_ricci_equals_reference_routes_on_anchors():
         assert_matches_reference_routes(sc, mode)
 
 
+def test_ricci_hands_on_the_integer_contraction():
+    rd = ricci(build_family(FamilyParams("G1", alpha=F(1, 2), beta=F(1, 3))))
+    assert rd.scale == 6
+    assert all(type(x) is int for row in rd.n for x in row)
+    # the Fractions are built on first read only
+    assert not {"rho", "rho_op", "rho_sq"} & set(vars(rd))
+    assert rd.rho == tuple(tuple(F(x, 4 * 6**2) for x in row) for row in rd.n)
+    assert rd.rho_sq == tuple(tuple(F(x, 16 * 6**4) for x in row) for row in rd.squares())
+
+
 def test_ricci_keeps_exact_zero_in_float_tables():
     # Entries with no nonzero term stay Fraction(0) in a float table.
     rd = ricci(build_family(FamilyParams("G5", alpha=0.5, beta=0, gamma=0, delta=1.5)))
