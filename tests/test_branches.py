@@ -23,6 +23,7 @@ from ein2lie import (
     is_ein2,
     sample_branch,
     sample_off_branch,
+    sample_valid_points,
     validate_params,
     verify_anchor,
     verify_branch,
@@ -313,6 +314,80 @@ def test_sample_streams_are_pinned():
         for spec in BRANCHES
     }
     assert streams == SAMPLE_STREAM_SHA256
+
+
+# sha256 of repr(sample_valid_points(family, 100, seed)) and of
+# repr(sample_off_branch(family, 100, seed)): the fidelity and negative
+# sections of the verify report rest on these streams, yet print only counts.
+FAMILY_STREAM_SHA256 = {
+    ("G1", 7): (
+        "a3aea82ef9bd94a88105f59264d71f44090f6bd0ff959b21e8709aafebaec31b",
+        "60edc89a0e6015b83fc1b48f2a5db9750513c773cfca59cc0267c1d61a28417c",
+    ),
+    ("G2", 7): (
+        "ab47ed4ee769e583b94ed5b20b269093f41829f95552cc2552a0032144fb5ab8",
+        "79af8e59e61b04c4b2ec7d46159006c5ead56e2e689161c32cd6f129f898acdd",
+    ),
+    ("G3", 7): (
+        "e45ee770f45dd01c893be10d92646ab130382e3b5869f21acadcff7951a4dd56",
+        "3ee6fa4a0c8fae0cdfb6f9f4972a89c861131edb322074587315d06c1fa2fcad",
+    ),
+    ("G4", 7): (
+        "6a75433bf85e2c1a76a27b2296b414a4e464622fa92838c7d2855949a71e9146",
+        "53bbba4173a2e962f0a1489b83dcb0b1eee0aa74f9359fe189bde7a864f18b04",
+    ),
+    ("G5", 7): (
+        "59d45e52a9f6b650ed4449c50bde46d02a11ad073377a6871aa166ff2af557d6",
+        "9939b68110ff8ebd352b14a641b0dffcbdf7dfb8e3881890739feb585d8d56a7",
+    ),
+    ("G6", 7): (
+        "8ca44678de34b7deee090d765a21395a464b7b60a0afb78824acee0e4acc7cd5",
+        "c5e9bc19077b4d9e89c4a60dda4d367ab99afd68fc1a41135946d9022ffcc120",
+    ),
+    ("G7", 7): (
+        "848981f34c5a2da4e16523a91d41c16c33ec2101985b21b1d7fabb568754729d",
+        "30e18a9516f49d8c7ddeb6abf7486f8554046dc75fb6654405bfa0893a449cbf",
+    ),
+    ("G1", 11): (
+        "4166f79fa3c2023b74141e82dcc3a3a91b66e0da208631f543ace4cd72fdedda",
+        "f9c7763d71d01fc3839708fe92ece8c913bb90f6085d95ab5f0f4bb33c4f2a75",
+    ),
+    ("G2", 11): (
+        "e9a60d36c1cfa0ad0af7a7dfeff2fad006be0a3b71c453989310b1d3e9bf7449",
+        "96412f62d4a186249bf56a6d2b539c89120a256fe84286076a7f1e663d95c28f",
+    ),
+    ("G3", 11): (
+        "d3fa6df6f720c27e0522e860cb234eaef594ff9508df43f110ac839beca2e4b9",
+        "5a6777a211d93aa8b9c56660b84687587c81f0999f166e0a80a82f75b748f7bd",
+    ),
+    ("G4", 11): (
+        "6305de85baa8e95a7230ce7b1a6f3059fa5c06bcd709150d45a237fe13ce7149",
+        "8e95fba89b9c2fec9bfb028b61e021df0cd2b4a3601735b58d23cff5811aabac",
+    ),
+    ("G5", 11): (
+        "766aa7015a489fc8bd82608a5f6c0a2aeb9fa1664ad4e6af6118897b951d0e05",
+        "30c064f27eb7a78d3bb9eb71cb6e1190703ae990da86b0c44a25b7b38cfd666f",
+    ),
+    ("G6", 11): (
+        "16cd1dc514f20eef5493b29cdde8ee805ab9f49d11aac1d5a149e52a999758c9",
+        "0f74038afb6750519de5bae00cb0f98790d01e2e8cb4b041abc8b4186a0e4776",
+    ),
+    ("G7", 11): (
+        "2c70488aa544f3cdfb18571ed6af74f7cba6f5a662a80f624d9e10926fb96843",
+        "7c89616f660a542522d40e8b68f4152e7de4e31d0151adc7d7fd5535fed3ab22",
+    ),
+}
+
+
+def test_family_streams_are_pinned():
+    streams = {
+        (family, seed): (
+            hashlib.sha256(repr(sample_valid_points(family, 100, seed)).encode()).hexdigest(),
+            hashlib.sha256(repr(sample_off_branch(family, 100, seed)).encode()).hexdigest(),
+        )
+        for family, seed in FAMILY_STREAM_SHA256
+    }
+    assert streams == FAMILY_STREAM_SHA256
 
 
 def test_every_constraint_clause_compiles():

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import pytest
 from jsonschema import Draft202012Validator
 
 from ein2lie.cli import main
@@ -57,6 +59,93 @@ def test_derive_invalid_params_exit_2():
     )
     assert code == 2
     assert "alpha*gamma + beta*delta" in err
+
+
+# derive's text and JSON bytes, pinned by sha256: one branch point per
+# family, a point that is not Ein(2), a line, approx mode at the 3.2(iv)
+# anchor and a raw table (read from the working directory, so that the
+# path it echoes is fixed).
+DERIVE_INPUTS = {
+    "G1": ("--family", "G1", "--alpha", "2", "--beta", "0"),
+    "G2": ("--family", "G2", "--alpha", "2", "--beta", "1", "--gamma=-1/2"),
+    "G3": ("--family", "G3", "--alpha", "1", "--beta", "1", "--gamma", "3"),
+    "G4": ("--family", "G4", "--alpha", "2", "--beta", "2", "--eta", "1"),
+    "G5": ("--family", "G5", "--alpha", "1", "--beta", "2", "--gamma=-2", "--delta", "1"),
+    "G6": ("--family", "G6", "--alpha", "1", "--beta", "2", "--gamma", "0", "--delta", "0"),
+    "G7": ("--family", "G7", "--alpha", "1", "--beta", "1", "--gamma", "0", "--delta", "2"),
+    "none": ("--family", "G1", "--alpha", "1", "--beta", "2"),
+    "line": ("--family", "G3", "--alpha", "3/2", "--beta", "3/2", "--gamma", "0"),
+    "approx": (
+        "--family", "G5", "--mode", "approx", "--alpha", "0.5749669532551427",
+        "--beta=-1", "--gamma", "2", "--delta", "1.1499339065102854",
+    ),
+    "raw": ("--raw", "raw.json"),
+}
+RAW_TABLE = {
+    "c": [
+        [["0", "0", "0"], ["0", "1", "2"], ["0", "-1", "0"]],
+        [["0", "-1", "-2"], ["0", "0", "0"], ["0", "0", "0"]],
+        [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+    ]
+}
+DERIVE_SHA256 = {
+    "G1": (
+        "7f488da474c450ec778a5c47e4caf40565464e42c5416a9e2d7782a5f2076cbb",
+        "18bdc3a8710a117febbecbaf5b2bc9a0d85f8b39caaef4393927662841765708",
+    ),
+    "G2": (
+        "69b2f5bd214e6d68a5dfc91f3fb00203085241e1985188e53fcc5c73de036144",
+        "e42f7c3df08956ac5258f4247dfda1790529d38ffd11a8e269ddcaf62fd9736d",
+    ),
+    "G3": (
+        "c13de1c0036c091a4d0a4700570fef308edc9d03e583a782c3ba1b4480b05d02",
+        "6079ebcc7fcf8c1c86f2fd28cd1826f19757430f600eea08a11f81a5c44cabc3",
+    ),
+    "G4": (
+        "dc97786bce2e4eae45d2672b4e944402a176c6c13668486b28a5e77c3db8b56e",
+        "f40f700e4481ded2cdd4aa36d8cc3076031e19e875823d5e265cb52d4ff8b02c",
+    ),
+    "G5": (
+        "3273eba9b4881e9558f3cfc5bb7b81ae1562e1cbeb0816c6b9c399ec5b5567e0",
+        "305cd710ab0c1c03d23e20ddb844b5fb20d4262c9ff7c3d9dd6093dc08e84c8a",
+    ),
+    "G6": (
+        "b34b6a492caf163c8462606ca365e1a5b2402629f9bd539e5ceeb59563820a94",
+        "82f7956fb2c3450f5fda396b1b78534df9303a4df5725352c2aac632bc4dd7bc",
+    ),
+    "G7": (
+        "f3897a96e49e2f9108de60ccbdeade8043e822b33cf70af1d30276295188e7ba",
+        "789694d7f3853279434b4801b74bf441fbcedeeedcc433e4da1c649fd61a9312",
+    ),
+    "none": (
+        "4bd6d1b15c19e35a8079f201f144556e91435af9ab2dbc612690c9bfad51d9c0",
+        "77a020b0ebcef3626ad81c939025c6694196946923f000763dbc207e77890e99",
+    ),
+    "line": (
+        "6de8c49fbbf9d2196dab9b3757da60d28d29c4cde7f76571cae114a160a31385",
+        "0f29992b537afabe6cf13f93e35e64e0fef4290354e3fe58ab1688ca374aa0ec",
+    ),
+    "approx": (
+        "8959e6b65c6cbd1af683320ef44f86c81b9ef98380b7e5976b64d068dec33297",
+        "106e8aea5c250ef4f7af321de6cd39b00a6f41f43b43a0f41ea264888fc698f6",
+    ),
+    "raw": (
+        "c5727b5a3c2f5c3171cb229f5ec4281f868a1b130c70efbb442fd89f28861259",
+        "a4b6d30a27586f5af97d38bc97ffc7fb6f85e0a569ffa4639c4d5bc76d17208b",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DERIVE_INPUTS))
+def test_derive_bytes_are_pinned(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.json").write_text(json.dumps(RAW_TABLE))
+    digests = []
+    for fmt in ("text", "json"):
+        code, out, _ = run_cli("derive", *DERIVE_INPUTS[case], "--format", fmt)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == DERIVE_SHA256[case]
 
 
 def test_derive_report_reingests_identically(tmp_path):
