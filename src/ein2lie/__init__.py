@@ -54,7 +54,6 @@ from .liealg import (
     AntisymmetryViolation,
     ConstraintViolation,
     FamilyParams,
-    FrameMetric,
     LieAlgebraError,
     NotLieAlgebra,
     StructureConstants,
@@ -96,7 +95,6 @@ __all__ = [
     "EmptyBranch",
     "ExpectedLambdas",
     "FamilyParams",
-    "FrameMetric",
     "LieAlgebraError",
     "Mode",
     "NotLieAlgebra",

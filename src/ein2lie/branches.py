@@ -23,6 +23,10 @@ relation is checked as soon as its parameters are bound, and a failed
 check rejects the draw.  Parameters neither drawn nor bound are 0.
 Three branch groups force irrational parameters (square roots of
 quartic roots); those keep hand-written samplers that draw floats.
+The valid-point sampler of each family is compiled the same way, from
+the pieces of its parameter variety in `liealg.FAMILY_PIECES`, each a
+list of free parameters and the relations that fix the rest, checked
+together with the family constraints.
 
 `verify_branch` replays a branch against the solver: every sample must
 be Ein(2) and the stated lambdas must lie in the computed solution set
@@ -31,7 +35,9 @@ is accepted exactly when the solver returns a line).  A reproducible
 systematic failure is not an error: the verifier re-derives the lambdas
 from the case identities of the classification argument itself and, if
 that recomputation checks out, reports the branch as errata with a
-counterexample and the corrected formula attached.
+counterexample and the corrected formula attached.  The float branches
+2.7(viii), 3.2(iv) and 3.4(vii) state the generic case identity of
+their family, so for them the recomputation is no independent check.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ from typing import Callable, List, Optional, Tuple
 
 from .ein2 import DELTA, NONE, Ein2Solution, is_ein2
 from .liealg import (
+    _FAMILY_RELATIONS,
+    FAMILY_PIECES,
     ConstraintViolation,
     FamilyParams,
     LieAlgebraError,
@@ -211,8 +219,30 @@ def sample_branch(spec: BranchSpec, count: int, seed: int = DEFAULT_SEED) -> Lis
 
 
 # ---------------------------------------------------------------------------
-# Case-identity recomputations (used only when a stated formula fails)
+# Case identities: the generic case of a family is the stated formula of its
+# float branch; the recomputations run only when a stated formula fails
 # ---------------------------------------------------------------------------
+
+def _g3_case(p: FamilyParams) -> ExpectedLambdas:
+    a, b, g = p.alpha, p.beta, p.gamma
+    lam1 = g * (a + b - g)
+    lam2 = (_H * a**2 - _H * (b - g) ** 2) * (_H * b**2 - _H * (a - g) ** 2)
+    return ExpectedLambdas.point(lam1, lam2)
+
+
+def _g5_case(p: FamilyParams) -> ExpectedLambdas:
+    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
+    lam1 = -((a + d) ** 2)
+    lam2 = a * d * (a + d) ** 2 + (b**2 - g**2) * (d**2 - a**2) * _H - _Q * (b**2 - g**2) ** 2
+    return ExpectedLambdas.point(lam1, lam2)
+
+
+def _g6_case(p: FamilyParams) -> ExpectedLambdas:
+    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
+    lam1 = 2 * a**2 + d**2 + a * d + b * g - b**2
+    t = a**2 + d**2 - _H * (b - g) ** 2
+    return ExpectedLambdas.point(lam1, lam1 * t - t**2)
+
 
 def _recompute_g3(p: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
     a, b, g = p.alpha, p.beta, p.gamma
@@ -222,9 +252,7 @@ def _recompute_g3(p: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
         lam1 = g * ((2 * a - g) ** 2 + g**2) / (4 * a)
         lam2 = _Q * g**4 - _H * g**2 * lam1
         return ExpectedLambdas.point(lam1, lam2)
-    lam1 = g * (a + b - g)
-    lam2 = (_H * a**2 - _H * (b - g) ** 2) * (_H * b**2 - _H * (a - g) ** 2)
-    return ExpectedLambdas.point(lam1, lam2)
+    return _g3_case(p)
 
 
 def _recompute_g5(p: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
@@ -238,9 +266,7 @@ def _recompute_g5(p: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
         lam1 = -(q**2 + r**2) / denom
         lam2 = r * q * (r - q) / denom
         return ExpectedLambdas.point(lam1, lam2)
-    lam1 = -((a + d) ** 2)
-    lam2 = a * d * (a + d) ** 2 + (b**2 - g**2) * (d**2 - a**2) * _H - _Q * (b**2 - g**2) ** 2
-    return ExpectedLambdas.point(lam1, lam2)
+    return _g5_case(p)
 
 
 def _recompute_g6(p: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
@@ -252,10 +278,7 @@ def _recompute_g6(p: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
         lam1 = (v**2 + w**2) / denom
         lam2 = v * w * (d**2 - a**2 + b**2 - g**2) / denom
         return ExpectedLambdas.point(lam1, lam2)
-    lam1 = 2 * a**2 + d**2 + a * d + b * g - b**2
-    t = a**2 + d**2 - _H * (b - g) ** 2
-    lam2 = lam1 * t - t**2
-    return ExpectedLambdas.point(lam1, lam2)
+    return _g6_case(p)
 
 
 #: The errata note of each recomputation: the identities it evaluates.
@@ -484,19 +507,11 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         g = _sign(rng) * math.sqrt(float(a * a + b * b))
         return FamilyParams("G3", alpha=a, beta=b, gamma=g)
 
-    def expected_27viii(p):
-        a, b, g = p.alpha, p.beta, p.gamma
-        # Stated for gamma = +/- sqrt(alpha^2 + beta^2); the closed forms
-        # below are the case-analysis values evaluated at the chosen root.
-        lam1 = g * (a + b - g)
-        lam2 = (_H * a**2 - _H * (b - g) ** 2) * (_H * b**2 - _H * (a - g) ** 2)
-        return ExpectedLambdas.point(lam1, lam2)
-
     add(
         "2.7(viii)",
         "alpha != beta, alpha + beta - gamma != 0, gamma^2 = alpha^2 + beta^2",
         draw_27viii,
-        expected_27viii,
+        _g3_case,
         recompute=_recompute_g3,
     )
 
@@ -560,12 +575,7 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         "beta != 0, delta = -alpha*gamma/beta, beta^2 != gamma^2, "
         "alpha^2 a root of the branch quartic",
         draw_32iv,
-        lambda p: ExpectedLambdas.point(
-            -((p.alpha + p.delta) ** 2),
-            p.alpha * p.delta * (p.alpha + p.delta) ** 2
-            + _H * (p.beta**2 - p.gamma**2) * (p.delta**2 - p.alpha**2)
-            - _Q * (p.beta**2 - p.gamma**2) ** 2,
-        ),
+        _g5_case,
         recompute=_recompute_g5,
         quartic=_quartic_32iv,
     )
@@ -637,18 +647,12 @@ def _catalog() -> Tuple[BranchSpec, ...]:
             return None
         return FamilyParams("G6", alpha=alpha, beta=b, gamma=g, delta=delta)
 
-    def expected_34vii(p):
-        a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-        lam1 = 2 * a**2 + d**2 + a * d + b * g - b**2
-        t = a**2 + d**2 - _H * (b - g) ** 2
-        return ExpectedLambdas.point(lam1, lam1 * t - t**2)
-
     add(
         "3.4(vii)",
         "beta != 0, delta = alpha*gamma/beta, delta^2 - alpha*delta + beta*gamma - gamma^2 != 0, "
         "alpha^2 a root of the branch quartic",
         draw_34vii,
-        expected_34vii,
+        _g6_case,
         recompute=_recompute_g6,
         quartic=_quartic_34vii,
     )
@@ -836,48 +840,35 @@ def classify(
 # Generic valid-point sampling (fidelity and negative sampling)
 # ---------------------------------------------------------------------------
 
-def sample_family_point(family: str, rng: random.Random) -> FamilyParams:
-    """One random valid parameter point of the family (rational grid)."""
-    zero = Fraction(0)
-    if family == "G1":
-        return FamilyParams("G1", alpha=_frac(rng, nonzero=True), beta=_frac(rng))
-    if family == "G2":
-        return FamilyParams(
-            "G2", alpha=_frac(rng), beta=_frac(rng), gamma=_frac(rng, nonzero=True)
+#: The samplers of each family's pieces (`FAMILY_PIECES`), which also
+#: check the family constraints.
+_FAMILY_DRAWS = {
+    family: tuple(
+        _rational_draw(
+            family,
+            free,
+            _FAMILY_RELATIONS.get(family, ()) + (_compile_clauses(text) if text else ()),
         )
-    if family == "G3":
-        return FamilyParams("G3", alpha=_frac(rng), beta=_frac(rng), gamma=_frac(rng))
-    if family == "G4":
-        return FamilyParams("G4", alpha=_frac(rng), beta=_frac(rng), eta=_sign(rng))
-    if family in ("G5", "G6"):
-        # The bilinear constraint splits the parameter space; draw each
-        # piece with equal weight, then enforce alpha + delta != 0.
-        while True:
-            pattern = rng.randrange(3)
-            if pattern == 0:
-                b = _frac(rng, nonzero=True)
-                a, g = _frac(rng), _frac(rng)
-                d = -a * g / b if family == "G5" else a * g / b
-            elif pattern == 1:
-                a, b = zero, zero
-                g, d = _frac(rng), _frac(rng)
-            else:
-                b, g = zero, zero
-                a, d = _frac(rng), _frac(rng)
-            if a + d != 0:
-                return FamilyParams(family, alpha=a, beta=b, gamma=g, delta=d)
-    if family == "G7":
-        while True:
-            if rng.randrange(2) == 0:
-                a = zero
-                g = _frac(rng)
-            else:
-                a = _frac(rng)
-                g = zero
-            b, d = _frac(rng), _frac(rng)
-            if a + d != 0:
-                return FamilyParams("G7", alpha=a, beta=b, gamma=g, delta=d)
-    raise ValueError(f"unknown family {family!r}")
+        for free, text in pieces
+    )
+    for family, pieces in FAMILY_PIECES.items()
+}
+
+
+def sample_family_point(family: str, rng: random.Random) -> FamilyParams:
+    """One random valid parameter point of the family (rational grid).
+
+    Each try picks a piece with equal weight (no draw for a family of
+    one piece) and is repeated until the family constraints hold.
+    """
+    if family not in _FAMILY_DRAWS:
+        raise ValueError(f"unknown family {family!r}")
+    draws = _FAMILY_DRAWS[family]
+    while True:
+        draw = draws[rng.randrange(len(draws))] if len(draws) > 1 else draws[0]
+        params = draw(rng)
+        if params is not None:
+            return params
 
 
 def sample_valid_points(family: str, count: int, seed: int = DEFAULT_SEED) -> List[FamilyParams]:

@@ -168,10 +168,12 @@ def _build_job(args: argparse.Namespace) -> JobConfig:
         raise InputError("tolerance must be positive")
     if job.samples < 1:
         raise InputError("samples must be >= 1")
-    job.fidelity_samples = int(getattr(args, "fidelity_samples", None) or 100)
-    job.neg_samples = getattr(args, "neg_samples", None)
-    if job.neg_samples is None:
-        job.neg_samples = 100
+    for name in ("fidelity_samples", "neg_samples"):
+        count = getattr(args, name, None)
+        if count is not None:
+            if count < 0:
+                raise InputError(f"{name.replace('_', '-')} must be >= 0")
+            setattr(job, name, count)
     job.theorem = getattr(args, "theorem", None)
     job.grid = getattr(args, "grid", None)
     job.out = pick("out")
@@ -186,16 +188,13 @@ def _job_mode(job: JobConfig) -> Mode:
     return Mode.exact()
 
 
-def _family_params(job: JobConfig) -> FamilyParams:
+def _family_params(job: JobConfig, **overrides) -> FamilyParams:
+    """The job's parameter point; `overrides` replace parameters the job gives."""
     if job.family is None:
         raise InputError("missing --family (or a 'family' line in the config file)")
-    kwargs = {}
-    for name in _PARAM_KEYS:
-        value = getattr(job, name)
-        if value is not None:
-            kwargs[name] = value
-    if job.eta is not None:
-        kwargs["eta"] = job.eta
+    given = ((name, getattr(job, name)) for name in _PARAM_KEYS + ("eta",))
+    kwargs = {name: value for name, value in given if value is not None}
+    kwargs.update(overrides)
     try:
         return FamilyParams(job.family, **kwargs)
     except LieAlgebraError as exc:
@@ -247,6 +246,16 @@ def _input_algebra(job: JobConfig):
     return sc, params, reporting.render_params(params)
 
 
+def _input_json(job: JobConfig, params: Optional[FamilyParams]) -> Dict:
+    if params is None:
+        return {"kind": "raw", "path": job.raw}
+    return {"kind": "family", **reporting.params_json(params)}
+
+
+def _mode_json(job: JobConfig) -> Dict:
+    return {"kind": job.mode, "tolerance": job.tol if job.mode == APPROX else 0.0}
+
+
 def _emit(job: JobConfig, text: str) -> None:
     if job.out:
         with open(job.out, "w", encoding="utf-8", newline="") as handle:
@@ -270,12 +279,8 @@ def cmd_derive(job: JobConfig) -> int:
     if fmt == "json":
         doc = {
             "schema": reporting.SCHEMA_DERIVE,
-            "input": (
-                {"kind": "family", **reporting.params_json(params)}
-                if params is not None
-                else {"kind": "raw", "path": job.raw}
-            ),
-            "mode": {"kind": job.mode, "tolerance": job.tol if job.mode == APPROX else 0.0},
+            "input": _input_json(job, params),
+            "mode": _mode_json(job),
             "convention": job.convention,
             "structure_constants": {"c": reporting.tensor3_json(sc.c)},
             "unimodular": unimodular(sc),
@@ -310,19 +315,15 @@ def cmd_check(job: JobConfig) -> int:
         doc = {
             "schema": reporting.SCHEMA_VERDICT,
             "command": "check",
-            "input": (
-                {"kind": "family", **reporting.params_json(params)}
-                if params is not None
-                else {"kind": "raw", "path": job.raw}
-            ),
+            "input": _input_json(job, params),
             "convention": job.convention,
-            "mode": {"kind": job.mode, "tolerance": job.tol if job.mode == APPROX else 0.0},
+            "mode": _mode_json(job),
             "ein2": solution.is_ein2(),
             "solution": reporting.solution_json(solution),
         }
         _emit(job, reporting.dumps(doc))
     else:
-        _emit(job, reporting.render_verdict_text("check", described, solution))
+        _emit(job, reporting.render_verdict_text(described, solution))
     return EXIT_OK if solution.is_ein2() else EXIT_NEGATIVE
 
 
@@ -337,9 +338,9 @@ def cmd_classify(job: JobConfig) -> int:
         doc = {
             "schema": reporting.SCHEMA_VERDICT,
             "command": "classify",
-            "input": {"kind": "family", **reporting.params_json(params)},
+            "input": _input_json(job, params),
             "convention": job.convention,
-            "mode": {"kind": job.mode, "tolerance": job.tol if job.mode == APPROX else 0.0},
+            "mode": _mode_json(job),
             "ein2": result.solution.is_ein2(),
             **reporting.classification_json(result),
         }
@@ -348,7 +349,6 @@ def cmd_classify(job: JobConfig) -> int:
         _emit(
             job,
             reporting.render_verdict_text(
-                "classify",
                 reporting.render_params(params),
                 result.solution,
                 branches=result.branches,
@@ -421,28 +421,18 @@ def cmd_scan(job: JobConfig) -> int:
         raise InputError("scan needs --family")
     axes = _parse_grid(job.grid, job.mode)
     mode = _job_mode(job) if job.mode == APPROX else None
-    fixed = {}
-    for name in _PARAM_KEYS:
-        value = getattr(job, name)
-        if value is not None:
-            fixed[name] = value
-    if job.eta is not None:
-        fixed["eta"] = job.eta
 
     rows = []
     names = [name for name, _ in axes]
     for combo in product(*(values for _, values in axes)):
-        kwargs = dict(fixed)
+        point = {}
         for name, value in zip(names, combo):
             if name == "eta":
                 if getattr(value, "denominator", 1) != 1:
                     raise InputError(f"grid eta: expected an integer, got {value}")
                 value = int(value)
-            kwargs[name] = value
-        try:
-            params = FamilyParams(job.family, **kwargs)
-        except LieAlgebraError as exc:
-            raise InputError(str(exc)) from exc
+            point[name] = value
+        params = _family_params(job, **point)
         try:
             result = classify(params, job.convention, mode)
         except LieAlgebraError as exc:
@@ -509,11 +499,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, help="samples per branch (default 50)")
     p_verify.add_argument(
         "--fidelity-samples", dest="fidelity_samples", type=int,
-        help="points per family for system fidelity (default 100)",
+        help="points per family for system fidelity (default 100; 0 skips the section)",
     )
     p_verify.add_argument(
         "--neg-samples", dest="neg_samples", type=int,
-        help="off-branch points per family (default 100)",
+        help="off-branch points per family (default 100; 0 skips the section)",
     )
     p_verify.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED})")
     p_verify.add_argument(

@@ -11,9 +11,10 @@ Seven parameterized families G1..G7 cover the classification this
 package verifies.  G1-G4 are the unimodular ones, G5-G7 the
 non-unimodular ones.  Each family carries the parameter constraints
 listed in `FAMILY_CONSTRAINTS`, which `validate_params` compiles and
-checks; arbitrary tables enter through `from_raw`, which enforces
-antisymmetry but deliberately not the Jacobi identity, so that
-`jacobi_residual` stays observable.
+checks, and the pieces of its parameter variety listed in
+`FAMILY_PIECES`, from which its points are sampled.  Arbitrary tables
+enter through `from_raw`, which enforces antisymmetry but deliberately
+not the Jacobi identity, so that `jacobi_residual` stays observable.
 """
 
 from __future__ import annotations
@@ -75,15 +76,8 @@ class NotLieAlgebra(LieAlgebraError):
     """The Jacobi identity fails beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class FrameMetric:
-    """The fixed frame metric g(e_i, e_j) = eps_i * delta_ij, e3 timelike."""
-
-    diagonal: Tuple[int, int, int] = (1, 1, -1)
-
-
-FRAME = FrameMetric()
-EPS = FRAME.diagonal
+#: The fixed frame metric g(e_i, e_j) = eps_i * delta_ij, e3 timelike.
+EPS = (1, 1, -1)
 
 Vector = Tuple[Scalar, Scalar, Scalar]
 ZERO_VECTOR: Vector = (Fraction(0), Fraction(0), Fraction(0))
@@ -269,6 +263,33 @@ FAMILY_CONSTRAINTS = {
     "G5": "alpha + delta != 0, alpha*gamma + beta*delta = 0",
     "G6": "alpha + delta != 0, alpha*gamma - beta*delta = 0",
     "G7": "alpha + delta != 0, alpha*gamma = 0",
+}
+
+#: Each family's parameter variety as a union of pieces.  A piece lists
+#: its free parameters in draw order ("*" marks a nonzero draw) and the
+#: relations that fix the rest, in the clause grammar of
+#: `_compile_clauses`; `branches.sample_family_point` draws from it under
+#: the family constraints.  G5 and G6 split their bilinear constraint at
+#: beta = 0, G7 its product into alpha = 0 and gamma = 0.
+FAMILY_PIECES = {
+    "G1": (("alpha* beta", ""),),
+    "G2": (("alpha beta gamma*", ""),),
+    "G3": (("alpha beta gamma", ""),),
+    "G4": (("alpha beta eta", ""),),
+    "G5": (
+        ("beta* alpha gamma", "beta != 0, delta = -alpha*gamma/beta"),
+        ("gamma delta", "alpha = beta = 0"),
+        ("alpha delta", "beta = gamma = 0"),
+    ),
+    "G6": (
+        ("beta* alpha gamma", "beta != 0, delta = alpha*gamma/beta"),
+        ("gamma delta", "alpha = beta = 0"),
+        ("alpha delta", "beta = gamma = 0"),
+    ),
+    "G7": (
+        ("gamma beta delta", "alpha = 0"),
+        ("alpha beta delta", "gamma = 0"),
+    ),
 }
 
 # G3 is unconstrained and G4's eta is an integer sign, checked in code.

@@ -22,7 +22,7 @@ from .branches import (
 from .ein2 import Ein2Solution, Ein2System, LINE, PLANE, POINT
 from .geometry import ConnectionCoefficients, RicciData
 from .liealg import PARAMS_USED, FamilyParams, StructureConstants
-from .scalars import Mode, Scalar, format_scalar, is_exact
+from .scalars import Scalar, format_scalar, is_exact
 
 SCHEMA_DERIVE = "ein2lie/derive/v1"
 SCHEMA_VERDICT = "ein2lie/verdict/v1"
@@ -156,13 +156,11 @@ def dumps(doc: Dict) -> str:
 # Text rendering
 # ---------------------------------------------------------------------------
 
-def format_vector(coeffs: Sequence[Scalar], mode: Optional[Mode] = None) -> str:
+def format_vector(coeffs: Sequence[Scalar]) -> str:
     """Render a coefficient triple as a frame combination like "2 e1 - e3"."""
     parts: List[str] = []
     for coeff, name in zip(coeffs, BASIS):
-        if mode is not None and mode.is_zero(coeff):
-            continue
-        if mode is None and coeff == 0:
+        if coeff == 0:
             continue
         rendered = format_scalar(coeff)
         if rendered == "1":
@@ -189,9 +187,8 @@ def format_matrix(matrix, indent: str = "  ") -> str:
 def render_params(params: FamilyParams) -> str:
     pieces = [params.family]
     for name in PARAMS_USED[params.family]:
-        value = params.eta if name == "eta" else getattr(params, name)
-        rendered = name if name != "eta" else "eta"
-        pieces.append(f"{rendered}={value if name == 'eta' else format_scalar(value)}")
+        value = getattr(params, name)
+        pieces.append(f"{name}={value if name == 'eta' else format_scalar(value)}")
     return " ".join(pieces)
 
 
@@ -248,7 +245,7 @@ def render_derive_text(doc_input: str, sc: StructureConstants, conn: ConnectionC
     return "\n".join(lines) + "\n"
 
 
-def render_verdict_text(command: str, described_input: str, solution: Ein2Solution,
+def render_verdict_text(described_input: str, solution: Ein2Solution,
                         branches: Optional[Sequence[str]] = None,
                         status: Optional[str] = None) -> str:
     lines = [f"input: {described_input}"]

@@ -50,8 +50,8 @@ def as_scalar(value) -> Scalar:
 def parse_scalar(text: str) -> Scalar:
     """Parse "p/q", integer, or decimal text into an exact rational.
 
-    Falls back to float only for text Fraction cannot represent
-    (e.g. "inf" is rejected, "1.5e-3" is exact).
+    Decimals with an exponent are exact too ("1.5e-3" is 3/2000); any
+    other text, "inf" and "nan" included, raises ValueError.
     """
     stripped = text.strip()
     try:

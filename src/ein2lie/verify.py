@@ -115,12 +115,13 @@ def run_suite(
         theorems=tuple(theorems) if theorems else None,
     )
 
-    for family in families:
-        fidelity = FidelityResult(family=family, samples=fidelity_samples)
-        for params in sample_valid_points(family, fidelity_samples, seed):
-            if not match_printed_system(params):
-                fidelity.mismatches += 1
-        report.fidelity.append(fidelity)
+    if fidelity_samples > 0:
+        for family in families:
+            fidelity = FidelityResult(family=family, samples=fidelity_samples)
+            for params in sample_valid_points(family, fidelity_samples, seed):
+                if not match_printed_system(params):
+                    fidelity.mismatches += 1
+            report.fidelity.append(fidelity)
 
     for spec in selected:
         branch_report = verify_branch(spec, count=samples, seed=seed, convention=convention)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -28,8 +29,15 @@ from ein2lie import (
     verify_anchor,
     verify_branch,
 )
-from ein2lie.branches import _QUARTIC_CLAUSE, BranchSpec, ExpectedLambdas, _rational_draw
-from ein2lie.liealg import FAMILY_CONSTRAINTS, _compile_clauses
+from ein2lie.branches import (
+    _FAMILY_DRAWS,
+    _QUARTIC_CLAUSE,
+    BranchSpec,
+    ExpectedLambdas,
+    _rational_draw,
+    sample_family_point,
+)
+from ein2lie.liealg import FAMILY_CONSTRAINTS, FAMILY_PIECES, _compile_clauses
 
 F = Fraction
 
@@ -388,6 +396,47 @@ def test_family_streams_are_pinned():
         for family, seed in FAMILY_STREAM_SHA256
     }
     assert streams == FAMILY_STREAM_SHA256
+
+
+def test_every_piece_draw_is_a_valid_point():
+    for family, draws in _FAMILY_DRAWS.items():
+        assert len(draws) == len(FAMILY_PIECES[family])
+        for index, draw in enumerate(draws):
+            rng = random.Random(f"{family}|{index}")
+            points = [p for p in (draw(rng) for _ in range(200)) if p is not None]
+            assert len(points) > 100, (family, index)
+            for params in points:
+                validate_params(params)
+
+
+def test_pieces_cover_every_valid_grid_point():
+    # On the grid {-1, 0, 1/2, 1, 2}^4 every valid G5/G6/G7 point lies on
+    # at least one piece of its family's variety.
+    exact = Mode.exact()
+    grid = (F(-1), F(0), F(1, 2), F(1), F(2))
+    valid_counts = {}
+    for family in ("G5", "G6", "G7"):
+        pieces = [_compile_clauses(text) for _, text in FAMILY_PIECES[family]]
+        valid = 0
+        for a, b, g, d in itertools.product(grid, repeat=4):
+            params = FamilyParams(family, alpha=a, beta=b, gamma=g, delta=d)
+            try:
+                validate_params(params)
+            except ConstraintViolation:
+                continue
+            valid += 1
+            values = vars(params)
+            # all() stops at beta != 0 before the division by beta
+            assert any(
+                all(relation.holds(values, exact) for relation in piece) for piece in pieces
+            ), params
+        valid_counts[family] = valid
+    assert valid_counts == {"G5": 78, "G6": 88, "G7": 190}
+
+
+def test_sample_family_point_rejects_unknown_family():
+    with pytest.raises(ValueError):
+        sample_family_point("G8", random.Random(0))
 
 
 def test_every_constraint_clause_compiles():

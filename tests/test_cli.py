@@ -406,3 +406,32 @@ def test_verify_text_mentions_result():
     assert code == 0
     assert out.endswith("result: OK\n")
     assert "errata:" in out
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--fidelity-samples", "--neg-samples"])
+def test_verify_negative_sample_counts_exit_2(flag):
+    code, out, err = run_cli("verify", "--theorem", "2.5", flag, "-3")
+    assert code == 2
+    assert out == ""
+    assert flag.lstrip("-") in err
+
+
+def test_verify_zero_sample_counts_leave_their_sections_out():
+    code, doc, _ = run_json(
+        "verify", "--theorem", "2.5", "--samples", "5", "--fidelity-samples", "0"
+    )
+    assert code == 0
+    assert doc["fidelity"] == []
+    assert [n["samples"] for n in doc["negative_sampling"]] == [100]
+    code, doc, _ = run_json(
+        "verify", "--theorem", "2.5", "--samples", "5", "--neg-samples", "0"
+    )
+    assert code == 0
+    assert [f["samples"] for f in doc["fidelity"]] == [100]
+    assert doc["negative_sampling"] == []
+    code, out, _ = run_cli(
+        "verify", "--theorem", "2.5", "--samples", "5",
+        "--fidelity-samples", "0", "--neg-samples", "0",
+    )
+    assert code == 0
+    assert "fidelity" not in out and "negative sampling" not in out
