@@ -643,7 +643,7 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         alpha = _sign(rng) * math.sqrt(rng.choice(roots))
         delta = float(alpha * g / b)
         case = delta * delta - alpha * delta + float(b * g) - float(g) ** 2
-        if abs(case) <= 1e-9 or abs(alpha + delta) <= 1e-9:
+        if abs(case) <= DEFAULT_TOLERANCE or abs(alpha + delta) <= DEFAULT_TOLERANCE:
             return None
         return FamilyParams("G6", alpha=alpha, beta=b, gamma=g, delta=delta)
 
@@ -732,7 +732,6 @@ def verify_branch(
     count: int = 50,
     seed: int = DEFAULT_SEED,
     convention: str = DELTA,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> BranchReport:
     """Replay one branch: sample, solve, check the stated lambdas.
 
@@ -750,7 +749,7 @@ def verify_branch(
     )
     samples = sample_branch(spec, count, seed)
     for params in samples:
-        mode = params.mode(tolerance)
+        mode = params.mode()
         # sample_branch has validated the point
         solution = is_ein2(family_table(params), convention, mode)
         expected = spec.expected(params)

@@ -1,23 +1,35 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, with the options each one takes besides --convention,
+--out, --format and --config, which all of them take:
 
   derive    full derivation report (brackets, connection, Ricci data,
-            component system, solution) for one algebra
-  check     decide the Ein(2) condition; exit 0 iff it holds
+            component system, solution) for one algebra; --family,
+            --alpha, --beta, --gamma, --delta, --eta, --raw, --mode,
+            --tol; text or json
+  check     decide the Ein(2) condition; exit 0 iff it holds; the
+            options of derive; text or json
   classify  match a parameter point against the branch catalog;
-            exit 0 iff a branch matches
+            exit 0 iff a branch matches; the options of derive except
+            --raw; text or json
   verify    run the verification suite; exit 0 iff every check is
-            verified or carries an errata record
-  scan      sweep a parameter grid, one CSV row per grid point
+            verified or carries an errata record; --samples,
+            --fidelity-samples, --neg-samples, --seed, --theorem;
+            text or json
+  scan      sweep a parameter grid, one CSV row per grid point; the
+            options of classify and --grid; csv
 
 Exit codes: 0 success/affirmative, 1 negative verdict or unexplained
 verification failure, 2 invalid input.
 
 Single points are described with flags (--family, --alpha, ...) or a
 flat key-value config file; arbitrary algebras enter as raw structure
-constants in JSON (--raw).  Derive reports embed their structure
-constants in the raw schema, so a report can be re-ingested with --raw.
+constants in JSON (--raw).  A config file may set those of family,
+alpha, beta, gamma, delta, eta, raw, convention, mode, tol, seed,
+samples, out and format that are flags of the command; any other key is
+an error, and a flag given on the command line wins over the file.
+Derive reports embed their structure constants in the raw schema, so a
+report can be re-ingested with --raw.
 """
 
 from __future__ import annotations
@@ -27,10 +39,9 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import reporting
 from .branches import DEFAULT_SEED, classify
@@ -57,37 +68,22 @@ class InputError(Exception):
     """Invalid command-line, config-file or raw input (exit code 2)."""
 
 
-@dataclass
-class JobConfig:
-    command: str
-    family: Optional[str] = None
-    alpha: Optional[Scalar] = None
-    beta: Optional[Scalar] = None
-    gamma: Optional[Scalar] = None
-    delta: Optional[Scalar] = None
-    eta: Optional[int] = None
-    raw: Optional[str] = None
-    convention: str = DELTA
-    mode: str = EXACT
-    tol: float = DEFAULT_TOLERANCE
-    seed: int = DEFAULT_SEED
-    samples: int = 50
-    fidelity_samples: int = 100
-    neg_samples: int = 100
-    theorem: Optional[List[str]] = None
-    grid: Optional[List[str]] = None
-    out: Optional[str] = None
-    format: Optional[str] = None
-
-
 _PARAM_KEYS = ("alpha", "beta", "gamma", "delta")
+# The options a config file may set, where the command has the flag.
 _CONFIG_KEYS = {
     "family", "alpha", "beta", "gamma", "delta", "eta", "raw",
     "convention", "mode", "tol", "seed", "samples", "out", "format",
 }
+_CHOICES = {"convention": CONVENTIONS, "mode": (EXACT, APPROX)}
+_COUNTS = {"samples": 1, "fidelity_samples": 0, "neg_samples": 0}  # and their least values
 
 
-def _read_config_file(path: str) -> Dict[str, str]:
+def _formats(command: str) -> Tuple[str, ...]:
+    """The output formats of a command; the first is its default."""
+    return ("csv",) if command == "scan" else ("text", "json")
+
+
+def _read_config_file(path: str, keys: Set[str]) -> Dict[str, str]:
     values: Dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -100,7 +96,7 @@ def _read_config_file(path: str) -> Dict[str, str]:
                 key, _, value = line.partition("=")
                 key = key.strip().lower()
                 value = value.strip()
-                if key not in _CONFIG_KEYS:
+                if key not in keys:
                     raise InputError(f"{path}:{lineno}: unknown key {key!r}")
                 if not value:
                     raise InputError(f"{path}:{lineno}: empty value for {key!r}")
@@ -110,85 +106,52 @@ def _read_config_file(path: str) -> Dict[str, str]:
     return values
 
 
-def _parse_cli_scalar(text: str, field_name: str, mode: str) -> Scalar:
+def _parse_cli_scalar(text: str, field_name: str) -> Scalar:
     try:
-        value = parse_scalar(text)
+        return parse_scalar(text)
     except ValueError as exc:
         raise InputError(f"field {field_name}: {exc}") from exc
-    if mode == APPROX:
-        return float(value)
-    return value
 
 
-def _build_job(args: argparse.Namespace) -> JobConfig:
-    merged: Dict[str, str] = {}
-    if getattr(args, "config", None):
-        merged.update(_read_config_file(args.config))
+def _build_job(args: argparse.Namespace) -> argparse.Namespace:
+    """Parse and validate, in place, the options of `args.command`.
 
-    def pick(name, default=None):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in merged:
-            return merged[name]
-        return default
-
-    mode = str(pick("mode", EXACT)).lower()
-    if mode not in (EXACT, APPROX):
-        raise InputError(f"unknown mode {mode!r}; expected exact or approx")
-    convention = str(pick("convention", DELTA)).lower()
-    if convention not in CONVENTIONS:
-        raise InputError(f"unknown convention {convention!r}; expected delta or metric")
-
-    job = JobConfig(command=args.command, mode=mode, convention=convention)
-    job.raw = pick("raw")
-    family = pick("family")
-    if family is not None:
-        family = str(family).upper()
+    Flag and config values arrive as text, options left unset as the
+    parser's defaults.  The namespace holds exactly the command's own
+    options, so no other one is read; `mode` and `tol` become one `Mode`.
+    """
+    job = vars(args)
+    for name, choices in {**_CHOICES, "format": _formats(args.command)}.items():
+        if name in job:
+            value = job[name] = job[name].lower()
+            if value not in choices:
+                raise InputError(f"unknown {name} {value!r}; expected {' or '.join(choices)}")
+    for name in ("eta", "seed", *_COUNTS):
+        if job.get(name) is not None:
+            try:
+                job[name] = int(job[name])
+            except ValueError as exc:
+                raise InputError(f"field {name}: expected an integer, got {job[name]!r}") from exc
+    for name, least in _COUNTS.items():
+        if job.get(name, least) < least:
+            raise InputError(f"{name.replace('_', '-')} must be >= {least}")
+    if "mode" in job:
+        tol = float(job.pop("tol"))
+        if tol <= 0:
+            raise InputError("tolerance must be positive")
+        job["mode"] = Mode.approx(tol) if job["mode"] == APPROX else Mode.exact()
+    if job.get("family") is not None:
+        family = job["family"] = job["family"].upper()
         if family not in FAMILIES:
             raise InputError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
-        job.family = family
     for name in _PARAM_KEYS:
-        value = pick(name)
-        if value is not None:
-            setattr(job, name, _parse_cli_scalar(str(value), name, mode))
-    eta = pick("eta")
-    if eta is not None:
-        try:
-            job.eta = int(str(eta))
-        except ValueError as exc:
-            raise InputError(f"field eta: expected an integer, got {eta!r}") from exc
-    try:
-        job.tol = float(pick("tol", DEFAULT_TOLERANCE))
-        job.seed = int(pick("seed", DEFAULT_SEED))
-        job.samples = int(pick("samples", 50))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if job.tol <= 0:
-        raise InputError("tolerance must be positive")
-    if job.samples < 1:
-        raise InputError("samples must be >= 1")
-    for name in ("fidelity_samples", "neg_samples"):
-        count = getattr(args, name, None)
-        if count is not None:
-            if count < 0:
-                raise InputError(f"{name.replace('_', '-')} must be >= 0")
-            setattr(job, name, count)
-    job.theorem = getattr(args, "theorem", None)
-    job.grid = getattr(args, "grid", None)
-    job.out = pick("out")
-    fmt = pick("format")
-    job.format = str(fmt).lower() if fmt is not None else None
-    return job
+        if job.get(name) is not None:
+            value = _parse_cli_scalar(job[name], name)
+            job[name] = value if job["mode"].is_exact else float(value)
+    return args
 
 
-def _job_mode(job: JobConfig) -> Mode:
-    if job.mode == APPROX:
-        return Mode.approx(job.tol)
-    return Mode.exact()
-
-
-def _family_params(job: JobConfig, **overrides) -> FamilyParams:
+def _family_params(job: argparse.Namespace, **overrides) -> FamilyParams:
     """The job's parameter point; `overrides` replace parameters the job gives."""
     if job.family is None:
         raise InputError("missing --family (or a 'family' line in the config file)")
@@ -234,29 +197,27 @@ def _raw_entry(table, i, j, k, mode: Mode):
     return value
 
 
-def _input_algebra(job: JobConfig):
+def _input_algebra(job: argparse.Namespace):
     """Resolve the input to (structure constants, params-or-None, description)."""
-    mode = _job_mode(job)
     if job.raw is not None and job.family is not None:
         raise InputError("give either --family or --raw, not both")
     if job.raw is not None:
-        return _load_raw(job.raw, mode), None, f"raw {job.raw}"
+        return _load_raw(job.raw, job.mode), None, f"raw {job.raw}"
     params = _family_params(job)
-    sc = build_family(params, mode if job.mode == APPROX else None)
-    return sc, params, reporting.render_params(params)
+    return build_family(params, job.mode), params, reporting.render_params(params)
 
 
-def _input_json(job: JobConfig, params: Optional[FamilyParams]) -> Dict:
+def _input_json(job: argparse.Namespace, params: Optional[FamilyParams]) -> Dict:
     if params is None:
         return {"kind": "raw", "path": job.raw}
     return {"kind": "family", **reporting.params_json(params)}
 
 
-def _mode_json(job: JobConfig) -> Dict:
-    return {"kind": job.mode, "tolerance": job.tol if job.mode == APPROX else 0.0}
+def _mode_json(job: argparse.Namespace) -> Dict:
+    return {"kind": job.mode.kind, "tolerance": job.mode.tolerance}
 
 
-def _emit(job: JobConfig, text: str) -> None:
+def _emit(job: argparse.Namespace, text: str) -> None:
     if job.out:
         with open(job.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -268,15 +229,13 @@ def _emit(job: JobConfig, text: str) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_derive(job: JobConfig) -> int:
+def cmd_derive(job: argparse.Namespace) -> int:
     sc, params, described = _input_algebra(job)
-    mode = _job_mode(job) if job.mode == APPROX else None
-    conn = levi_civita(sc, mode)
-    rd = ricci(sc, mode)
+    conn = levi_civita(sc, job.mode)
+    rd = ricci(sc, job.mode)
     system = build_system(rd, job.convention)
-    solution = solve_lambdas(system, mode)
-    fmt = job.format or "text"
-    if fmt == "json":
+    solution = solve_lambdas(system, job.mode)
+    if job.format == "json":
         doc = {
             "schema": reporting.SCHEMA_DERIVE,
             "input": _input_json(job, params),
@@ -294,24 +253,20 @@ def cmd_derive(job: JobConfig) -> int:
             "solution": reporting.solution_json(solution),
         }
         _emit(job, reporting.dumps(doc))
-    elif fmt == "text":
+    else:
         _emit(
             job,
             reporting.render_derive_text(
                 described, sc, conn, rd, system, solution, unimodular(sc)
             ),
         )
-    else:
-        raise InputError(f"derive supports text or json output, not {fmt!r}")
     return EXIT_OK
 
 
-def cmd_check(job: JobConfig) -> int:
+def cmd_check(job: argparse.Namespace) -> int:
     sc, params, described = _input_algebra(job)
-    mode = _job_mode(job) if job.mode == APPROX else None
-    solution = is_ein2(sc, job.convention, mode)
-    fmt = job.format or "text"
-    if fmt == "json":
+    solution = is_ein2(sc, job.convention, job.mode)
+    if job.format == "json":
         doc = {
             "schema": reporting.SCHEMA_VERDICT,
             "command": "check",
@@ -327,14 +282,10 @@ def cmd_check(job: JobConfig) -> int:
     return EXIT_OK if solution.is_ein2() else EXIT_NEGATIVE
 
 
-def cmd_classify(job: JobConfig) -> int:
-    if job.raw is not None:
-        raise InputError("classify needs family parameters; raw tables have no branch catalog")
+def cmd_classify(job: argparse.Namespace) -> int:
     params = _family_params(job)
-    mode = _job_mode(job) if job.mode == APPROX else None
-    result = classify(params, job.convention, mode)
-    fmt = job.format or "text"
-    if fmt == "json":
+    result = classify(params, job.convention, job.mode)
+    if job.format == "json":
         doc = {
             "schema": reporting.SCHEMA_VERDICT,
             "command": "classify",
@@ -358,7 +309,7 @@ def cmd_classify(job: JobConfig) -> int:
     return EXIT_OK if result.branches else EXIT_NEGATIVE
 
 
-def cmd_verify(job: JobConfig) -> int:
+def cmd_verify(job: argparse.Namespace) -> int:
     report = run_suite(
         samples=job.samples,
         seed=job.seed,
@@ -367,17 +318,14 @@ def cmd_verify(job: JobConfig) -> int:
         negative_samples=job.neg_samples,
         theorems=job.theorem,
     )
-    fmt = job.format or "text"
-    if fmt == "json":
+    if job.format == "json":
         _emit(job, reporting.dumps(reporting.suite_json(report)))
-    elif fmt == "text":
-        _emit(job, reporting.render_suite_text(report))
     else:
-        raise InputError(f"verify supports text or json output, not {fmt!r}")
+        _emit(job, reporting.render_suite_text(report))
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
-def _parse_grid(specs: Optional[Sequence[str]], mode: str) -> List[Tuple[str, List[Scalar]]]:
+def _parse_grid(specs: Optional[Sequence[str]], mode: Mode) -> List[Tuple[str, List[Scalar]]]:
     if not specs:
         raise InputError("scan needs at least one --grid axis (name=start:stop:step or name=v1,v2,...)")
     axes: List[Tuple[str, List[Scalar]]] = []
@@ -394,9 +342,7 @@ def _parse_grid(specs: Optional[Sequence[str]], mode: str) -> List[Tuple[str, Li
             pieces = rhs.split(":")
             if len(pieces) != 3:
                 raise InputError(f"grid axis {spec!r}: ranges take start:stop:step")
-            start, stop, step = (
-                _parse_cli_scalar(p, f"grid {name}", EXACT) for p in pieces
-            )
+            start, stop, step = (_parse_cli_scalar(p, f"grid {name}") for p in pieces)
             if step <= 0:
                 raise InputError(f"grid axis {spec!r}: step must be positive")
             current = start
@@ -407,20 +353,19 @@ def _parse_grid(specs: Optional[Sequence[str]], mode: str) -> List[Tuple[str, Li
             for piece in rhs.split(","):
                 piece = piece.strip()
                 if piece:
-                    values.append(_parse_cli_scalar(piece, f"grid {name}", EXACT))
+                    values.append(_parse_cli_scalar(piece, f"grid {name}"))
         if not values:
             raise InputError(f"grid axis {spec!r}: no values")
-        if mode == APPROX:
+        if not mode.is_exact:
             values = [float(v) for v in values]
         axes.append((name, values))
     return axes
 
 
-def cmd_scan(job: JobConfig) -> int:
+def cmd_scan(job: argparse.Namespace) -> int:
     if job.family is None:
         raise InputError("scan needs --family")
     axes = _parse_grid(job.grid, job.mode)
-    mode = _job_mode(job) if job.mode == APPROX else None
 
     rows = []
     names = [name for name, _ in axes]
@@ -434,15 +379,12 @@ def cmd_scan(job: JobConfig) -> int:
             point[name] = value
         params = _family_params(job, **point)
         try:
-            result = classify(params, job.convention, mode)
+            result = classify(params, job.convention, job.mode)
         except LieAlgebraError as exc:
             rows.append(reporting.scan_row(params, None, error=str(exc)))
         else:
             rows.append(reporting.scan_row(params, result))
 
-    fmt = job.format or "csv"
-    if fmt != "csv":
-        raise InputError(f"scan emits csv, not {fmt!r}")
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=reporting.SCAN_COLUMNS, lineterminator="\n")
     writer.writeheader()
@@ -465,53 +407,55 @@ def _add_input_flags(parser: argparse.ArgumentParser, with_raw: bool = True) -> 
     parser.add_argument("--eta", help="parameter eta (+1 or -1, G4 only)")
     if with_raw:
         parser.add_argument("--raw", help="path to raw structure constants (JSON)")
+    parser.add_argument(
+        "--mode", choices=_CHOICES["mode"], default=EXACT, help="arithmetic mode (default %(default)s)"
+    )
+    parser.add_argument(
+        "--tol", default=DEFAULT_TOLERANCE, help="tolerance for approx mode (default %(default)s)"
+    )
+
+
+def _add_common_flags(parser: argparse.ArgumentParser, formats: Tuple[str, ...]) -> None:
+    parser.add_argument(
+        "--convention", choices=CONVENTIONS, default=DELTA,
+        help="component-system convention (default %(default)s)",
+    )
+    parser.add_argument("--out", help="write the report to this path instead of stdout")
+    parser.add_argument(
+        "--format", choices=formats, default=formats[0], help="output format (default %(default)s)"
+    )
     parser.add_argument("--config", help="flat key-value config file (key = value per line)")
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--convention", choices=CONVENTIONS, help="component-system convention")
-    parser.add_argument("--mode", choices=(EXACT, APPROX), help="arithmetic mode")
-    parser.add_argument("--tol", type=float, help="tolerance for approx mode (default 1e-9)")
-    parser.add_argument("--out", help="write the report to this path instead of stdout")
-    parser.add_argument("--format", choices=("text", "json", "csv"), help="output format")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentParser:
+    """The argument parser; `config` values replace the defaults of the flags they name."""
     parser = argparse.ArgumentParser(
         prog="ein2lie",
         description="Verification engine for three-dimensional Lorentzian Ein(2) Lie groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_derive = sub.add_parser("derive", help="derivation report for one algebra")
-    _add_input_flags(p_derive)
-    _add_common_flags(p_derive)
-
-    p_check = sub.add_parser("check", help="decide the Ein(2) condition (exit 0 iff yes)")
-    _add_input_flags(p_check)
-    _add_common_flags(p_check)
-
-    p_classify = sub.add_parser("classify", help="match against the branch catalog")
-    _add_input_flags(p_classify, with_raw=False)
-    _add_common_flags(p_classify)
+    _add_input_flags(sub.add_parser("derive", help="derivation report for one algebra"))
+    _add_input_flags(sub.add_parser("check", help="decide the Ein(2) condition (exit 0 iff yes)"))
+    _add_input_flags(
+        sub.add_parser("classify", help="match against the branch catalog"), with_raw=False
+    )
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--samples", type=int, help="samples per branch (default 50)")
+    p_verify.add_argument("--samples", default=50, help="samples per branch (default %(default)s)")
     p_verify.add_argument(
-        "--fidelity-samples", dest="fidelity_samples", type=int,
-        help="points per family for system fidelity (default 100; 0 skips the section)",
+        "--fidelity-samples", dest="fidelity_samples", default=100,
+        help="points per family for system fidelity (default %(default)s; 0 skips the section)",
     )
     p_verify.add_argument(
-        "--neg-samples", dest="neg_samples", type=int,
-        help="off-branch points per family (default 100; 0 skips the section)",
+        "--neg-samples", dest="neg_samples", default=100,
+        help="off-branch points per family (default %(default)s; 0 skips the section)",
     )
-    p_verify.add_argument("--seed", type=int, help=f"sampling seed (default {DEFAULT_SEED})")
+    p_verify.add_argument("--seed", default=DEFAULT_SEED, help="sampling seed (default %(default)s)")
     p_verify.add_argument(
         "--theorem", action="append",
         help="restrict to one theorem group (e.g. 2.5); repeatable",
     )
-    p_verify.add_argument("--config", help="flat key-value config file")
-    _add_common_flags(p_verify)
 
     p_scan = sub.add_parser("scan", help="sweep a parameter grid (CSV)")
     _add_input_flags(p_scan, with_raw=False)
@@ -519,8 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--grid", action="append",
         help="grid axis: name=start:stop:step (inclusive) or name=v1,v2,...; repeatable",
     )
-    _add_common_flags(p_scan)
 
+    for command, command_parser in sub.choices.items():
+        _add_common_flags(command_parser, _formats(command))
+        command_parser.set_defaults(**(config or {}))
     return parser
 
 
@@ -534,11 +480,13 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        job = _build_job(args)
-        return _DISPATCH[args.command](job)
+        if args.config:
+            # The file may set the command's own options; flags still win.
+            config = _read_config_file(args.config, _CONFIG_KEYS.intersection(vars(args)))
+            args = build_parser(config).parse_args(argv)
+        return _DISPATCH[args.command](_build_job(args))
     except (InputError, LieAlgebraError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

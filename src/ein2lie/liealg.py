@@ -149,8 +149,8 @@ class FamilyParams:
             getattr(self, name) for name in PARAMS_USED[self.family] if name != "eta"
         )
 
-    def mode(self, tolerance: float = 1e-9) -> Mode:
-        return Mode.for_values(self.used_values(), tolerance)
+    def mode(self) -> Mode:
+        return Mode.for_values(self.used_values())
 
 
 # ---------------------------------------------------------------------------

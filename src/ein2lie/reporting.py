@@ -336,7 +336,8 @@ def render_suite_text(report) -> str:
     lines.append("")
 
     if report.anchors:
-        lines.append("irrational anchors (tolerance 1e-12):")
+        tolerances = ", ".join(sorted({f"{a.anchor.tolerance:g}" for a in report.anchors}))
+        lines.append(f"irrational anchors (tolerance {tolerances}):")
         for a in report.anchors:
             status = "ok" if a.ok else "FAIL"
             lines.append(

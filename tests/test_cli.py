@@ -237,12 +237,47 @@ def test_check_approx_mode_tolerance():
 # config files
 # ---------------------------------------------------------------------------
 
+# Every config key each command reads, with the flags the run also needs.
+_G4_POINT = {
+    "family": "G4", "alpha": "0", "beta": "1", "gamma": "0", "delta": "0", "eta": "1",
+    "convention": "metric", "mode": "approx", "tol": "1e-6", "format": "json",
+}
+_RAW_POINT = {"raw": "RAW", "convention": "metric", "mode": "approx", "tol": "1e-6", "format": "json"}
+CONFIG_READS = (
+    ("derive", _G4_POINT, ()),
+    ("derive", _RAW_POINT, ()),
+    ("check", _G4_POINT, ()),
+    ("check", _RAW_POINT, ()),
+    ("classify", _G4_POINT, ()),
+    (
+        "verify",
+        {"convention": "metric", "seed": "3", "samples": "2", "format": "json"},
+        ("--theorem", "2.5", "--fidelity-samples", "2", "--neg-samples", "2"),
+    ),
+    ("scan", {**_G4_POINT, "format": "csv"}, ("--grid", "alpha=0:1:1")),
+)
+
+
 def test_config_file_input(tmp_path):
     cfg = tmp_path / "point.cfg"
     cfg.write_text("family = G1\nalpha = 1\nbeta = 0\n# comment\nmode = exact\n")
     code, doc, _ = run_json("check", "--config", str(cfg))
     assert code == 0
     assert doc["input"]["family"] == "G1"
+
+    # each command takes every key it reads, with the effect of its flag
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps(RAW_TABLE))
+    for n, (command, keys, extra) in enumerate(CONFIG_READS):
+        keys = {name: str(raw) if value == "RAW" else value for name, value in keys.items()}
+        via_config, via_flags = tmp_path / f"config{n}.out", tmp_path / f"flags{n}.out"
+        cfg.write_text("".join(f"{name} = {value}\n" for name, value in keys.items())
+                       + f"out = {via_config}\n")
+        flags = [f"--{name}={value}" for name, value in keys.items()]
+        code, out, err = run_cli(command, "--config", str(cfg), *extra)
+        assert code in (0, 1) and out == err == "", command
+        assert run_cli(command, *flags, "--out", str(via_flags), *extra) == (code, "", "")
+        assert via_config.read_text() == via_flags.read_text() != ""
 
 
 def test_config_flags_override(tmp_path):
@@ -259,6 +294,66 @@ def test_config_parse_error_names_line(tmp_path):
     code, _, err = run_cli("check", "--config", str(cfg))
     assert code == 2
     assert ":2:" in err
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("derive", "seed = 3"),
+        ("derive", "samples = 5"),
+        ("check", "samples = 0"),
+        ("check", "seed = 3"),
+        ("classify", "raw = x.json"),
+        ("classify", "samples = 5"),
+        ("verify", "family = G1"),
+        ("verify", "alpha = 1"),
+        ("verify", "raw = x.json"),
+        ("verify", "mode = approx"),
+        ("verify", "tol = 1e-1"),
+        ("scan", "raw = x.json"),
+        ("scan", "seed = 3"),
+    ],
+)
+def test_config_key_the_command_does_not_read_exit_2(command, line, tmp_path):
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text(f"convention = delta\n{line}\n")
+    code, out, err = run_cli(command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f":2: unknown key {line.split()[0]!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--mode", "approx"),
+        ("verify", "--tol", "1e-1"),
+        ("verify", "--format", "csv"),
+        ("check", "--family", "G1", "--alpha", "1", "--beta", "0", "--format", "csv"),
+        ("classify", "--family", "G1", "--alpha", "1", "--beta", "0", "--format", "csv"),
+        ("derive", "--family", "G1", "--alpha", "1", "--beta", "0", "--format", "csv"),
+        ("scan", "--family", "G1", "--alpha", "1", "--grid", "beta=0:1:1", "--format", "text"),
+        ("scan", "--family", "G1", "--alpha", "1", "--grid", "beta=0:1:1", "--format", "json"),
+    ],
+    ids=" ".join,
+)
+def test_option_the_command_does_not_take_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [("derive", "csv"), ("check", "csv"), ("classify", "csv"), ("verify", "csv"), ("scan", "json")],
+)
+def test_config_format_outside_the_command_choices_exit_2(command, fmt, tmp_path):
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text(f"format = {fmt}\n")
+    code, out, err = run_cli(command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"unknown format {fmt!r}" in err
 
 
 # ---------------------------------------------------------------------------
