@@ -807,10 +807,6 @@ class ClassificationResult:
     solution: Ein2Solution
     status: str
 
-    @property
-    def consistent(self) -> bool:
-        return self.status != INCONSISTENT
-
 
 def classify(
     params: FamilyParams, convention: str = DELTA, mode: Optional[Mode] = None
@@ -950,9 +946,9 @@ class AnchorResult:
         )
 
 
-def verify_anchor(anchor: AnchorSpec, convention: str = DELTA) -> AnchorResult:
-    mode = Mode.approx(DEFAULT_TOLERANCE)
-    solution = is_ein2(build_family(anchor.params, mode), convention, mode)
+def verify_anchor(anchor: AnchorSpec) -> AnchorResult:
+    mode = anchor.params.mode()
+    solution = is_ein2(build_family(anchor.params, mode), DELTA, mode)
     if solution.kind == "point":
         err1 = abs(float(solution.point[0]) - anchor.lambda1)
         err2 = abs(float(solution.point[1]) - anchor.lambda2)

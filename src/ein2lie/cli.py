@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import reporting
 from .branches import DEFAULT_SEED, classify
-from .ein2 import CONVENTIONS, DELTA, build_system, is_ein2, solve_lambdas
+from .ein2 import CONVENTIONS, DELTA, build_system, is_ein2
 from .geometry import levi_civita, ricci
 from .liealg import (
     FAMILIES,
@@ -234,7 +234,7 @@ def cmd_derive(job: argparse.Namespace) -> int:
     conn = levi_civita(sc, job.mode)
     rd = ricci(sc, job.mode)
     system = build_system(rd, job.convention)
-    solution = solve_lambdas(system, job.mode)
+    solution = is_ein2(sc, job.convention, job.mode)
     if job.format == "json":
         doc = {
             "schema": reporting.SCHEMA_DERIVE,

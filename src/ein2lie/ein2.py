@@ -18,15 +18,19 @@ The two differ only in row (3,3).  "delta" is the default; matching the
 tabulated systems fixes that choice, and whenever lambda2 = 0 the two
 conventions agree.
 
-`solve_lambdas` computes the affine solution set from 2x2 minors, on
-integers for exact rows (which `is_ein2` builds straight from the integer
-Ricci contraction) and with tolerance tests for float inputs.  For
-unsolvable systems the reported residual is the minimal achievable
-sup-norm over all (lambda1, lambda2).  It is read off the dual of that
-Chebyshev problem in closed form: the largest |sum w_r a_r| / sum |w_r|
-over the references of at most three rows (cofactor triples, parallel
-pairs, rows with b = c = 0), on integers after scaling exact rows by
-the lcm of their denominators.
+`_rows` states the six rows once, as ints straight from the integer
+Ricci contraction for exact data.  `is_ein2` solves them and
+`match_printed_system` compares them with the tabulated systems, so the
+fidelity check reads the rows every verdict is decided on.  `_solve`
+computes the affine solution set from 2x2 minors, on integers for exact
+rows and with tolerance tests for float ones; `solve_lambdas` feeds it
+a hand-built `Ein2System`, and `build_system` is the printed Fraction
+view of the rows.  For unsolvable systems the reported residual is the
+minimal achievable sup-norm over all (lambda1, lambda2).  It is read
+off the dual of that Chebyshev problem in closed form: the largest
+|sum w_r a_r| / sum |w_r| over the references of at most three rows
+(cofactor triples, parallel pairs, rows with b = c = 0), on integers for
+exact rows.
 """
 
 from __future__ import annotations
@@ -285,37 +289,46 @@ def solve_lambdas(sys: Ein2System, mode: Optional[Mode] = None) -> Ein2Solution:
 
 
 def _least_squares(rows):
-    """Normal-equation least squares for the float path."""
-    s11 = sum(b * b for _, b, _ in rows)
-    s12 = sum(b * c for _, b, c in rows)
-    s22 = sum(c * c for _, _, c in rows)
-    t1 = -sum(b * a for a, b, _ in rows)
-    t2 = -sum(c * a for a, _, c in rows)
+    """Normal-equation least squares, summed left to right.
+
+    Builtin `sum` compensates float rounding from Python 3.12 on; the
+    plain order gives the same bits on every supported version.
+    """
+    s11 = s12 = s22 = t1 = t2 = 0
+    for a, b, c in rows:
+        s11, s12, s22, t1, t2 = s11 + b * b, s12 + b * c, s22 + c * c, t1 + b * a, t2 + c * a
+    t1, t2 = -t1, -t2
     det = s11 * s22 - s12 * s12
     if det == 0:
         return None
     return ((t1 * s22 - t2 * s12) / det, (s11 * t2 - s12 * t1) / det)
 
 
+def _rows(rd: RicciData, convention: str, mode: Mode):
+    """The six rows scale * (a, b, c) on PAIRS, and their scale.
+
+    Exact rows are the ints (S_ij, 4 L^2 N_ij, 16 L^4 c_ij) at scale
+    16 L^4, S = `RicciData.squares()`, so no Ricci Fraction is built;
+    other rows are (rho_sq, rho, c) at scale 1.
+    """
+    if mode.is_exact:
+        unit = 4 * rd.scale**2
+        a, b, scale = rd.squares(), rd.n, unit * unit
+    else:
+        a, b, unit, scale = rd.rho_sq, rd.rho, 1, 1
+    rows = tuple(
+        (a[i][j], unit * b[i][j], scale * c) for (i, j), c in zip(PAIRS, _constants(convention))
+    )
+    return rows, scale
+
+
 def is_ein2(
     sc: StructureConstants, convention: str = DELTA, mode: Optional[Mode] = None
 ) -> Ein2Solution:
-    """Decide the Ein(2) condition from one `ricci` call.
-
-    In exact mode row (i, j) times 16 L^4 is the int triple (S_ij,
-    4 L^2 N_ij, 16 L^4 c_ij), S = `RicciData.squares()`: no Ricci Fraction.
-    """
+    """Decide the Ein(2) condition: one `ricci` call, its `_rows`, `_solve`."""
     if mode is None:
         mode = Mode.for_values(sc.values())
-    rd = ricci(sc, mode)
-    if not mode.is_exact:
-        return solve_lambdas(build_system(rd, convention), mode)
-    unit, squares = 4 * rd.scale**2, rd.squares()
-    rows = tuple(
-        (squares[i][j], unit * rd.n[i][j], unit * unit * c)
-        for (i, j), c in zip(PAIRS, _constants(convention))
-    )
-    return _solve(rows, unit * unit, mode)
+    return _solve(*_rows(ricci(sc, mode), convention, mode), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -425,57 +438,43 @@ PRINTED_SYSTEMS: Dict[str, Callable[[FamilyParams], List[Tuple[Scalar, Scalar, S
 
 
 def _canonical_rows(triples: Sequence[Tuple[Scalar, Scalar, Scalar]], mode: Mode):
-    """Drop zero rows and fix each row's sign by its leading nonzero entry."""
+    """The distinct nonzero rows, each signed by its leading nonzero entry."""
     canonical = []
     for triple in triples:
         lead = next((x for x in triple if not mode.is_zero(x)), None)
-        if lead is None:
-            continue
-        if lead < 0:
-            triple = tuple(-x for x in triple)
-        canonical.append(tuple(triple))
+        if lead is not None:
+            row = tuple(-x for x in triple) if lead < 0 else tuple(triple)
+            if not any(_close(row, seen, mode) for seen in canonical):
+                canonical.append(row)
     return canonical
 
 
+def _close(u, v, mode: Mode) -> bool:
+    """Rows equal within tolerance, exactly in exact mode."""
+    return all(mode.is_zero(x - y) for x, y in zip(u, v))
+
+
 def _rows_match(left, right, mode: Mode) -> bool:
-    if mode.is_exact:
-        return set(left) == set(right)
-    # Tolerance-based comparison of deduplicated row sets.
-    def close(u, v):
-        return all(mode.is_zero(x - y) for x, y in zip(u, v))
-
-    def dedup(rows):
-        unique = []
-        for row in rows:
-            if not any(close(row, seen) for seen in unique):
-                unique.append(row)
-        return unique
-
-    left, right = dedup(left), dedup(right)
-    if len(left) != len(right):
-        return False
+    """Each row of `left` matches its own row of `right`, and none is left over."""
     remaining = list(right)
     for row in left:
-        for idx, other in enumerate(remaining):
-            if close(row, other):
-                del remaining[idx]
-                break
-        else:
+        match = next((k for k, other in enumerate(remaining) if _close(row, other, mode)), None)
+        if match is None:
             return False
-    return True
+        del remaining[match]
+    return not remaining
 
 
 def match_printed_system(params: FamilyParams, mode: Optional[Mode] = None) -> bool:
-    """Compare the computed component system against the tabulated one.
+    """Compare the rows `is_ein2` solves against the tabulated system.
 
-    The computed system (delta convention, zero rows dropped) must equal
-    the family's tabulated equations up to row sign and ordering.
+    The rows of `_rows` (delta convention, zero rows dropped) must equal
+    the family's tabulated equations times the rows' scale, up to row
+    sign and ordering: ints against the scaled table in exact mode, so
+    no Ricci Fraction is built.
     """
     if mode is None:
         mode = params.mode()
-    sc = build_family(params, mode)
-    rd = ricci(sc, mode)
-    system = build_system(rd, DELTA)
-    computed = _canonical_rows([(r.a, r.b, r.c) for r in system.rows], mode)
-    printed = _canonical_rows(PRINTED_SYSTEMS[params.family](params), mode)
-    return _rows_match(computed, printed, mode)
+    rows, scale = _rows(ricci(build_family(params, mode), mode), DELTA, mode)
+    printed = [tuple(scale * x for x in row) for row in PRINTED_SYSTEMS[params.family](params)]
+    return _rows_match(_canonical_rows(rows, mode), _canonical_rows(printed, mode), mode)

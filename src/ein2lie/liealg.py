@@ -29,7 +29,6 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 from .scalars import Mode, Scalar, as_scalar, is_exact
 
 FAMILIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7")
-UNIMODULAR_FAMILIES = ("G1", "G2", "G3", "G4")
 
 #: Which parameter fields each family actually reads.
 PARAMS_USED = {
@@ -439,11 +438,7 @@ def require_lie_algebra(sc: StructureConstants, mode: Optional[Mode] = None) -> 
 
 
 def unimodular(sc: StructureConstants, mode: Optional[Mode] = None) -> bool:
-    """True iff trace(ad_{e_i}) = 0 for i = 1, 2, 3."""
+    """True iff trace(ad_{e_i}) = 0 for i = 1, 2, 3, summed left to right."""
     if mode is None:
         mode = Mode.for_values(sc.values())
-    for i in range(3):
-        trace = sum(sc.c[i][j][j] for j in range(3))
-        if not mode.is_zero(trace):
-            return False
-    return True
+    return all(mode.is_zero(plane[0][0] + plane[1][1] + plane[2][2]) for plane in sc.c)

@@ -31,8 +31,10 @@ SCHEMA_VERIFY = "ein2lie/verify/v1"
 BASIS = ("e1", "e2", "e3")
 
 
-def scalar_json(value: Scalar):
-    """Exact values as "p/q" strings; floats as JSON numbers."""
+def scalar_json(value: Optional[Scalar]):
+    """Exact values as "p/q" strings; floats as JSON numbers; None as null."""
+    if value is None:
+        return None
     if is_exact(value):
         return format_scalar(value)
     return float(value)
@@ -88,7 +90,9 @@ def system_json(system: Ein2System) -> Dict:
     }
 
 
-def expected_json(expected: ExpectedLambdas) -> Dict:
+def expected_json(expected: Optional[ExpectedLambdas]) -> Optional[Dict]:
+    if expected is None:
+        return None
     if expected.kind == LAMBDA1_FREE:
         return {"kind": "lambda1_free", "lambda2": scalar_json(expected.lambda2)}
     return {
@@ -112,12 +116,8 @@ def branch_report_json(report: BranchReport) -> Dict:
                 "params": params_json(f.params),
                 "expected": expected_json(f.expected),
                 "solution_kind": f.solution_kind,
-                "residual_at_expected": (
-                    scalar_json(f.residual_at_expected)
-                    if f.residual_at_expected is not None
-                    else None
-                ),
-                "recomputed": expected_json(f.recomputed) if f.recomputed else None,
+                "residual_at_expected": scalar_json(f.residual_at_expected),
+                "recomputed": expected_json(f.recomputed),
                 "recomputed_ok": f.recomputed_ok,
             }
             for f in report.failures
@@ -263,53 +263,44 @@ def render_verdict_text(described_input: str, solution: Ein2Solution,
 # Suite report
 # ---------------------------------------------------------------------------
 
+def _erratum_json(branch: Dict) -> Dict:
+    """An errata entry, read off its branch entry; the first failure is the counterexample."""
+    failure = branch["failures"][0] if branch["failures"] else None
+    return {
+        "branch": branch["label"],
+        "family": branch["family"],
+        "constraints": branch["constraints"],
+        "counterexample": failure and {
+            "params": failure["params"],
+            "stated": failure["expected"],
+            "residual_at_stated": failure["residual_at_expected"],
+            "recomputed": failure["recomputed"],
+        },
+        "correction": branch["correction"],
+    }
+
+
 def suite_json(report) -> Dict:
-    doc: Dict = {
+    branches = [branch_report_json(b) for b in report.branches]
+    return {
         "schema": SCHEMA_VERIFY,
         "seed": report.seed,
         "samples": report.samples,
         "convention": report.convention,
         "theorems": list(report.theorems) if report.theorems else None,
         "fidelity": [
-            {"family": f.family, "samples": f.samples, "mismatches": f.mismatches, "ok": f.ok}
+            {"family": f.family, "samples": f.samples, "mismatches": f.failures, "ok": f.ok}
             for f in report.fidelity
         ],
-        "branches": [branch_report_json(b) for b in report.branches],
+        "branches": branches,
         "anchors": [anchor_result_json(a) for a in report.anchors],
         "negative_sampling": [
-            {"family": n.family, "samples": n.samples, "violations": n.violations, "ok": n.ok}
+            {"family": n.family, "samples": n.samples, "violations": n.failures, "ok": n.ok}
             for n in report.negative
         ],
-        "errata": [
-            {
-                "branch": b.label,
-                "family": b.family,
-                "constraints": b.constraints,
-                "counterexample": (
-                    {
-                        "params": params_json(b.failures[0].params),
-                        "stated": expected_json(b.failures[0].expected),
-                        "residual_at_stated": (
-                            scalar_json(b.failures[0].residual_at_expected)
-                            if b.failures[0].residual_at_expected is not None
-                            else None
-                        ),
-                        "recomputed": (
-                            expected_json(b.failures[0].recomputed)
-                            if b.failures[0].recomputed
-                            else None
-                        ),
-                    }
-                    if b.failures
-                    else None
-                ),
-                "correction": b.correction,
-            }
-            for b in report.errata
-        ],
+        "errata": [_erratum_json(b) for b in branches if b["verdict"] == "errata"],
         "ok": report.ok,
     }
-    return doc
 
 
 def render_suite_text(report) -> str:
@@ -324,7 +315,7 @@ def render_suite_text(report) -> str:
     if report.fidelity:
         lines.append("tabulated-system fidelity (delta convention):")
         for f in report.fidelity:
-            status = "ok" if f.ok else f"{f.mismatches} mismatches"
+            status = "ok" if f.ok else f"{f.failures} mismatches"
             lines.append(f"  {f.family}: {f.samples} points, {status}")
         lines.append("")
 
@@ -349,7 +340,7 @@ def render_suite_text(report) -> str:
     if report.negative:
         lines.append("negative sampling (off-branch points must not be Ein(2)):")
         for n in report.negative:
-            status = "ok" if n.ok else f"{n.violations} violations"
+            status = "ok" if n.ok else f"{n.failures} violations"
             lines.append(f"  {n.family}: {n.samples} points, {status}")
         lines.append("")
 

@@ -37,25 +37,19 @@ CONVENTION_DIVERGENCE = "convention_divergence"
 
 
 @dataclass
-class FidelityResult:
+class SampledCheck:
+    """The sampled points of one family that fail a check.
+
+    Fidelity counts mismatches, negative sampling counts violations.
+    """
+
     family: str
     samples: int
-    mismatches: int = 0
+    failures: int = 0
 
     @property
     def ok(self) -> bool:
-        return self.mismatches == 0
-
-
-@dataclass
-class NegativeResult:
-    family: str
-    samples: int
-    violations: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
+        return self.failures == 0
 
 
 @dataclass
@@ -64,10 +58,10 @@ class SuiteReport:
     samples: int
     convention: str
     theorems: Optional[Tuple[str, ...]]
-    fidelity: List[FidelityResult] = field(default_factory=list)
+    fidelity: List[SampledCheck] = field(default_factory=list)
     branches: List[BranchReport] = field(default_factory=list)
     anchors: List[AnchorResult] = field(default_factory=list)
-    negative: List[NegativeResult] = field(default_factory=list)
+    negative: List[SampledCheck] = field(default_factory=list)
 
     @property
     def errata(self) -> List[BranchReport]:
@@ -117,10 +111,10 @@ def run_suite(
 
     if fidelity_samples > 0:
         for family in families:
-            fidelity = FidelityResult(family=family, samples=fidelity_samples)
+            fidelity = SampledCheck(family=family, samples=fidelity_samples)
             for params in sample_valid_points(family, fidelity_samples, seed):
                 if not match_printed_system(params):
-                    fidelity.mismatches += 1
+                    fidelity.failures += 1
             report.fidelity.append(fidelity)
 
     for spec in selected:
@@ -140,15 +134,15 @@ def run_suite(
     selected_theorems = {spec.theorem for spec in selected}
     for anchor in ANCHORS:
         if anchor.theorem in selected_theorems:
-            report.anchors.append(verify_anchor(anchor, DELTA))
+            report.anchors.append(verify_anchor(anchor))
 
     if negative_samples > 0:
         for family in families:
-            negative = NegativeResult(family=family, samples=negative_samples)
+            negative = SampledCheck(family=family, samples=negative_samples)
             for params in sample_off_branch(family, negative_samples, seed):
                 solution = is_ein2(build_family(params), DELTA)
                 if solution.kind != NONE:
-                    negative.violations += 1
+                    negative.failures += 1
             report.negative.append(negative)
 
     return report

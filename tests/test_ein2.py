@@ -16,6 +16,7 @@ from ein2lie import (
     Ein2System,
     FamilyParams,
     Mode,
+    RicciData,
     build_family,
     build_system,
     from_raw,
@@ -24,6 +25,7 @@ from ein2lie import (
     ricci,
     solve_lambdas,
 )
+from ein2lie import ein2
 from ein2lie.ein2 import PAIRS
 from ein2lie.liealg import ConstraintViolation
 from oracles import min_sup_residual_vertices, solve_brute, solve_eliminate
@@ -168,6 +170,66 @@ def test_match_printed_system_sampled(family_samples_100):
 def test_match_printed_system_approx_mode():
     params = FamilyParams("G3", alpha=1.0, beta=2.0, gamma=3.0)
     assert match_printed_system(params, Mode.approx(1e-9))
+
+
+def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family_samples_100):
+    """Exact is_ein2 and match_printed_system read only the integer contraction."""
+    points = [params for samples in family_samples_100.values() for params in samples[:10]]
+    references = [solve_lambdas(build_system(ricci(build_family(p)))) for p in points]
+
+    def refuse(self):
+        raise AssertionError("a Ricci Fraction was built")
+
+    for name in ("rho", "rho_op", "rho_sq"):
+        monkeypatch.setattr(RicciData, name, property(refuse))
+    for params, reference in zip(points, references):
+        solution = is_ein2(build_family(params))
+        assert solution.kind == reference.kind, params
+        assert solution.point == reference.point, params
+        assert solution.line_base == reference.line_base, params
+        assert solution.line_direction == reference.line_direction, params
+        assert solution.residual == reference.residual, params
+        assert match_printed_system(params), params
+
+
+def _distinct_nonzero(rows):
+    """Tabulated rows that are nonzero and pairwise distinct up to sign."""
+    keys = {max(tuple(row), tuple(-x for x in row)) for row in rows}
+    return len(keys) == len(rows) and all(any(row) for row in rows)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "approx"])
+def test_match_printed_system_rejects_a_changed_table(monkeypatch, family_samples_100, exact):
+    """Adding 1 to any one tabulated coefficient breaks the match, and so
+    does an extra row (0, 0, 2), which no delta-convention system has."""
+    tabulated = dict(ein2.PRINTED_SYSTEMS)
+    for family, samples in family_samples_100.items():
+        points = [p for p in samples if _distinct_nonzero(tabulated[family](p))][:3]
+        assert points, family
+        for params in points:
+            if not exact:
+                values = (params.alpha, params.beta, params.gamma, params.delta)
+                params = FamilyParams(family, *map(float, values), eta=params.eta)
+            mode = params.mode()
+            assert mode.is_exact is exact
+            monkeypatch.setitem(ein2.PRINTED_SYSTEMS, family, tabulated[family])
+            assert match_printed_system(params, mode), params
+            for r in range(len(tabulated[family](params))):
+                for k in range(3):
+
+                    def changed(p, r=r, k=k):
+                        rows = [list(row) for row in tabulated[family](p)]
+                        rows[r][k] += 1
+                        return rows
+
+                    monkeypatch.setitem(ein2.PRINTED_SYSTEMS, family, changed)
+                    assert not match_printed_system(params, mode), (params, r, k)
+
+            def extended(p):
+                return [*tabulated[family](p), (0, 0, 2)]
+
+            monkeypatch.setitem(ein2.PRINTED_SYSTEMS, family, extended)
+            assert not match_printed_system(params, mode), params
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)

@@ -40,15 +40,23 @@ def _non_jacobi_table():
 
 
 def ricci_via_tensor(sc, mode=None):
-    """(rho, rho_op, rho_sq) through the full curvature tensor and its signed trace."""
+    """(rho, rho_op, rho_sq) through the full curvature tensor and its signed trace.
+
+    Each sum runs left to right from 0; builtin `sum` compensates float
+    rounding from Python 3.12 on, which would move the bits compared here.
+    """
     riem = curvature(sc, levi_civita(sc, mode)).r
     rho = tuple(
-        tuple(-sum(riem[i][a][j][a] for a in range(3)) for j in range(3)) for i in range(3)
+        tuple(-(0 + riem[i][0][j][0] + riem[i][1][j][1] + riem[i][2][j][2]) for j in range(3))
+        for i in range(3)
     )
     rho_op = tuple(tuple(EPS[j] * rho[i][j] for j in range(3)) for i in range(3))
     rho_sq = tuple(
         tuple(
-            sum(EPS[k] * rho_op[i][k] * rho_op[j][k] for k in range(3))
+            0
+            + EPS[0] * rho_op[i][0] * rho_op[j][0]
+            + EPS[1] * rho_op[i][1] * rho_op[j][1]
+            + EPS[2] * rho_op[i][2] * rho_op[j][2]
             for j in range(3)
         )
         for i in range(3)
