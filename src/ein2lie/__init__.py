@@ -32,22 +32,12 @@ from .ein2 import (
     CONVENTIONS,
     DELTA,
     METRIC,
-    Ein2Row,
     Ein2Solution,
-    Ein2System,
-    build_system,
     is_ein2,
     match_printed_system,
-    solve_lambdas,
+    solve,
 )
-from .geometry import (
-    ConnectionCoefficients,
-    CurvatureTensor,
-    RicciData,
-    curvature,
-    levi_civita,
-    ricci,
-)
+from .geometry import RicciData, curvature, levi_civita, ricci
 from .liealg import (
     EPS,
     FAMILIES,
@@ -61,7 +51,6 @@ from .liealg import (
     build_family,
     from_raw,
     jacobi_ok,
-    jacobi_residual,
     unimodular,
     validate_params,
 )
@@ -86,12 +75,8 @@ __all__ = [
     "BranchReport",
     "BranchSpec",
     "ClassificationResult",
-    "ConnectionCoefficients",
     "ConstraintViolation",
-    "CurvatureTensor",
-    "Ein2Row",
     "Ein2Solution",
-    "Ein2System",
     "EmptyBranch",
     "ExpectedLambdas",
     "FamilyParams",
@@ -105,14 +90,12 @@ __all__ = [
     "UnknownFamily",
     "as_scalar",
     "build_family",
-    "build_system",
     "classify",
     "curvature",
     "format_scalar",
     "from_raw",
     "is_ein2",
     "jacobi_ok",
-    "jacobi_residual",
     "levi_civita",
     "match_printed_system",
     "parse_scalar",
@@ -121,7 +104,7 @@ __all__ = [
     "sample_branch",
     "sample_off_branch",
     "sample_valid_points",
-    "solve_lambdas",
+    "solve",
     "unimodular",
     "validate_params",
     "verify_anchor",

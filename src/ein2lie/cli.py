@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from . import reporting
 from .branches import DEFAULT_SEED, classify
-from .ein2 import CONVENTIONS, DELTA, build_system, is_ein2
+from .ein2 import CONVENTIONS, DELTA, is_ein2, solve
 from .geometry import levi_civita, ricci
 from .liealg import (
     FAMILIES,
@@ -231,10 +231,9 @@ def _emit(job: argparse.Namespace, text: str) -> None:
 
 def cmd_derive(job: argparse.Namespace) -> int:
     sc, params, described = _input_algebra(job)
-    conn = levi_civita(sc, job.mode)
+    gamma = levi_civita(sc, job.mode)
     rd = ricci(sc, job.mode)
-    system = build_system(rd, job.convention)
-    solution = is_ein2(sc, job.convention, job.mode)
+    solution = solve(rd, job.convention, job.mode)
     if job.format == "json":
         doc = {
             "schema": reporting.SCHEMA_DERIVE,
@@ -243,13 +242,13 @@ def cmd_derive(job: argparse.Namespace) -> int:
             "convention": job.convention,
             "structure_constants": {"c": reporting.tensor3_json(sc.c)},
             "unimodular": unimodular(sc),
-            "connection": reporting.tensor3_json(conn.gamma),
+            "connection": reporting.tensor3_json(gamma),
             "ricci": {
                 "rho": reporting.matrix_json(rd.rho),
                 "rho_op": reporting.matrix_json(rd.rho_op),
                 "rho_sq": reporting.matrix_json(rd.rho_sq),
             },
-            "system": reporting.system_json(system),
+            "system": reporting.system_json(solution, job.convention),
             "solution": reporting.solution_json(solution),
         }
         _emit(job, reporting.dumps(doc))
@@ -257,7 +256,7 @@ def cmd_derive(job: argparse.Namespace) -> int:
         _emit(
             job,
             reporting.render_derive_text(
-                described, sc, conn, rd, system, solution, unimodular(sc)
+                described, sc, gamma, rd, job.convention, solution, unimodular(sc)
             ),
         )
     return EXIT_OK

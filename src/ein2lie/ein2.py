@@ -19,27 +19,25 @@ tabulated systems fixes that choice, and whenever lambda2 = 0 the two
 conventions agree.
 
 `_rows` states the six rows once, as ints straight from the integer
-Ricci contraction for exact data.  `is_ein2` solves them and
-`match_printed_system` compares them with the tabulated systems, so the
-fidelity check reads the rows every verdict is decided on.  `_solve`
-computes the affine solution set from 2x2 minors, on integers for exact
-rows and with tolerance tests for float ones; `solve_lambdas` feeds it
-a hand-built `Ein2System`, and `build_system` is the printed Fraction
-view of the rows.  For unsolvable systems the reported residual is the
-minimal achievable sup-norm over all (lambda1, lambda2).  It is read
-off the dual of that Chebyshev problem in closed form: the largest
-|sum w_r a_r| / sum |w_r| over the references of at most three rows
-(cofactor triples, parallel pairs, rows with b = c = 0), on integers for
-exact rows.
+Ricci contraction for exact data.  `solve` solves them for one
+`RicciData` and keeps them as `Ein2Solution.rows`, which derive prints;
+`is_ein2` is `solve` on the Ricci data of a table, and
+`match_printed_system` compares the same rows with the tabulated
+systems, so the fidelity check reads the rows every verdict is decided
+on.  `_solve` computes the affine solution set from 2x2 minors, on
+integers for exact rows and with tolerance tests for float ones.  For
+unsolvable systems the reported residual is the minimal achievable
+sup-norm over all (lambda1, lambda2).  It is read off the dual of that
+Chebyshev problem in closed form: the largest |sum w_r a_r| / sum |w_r|
+over the references of at most three rows (cofactor triples, parallel
+pairs, rows with b = c = 0), on integers for exact rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .geometry import RicciData, ricci
@@ -58,47 +56,11 @@ PLANE = "plane"
 PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-@dataclass(frozen=True)
-class Ein2Row:
-    """One component equation a + lambda1*b + lambda2*c = 0 at pair (i, j)."""
-
-    i: int
-    j: int
-    a: Scalar
-    b: Scalar
-    c: Scalar
-
-
-@dataclass(frozen=True)
-class Ein2System:
-    rows: Tuple[Ein2Row, ...]
-    convention: str
-
-    def residual_at(self, lam1: Scalar, lam2: Scalar) -> Scalar:
-        """Sup-norm of the six component equations at a candidate pair."""
-        return _sup_residual(tuple((r.a, r.b, r.c) for r in self.rows), lam1, lam2)
-
-    def values(self):
-        for row in self.rows:
-            yield row.a
-            yield row.b
-            yield row.c
-
-
 def _constants(convention: str) -> Tuple[int, ...]:
     """The constant column c on PAIRS, as plain ints."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
     return (1, 0, 0, 1, 0, EPS[2] if convention == METRIC else 1)
-
-
-def build_system(rd: RicciData, convention: str = DELTA) -> Ein2System:
-    """Assemble the six component equations from Ricci data."""
-    rows = tuple(
-        Ein2Row(i=i, j=j, a=rd.rho_sq[i][j], b=rd.rho[i][j], c=c)
-        for (i, j), c in zip(PAIRS, _constants(convention))
-    )
-    return Ein2System(rows=rows, convention=convention)
 
 
 class Ein2Solution:
@@ -110,9 +72,10 @@ class Ein2Solution:
     is the sup-norm of the system at the solution (zero/tolerance-small
     when solvable) or, for kind "none", the minimal achievable sup-norm,
     computed lazily by `_min_sup_residual` from the dual formula over row
-    references (on integers for exact rows, see its docstring).  It keeps
-    the rows scale * (a, b, c) it was solved from, ints in exact mode;
-    their Fractions are built only when a residual needs them.
+    references (on integers for exact rows, see its docstring).  `rows`
+    are the six (a, b, c) on PAIRS it was solved from; it keeps them as
+    scale * (a, b, c), ints in exact mode, and builds their Fractions
+    only when a residual or a report reads them.
     """
 
     def __init__(self, kind, rows, mode, scale=1, point=None, line_base=None, line_direction=None):
@@ -125,7 +88,7 @@ class Ein2Solution:
         self._scale = scale
 
     @cached_property
-    def _values(self):
+    def rows(self) -> Tuple[Tuple[Scalar, Scalar, Scalar], ...]:
         if not self.mode.is_exact:
             return self._rows
         return tuple(tuple(Fraction(x, self._scale) for x in row) for row in self._rows)
@@ -133,11 +96,11 @@ class Ein2Solution:
     @cached_property
     def residual(self) -> Scalar:
         if self.kind == POINT:
-            return _sup_residual(self._values, *self.point)
+            return _sup_residual(self.rows, *self.point)
         if self.kind == LINE:
-            return _sup_residual(self._values, *self.line_base)
+            return _sup_residual(self.rows, *self.line_base)
         if self.kind == PLANE:
-            return max(abs(row[0]) for row in self._values)
+            return max(abs(row[0]) for row in self.rows)
         return _min_sup_residual(self._rows, self._scale, self.mode)
 
     def is_ein2(self) -> bool:
@@ -145,7 +108,7 @@ class Ein2Solution:
 
     def residual_of(self, lam1: Scalar, lam2: Scalar) -> Scalar:
         """Sup-norm of the underlying system at an arbitrary candidate pair."""
-        return _sup_residual(self._values, lam1, lam2)
+        return _sup_residual(self.rows, lam1, lam2)
 
     def contains(self, lam1: Scalar, lam2: Scalar) -> bool:
         """Membership of a candidate pair in the solution set."""
@@ -153,7 +116,7 @@ class Ein2Solution:
             return False
         if self.kind == POINT and self.mode.is_exact:
             return (lam1, lam2) == self.point
-        return self.mode.is_zero(_sup_residual(self._values, lam1, lam2))
+        return self.mode.is_zero(_sup_residual(self.rows, lam1, lam2))
 
     def lambda2_zero_line(self) -> bool:
         """True when the solution set is exactly {lambda2 = 0, lambda1 free}."""
@@ -272,22 +235,6 @@ def _solve(rows, scale, mode: Mode) -> Ein2Solution:
     return Ein2Solution(LINE, rows, mode, scale, line_base=tuple(base), line_direction=(d1, d2))
 
 
-def solve_lambdas(sys: Ein2System, mode: Optional[Mode] = None) -> Ein2Solution:
-    """Affine solution set of {b*lambda1 + c*lambda2 = -a} over six rows.
-
-    Exact rows are scaled to ints by the lcm of their denominators; see
-    `_solve`.  kind reflects the solution-set dimension.
-    """
-    if mode is None:
-        mode = Mode.for_values(sys.values())
-    rows = tuple((row.a, row.b, row.c) for row in sys.rows)
-    scale = 1
-    if mode.is_exact:
-        scale = lcm(*(x.denominator for row in rows for x in row))
-        rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
-    return _solve(rows, scale, mode)
-
-
 def _least_squares(rows):
     """Normal-equation least squares, summed left to right.
 
@@ -322,13 +269,18 @@ def _rows(rd: RicciData, convention: str, mode: Mode):
     return rows, scale
 
 
+def solve(rd: RicciData, convention: str, mode: Mode) -> Ein2Solution:
+    """The solution set of the six rows of `rd`: its `_rows`, `_solve`."""
+    return _solve(*_rows(rd, convention, mode), mode)
+
+
 def is_ein2(
     sc: StructureConstants, convention: str = DELTA, mode: Optional[Mode] = None
 ) -> Ein2Solution:
-    """Decide the Ein(2) condition: one `ricci` call, its `_rows`, `_solve`."""
+    """Decide the Ein(2) condition: one `ricci` call, then `solve`."""
     if mode is None:
         mode = Mode.for_values(sc.values())
-    return _solve(*_rows(ricci(sc, mode), convention, mode), mode)
+    return solve(ricci(sc, mode), convention, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +289,8 @@ def is_ein2(
 #
 # Each entry lists the nonzero component equations of the family's
 # Ein(2) system exactly as tabulated, as (A, B, C) triples for
-# A + lambda1*B + lambda2*C = 0.  Rows may differ from build_system
-# output by an overall sign and by ordering; never by more.
+# A + lambda1*B + lambda2*C = 0.  Rows may differ from the rows of
+# `_rows` by an overall sign and by ordering; never by more.
 
 _H = Fraction(1, 2)
 _Q = Fraction(1, 4)

@@ -17,12 +17,16 @@ Index conventions, fixed once for the whole package:
                      rho0(e_i) = sum_j rho_op[i][j] e_j
   rho_sq[i][j]     : g(rho0 e_i, rho0 e_j)
 
+`levi_civita` returns Gamma and `curvature` returns R as plain nested
+tuples indexed this way.
+
 The Ricci sign convention above is taken verbatim from the tabulated
 classification data this package verifies; it is anchored to those
 tables, not to any textbook convention.
 
-`ricci` does not build the curvature tensor: `curvature` is not on the
-Ricci path.  It contracts the connection straight into the 27 traced
+`ricci` does not build the curvature tensor: `curvature`, which does,
+is the reference `ricci` is checked against, not a step on its path.
+`ricci` contracts the connection straight into the 27 traced
 components that rho needs,
 
   rho[i][j] = -sum_a sum_m (Gamma[a][j][m] Gamma[i][m][a]
@@ -32,8 +36,8 @@ components that rho needs,
 and for an exact table it does so on integers: with L the lcm of the
 denominators of c, both L c and H = 2 L Gamma are integer tables, and
 rho = N / (4 L^2), where N is the same sum with Gamma replaced by H
-and c by 2 L c.  `RicciData` carries N and L; `ein2.is_ein2` solves
-on them, so an exact decision builds no Ricci Fraction.
+and c by 2 L c.  `RicciData` carries N and L; `ein2.solve` solves on
+them, so an exact decision builds no Ricci Fraction.
 """
 
 from __future__ import annotations
@@ -48,31 +52,9 @@ from .liealg import EPS, StructureConstants, require_lie_algebra
 from .scalars import Mode, Scalar
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
+Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
 _HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """gamma[i][j][k] is the e_k coefficient of nabla_{e_i} e_j.
-
-    Torsion-freeness (gamma[i][j][k] - gamma[j][i][k] = c[i][j][k]) and
-    metric compatibility (eps_k gamma[i][j][k] + eps_j gamma[i][k][j] = 0)
-    hold by construction.
-    """
-
-    gamma: Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
-
-    def derivative(self, i: int, j: int) -> Tuple[Scalar, ...]:
-        """The coefficient triple of nabla_{e_i} e_j."""
-        return self.gamma[i][j]
-
-
-@dataclass(frozen=True)
-class CurvatureTensor:
-    """r[i][j][k][l] is the e_l coefficient of R(e_i, e_j) e_k."""
-
-    r: Tuple
 
 
 @dataclass(frozen=True)
@@ -132,24 +114,25 @@ def _koszul(c) -> list:
     ]
 
 
-def levi_civita(sc: StructureConstants, mode: Optional[Mode] = None) -> ConnectionCoefficients:
-    """Unique torsion-free metric connection, via the Koszul formula.
+def levi_civita(sc: StructureConstants, mode: Optional[Mode] = None) -> Tensor3:
+    """Unique torsion-free metric connection Gamma, via the Koszul formula.
 
     With a constant frame metric the formula collapses to
 
-      Gamma^k_ij = (c^k_ij - eps_i eps_k c^i_jk + eps_j eps_k c^j_ki) / 2.
+      Gamma^k_ij = (c^k_ij - eps_i eps_k c^i_jk + eps_j eps_k c^j_ki) / 2,
 
-    Raises NotLieAlgebra when the Jacobi residual is nonzero.
+    so torsion-freeness (Gamma^k_ij - Gamma^k_ji = c^k_ij) and metric
+    compatibility (eps_k Gamma^k_ij + eps_j Gamma^j_ik = 0) hold by
+    construction.  Raises NotLieAlgebra when the Jacobi residual is nonzero.
     """
     require_lie_algebra(sc, mode)
-    gamma = tuple(
+    return tuple(
         tuple(tuple(x * _HALF for x in row) for row in plane) for plane in _koszul(sc.c)
     )
-    return ConnectionCoefficients(gamma)
 
 
-def curvature(sc: StructureConstants, conn: ConnectionCoefficients) -> CurvatureTensor:
-    """Curvature tensor from structure constants and connection coefficients.
+def curvature(sc: StructureConstants, g: Tensor3) -> Tensor3:
+    """Curvature tensor R from structure constants and the connection Gamma.
 
     Frame fields have constant connection coefficients, so
 
@@ -157,7 +140,6 @@ def curvature(sc: StructureConstants, conn: ConnectionCoefficients) -> Curvature
                 - sum_m c^m_ij Gamma^l_mk.
     """
     c = sc.c
-    g = conn.gamma
     zero = Fraction(0)
     r = []
     for i in range(3):
@@ -195,7 +177,7 @@ def curvature(sc: StructureConstants, conn: ConnectionCoefficients) -> Curvature
                 plane_j.append(tuple(acc))
             plane_i.append(tuple(plane_j))
         r.append(tuple(plane_i))
-    return CurvatureTensor(tuple(r))
+    return tuple(r)
 
 
 def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:

@@ -14,7 +14,8 @@ listed in `FAMILY_CONSTRAINTS`, which `validate_params` compiles and
 checks, and the pieces of its parameter variety listed in
 `FAMILY_PIECES`, from which its points are sampled.  Arbitrary tables
 enter through `from_raw`, which enforces antisymmetry but deliberately
-not the Jacobi identity, so that `jacobi_residual` stays observable.
+not the Jacobi identity: `jacobi_ok` decides it, and the geometry
+raises NotLieAlgebra where it fails.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class NotLieAlgebra(LieAlgebraError):
 EPS = (1, 1, -1)
 
 Vector = Tuple[Scalar, Scalar, Scalar]
-ZERO_VECTOR: Vector = (Fraction(0), Fraction(0), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,8 @@ class StructureConstants:
 
 
 def _freeze(table) -> Tuple[Tuple[Vector, Vector, Vector], ...]:
-    return tuple(tuple(tuple(as_scalar(x) for x in row) for row in plane) for plane in table)
+    """The table as nested tuples; its entries are scalars or int literals already."""
+    return tuple(tuple(tuple(row) for row in plane) for plane in table)
 
 
 def _from_brackets(b12: Sequence, b13: Sequence, b23: Sequence) -> StructureConstants:
@@ -395,35 +396,6 @@ def _jacobi_base(sc: StructureConstants) -> Vector:
                     if inner[l]:
                         out[l] = out[l] + coeff * inner[l]
     return tuple(out)
-
-
-_PERM_SIGN = {
-    (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
-    (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1,
-}
-
-
-def jacobi_residual(sc: StructureConstants):
-    """Full cyclic-sum residual J[i][j][k] as coefficient triples.
-
-    J(i,j,k) = [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j].
-    The sum is alternating in (i,j,k), so in dimension three only the
-    permutations of (1,2,3) can be nonzero; sc is a Lie algebra iff all
-    entries vanish.
-    """
-    base = _jacobi_base(sc)
-    neg = tuple(-x for x in base)
-    residual = []
-    for i in range(3):
-        plane = []
-        for j in range(3):
-            row = []
-            for k in range(3):
-                sign = _PERM_SIGN.get((i, j, k), 0)
-                row.append(base if sign == 1 else neg if sign == -1 else ZERO_VECTOR)
-            plane.append(tuple(row))
-        residual.append(tuple(plane))
-    return tuple(residual)
 
 
 def jacobi_ok(sc: StructureConstants, mode: Optional[Mode] = None) -> bool:

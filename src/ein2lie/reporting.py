@@ -19,8 +19,8 @@ from .branches import (
     ExpectedLambdas,
     LAMBDA1_FREE,
 )
-from .ein2 import Ein2Solution, Ein2System, LINE, PLANE, POINT
-from .geometry import ConnectionCoefficients, RicciData
+from .ein2 import LINE, PAIRS, PLANE, POINT, Ein2Solution
+from .geometry import RicciData, Tensor3
 from .liealg import PARAMS_USED, FamilyParams, StructureConstants
 from .scalars import Scalar, format_scalar, is_exact
 
@@ -74,18 +74,12 @@ def solution_json(solution: Ein2Solution) -> Dict:
     return doc
 
 
-def system_json(system: Ein2System) -> Dict:
+def system_json(solution: Ein2Solution, convention: str) -> Dict:
     return {
-        "convention": system.convention,
+        "convention": convention,
         "rows": [
-            {
-                "i": row.i + 1,
-                "j": row.j + 1,
-                "a": scalar_json(row.a),
-                "b": scalar_json(row.b),
-                "c": scalar_json(row.c),
-            }
-            for row in system.rows
+            {"i": i + 1, "j": j + 1, "a": scalar_json(a), "b": scalar_json(b), "c": scalar_json(c)}
+            for (i, j), (a, b, c) in zip(PAIRS, solution.rows)
         ],
     }
 
@@ -210,8 +204,8 @@ def render_solution(solution: Ein2Solution) -> str:
     return f"none (minimal residual {format_scalar(solution.residual)})"
 
 
-def render_derive_text(doc_input: str, sc: StructureConstants, conn: ConnectionCoefficients,
-                       rd: RicciData, system: Ein2System, solution: Ein2Solution,
+def render_derive_text(doc_input: str, sc: StructureConstants, gamma: Tensor3,
+                       rd: RicciData, convention: str, solution: Ein2Solution,
                        unimodular_flag: bool) -> str:
     lines = [f"input: {doc_input}", ""]
     lines.append("brackets:")
@@ -224,7 +218,7 @@ def render_derive_text(doc_input: str, sc: StructureConstants, conn: ConnectionC
     for i in range(3):
         row = []
         for j in range(3):
-            row.append(f"nabla_{BASIS[i]} {BASIS[j]} = {format_vector(conn.derivative(i, j))}")
+            row.append(f"nabla_{BASIS[i]} {BASIS[j]} = {format_vector(gamma[i][j])}")
         lines.append("  " + " | ".join(row))
     lines.append("")
     lines.append("ricci operator (row convention):")
@@ -234,11 +228,11 @@ def render_derive_text(doc_input: str, sc: StructureConstants, conn: ConnectionC
     lines.append("rho^2 tensor:")
     lines.append(format_matrix(rd.rho_sq))
     lines.append("")
-    lines.append(f"component system ({system.convention} convention), A + lambda1*B + lambda2*C = 0:")
-    for row in system.rows:
+    lines.append(f"component system ({convention} convention), A + lambda1*B + lambda2*C = 0:")
+    for (i, j), (a, b, c) in zip(PAIRS, solution.rows):
         lines.append(
-            f"  ({row.i + 1},{row.j + 1}):"
-            f" A = {format_scalar(row.a)}, B = {format_scalar(row.b)}, C = {format_scalar(row.c)}"
+            f"  ({i + 1},{j + 1}):"
+            f" A = {format_scalar(a)}, B = {format_scalar(b)}, C = {format_scalar(c)}"
         )
     lines.append("")
     lines.append(f"solution: {render_solution(solution)}")

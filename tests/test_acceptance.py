@@ -47,11 +47,11 @@ def test_criterion_1_connection_fidelity(family_samples_100):
         table = CONNECTION_TABLES[family]
         assert len(samples) == 100
         for params in samples:
-            conn = levi_civita(build_family(params))
+            nabla = levi_civita(build_family(params))
             expected = table(params)
             for i in range(3):
                 for j in range(3):
-                    assert tuple(conn.derivative(i, j)) == tuple(expected[i][j]), (
+                    assert nabla[i][j] == tuple(expected[i][j]), (
                         family, params, i, j,
                     )
     print("PASS criterion 1: connection tables reproduced exactly at 100 points per family")
@@ -150,14 +150,14 @@ def test_criterion_8_invariant_suite(family_samples_100):
         for params in samples:
             sc = build_family(params)
             assert jacobi_ok(sc)
-            conn = levi_civita(sc)
-            riem = curvature(sc, conn).r
+            nabla = levi_civita(sc)
+            riem = curvature(sc, nabla)
             rd = ricci(sc)
             for i in range(3):
                 for j in range(3):
                     for k in range(3):
-                        assert conn.gamma[i][j][k] - conn.gamma[j][i][k] == sc.c[i][j][k]
-                        assert EPS[k] * conn.gamma[i][j][k] + EPS[j] * conn.gamma[i][k][j] == 0
+                        assert nabla[i][j][k] - nabla[j][i][k] == sc.c[i][j][k]
+                        assert EPS[k] * nabla[i][j][k] + EPS[j] * nabla[i][k][j] == 0
                         for l in range(3):
                             assert (
                                 riem[i][j][k][l] + riem[j][k][i][l] + riem[k][i][j][l] == 0

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
+from ein2lie import cli, ein2, geometry
 from ein2lie.cli import main
 
 SCHEMA_PATH = Path(__file__).parent.parent / "schema" / "report.schema.json"
@@ -63,8 +64,9 @@ def test_derive_invalid_params_exit_2():
 
 # derive's text and JSON bytes, pinned by sha256: one branch point per
 # family, a point that is not Ein(2), a line, approx mode at the 3.2(iv)
-# anchor and a raw table (read from the working directory, so that the
-# path it echoes is fixed).
+# anchor, the metric convention on a point with lambda2 != 0 and on the
+# approx input, and a raw table (read from the working directory, so that
+# the path it echoes is fixed).
 DERIVE_INPUTS = {
     "G1": ("--family", "G1", "--alpha", "2", "--beta", "0"),
     "G2": ("--family", "G2", "--alpha", "2", "--beta", "1", "--gamma=-1/2"),
@@ -78,6 +80,11 @@ DERIVE_INPUTS = {
     "approx": (
         "--family", "G5", "--mode", "approx", "--alpha", "0.5749669532551427",
         "--beta=-1", "--gamma", "2", "--delta", "1.1499339065102854",
+    ),
+    "metric": ("--family", "G3", "--alpha", "1", "--beta", "1", "--gamma", "3", "--convention", "metric"),
+    "metric_approx": (
+        "--family", "G5", "--mode", "approx", "--alpha", "0.5749669532551427",
+        "--beta=-1", "--gamma", "2", "--delta", "1.1499339065102854", "--convention", "metric",
     ),
     "raw": ("--raw", "raw.json"),
 }
@@ -129,6 +136,14 @@ DERIVE_SHA256 = {
         "8959e6b65c6cbd1af683320ef44f86c81b9ef98380b7e5976b64d068dec33297",
         "106e8aea5c250ef4f7af321de6cd39b00a6f41f43b43a0f41ea264888fc698f6",
     ),
+    "metric": (
+        "b28bbcef9122a8a552dfb947c7ad9b9248503ebc97ba8ee3e3838b5f997de131",
+        "f5170275c277238e7129709306a6629203c9d614d3a6da201fb4210b5a5e33cb",
+    ),
+    "metric_approx": (
+        "1f980445f7391388c2116d7a386edad29c16b7b16976d5761d8f94a6ad49759d",
+        "dd666bd88e5603742fa47015039c0fa3bac448167a136110bb1c8baa2fe75192",
+    ),
     "raw": (
         "c5727b5a3c2f5c3171cb229f5ec4281f868a1b130c70efbb442fd89f28861259",
         "a4b6d30a27586f5af97d38bc97ffc7fb6f85e0a569ffa4639c4d5bc76d17208b",
@@ -146,6 +161,22 @@ def test_derive_bytes_are_pinned(case, tmp_path, monkeypatch):
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == DERIVE_SHA256[case]
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_derive_computes_ricci_once(mode, monkeypatch):
+    """derive prints and solves the same Ricci data."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return geometry.ricci(*args, **kwargs)
+
+    for module in (cli, ein2):
+        monkeypatch.setattr(module, "ricci", counted)
+    code, _, _ = run_cli("derive", *DERIVE_INPUTS["G3"], "--mode", mode)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_derive_report_reingests_identically(tmp_path):

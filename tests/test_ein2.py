@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,18 +13,15 @@ from ein2lie import (
     CONVENTIONS,
     DELTA,
     METRIC,
-    Ein2Row,
-    Ein2System,
     FamilyParams,
     Mode,
     RicciData,
     build_family,
-    build_system,
     from_raw,
     is_ein2,
     match_printed_system,
     ricci,
-    solve_lambdas,
+    solve,
 )
 from ein2lie import ein2
 from ein2lie.ein2 import PAIRS
@@ -36,44 +34,44 @@ F = Fraction
 ABELIAN = from_raw([[[0] * 3 for _ in range(3)] for _ in range(3)])
 
 
-def rows_of(system):
-    return [(r.a, r.b, r.c) for r in system.rows]
+def solve_triples(triples, mode=Mode.exact()):
+    """Solve hand-built rows (a, b, c): exact ones scaled to ints by their lcm, floats as floats."""
+    if not mode.is_exact:
+        return ein2._solve(tuple(tuple(float(x) for x in row) for row in triples), 1, mode)
+    rows = [tuple(F(x) for x in row) for row in triples]
+    scale = lcm(*(x.denominator for row in rows for x in row))
+    ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in rows)
+    return ein2._solve(ints, scale, mode)
 
 
-def system_from_triples(triples, convention=DELTA, scalar=F):
-    rows = tuple(
-        Ein2Row(i=i, j=j, a=scalar(a), b=scalar(b), c=scalar(c))
-        for (i, j), (a, b, c) in zip(PAIRS, triples)
-    )
-    return Ein2System(rows=rows, convention=convention)
+def ricci_rows(rd, convention):
+    """The six rows (rho_sq, rho, C) on PAIRS, read off the Ricci Fractions."""
+    constants = (1, 0, 0, 1, 0, -1 if convention == METRIC else 1)
+    return [(rd.rho_sq[i][j], rd.rho[i][j], F(c)) for (i, j), c in zip(PAIRS, constants)]
 
 
-def test_build_system_g1_first_row():
-    rd = ricci(build_family(FamilyParams("G1", alpha=1, beta=2)))
-    system = build_system(rd, DELTA)
-    assert (system.rows[0].a, system.rows[0].b, system.rows[0].c) == (4, -2, 1)
+def test_rows_g1_first_row():
+    rows = is_ein2(build_family(FamilyParams("G1", alpha=1, beta=2)), DELTA).rows
+    assert rows[0] == (4, -2, 1)
 
 
-def test_build_system_zero_ricci_rows():
-    system = build_system(ricci(ABELIAN), DELTA)
-    for row in system.rows:
-        assert (row.a, row.b) == (0, 0)
-        assert row.c == (1 if row.i == row.j else 0)
+def test_rows_zero_ricci_rows():
+    for (i, j), (a, b, c) in zip(PAIRS, is_ein2(ABELIAN, DELTA).rows):
+        assert (a, b) == (0, 0)
+        assert c == (1 if i == j else 0)
 
 
-def test_build_system_g7_mixed_row():
-    rd = ricci(build_family(FamilyParams("G7", alpha=0, beta=1, gamma=1, delta=1)))
-    system = build_system(rd, DELTA)
-    row_23 = next(r for r in system.rows if (r.i, r.j) == (1, 2))
-    assert (row_23.a, row_23.b, row_23.c) == (1, 1, 0)
+def test_rows_g7_mixed_row():
+    rows = is_ein2(build_family(FamilyParams("G7", alpha=0, beta=1, gamma=1, delta=1))).rows
+    assert rows[PAIRS.index((1, 2))] == (1, 1, 0)
 
 
 def test_conventions_differ_only_in_last_diagonal_row(family_samples_100):
     for samples in family_samples_100.values():
         for params in samples[:10]:
             rd = ricci(build_family(params))
-            delta_rows = rows_of(build_system(rd, DELTA))
-            metric_rows = rows_of(build_system(rd, METRIC))
+            delta_rows = solve(rd, DELTA, Mode.exact()).rows
+            metric_rows = solve(rd, METRIC, Mode.exact()).rows
             assert delta_rows[:5] == metric_rows[:5]
             a_d, b_d, c_d = delta_rows[5]
             a_m, b_m, c_m = metric_rows[5]
@@ -85,17 +83,17 @@ def test_conventions_agree_when_lambda2_zero():
     # A lambda2 = 0 point solves both readings of the constant column.
     params = FamilyParams("G2", alpha=2, beta=1, gamma=1)
     rd = ricci(build_family(params))
-    sol_delta = solve_lambdas(build_system(rd, DELTA))
-    sol_metric = solve_lambdas(build_system(rd, METRIC))
+    sol_delta = solve(rd, DELTA, Mode.exact())
+    sol_metric = solve(rd, METRIC, Mode.exact())
     assert sol_delta.kind == sol_metric.kind == "point"
     assert sol_delta.point == sol_metric.point == (4, 0)
     # Same for the flat case: both conventions give the lambda2 = 0 line.
-    line_metric = solve_lambdas(build_system(ricci(ABELIAN), METRIC))
+    line_metric = is_ein2(ABELIAN, METRIC)
     assert line_metric.kind == "line" and line_metric.lambda2_zero_line()
 
 
 def test_solve_zero_ricci_gives_free_lambda1_line():
-    solution = solve_lambdas(build_system(ricci(ABELIAN), DELTA))
+    solution = is_ein2(ABELIAN, DELTA)
     assert solution.kind == "line"
     assert solution.lambda2_zero_line()
     assert solution.line_base == (0, 0)
@@ -113,32 +111,27 @@ def test_solve_point_example():
 def test_solve_inconsistent_example():
     solution = is_ein2(build_family(FamilyParams("G1", alpha=1, beta=1)))
     assert solution.kind == "none"
-    rd = ricci(build_family(FamilyParams("G1", alpha=1, beta=1)))
-    assert solve_brute(rows_of(build_system(rd, DELTA)))[0] == "none"
+    assert solve_brute(solution.rows)[0] == "none"
     assert solution.residual > 0
 
 
 def test_minimal_residual_is_a_lower_bound():
     solution = is_ein2(build_family(FamilyParams("G1", alpha=1, beta=1)))
-    rd = ricci(build_family(FamilyParams("G1", alpha=1, beta=1)))
-    system = build_system(rd, DELTA)
     best = solution.residual
     for l1 in (F(-3), F(-1), F(0), F(1), F(3, 2), F(2), F(3)):
         for l2 in (F(-2), F(0), F(1), F(2)):
-            assert system.residual_at(l1, l2) >= best
+            assert solution.residual_of(l1, l2) >= best
 
 
 def test_solve_plane_for_identically_zero_system():
-    system = system_from_triples([(0, 0, 0)] * 6)
-    solution = solve_lambdas(system)
+    solution = solve_triples([(0, 0, 0)] * 6)
     assert solution.kind == "plane"
     assert solution.residual == 0
 
 
 def test_solve_lambda2_free_line():
     # Rows constraining only lambda1: the solution line runs along lambda2.
-    system = system_from_triples([(-2, 1, 0), (-2, 1, 0), (0, 0, 0), (-4, 2, 0), (0, 0, 0), (0, 0, 0)])
-    solution = solve_lambdas(system)
+    solution = solve_triples([(-2, 1, 0), (-2, 1, 0), (0, 0, 0), (-4, 2, 0), (0, 0, 0), (0, 0, 0)])
     assert solution.kind == "line"
     assert solution.contains(F(2), F(17))
     assert not solution.contains(F(1), F(0))
@@ -175,20 +168,15 @@ def test_match_printed_system_approx_mode():
 def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family_samples_100):
     """Exact is_ein2 and match_printed_system read only the integer contraction."""
     points = [params for samples in family_samples_100.values() for params in samples[:10]]
-    references = [solve_lambdas(build_system(ricci(build_family(p)))) for p in points]
+    references = [ricci_rows(ricci(build_family(p)), DELTA) for p in points]
 
     def refuse(self):
         raise AssertionError("a Ricci Fraction was built")
 
     for name in ("rho", "rho_op", "rho_sq"):
         monkeypatch.setattr(RicciData, name, property(refuse))
-    for params, reference in zip(points, references):
-        solution = is_ein2(build_family(params))
-        assert solution.kind == reference.kind, params
-        assert solution.point == reference.point, params
-        assert solution.line_base == reference.line_base, params
-        assert solution.line_direction == reference.line_direction, params
-        assert solution.residual == reference.residual, params
+    for params, rows in zip(points, references):
+        assert_matches_elimination(is_ein2(build_family(params)), rows, Mode.exact())
         assert match_printed_system(params), params
 
 
@@ -238,9 +226,8 @@ small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 @given(triples=st.lists(st.tuples(small_fractions, small_fractions, small_fractions), min_size=6, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_solver_agrees_with_minors_oracle(triples):
-    system = system_from_triples(triples)
-    solution = solve_lambdas(system)
-    oracle = solve_brute(rows_of(system))
+    solution = solve_triples(triples)
+    oracle = solve_brute(triples)
     assert solution.kind == oracle[0]
     if oracle[0] == "point":
         assert solution.point == oracle[1]
@@ -255,15 +242,14 @@ def test_solver_agrees_with_minors_oracle(triples):
 @given(triples=st.lists(st.tuples(small_fractions, small_fractions, small_fractions), min_size=6, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_minimal_residual_never_exceeds_probes(triples):
-    system = system_from_triples(triples)
-    solution = solve_lambdas(system)
+    solution = solve_triples(triples)
     if solution.kind != "none":
         return
     best = solution.residual
     assert best > 0
     for l1 in (F(-1), F(0), F(1)):
         for l2 in (F(-1), F(0), F(1)):
-            assert system.residual_at(l1, l2) >= best
+            assert solution.residual_of(l1, l2) >= best
 
 
 @st.composite
@@ -314,38 +300,29 @@ def rank_forced_triples(draw):
     ],
 )
 def test_minimal_residual_examples(triples, expected):
-    system = system_from_triples(triples)
-    solution = solve_lambdas(system)
+    solution = solve_triples(triples)
     assert solution.kind == "none"
     assert solution.residual == expected
     assert type(solution.residual) is Fraction
-    assert min_sup_residual_vertices(rows_of(system), Mode.exact()) == expected
+    assert min_sup_residual_vertices(solution.rows, Mode.exact()) == expected
 
 
 @given(triples=rank_forced_triples())
 @settings(max_examples=200, deadline=None)
 def test_minimal_residual_matches_vertex_oracle(triples):
-    system = system_from_triples(triples)
-    solution = solve_lambdas(system)
+    solution = solve_triples(triples)
     assume(solution.kind == "none")
     residual = solution.residual
     assert type(residual) is Fraction
-    assert residual == min_sup_residual_vertices(rows_of(system), Mode.exact())
+    assert residual == min_sup_residual_vertices(triples, Mode.exact())
 
 
 @given(triples=rank_forced_triples(), scale=st.sampled_from((F(1), F(1, 100), F(100))))
 @settings(max_examples=200, deadline=None)
 def test_float_minimal_residual_tracks_exact(triples, scale):
-    exact_system = system_from_triples([tuple(scale * F(x) for x in row) for row in triples])
-    float_system = Ein2System(
-        rows=tuple(
-            Ein2Row(i=r.i, j=r.j, a=float(r.a), b=float(r.b), c=float(r.c))
-            for r in exact_system.rows
-        ),
-        convention=DELTA,
-    )
-    exact = solve_lambdas(exact_system)
-    approx = solve_lambdas(float_system, Mode.approx())
+    scaled = [tuple(scale * F(x) for x in row) for row in triples]
+    exact = solve_triples(scaled)
+    approx = solve_triples(scaled, Mode.approx())
     assume(exact.kind == approx.kind == "none")
     r = exact.residual
     assert abs(approx.residual - r) <= 1e-9 * max(1, r)
@@ -394,10 +371,9 @@ def oracle_triples(draw):
 @given(triples=oracle_triples())
 @settings(max_examples=120, deadline=None)
 def test_solver_matches_elimination_oracle(triples):
-    assert_matches_elimination(solve_lambdas(system_from_triples(triples)), triples, Mode.exact())
-    float_system = system_from_triples(triples, scalar=float)
+    assert_matches_elimination(solve_triples(triples), triples, Mode.exact())
     floats = [tuple(float(x) for x in row) for row in triples]
-    assert_matches_elimination(solve_lambdas(float_system, Mode.approx()), floats, Mode.approx())
+    assert_matches_elimination(solve_triples(triples, Mode.approx()), floats, Mode.approx())
 
 
 _SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -414,11 +390,8 @@ def test_is_ein2_matches_elimination_oracle_on_ricci_rows(params, convention):
         sc = build_family(params)
     except ConstraintViolation:
         assume(False)
-    system = build_system(ricci(sc), convention)
-    # the parent's rows carried the constant column as Fractions
-    rows = [(a, b, F(c)) for a, b, c in rows_of(system)]
+    rows = ricci_rows(ricci(sc), convention)
     assert_matches_elimination(is_ein2(sc, convention), rows, Mode.exact())
-    assert_matches_elimination(solve_lambdas(system), rows, Mode.exact())
 
     values = {name: float(getattr(params, name)) for name in ("alpha", "beta", "gamma", "delta")}
     approx = Mode.approx()
@@ -426,8 +399,7 @@ def test_is_ein2_matches_elimination_oracle_on_ricci_rows(params, convention):
         float_sc = build_family(FamilyParams(params.family, eta=params.eta, **values), approx)
     except ConstraintViolation:
         return
-    float_system = build_system(ricci(float_sc, approx), convention)
-    float_rows = [(a, b, F(c)) for a, b, c in rows_of(float_system)]
+    float_rows = ricci_rows(ricci(float_sc, approx), convention)
     assert_matches_elimination(is_ein2(float_sc, convention, approx), float_rows, approx)
 
 
@@ -437,9 +409,10 @@ def test_systems_carry_plain_int_constants():
         FamilyParams("G5", alpha=0.5, beta=0.0, gamma=0.0, delta=1.5),
         FamilyParams("G1", alpha=1, beta=2),
     ):
-        rd = ricci(build_family(params))
+        mode = params.mode()
+        rd = ricci(build_family(params), mode)
         for convention in CONVENTIONS:
-            constants = [row.c for row in build_system(rd, convention).rows]
+            constants = [c for _, _, c in ein2._rows(rd, convention, mode)[0]]
             assert all(type(c) is int for c in constants), (params, convention, constants)
 
 
@@ -461,6 +434,6 @@ def test_exact_point_contains_compares_with_the_point():
     ],
 )
 def test_float_decisions_at_the_tolerance(triples, kind):
-    solution = solve_lambdas(system_from_triples(triples, scalar=float), Mode.approx())
+    solution = solve_triples(triples, Mode.approx())
     assert solution.kind == kind
     assert_matches_elimination(solution, triples, Mode.approx())

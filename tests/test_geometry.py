@@ -45,7 +45,7 @@ def ricci_via_tensor(sc, mode=None):
     Each sum runs left to right from 0; builtin `sum` compensates float
     rounding from Python 3.12 on, which would move the bits compared here.
     """
-    riem = curvature(sc, levi_civita(sc, mode)).r
+    riem = curvature(sc, levi_civita(sc, mode))
     rho = tuple(
         tuple(-(0 + riem[i][0][j][0] + riem[i][1][j][1] + riem[i][2][j][2]) for j in range(3))
         for i in range(3)
@@ -86,39 +86,39 @@ def assert_matches_reference_routes(sc, mode=None):
 
 
 def test_levi_civita_g1_spot_values():
-    conn = levi_civita(build_family(FamilyParams("G1", alpha=1, beta=2)))
-    assert conn.derivative(0, 0) == (0, -1, -1)
-    assert conn.derivative(1, 0) == (0, 0, 1)
-    assert conn.derivative(2, 0) == (0, 1, 0)
-    assert conn.derivative(2, 1) == (-1, 0, -1)
+    nabla = levi_civita(build_family(FamilyParams("G1", alpha=1, beta=2)))
+    assert nabla[0][0] == (0, -1, -1)
+    assert nabla[1][0] == (0, 0, 1)
+    assert nabla[2][0] == (0, 1, 0)
+    assert nabla[2][1] == (-1, 0, -1)
 
 
 def test_levi_civita_g5_spot_values():
-    conn = levi_civita(build_family(FamilyParams("G5", alpha=2, beta=0, gamma=0, delta=1)))
-    assert conn.derivative(0, 0) == (0, 0, 2)
-    assert conn.derivative(1, 1) == (0, 0, 1)
-    assert conn.derivative(0, 2) == (2, 0, 0)
-    assert conn.derivative(1, 2) == (0, 1, 0)
+    nabla = levi_civita(build_family(FamilyParams("G5", alpha=2, beta=0, gamma=0, delta=1)))
+    assert nabla[0][0] == (0, 0, 2)
+    assert nabla[1][1] == (0, 0, 1)
+    assert nabla[0][2] == (2, 0, 0)
+    assert nabla[1][2] == (0, 1, 0)
     for i, j in ((1, 0), (2, 0), (0, 1), (2, 1), (2, 2)):
-        assert conn.derivative(i, j) == (0, 0, 0)
+        assert nabla[i][j] == (0, 0, 0)
 
 
 def test_levi_civita_abelian_is_flat():
-    conn = levi_civita(ABELIAN)
-    assert all(x == 0 for i in conn.gamma for j in i for x in j)
-    riem = curvature(ABELIAN, conn)
-    assert all(x == 0 for a in riem.r for b in a for c in b for x in c)
+    nabla = levi_civita(ABELIAN)
+    assert all(x == 0 for i in nabla for j in i for x in j)
+    riem = curvature(ABELIAN, nabla)
+    assert all(x == 0 for a in riem for b in a for c in b for x in c)
 
 
 def test_levi_civita_matches_tables(family_samples_100):
     for family, samples in family_samples_100.items():
         expected_table = CONNECTION_TABLES[family]
         for params in samples:
-            conn = levi_civita(build_family(params))
+            nabla = levi_civita(build_family(params))
             expected = expected_table(params)
             for i in range(3):
                 for j in range(3):
-                    assert tuple(conn.derivative(i, j)) == tuple(expected[i][j]), (
+                    assert nabla[i][j] == tuple(expected[i][j]), (
                         family,
                         params,
                         i,
@@ -140,13 +140,13 @@ def test_connection_invariants(family_samples_100):
     for samples in family_samples_100.values():
         for params in samples[:25]:
             sc = build_family(params)
-            conn = levi_civita(sc)
+            nabla = levi_civita(sc)
             for i in range(3):
                 for j in range(3):
                     for k in range(3):
-                        torsion = conn.gamma[i][j][k] - conn.gamma[j][i][k] - sc.c[i][j][k]
+                        torsion = nabla[i][j][k] - nabla[j][i][k] - sc.c[i][j][k]
                         assert torsion == 0
-                        compat = EPS[k] * conn.gamma[i][j][k] + EPS[j] * conn.gamma[i][k][j]
+                        compat = EPS[k] * nabla[i][j][k] + EPS[j] * nabla[i][k][j]
                         assert compat == 0
 
 
@@ -154,7 +154,7 @@ def test_curvature_antisymmetry_and_bianchi(family_samples_100):
     for samples in family_samples_100.values():
         for params in samples[:25]:
             sc = build_family(params)
-            riem = curvature(sc, levi_civita(sc)).r
+            riem = curvature(sc, levi_civita(sc))
             for i in range(3):
                 for j in range(3):
                     for k in range(3):
@@ -172,7 +172,7 @@ def test_curvature_g1_spot_value():
     from oracles import curvature_vec, koszul_connection
 
     sc = build_family(FamilyParams("G1", alpha=1, beta=0))
-    riem = curvature(sc, levi_civita(sc)).r
+    riem = curvature(sc, levi_civita(sc))
     assert riem[0][1][0] == (0, 2, 2)
     assert curvature_vec(sc, koszul_connection(sc), 0, 1, 0) == (0, 2, 2)
 
