@@ -256,17 +256,16 @@ def _rows(rd: RicciData, convention: str, mode: Mode):
 
     Exact rows are the ints (S_ij, 4 L^2 N_ij, 16 L^4 c_ij) at scale
     16 L^4, S = `RicciData.squares()`, so no Ricci Fraction is built;
-    other rows are (rho_sq, rho, c) at scale 1.
+    float rows are (S_ij / 16, N_ij / 4, c_ij) at scale 1 (L = 1), the
+    bits of (rho_sq, rho, c) since both divisors are powers of two.
     """
-    if mode.is_exact:
-        unit = 4 * rd.scale**2
-        a, b, scale = rd.squares(), rd.n, unit * unit
-    else:
-        a, b, unit, scale = rd.rho_sq, rd.rho, 1, 1
-    rows = tuple(
-        (a[i][j], unit * b[i][j], scale * c) for (i, j), c in zip(PAIRS, _constants(convention))
-    )
-    return rows, scale
+    a, b = rd.squares(), rd.n
+    pairs = zip(PAIRS, _constants(convention))
+    if not mode.is_exact:
+        return tuple((a[i][j] / 16, b[i][j] / 4, c) for (i, j), c in pairs), 1
+    unit = 4 * rd.scale**2
+    scale = unit * unit
+    return tuple((a[i][j], unit * b[i][j], scale * c) for (i, j), c in pairs), scale
 
 
 def solve(rd: RicciData, convention: str, mode: Mode) -> Ein2Solution:

@@ -209,18 +209,13 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
     Raises NotLieAlgebra when the Jacobi residual is nonzero.
     """
     require_lie_algebra(sc, mode)
-    c = sc.c
+    c, scale = sc.c, 1
     if sc.is_exact():
         scale = lcm(*(x.denominator for x in sc.values()))
         c = [
             [[x.numerator * (scale // x.denominator) for x in row] for row in plane]
             for plane in c
         ]
-        zero = 0
-    else:
-        # accumulators start at Fraction(0), as in `curvature`, so that a
-        # term-free entry keeps that type
-        scale, zero = 1, Fraction(0)
     h = _koszul(c)
     n = []
     for i in range(3):
@@ -232,10 +227,10 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
             for a in range(3):
                 ha, cia = h[a], ci[a]
                 haj = ha[j]
-                acc = zero
+                acc = 0
                 for m in range(3):
-                    # skip zero factors as `curvature` does: a 0.0 product
-                    # would turn Fraction(0) into a float
+                    # skip zero factors as `curvature` does: a term-free
+                    # entry stays an int 0, which `RicciData` prints exactly
                     x, y = haj[m], hi[m][a]
                     if x and y:
                         acc = acc + x * y

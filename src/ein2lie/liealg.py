@@ -385,7 +385,7 @@ def from_raw(c, mode: Optional[Mode] = None) -> StructureConstants:
 def _jacobi_base(sc: StructureConstants) -> Vector:
     """Coefficients of [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2]."""
     c = sc.c
-    out = [Fraction(0), Fraction(0), Fraction(0)]
+    out = [0, 0, 0]
     for first, second, third in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         pair = c[first][second]
         for m in range(3):

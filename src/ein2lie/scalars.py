@@ -62,7 +62,9 @@ def parse_scalar(text: str) -> Scalar:
 
 def is_exact(value) -> bool:
     # the concrete types first: the Rational check alone is slow
-    return isinstance(value, (Fraction, int)) or isinstance(value, Rational)
+    if isinstance(value, (Fraction, int)):
+        return True
+    return not isinstance(value, float) and isinstance(value, Rational)
 
 
 def format_scalar(value: Scalar) -> str:

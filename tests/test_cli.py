@@ -134,7 +134,7 @@ DERIVE_SHA256 = {
     ),
     "approx": (
         "8959e6b65c6cbd1af683320ef44f86c81b9ef98380b7e5976b64d068dec33297",
-        "106e8aea5c250ef4f7af321de6cd39b00a6f41f43b43a0f41ea264888fc698f6",
+        "09ea79ab6c1b2c32e0553b6aa2afece7a9f44132209c48582ef28ccaea8e61d5",
     ),
     "metric": (
         "b28bbcef9122a8a552dfb947c7ad9b9248503ebc97ba8ee3e3838b5f997de131",
@@ -142,7 +142,7 @@ DERIVE_SHA256 = {
     ),
     "metric_approx": (
         "1f980445f7391388c2116d7a386edad29c16b7b16976d5761d8f94a6ad49759d",
-        "dd666bd88e5603742fa47015039c0fa3bac448167a136110bb1c8baa2fe75192",
+        "6fc40b89917fcd442be2e78ee951959a00011adf7251b0334e3f39950c2074b8",
     ),
     "raw": (
         "c5727b5a3c2f5c3171cb229f5ec4281f868a1b130c70efbb442fd89f28861259",
@@ -161,6 +161,16 @@ def test_derive_bytes_are_pinned(case, tmp_path, monkeypatch):
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == DERIVE_SHA256[case]
+
+
+@pytest.mark.parametrize("case", ["approx", "metric_approx"])
+def test_approx_derive_json_prints_row_entries_as_numbers(case):
+    """Approx rows are floats from the contraction; only the constant column stays exact."""
+    code, doc, _ = run_json("derive", *DERIVE_INPUTS[case])
+    assert code == 0
+    rows = doc["system"]["rows"]
+    assert all(type(row["a"]) is float and type(row["b"]) is float for row in rows)
+    assert all(row["c"] in ("0", "1", "-1") for row in rows)
 
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])

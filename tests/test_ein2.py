@@ -10,6 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ein2lie import (
+    ANCHORS,
+    BRANCHES_BY_LABEL,
     CONVENTIONS,
     DELTA,
     METRIC,
@@ -21,6 +23,7 @@ from ein2lie import (
     is_ein2,
     match_printed_system,
     ricci,
+    sample_branch,
     solve,
 )
 from ein2lie import ein2
@@ -414,6 +417,44 @@ def test_systems_carry_plain_int_constants():
         for convention in CONVENTIONS:
             constants = [c for _, _, c in ein2._rows(rd, convention, mode)[0]]
             assert all(type(c) is int for c in constants), (params, convention, constants)
+
+
+def _float_route_points():
+    """Float branch samples, both anchors and the points of the approx benchmark scans."""
+    points = [
+        params
+        for label in ("2.7(viii)", "3.2(iv)", "3.4(vii)")
+        for params in sample_branch(BRANCHES_BY_LABEL[label], 20, 7)
+    ]
+    points += [anchor.params for anchor in ANCHORS]
+    halves = [k / 2 for k in range(-4, 5)]
+    points += [FamilyParams("G3", alpha=a, beta=b, gamma=1.0) for a in halves for b in halves]
+    points += [FamilyParams("G1", alpha=1 + k / 2, beta=b) for k in range(5) for b in halves]
+    points += [
+        FamilyParams("G5", alpha=a, beta=0.0, gamma=0.0, delta=d)
+        for a in halves
+        for d in halves
+        if a + d != 0
+    ]
+    return points
+
+
+def _bits(x):
+    return type(x), x.hex() if isinstance(x, float) else x
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_float_rows_come_straight_from_the_contraction(convention):
+    """Float Ricci data and rows hold no Fraction; rows are the Ricci floats bit for bit."""
+    for params in _float_route_points():
+        mode = params.mode()
+        sc = build_family(params, mode)
+        rd = ricci(sc, mode)
+        assert not any(type(x) is Fraction for row in rd.n for x in row), params
+        rows = is_ein2(sc, convention, mode).rows
+        for row, (i, j), c in zip(rows, PAIRS, ein2._constants(convention)):
+            expected = (float(rd.rho_sq[i][j]), float(rd.rho[i][j]), c)
+            assert [_bits(x) for x in row] == [_bits(x) for x in expected], params
 
 
 def test_exact_point_contains_compares_with_the_point():
