@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -161,6 +162,108 @@ def test_derive_bytes_are_pinned(case, tmp_path, monkeypatch):
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == DERIVE_SHA256[case]
+
+
+# check and classify on a point, a line, a point that is not Ein(2), the
+# approx 3.2(iv) input and a G4 point (eta in the input line); verify at
+# seed 7, whose report carries the 3.4(v) erratum, and under the metric
+# convention, whose report lists the convention divergences.  (exit
+# code, text sha256, JSON sha256) per case.
+_VERDICT_POINTS = {
+    "point": DERIVE_INPUTS["G1"],
+    "line": DERIVE_INPUTS["line"],
+    "none": DERIVE_INPUTS["none"],
+    "approx": DERIVE_INPUTS["approx"],
+    "G4": DERIVE_INPUTS["G4"],
+}
+REPORT_INPUTS = {
+    **{f"{command}_{case}": (command, *argv)
+       for command in ("check", "classify") for case, argv in _VERDICT_POINTS.items()},
+    "verify_seed7": ("verify", "--seed", "7"),
+    "verify_metric": (
+        "verify", "--convention", "metric", "--samples", "5",
+        "--fidelity-samples", "5", "--neg-samples", "5",
+    ),
+}
+REPORT_SHA256 = {
+    "check_G4": (
+        0,
+        "dc46e93e1b64c7a04d3b1a849c6f4b0cc849bbcdbc52e9fd9add2ddb631077df",
+        "82ac2e5c6a074da171156b9e2c0e4ddb7e1b7f114179604ee8fb86352ff51486",
+    ),
+    "check_approx": (
+        0,
+        "0a8bdab510d2142e2c9c55e2b662333f4727ea1db0b15addbcadfa2ccb66076e",
+        "ade306febb0d9d7a49c03225ed787c7266cf164b9d6a10fca723eef26ef1e4ae",
+    ),
+    "check_line": (
+        0,
+        "d49d5b3bf18b8bc33d5b5fbb2994eecf67cfdae9a3fb8262caf791f58ae0656b",
+        "69ce9606c1cb494c2c7155e3ec0a793ea08765bd7932a5460219a7e08f7c44e0",
+    ),
+    "check_none": (
+        1,
+        "6c256d3e7e486475f7165c0ccf3e0433e82619c2ebef19a9d4f3db3697cfb494",
+        "ec24fb4e8c88e0ca9999b654c8d8b12f7da43f55c17804a6e43075c684dfd4eb",
+    ),
+    "check_point": (
+        0,
+        "c9bad06fa6e15c57c9f6ffa59d75c8a3b9455e3fc9f55fb84a65fbf67d050071",
+        "653f02e21fdd2c92e5b70756aa2a5b98e1eb5260d2cce91224a4e05070652d30",
+    ),
+    "classify_G4": (
+        0,
+        "7247ba6836bc073b3aef23fbd9c47a408e9707d0b2a6d01130b69c559a770806",
+        "6c83b840173adb03dd8e76805339191c58685feaa6ab0e217eb82b873f0c84f8",
+    ),
+    "classify_approx": (
+        0,
+        "3bb29f3a4f0190d4bb5cb6ce67831f1bd1bbbe258f150492cda9abac504efd3f",
+        "07eed8a0992c61501e5db31321dd46cecfe0bf82fde15d2f4dc75b5e7af5be1d",
+    ),
+    "classify_line": (
+        0,
+        "c44dd5bc56ba6b12f8f142f5a4232d548417dd6ae89a17437c195751de474595",
+        "ea5f57294dbf6a0327f24c50ad32d41bab40d0fa22e798509b4acfe7a7b204db",
+    ),
+    "classify_none": (
+        1,
+        "13d7bf8d4391289905f206aa9e6d1fd83cac4b884b000737a48e85a8104ca3f5",
+        "546172ad8da571dd53ab37ccc7e24c6754ade5f619c452865dbedc6093e098ff",
+    ),
+    "classify_point": (
+        0,
+        "76dcfa0c2efd6f89aa5a2090e07d6ae19aea26c297c8ebe00ae7be2383d3d894",
+        "e6e4aaf8537038203d1ba9a3c2887fa60fa3e4de01ae3c1bc083bd6fbc683591",
+    ),
+    "verify_metric": (
+        0,
+        "43ed8c428818d299494d1bff370012a3e7f9199fdf368c89776ba40492e51338",
+        "48e4166008593eb476c86f210a92876c9ee4baee0d2f6a23e82b93584f77ea74",
+    ),
+    "verify_seed7": (
+        0,
+        "5f2ff48918d7f51ae67de65c43a665f9c7d34b4fd134a127a707e9f11166254c",
+        "d51f1283643be46272c1ffb77ccd66ef9e51be7dfe0d526a1ee9bf09d96b1ed8",
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def report_output(argv, fmt):
+    """(exit code, stdout) of one report; stderr must stay empty."""
+    code, out, err = run_cli(*argv, "--format", fmt)
+    assert err == ""
+    return code, out
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_INPUTS))
+def test_report_bytes_are_pinned(case):
+    (code, text), (json_code, doc) = (report_output(REPORT_INPUTS[case], fmt)
+                                      for fmt in ("text", "json"))
+    assert code == json_code
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in (text, doc))
+    assert (code, *digests) == REPORT_SHA256[case]
 
 
 @pytest.mark.parametrize("case", ["approx", "metric_approx"])
