@@ -19,6 +19,10 @@ Subcommands, with the options each one takes besides --convention,
   scan      sweep a parameter grid, one CSV row per grid point; the
             options of classify and --grid; csv
 
+Each command builds its report once, as its JSON document, and hands
+it to `_emit`, which writes the document or its layout in the other
+format (`reporting.render_*`); no command builds a report per format.
+
 Exit codes: 0 success/affirmative, 1 negative verdict or unexplained
 verification failure, 2 invalid input.
 
@@ -35,13 +39,11 @@ report can be re-ingested with --raw.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from . import reporting
 from .branches import DEFAULT_SEED, classify
@@ -198,13 +200,13 @@ def _raw_entry(table, i, j, k, mode: Mode):
 
 
 def _input_algebra(job: argparse.Namespace):
-    """Resolve the input to (structure constants, params-or-None, description)."""
+    """Resolve the input to (structure constants, params-or-None)."""
     if job.raw is not None and job.family is not None:
         raise InputError("give either --family or --raw, not both")
     if job.raw is not None:
-        return _load_raw(job.raw, job.mode), None, f"raw {job.raw}"
+        return _load_raw(job.raw, job.mode), None
     params = _family_params(job)
-    return build_family(params, job.mode), params, reporting.render_params(params)
+    return build_family(params, job.mode), params
 
 
 def _input_json(job: argparse.Namespace, params: Optional[FamilyParams]) -> Dict:
@@ -217,7 +219,23 @@ def _mode_json(job: argparse.Namespace) -> Dict:
     return {"kind": job.mode.kind, "tolerance": job.mode.tolerance}
 
 
-def _emit(job: argparse.Namespace, text: str) -> None:
+def _verdict_json(job: argparse.Namespace, command: str, params: Optional[FamilyParams],
+                  ein2: bool, **fields) -> Dict:
+    """A verdict document: the header check and classify share, then `fields`."""
+    return {
+        "schema": reporting.SCHEMA_VERDICT,
+        "command": command,
+        "input": _input_json(job, params),
+        "convention": job.convention,
+        "mode": _mode_json(job),
+        "ein2": ein2,
+        **fields,
+    }
+
+
+def _emit(job: argparse.Namespace, doc, render: Callable) -> None:
+    """Write the report: its JSON document, or `render(doc)`, its layout in the other format."""
+    text = reporting.dumps(doc) if job.format == "json" else render(doc)
     if job.out:
         with open(job.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -230,81 +248,45 @@ def _emit(job: argparse.Namespace, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_derive(job: argparse.Namespace) -> int:
-    sc, params, described = _input_algebra(job)
+    sc, params = _input_algebra(job)
     gamma = levi_civita(sc, job.mode)
     rd = ricci(sc, job.mode)
     solution = solve(rd, job.convention, job.mode)
-    if job.format == "json":
-        doc = {
-            "schema": reporting.SCHEMA_DERIVE,
-            "input": _input_json(job, params),
-            "mode": _mode_json(job),
-            "convention": job.convention,
-            "structure_constants": {"c": reporting.tensor3_json(sc.c)},
-            "unimodular": unimodular(sc),
-            "connection": reporting.tensor3_json(gamma),
-            "ricci": {
-                "rho": reporting.matrix_json(rd.rho),
-                "rho_op": reporting.matrix_json(rd.rho_op),
-                "rho_sq": reporting.matrix_json(rd.rho_sq),
-            },
-            "system": reporting.system_json(solution, job.convention),
-            "solution": reporting.solution_json(solution),
-        }
-        _emit(job, reporting.dumps(doc))
-    else:
-        _emit(
-            job,
-            reporting.render_derive_text(
-                described, sc, gamma, rd, job.convention, solution, unimodular(sc)
-            ),
-        )
+    doc = {
+        "schema": reporting.SCHEMA_DERIVE,
+        "input": _input_json(job, params),
+        "mode": _mode_json(job),
+        "convention": job.convention,
+        "structure_constants": {"c": reporting.tensor3_json(sc.c)},
+        "unimodular": unimodular(sc, job.mode),
+        "connection": reporting.tensor3_json(gamma),
+        "ricci": {
+            "rho": reporting.matrix_json(rd.rho),
+            "rho_op": reporting.matrix_json(rd.rho_op),
+            "rho_sq": reporting.matrix_json(rd.rho_sq),
+        },
+        "system": reporting.system_json(solution, job.convention),
+        "solution": reporting.solution_json(solution),
+    }
+    _emit(job, doc, reporting.render_derive_text)
     return EXIT_OK
 
 
 def cmd_check(job: argparse.Namespace) -> int:
-    sc, params, described = _input_algebra(job)
+    sc, params = _input_algebra(job)
     solution = is_ein2(sc, job.convention, job.mode)
-    if job.format == "json":
-        doc = {
-            "schema": reporting.SCHEMA_VERDICT,
-            "command": "check",
-            "input": _input_json(job, params),
-            "convention": job.convention,
-            "mode": _mode_json(job),
-            "ein2": solution.is_ein2(),
-            "solution": reporting.solution_json(solution),
-        }
-        _emit(job, reporting.dumps(doc))
-    else:
-        _emit(job, reporting.render_verdict_text(described, solution))
+    doc = _verdict_json(job, "check", params, solution.is_ein2(),
+                        solution=reporting.solution_json(solution))
+    _emit(job, doc, reporting.render_verdict_text)
     return EXIT_OK if solution.is_ein2() else EXIT_NEGATIVE
 
 
 def cmd_classify(job: argparse.Namespace) -> int:
     params = _family_params(job)
     result = classify(params, job.convention, job.mode)
-    if job.format == "json":
-        doc = {
-            "schema": reporting.SCHEMA_VERDICT,
-            "command": "classify",
-            "input": _input_json(job, params),
-            "convention": job.convention,
-            "mode": _mode_json(job),
-            "ein2": result.solution.is_ein2(),
-            **reporting.classification_json(result),
-        }
-        _emit(job, reporting.dumps(doc))
-    else:
-        _emit(
-            job,
-            reporting.render_verdict_text(
-                reporting.render_params(params),
-                result.solution,
-                branches=result.branches,
-                status=result.status,
-            ),
-        )
+    doc = _verdict_json(job, "classify", params, result.solution.is_ein2(),
+                        **reporting.classification_json(result))
+    _emit(job, doc, reporting.render_verdict_text)
     return EXIT_OK if result.branches else EXIT_NEGATIVE
 
 
@@ -317,10 +299,7 @@ def cmd_verify(job: argparse.Namespace) -> int:
         negative_samples=job.neg_samples,
         theorems=job.theorem,
     )
-    if job.format == "json":
-        _emit(job, reporting.dumps(reporting.suite_json(report)))
-    else:
-        _emit(job, reporting.render_suite_text(report))
+    _emit(job, reporting.suite_json(report), reporting.render_suite_text)
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
@@ -383,13 +362,7 @@ def cmd_scan(job: argparse.Namespace) -> int:
             rows.append(reporting.scan_row(params, None, error=str(exc)))
         else:
             rows.append(reporting.scan_row(params, result))
-
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=reporting.SCAN_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    _emit(job, buffer.getvalue())
+    _emit(job, rows, reporting.render_scan_csv)
     return EXIT_OK
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .geometry import RicciData, ricci
 from .liealg import EPS, FamilyParams, StructureConstants, build_family
@@ -256,15 +256,16 @@ def _rows(rd: RicciData, convention: str, mode: Mode):
 
     Exact rows are the ints (S_ij, 4 L^2 N_ij, 16 L^4 c_ij) at scale
     16 L^4, S = `RicciData.squares()`, so no Ricci Fraction is built;
-    float rows are (S_ij / 16, N_ij / 4, c_ij) at scale 1 (L = 1), the
-    bits of (rho_sq, rho, c) since both divisors are powers of two.
+    float rows are (S_ij / (16 L^4), N_ij / (4 L^2), c_ij) at scale 1.
+    A float table has L = 1, so its rows are the bits of (rho_sq, rho,
+    c), both divisors being powers of two.
     """
     a, b = rd.squares(), rd.n
     pairs = zip(PAIRS, _constants(convention))
-    if not mode.is_exact:
-        return tuple((a[i][j] / 16, b[i][j] / 4, c) for (i, j), c in pairs), 1
     unit = 4 * rd.scale**2
     scale = unit * unit
+    if not mode.is_exact:
+        return tuple((a[i][j] / scale, b[i][j] / unit, c) for (i, j), c in pairs), 1
     return tuple((a[i][j], unit * b[i][j], scale * c) for (i, j), c in pairs), scale
 
 
@@ -388,32 +389,14 @@ PRINTED_SYSTEMS: Dict[str, Callable[[FamilyParams], List[Tuple[Scalar, Scalar, S
 }
 
 
-def _canonical_rows(triples: Sequence[Tuple[Scalar, Scalar, Scalar]], mode: Mode):
-    """The distinct nonzero rows, each signed by its leading nonzero entry."""
-    canonical = []
-    for triple in triples:
-        lead = next((x for x in triple if not mode.is_zero(x)), None)
-        if lead is not None:
-            row = tuple(-x for x in triple) if lead < 0 else tuple(triple)
-            if not any(_close(row, seen, mode) for seen in canonical):
-                canonical.append(row)
-    return canonical
-
-
-def _close(u, v, mode: Mode) -> bool:
-    """Rows equal within tolerance, exactly in exact mode."""
-    return all(mode.is_zero(x - y) for x, y in zip(u, v))
-
-
-def _rows_match(left, right, mode: Mode) -> bool:
-    """Each row of `left` matches its own row of `right`, and none is left over."""
-    remaining = list(right)
-    for row in left:
-        match = next((k for k, other in enumerate(remaining) if _close(row, other, mode)), None)
-        if match is None:
-            return False
-        del remaining[match]
-    return not remaining
+def _covers(rows, others, mode: Mode) -> bool:
+    """Every nonzero row of `rows` equals a row of `others` up to sign."""
+    signed = [side for other in others for side in (other, tuple(-x for x in other))]
+    return all(
+        any(all(map(mode.eq, row, other)) for other in signed)
+        for row in rows
+        if not all(map(mode.is_zero, row))
+    )
 
 
 def match_printed_system(params: FamilyParams, mode: Optional[Mode] = None) -> bool:
@@ -421,11 +404,12 @@ def match_printed_system(params: FamilyParams, mode: Optional[Mode] = None) -> b
 
     The rows of `_rows` (delta convention, zero rows dropped) must equal
     the family's tabulated equations times the rows' scale, up to row
-    sign and ordering: ints against the scaled table in exact mode, so
-    no Ricci Fraction is built.
+    sign, ordering and repetition: every nonzero row on either side is a
+    row of the other.  Exact mode compares ints against the scaled table,
+    so no Ricci Fraction is built.
     """
     if mode is None:
         mode = params.mode()
     rows, scale = _rows(ricci(build_family(params, mode), mode), DELTA, mode)
     printed = [tuple(scale * x for x in row) for row in PRINTED_SYSTEMS[params.family](params)]
-    return _rows_match(_canonical_rows(rows, mode), _canonical_rows(printed, mode), mode)
+    return _covers(rows, printed, mode) and _covers(printed, rows, mode)

@@ -1,14 +1,20 @@
-"""Report documents: JSON builders, text rendering, CSV rows.
+"""Report documents, and their text and CSV layouts.
+
+Each report is built once, as its JSON document: the document is the
+report.  Text and CSV are layouts of it; each `render_*` reads only the
+document, so the text of the parsed JSON bytes is the text report.
 
 Exact rationals serialize as "p" or "p/q" strings so structured output
 round-trips without float artifacts; floats serialize as JSON numbers
-(shortest round-trip form) and render with 17 significant digits in
-text.  No document carries timestamps: identical inputs must produce
-byte-identical reports.
+(shortest round-trip form).  A layout prints a string as it is and a
+float with 17 significant digits, the bytes of `format_scalar`.  No
+document carries timestamps: identical inputs give identical reports.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from typing import Dict, List, Optional, Sequence
 
@@ -20,8 +26,7 @@ from .branches import (
     LAMBDA1_FREE,
 )
 from .ein2 import LINE, PAIRS, PLANE, POINT, Ein2Solution
-from .geometry import RicciData, Tensor3
-from .liealg import PARAMS_USED, FamilyParams, StructureConstants
+from .liealg import PARAMS_USED, FamilyParams
 from .scalars import Scalar, format_scalar, is_exact
 
 SCHEMA_DERIVE = "ein2lie/derive/v1"
@@ -142,121 +147,6 @@ def classification_json(result: ClassificationResult) -> Dict:
     }
 
 
-def dumps(doc: Dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Text rendering
-# ---------------------------------------------------------------------------
-
-def format_vector(coeffs: Sequence[Scalar]) -> str:
-    """Render a coefficient triple as a frame combination like "2 e1 - e3"."""
-    parts: List[str] = []
-    for coeff, name in zip(coeffs, BASIS):
-        if coeff == 0:
-            continue
-        rendered = format_scalar(coeff)
-        if rendered == "1":
-            term = name
-        elif rendered == "-1":
-            term = f"-{name}"
-        else:
-            term = f"{rendered} {name}"
-        if parts and not term.startswith("-"):
-            parts.append(f"+ {term}")
-        elif parts:
-            parts.append(f"- {term[1:]}")
-        else:
-            parts.append(term)
-    return " ".join(parts) if parts else "0"
-
-
-def format_matrix(matrix, indent: str = "  ") -> str:
-    cells = [[format_scalar(x) for x in row] for row in matrix]
-    width = max(len(c) for row in cells for c in row)
-    return "\n".join(indent + "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
-
-
-def render_params(params: FamilyParams) -> str:
-    pieces = [params.family]
-    for name in PARAMS_USED[params.family]:
-        value = getattr(params, name)
-        pieces.append(f"{name}={value if name == 'eta' else format_scalar(value)}")
-    return " ".join(pieces)
-
-
-def render_solution(solution: Ein2Solution) -> str:
-    if solution.kind == POINT:
-        lam1, lam2 = solution.point
-        return (
-            f"point: lambda1 = {format_scalar(lam1)}, lambda2 = {format_scalar(lam2)}"
-            f" (residual {format_scalar(solution.residual)})"
-        )
-    if solution.kind == LINE:
-        if solution.lambda2_zero_line():
-            return "line: lambda2 = 0, lambda1 free"
-        base = ", ".join(format_scalar(x) for x in solution.line_base)
-        direction = ", ".join(format_scalar(x) for x in solution.line_direction)
-        return f"line: base ({base}) + t * ({direction})"
-    if solution.kind == PLANE:
-        return "plane: every (lambda1, lambda2)"
-    return f"none (minimal residual {format_scalar(solution.residual)})"
-
-
-def render_derive_text(doc_input: str, sc: StructureConstants, gamma: Tensor3,
-                       rd: RicciData, convention: str, solution: Ein2Solution,
-                       unimodular_flag: bool) -> str:
-    lines = [f"input: {doc_input}", ""]
-    lines.append("brackets:")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            lines.append(f"  [{BASIS[i]},{BASIS[j]}] = {format_vector(sc.bracket(i, j))}")
-    lines.append(f"  unimodular: {'yes' if unimodular_flag else 'no'}")
-    lines.append("")
-    lines.append("connection (nabla_{e_i} e_j):")
-    for i in range(3):
-        row = []
-        for j in range(3):
-            row.append(f"nabla_{BASIS[i]} {BASIS[j]} = {format_vector(gamma[i][j])}")
-        lines.append("  " + " | ".join(row))
-    lines.append("")
-    lines.append("ricci operator (row convention):")
-    lines.append(format_matrix(rd.rho_op))
-    lines.append("ricci tensor:")
-    lines.append(format_matrix(rd.rho))
-    lines.append("rho^2 tensor:")
-    lines.append(format_matrix(rd.rho_sq))
-    lines.append("")
-    lines.append(f"component system ({convention} convention), A + lambda1*B + lambda2*C = 0:")
-    for (i, j), (a, b, c) in zip(PAIRS, solution.rows):
-        lines.append(
-            f"  ({i + 1},{j + 1}):"
-            f" A = {format_scalar(a)}, B = {format_scalar(b)}, C = {format_scalar(c)}"
-        )
-    lines.append("")
-    lines.append(f"solution: {render_solution(solution)}")
-    return "\n".join(lines) + "\n"
-
-
-def render_verdict_text(described_input: str, solution: Ein2Solution,
-                        branches: Optional[Sequence[str]] = None,
-                        status: Optional[str] = None) -> str:
-    lines = [f"input: {described_input}"]
-    if branches is not None:
-        rendered = ", ".join(branches) if branches else "(no branch)"
-        lines.append(f"branches: {rendered}")
-    if status is not None:
-        lines.append(f"status: {status}")
-    lines.append(f"ein2: {'yes' if solution.is_ein2() else 'no'}")
-    lines.append(f"solution: {render_solution(solution)}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Suite report
-# ---------------------------------------------------------------------------
-
 def _erratum_json(branch: Dict) -> Dict:
     """An errata entry, read off its branch entry; the first failure is the counterexample."""
     failure = branch["failures"][0] if branch["failures"] else None
@@ -297,76 +187,183 @@ def suite_json(report) -> Dict:
     }
 
 
-def render_suite_text(report) -> str:
+def dumps(doc: Dict) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Text layouts: each reads only its document
+# ---------------------------------------------------------------------------
+
+def _text(value) -> str:
+    """A document value as text: a string as it is, a float with 17 significant digits."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def format_vector(coeffs: Sequence) -> str:
+    """Render a coefficient triple as a frame combination like "2 e1 - e3"."""
+    parts: List[str] = []
+    for coeff, name in zip(coeffs, BASIS):
+        rendered = _text(coeff)
+        if rendered in ("0", "-0"):
+            continue
+        if rendered == "1":
+            term = name
+        elif rendered == "-1":
+            term = f"-{name}"
+        else:
+            term = f"{rendered} {name}"
+        if parts and not term.startswith("-"):
+            parts.append(f"+ {term}")
+        elif parts:
+            parts.append(f"- {term[1:]}")
+        else:
+            parts.append(term)
+    return " ".join(parts) if parts else "0"
+
+
+def format_matrix(matrix, indent: str = "  ") -> str:
+    cells = [[_text(x) for x in row] for row in matrix]
+    width = max(len(c) for row in cells for c in row)
+    return "\n".join(indent + "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
+
+
+def render_params(params: Dict) -> str:
+    """A parameter document (`params_json`, or a family input) as "G1 alpha=1 beta=0"."""
+    values = (f"{name}={_text(value)}" for name, value in params.items()
+              if name not in ("kind", "family"))
+    return " ".join([params["family"], *values])
+
+
+def _render_input(doc: Dict) -> str:
+    return f"raw {doc['path']}" if doc["kind"] == "raw" else render_params(doc)
+
+
+def _lambdas(doc: Dict) -> str:
+    return f"lambda1 = {_text(doc['lambda1'])}, lambda2 = {_text(doc['lambda2'])}"
+
+
+def render_solution(solution: Dict) -> str:
+    kind = solution["kind"]
+    if kind == POINT:
+        return f"point: {_lambdas(solution)} (residual {_text(solution['residual'])})"
+    if kind == LINE:
+        if "lambda1" in solution:  # the line lambda2 = 0, lambda1 free
+            return "line: lambda2 = 0, lambda1 free"
+        base, direction = (", ".join(_text(x) for x in solution["line"][key])
+                           for key in ("base", "direction"))
+        return f"line: base ({base}) + t * ({direction})"
+    if kind == PLANE:
+        return "plane: every (lambda1, lambda2)"
+    return f"none (minimal residual {_text(solution['residual'])})"
+
+
+def render_derive_text(doc: Dict) -> str:
+    c, gamma, ricci = doc["structure_constants"]["c"], doc["connection"], doc["ricci"]
+    lines = [f"input: {_render_input(doc['input'])}", "", "brackets:"]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        lines.append(f"  [{BASIS[i]},{BASIS[j]}] = {format_vector(c[i][j])}")
+    lines += [f"  unimodular: {'yes' if doc['unimodular'] else 'no'}", ""]
+    lines.append("connection (nabla_{e_i} e_j):")
+    for i in range(3):
+        lines.append("  " + " | ".join(
+            f"nabla_{BASIS[i]} {BASIS[j]} = {format_vector(gamma[i][j])}" for j in range(3)
+        ))
+    lines.append("")
+    for title, key in (("ricci operator (row convention)", "rho_op"), ("ricci tensor", "rho"),
+                       ("rho^2 tensor", "rho_sq")):
+        lines += [f"{title}:", format_matrix(ricci[key])]
+    lines.append("")
+    lines.append(f"component system ({doc['convention']} convention), A + lambda1*B + lambda2*C = 0:")
+    for row in doc["system"]["rows"]:
+        lines.append(
+            f"  ({row['i']},{row['j']}):"
+            f" A = {_text(row['a'])}, B = {_text(row['b'])}, C = {_text(row['c'])}"
+        )
+    lines += ["", f"solution: {render_solution(doc['solution'])}"]
+    return "\n".join(lines) + "\n"
+
+
+def render_verdict_text(doc: Dict) -> str:
+    lines = [f"input: {_render_input(doc['input'])}"]
+    if "branches" in doc:  # classify
+        lines.append(f"branches: {', '.join(doc['branches']) or '(no branch)'}")
+        lines.append(f"status: {doc['status']}")
+    lines.append(f"ein2: {'yes' if doc['ein2'] else 'no'}")
+    lines.append(f"solution: {render_solution(doc['solution'])}")
+    return "\n".join(lines) + "\n"
+
+
+def _sampled_lines(title: str, checks: List[Dict], failures: str) -> List[str]:
+    """A sampled section: one "family: n points, status" line per check."""
+    if not checks:
+        return []
+    lines = [title]
+    for check in checks:
+        status = "ok" if check["ok"] else f"{check[failures]} {failures}"
+        lines.append(f"  {check['family']}: {check['samples']} points, {status}")
+    return lines + [""]
+
+
+def render_suite_text(doc: Dict) -> str:
     lines = [
         "verification suite"
-        f" (seed {report.seed}, samples {report.samples}, convention {report.convention})"
+        f" (seed {doc['seed']}, samples {doc['samples']}, convention {doc['convention']})"
     ]
-    if report.theorems:
-        lines.append(f"restricted to: {', '.join(report.theorems)}")
+    if doc["theorems"]:
+        lines.append(f"restricted to: {', '.join(doc['theorems'])}")
     lines.append("")
-
-    if report.fidelity:
-        lines.append("tabulated-system fidelity (delta convention):")
-        for f in report.fidelity:
-            status = "ok" if f.ok else f"{f.failures} mismatches"
-            lines.append(f"  {f.family}: {f.samples} points, {status}")
-        lines.append("")
+    lines += _sampled_lines(
+        "tabulated-system fidelity (delta convention):", doc["fidelity"], "mismatches"
+    )
 
     lines.append("branches:")
-    for b in report.branches:
+    for b in doc["branches"]:
         lines.append(
-            f"  {b.label:<11s} {b.family}  {b.verdict:<22s} {b.passed}/{b.attempted} samples"
+            f"  {b['label']:<11s} {b['family']}  {b['verdict']:<22s}"
+            f" {b['passed']}/{b['attempted']} samples"
         )
     lines.append("")
 
-    if report.anchors:
-        tolerances = ", ".join(sorted({f"{a.anchor.tolerance:g}" for a in report.anchors}))
+    if doc["anchors"]:
+        tolerances = ", ".join(sorted({f"{a['tolerance']:g}" for a in doc["anchors"]}))
         lines.append(f"irrational anchors (tolerance {tolerances}):")
-        for a in report.anchors:
-            status = "ok" if a.ok else "FAIL"
+        for a in doc["anchors"]:
             lines.append(
-                f"  {a.anchor.label}: {status}"
-                f" (lambda1 err {a.lambda1_error:.3e}, lambda2 err {a.lambda2_error:.3e})"
+                f"  {a['label']}: {'ok' if a['ok'] else 'FAIL'}"
+                f" (lambda1 err {a['lambda1_error']:.3e}, lambda2 err {a['lambda2_error']:.3e})"
             )
         lines.append("")
 
-    if report.negative:
-        lines.append("negative sampling (off-branch points must not be Ein(2)):")
-        for n in report.negative:
-            status = "ok" if n.ok else f"{n.failures} violations"
-            lines.append(f"  {n.family}: {n.samples} points, {status}")
-        lines.append("")
+    lines += _sampled_lines(
+        "negative sampling (off-branch points must not be Ein(2)):",
+        doc["negative_sampling"], "violations",
+    )
 
-    if report.errata:
+    if doc["errata"]:
         lines.append("errata:")
-        for b in report.errata:
-            lines.append(f"  {b.label} ({b.family}; {b.constraints}):")
-            if b.failures:
-                first = b.failures[0]
-                lines.append(f"    counterexample: {render_params(first.params)}")
-                if first.expected.kind == "point":
+        for erratum in doc["errata"]:
+            lines.append(f"  {erratum['branch']} ({erratum['family']}; {erratum['constraints']}):")
+            example = erratum["counterexample"]
+            if example:
+                lines.append(f"    counterexample: {render_params(example['params'])}")
+                if example["stated"]["kind"] == "point":
                     lines.append(
-                        "    stated: lambda1 = "
-                        f"{format_scalar(first.expected.lambda1)}, lambda2 = "
-                        f"{format_scalar(first.expected.lambda2)}"
-                        f" (system residual {format_scalar(first.residual_at_expected)})"
+                        f"    stated: {_lambdas(example['stated'])}"
+                        f" (system residual {_text(example['residual_at_stated'])})"
                     )
-                if first.recomputed is not None and first.recomputed.kind == "point":
-                    lines.append(
-                        "    recomputed: lambda1 = "
-                        f"{format_scalar(first.recomputed.lambda1)}, lambda2 = "
-                        f"{format_scalar(first.recomputed.lambda2)} (in the solution set)"
-                    )
-            lines.append(f"    correction: {b.correction}")
+                recomputed = example["recomputed"]
+                if recomputed is not None and recomputed["kind"] == "point":
+                    lines.append(f"    recomputed: {_lambdas(recomputed)} (in the solution set)")
+            lines.append(f"    correction: {erratum['correction']}")
         lines.append("")
 
-    lines.append(f"result: {'OK' if report.ok else 'FAILED'}")
+    lines.append(f"result: {'OK' if doc['ok'] else 'FAILED'}")
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# Scan rows
+# Scan rows and their CSV layout
 # ---------------------------------------------------------------------------
 
 SCAN_COLUMNS = (
@@ -386,30 +383,30 @@ SCAN_COLUMNS = (
 
 def scan_row(params: FamilyParams, result: Optional[ClassificationResult],
              error: str = "") -> Dict[str, str]:
-    row = {
-        "family": params.family,
-        "alpha": format_scalar(params.alpha),
-        "beta": format_scalar(params.beta),
-        "gamma": format_scalar(params.gamma),
-        "delta": format_scalar(params.delta),
-        "eta": "" if params.eta is None else str(params.eta),
-        "kind": "invalid",
-        "lambda1": "",
-        "lambda2": "",
-        "residual": "",
-        "branches": "",
-    }
+    """One CSV row; its solution columns are read off `solution_json`."""
+    row = dict.fromkeys(SCAN_COLUMNS, "")
+    row.update(family=params.family, kind="invalid", branches=error)
+    for name in ("alpha", "beta", "gamma", "delta"):
+        row[name] = format_scalar(getattr(params, name))
+    if params.eta is not None:
+        row["eta"] = str(params.eta)
     if result is None:
-        row["branches"] = error
         return row
-    solution = result.solution
-    row["kind"] = solution.kind
-    row["residual"] = format_scalar(solution.residual)
+    solution = solution_json(result.solution)
+    row["kind"] = solution["kind"]
+    row["residual"] = _text(solution["residual"])
     row["branches"] = ";".join(result.branches)
-    if solution.kind == POINT:
-        row["lambda1"] = format_scalar(solution.point[0])
-        row["lambda2"] = format_scalar(solution.point[1])
-    elif solution.kind == LINE and solution.lambda2_zero_line():
-        row["lambda1"] = "free"
-        row["lambda2"] = "0"
+    if "lambda1" in solution:
+        # a free lambda1 lies on the line lambda2 = 0, whose JSON may hold -0.0
+        free = solution["lambda1"] is None
+        row["lambda1"] = "free" if free else _text(solution["lambda1"])
+        row["lambda2"] = "0" if free else _text(solution["lambda2"])
     return row
+
+
+def render_scan_csv(rows: List[Dict[str, str]]) -> str:
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=SCAN_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()

@@ -122,4 +122,6 @@ class Mode:
         return not self.is_zero(value)
 
     def eq(self, x: Scalar, y: Scalar) -> bool:
-        return self.is_zero(x - y)
+        if self.kind == EXACT:
+            return x == y
+        return abs(x - y) <= self.tolerance

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from ein2lie import cli, ein2, geometry
+from ein2lie import cli, ein2, geometry, reporting
 from ein2lie.cli import main
 
 SCHEMA_PATH = Path(__file__).parent.parent / "schema" / "report.schema.json"
@@ -259,11 +259,48 @@ def report_output(argv, fmt):
 
 @pytest.mark.parametrize("case", sorted(REPORT_INPUTS))
 def test_report_bytes_are_pinned(case):
-    (code, text), (json_code, doc) = (report_output(REPORT_INPUTS[case], fmt)
-                                      for fmt in ("text", "json"))
+    (code, text), (json_code, json_text) = (report_output(REPORT_INPUTS[case], fmt)
+                                            for fmt in ("text", "json"))
     assert code == json_code
-    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in (text, doc))
+    digests = tuple(hashlib.sha256(out.encode()).hexdigest() for out in (text, json_text))
     assert (code, *digests) == REPORT_SHA256[case]
+
+
+RENDER_TEXT = {
+    "derive": reporting.render_derive_text,
+    "check": reporting.render_verdict_text,
+    "classify": reporting.render_verdict_text,
+    "verify": reporting.render_suite_text,
+}
+ROUND_TRIP_INPUTS = {
+    **{f"derive_{case}": ("derive", *argv) for case, argv in DERIVE_INPUTS.items()},
+    **REPORT_INPUTS,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROUND_TRIP_INPUTS))
+def test_text_is_a_layout_of_the_json_document(case, tmp_path, monkeypatch):
+    """The text renders from the parsed JSON bytes, so it shows nothing the JSON lacks."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.json").write_text(json.dumps(RAW_TABLE))
+    argv = ROUND_TRIP_INPUTS[case]
+    text, json_text = (report_output(argv, fmt)[1] for fmt in ("text", "json"))
+    assert RENDER_TEXT[argv[0]](json.loads(json_text)) == text
+
+
+def test_derive_unimodular_reads_the_tolerance(tmp_path):
+    """[e1,e2] = 1e-7 e2 is unimodular, and flat, within the tolerance 1e-6."""
+    raw = tmp_path / "tiny.json"
+    table = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    table[0][1][1], table[1][0][1] = "1e-7", "-1e-7"
+    raw.write_text(json.dumps({"c": table}))
+    approx = ("--raw", str(raw), "--mode", "approx")
+    code, out, _ = run_cli("derive", *approx, "--tol", "1e-6")
+    assert code == 0 and "  unimodular: yes\n" in out
+    code, doc, _ = run_json("check", *approx, "--tol", "1e-6")
+    assert code == 0 and doc["solution"]["kind"] == "line"
+    code, out, _ = run_cli("derive", *approx)
+    assert code == 0 and "  unimodular: no\n" in out
 
 
 @pytest.mark.parametrize("case", ["approx", "metric_approx"])
@@ -530,6 +567,17 @@ def test_scan_g2_half_alpha_rows_are_ein2():
         assert (row["kind"] == "point") == on_branch
         if on_branch:
             assert row["lambda2"] == "0"
+
+
+def test_scan_free_line_prints_lambda2_zero():
+    """The JSON of this line holds lambda2 = -0.0; its scan row prints 0."""
+    argv = ("--family", "G3", "--beta", "1", "--gamma", "0", "--mode", "approx")
+    _, doc, _ = run_json("classify", *argv, "--alpha", "1")
+    assert doc["solution"]["lambda1"] is None and str(doc["solution"]["lambda2"]) == "-0.0"
+    code, out, _ = run_cli("scan", *argv, "--grid", "alpha=1")
+    assert code == 0
+    [row] = csv.DictReader(io.StringIO(out))
+    assert (row["kind"], row["lambda1"], row["lambda2"]) == ("line", "free", "0")
 
 
 def test_scan_grid_point_violating_constraints_marked_invalid():

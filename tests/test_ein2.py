@@ -443,11 +443,31 @@ def _bits(x):
     return type(x), x.hex() if isinstance(x, float) else x
 
 
+# Exact tables with denominators (L = 6 for both), which approx mode reads
+# on the integer contraction N and its scale L.
+_EXACT_IN_APPROX = (
+    FamilyParams("G3", alpha=F(1, 2), beta=F(1, 3), gamma=F(5, 6)),
+    FamilyParams("G1", alpha=F(1, 3), beta=F(1, 2)),
+)
+
+
+def _exact_points_in_approx(family_samples_100):
+    points = [*_EXACT_IN_APPROX]
+    points += [params for samples in family_samples_100.values() for params in samples[:10]]
+    assert sum(ricci(build_family(params)).scale > 1 for params in points) >= 20
+    return points
+
+
 @pytest.mark.parametrize("convention", CONVENTIONS)
-def test_float_rows_come_straight_from_the_contraction(convention):
-    """Float Ricci data and rows hold no Fraction; rows are the Ricci floats bit for bit."""
-    for params in _float_route_points():
-        mode = params.mode()
+def test_float_rows_come_straight_from_the_contraction(convention, family_samples_100):
+    """Float Ricci data and rows hold no Fraction; rows are the Ricci floats bit for bit.
+
+    Exact tables read in approx mode too: their rows divide S and N by
+    16 L^4 and 4 L^2, so they are rho_sq and rho rounded once.
+    """
+    points = [(params, params.mode()) for params in _float_route_points()]
+    points += [(params, Mode.approx()) for params in _exact_points_in_approx(family_samples_100)]
+    for params, mode in points:
         sc = build_family(params, mode)
         rd = ricci(sc, mode)
         assert not any(type(x) is Fraction for row in rd.n for x in row), params
@@ -455,6 +475,19 @@ def test_float_rows_come_straight_from_the_contraction(convention):
         for row, (i, j), c in zip(rows, PAIRS, ein2._constants(convention)):
             expected = (float(rd.rho_sq[i][j]), float(rd.rho[i][j]), c)
             assert [_bits(x) for x in row] == [_bits(x) for x in expected], params
+
+
+def test_approx_mode_reads_exact_tables_at_their_scale(family_samples_100):
+    """Approx mode on an exact table finds the exact lambdas, not L^2 or L^4 times them,
+    and the fidelity check matches the tabulated system."""
+    for params in _exact_points_in_approx(family_samples_100):
+        sc = build_family(params)
+        exact, approx = is_ein2(sc), is_ein2(sc, mode=Mode.approx())
+        assert approx.kind == exact.kind, params
+        if exact.kind == "point":
+            assert all(abs(x - y) <= 1e-9 for x, y in zip(approx.point, exact.point)), params
+        assert match_printed_system(params, Mode.approx()), params
+    assert is_ein2(build_family(_EXACT_IN_APPROX[0]), mode=Mode.approx()).point == (1 / 3, 0)
 
 
 def test_exact_point_contains_compares_with_the_point():
