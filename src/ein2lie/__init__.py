@@ -1,13 +1,13 @@
 """Verification engine for three-dimensional Lorentzian Ein(2) Lie groups.
 
 From Lie-algebra structure constants in a fixed pseudo-orthonormal frame
-(e3 timelike) the package computes the Levi-Civita connection, curvature,
-Ricci tensor/operator and the rho^2 tensor with exact rational
-arithmetic, decides the Ein(2) condition
-rho^2 + lambda1*rho + lambda2*g = 0 by exact linear algebra, and
-mechanically verifies the full 30-branch classification of the seven
-families G1..G7, reporting any discrepancy as errata with a
-counterexample and a recomputed formula.
+(e3 timelike) the package computes, in one `ricci` pass over the table,
+the Levi-Civita connection (`ricci(sc).connection`), the Ricci
+tensor/operator and the rho^2 tensor with exact rational arithmetic,
+decides the Ein(2) condition rho^2 + lambda1*rho + lambda2*g = 0 by
+exact linear algebra, and mechanically verifies the full 30-branch
+classification of the seven families G1..G7, reporting any discrepancy
+as errata with a counterexample and a recomputed formula.
 """
 
 from .branches import (
@@ -37,7 +37,7 @@ from .ein2 import (
     match_printed_system,
     solve,
 )
-from .geometry import RicciData, curvature, levi_civita, ricci
+from .geometry import RicciData, curvature, ricci
 from .liealg import (
     EPS,
     FAMILIES,
@@ -96,7 +96,6 @@ __all__ = [
     "from_raw",
     "is_ein2",
     "jacobi_ok",
-    "levi_civita",
     "match_printed_system",
     "parse_scalar",
     "ricci",

@@ -46,6 +46,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from .ein2 import DELTA, NONE, Ein2Solution, is_ein2
@@ -73,6 +74,11 @@ _Q = Fraction(1, 4)
 
 class EmptyBranch(LieAlgebraError):
     """No valid sample found in MAX_DRAWS draws (infeasible branch)."""
+
+
+def _theorem(label: str) -> str:
+    """The theorem a branch or anchor label belongs to: "3.4" for "3.4(vii) ..."."""
+    return label.split("(")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +122,7 @@ class BranchSpec:
 
     @property
     def theorem(self) -> str:
-        return self.label.split("(")[0]
+        return _theorem(self.label)
 
 
 @dataclass
@@ -189,6 +195,23 @@ def _positive_quadratic_roots(qa, qb, qc) -> List[float]:
     return [r for r in roots if r > 0]
 
 
+def _first_draw(draw, accept, empty: str) -> FamilyParams:
+    """The first of MAX_DRAWS draws that is not None and `accept`s; else EmptyBranch."""
+    for _ in range(MAX_DRAWS):
+        params = draw()
+        if params is not None and accept(params):
+            return params
+    raise EmptyBranch(f"{empty} in {MAX_DRAWS} draws")
+
+
+def _valid(params: FamilyParams) -> bool:
+    try:
+        validate_params(params)
+    except ConstraintViolation:
+        return False
+    return True
+
+
 def sample_branch(spec: BranchSpec, count: int, seed: int = DEFAULT_SEED) -> List[FamilyParams]:
     """Deterministic parameter samples satisfying the branch constraints.
 
@@ -201,21 +224,8 @@ def sample_branch(spec: BranchSpec, count: int, seed: int = DEFAULT_SEED) -> Lis
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = _rng_for(seed, spec.label)
-    samples: List[FamilyParams] = []
-    for _ in range(count):
-        for _ in range(MAX_DRAWS):
-            params = spec.draw(rng)
-            if params is None:
-                continue
-            try:
-                validate_params(params)
-            except ConstraintViolation:
-                continue
-            samples.append(params)
-            break
-        else:
-            raise EmptyBranch(f"branch {spec.label}: no valid sample in {MAX_DRAWS} draws")
-    return samples
+    empty = f"branch {spec.label}: no valid sample"
+    return [_first_draw(lambda: spec.draw(rng), _valid, empty) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +421,7 @@ def _catalog() -> Tuple[BranchSpec, ...]:
 
     def add(label, constraints, draw, expected, recompute=None, note="", quartic=None):
         """Register a branch; `draw` is a sampler, or a rational branch's free parameters."""
-        family = _THEOREM_FAMILY[label.split("(")[0]]
+        family = _THEOREM_FAMILY[_theorem(label)]
         text = constraints.removesuffix(", " + _QUARTIC_CLAUSE)
         relations = _compile_clauses(text)
         checks = [relation.holds for relation in relations]
@@ -854,16 +864,16 @@ def sample_family_point(family: str, rng: random.Random) -> FamilyParams:
     """One random valid parameter point of the family (rational grid).
 
     Each try picks a piece with equal weight (no draw for a family of
-    one piece) and is repeated until the family constraints hold.
+    one piece); the first try whose family constraints hold is the point.
     """
     if family not in _FAMILY_DRAWS:
         raise ValueError(f"unknown family {family!r}")
     draws = _FAMILY_DRAWS[family]
-    while True:
-        draw = draws[rng.randrange(len(draws))] if len(draws) > 1 else draws[0]
-        params = draw(rng)
-        if params is not None:
-            return params
+
+    def draw() -> Optional[FamilyParams]:
+        return (draws[rng.randrange(len(draws))] if len(draws) > 1 else draws[0])(rng)
+
+    return _first_draw(draw, lambda params: True, f"{family}: no valid point")
 
 
 def sample_valid_points(family: str, count: int, seed: int = DEFAULT_SEED) -> List[FamilyParams]:
@@ -873,20 +883,13 @@ def sample_valid_points(family: str, count: int, seed: int = DEFAULT_SEED) -> Li
 
 def sample_off_branch(family: str, count: int, seed: int = DEFAULT_SEED) -> List[FamilyParams]:
     """Valid parameter points of the family matching no branch constraints."""
-    rng = _rng_for(seed, f"offbranch|{family}")
-    specs = branches_for(family)
-    mode = Mode.exact()
-    samples: List[FamilyParams] = []
-    for _ in range(count):
-        for _ in range(MAX_DRAWS):
-            params = sample_family_point(family, rng)
-            if any(spec.member(params, mode) for spec in specs):
-                continue
-            samples.append(params)
-            break
-        else:  # pragma: no cover - the off-branch set has full measure
-            raise EmptyBranch(f"{family}: no off-branch sample in {MAX_DRAWS} draws")
-    return samples
+    draw = partial(sample_family_point, family, _rng_for(seed, f"offbranch|{family}"))
+    specs, mode = branches_for(family), Mode.exact()
+
+    def off_branch(params: FamilyParams) -> bool:
+        return not any(spec.member(params, mode) for spec in specs)
+
+    return [_first_draw(draw, off_branch, f"{family}: no off-branch sample") for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -898,11 +901,14 @@ class AnchorSpec:
     """A fully worked irrational branch point with closed-form lambdas."""
 
     label: str
-    theorem: str
     params: FamilyParams
     lambda1: float
     lambda2: float
     tolerance: float = 1e-12
+
+    @property
+    def theorem(self) -> str:
+        return _theorem(self.label)
 
 
 def _anchor_g5() -> AnchorSpec:
@@ -913,7 +919,7 @@ def _anchor_g5() -> AnchorSpec:
     params = FamilyParams("G5", alpha=alpha, beta=Fraction(-1), gamma=Fraction(2), delta=2 * alpha)
     lam1 = -(45 + 9 * math.sqrt(405)) / 76
     lam2 = 18 * alpha_sq**2 - 4.5 * alpha_sq - 2.25
-    return AnchorSpec("3.2(iv) @ beta=-1, gamma=2", "3.2", params, lam1, lam2)
+    return AnchorSpec("3.2(iv) @ beta=-1, gamma=2", params, lam1, lam2)
 
 
 def _anchor_g6() -> AnchorSpec:
@@ -924,7 +930,7 @@ def _anchor_g6() -> AnchorSpec:
     params = FamilyParams("G6", alpha=alpha, beta=Fraction(1), gamma=Fraction(2), delta=2 * alpha)
     lam1 = (4 * math.sqrt(10) - 5) / 3
     lam2 = (37 - 8 * math.sqrt(10)) / 12
-    return AnchorSpec("3.4(vii) @ beta=1, gamma=2", "3.4", params, lam1, lam2)
+    return AnchorSpec("3.4(vii) @ beta=1, gamma=2", params, lam1, lam2)
 
 
 ANCHORS: Tuple[AnchorSpec, ...] = (_anchor_g5(), _anchor_g6())

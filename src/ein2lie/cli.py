@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from . import reporting
 from .branches import DEFAULT_SEED, classify
 from .ein2 import CONVENTIONS, DELTA, is_ein2, solve
-from .geometry import levi_civita, ricci
+from .geometry import ricci
 from .liealg import (
     FAMILIES,
     FamilyParams,
@@ -249,7 +249,6 @@ def _emit(job: argparse.Namespace, doc, render: Callable) -> None:
 
 def cmd_derive(job: argparse.Namespace) -> int:
     sc, params = _input_algebra(job)
-    gamma = levi_civita(sc, job.mode)
     rd = ricci(sc, job.mode)
     solution = solve(rd, job.convention, job.mode)
     doc = {
@@ -259,7 +258,7 @@ def cmd_derive(job: argparse.Namespace) -> int:
         "convention": job.convention,
         "structure_constants": {"c": reporting.tensor3_json(sc.c)},
         "unimodular": unimodular(sc, job.mode),
-        "connection": reporting.tensor3_json(gamma),
+        "connection": reporting.tensor3_json(rd.connection),
         "ricci": {
             "rho": reporting.matrix_json(rd.rho),
             "rho_op": reporting.matrix_json(rd.rho_op),

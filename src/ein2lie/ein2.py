@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .geometry import RicciData, ricci
 from .liealg import EPS, FamilyParams, StructureConstants, build_family
-from .scalars import Mode, Scalar, as_scalar
+from .scalars import Mode, Scalar
 
 DELTA = "delta"
 METRIC = "metric"
@@ -216,7 +216,7 @@ def _solve(rows, scale, mode: Mode) -> Ein2Solution:
                 return Ein2Solution(NONE, rows, mode, scale)
             point = (Fraction(num1, det), Fraction(num2, det))
         else:
-            point = _least_squares(rows) or (num1 / det, num2 / det)
+            point = _unsigned(_least_squares(rows) or (num1 / det, num2 / det))
             if not zero(_sup_residual(rows, *point)):
                 return Ein2Solution(NONE, rows, mode, scale)
         return Ein2Solution(POINT, rows, mode, scale, point=point)
@@ -224,15 +224,22 @@ def _solve(rows, scale, mode: Mode) -> Ein2Solution:
     # Rank one: consistent iff every row's constant reduces to zero.
     if not all(reduced_zero(_minor(prow, row, col, 0)) for row in rows):
         return Ein2Solution(NONE, rows, mode, scale)
-    base = [Fraction(0), Fraction(0)]
+    number = Fraction if exact else float
+    base = [number(0), number(0)]
     base[col - 1] = Fraction(-prow[0], pivot) if exact else -prow[0] / pivot
-    # the direction (-c, b) with first nonzero entry +1; an int divides to a Fraction
-    d1, d2 = as_scalar(-prow[2]), as_scalar(prow[1])
+    # the direction (-c, b) with first nonzero entry +1
+    d1, d2 = number(-prow[2]), number(prow[1])
     lead = abs(d2 if zero(d1) else d1)
     d1, d2 = d1 / lead, d2 / lead
     if d1 < 0 or (zero(d1) and d2 < 0):
         d1, d2 = -d1, -d2
-    return Ein2Solution(LINE, rows, mode, scale, line_base=tuple(base), line_direction=(d1, d2))
+    base, direction = _unsigned(base), _unsigned((d1, d2))
+    return Ein2Solution(LINE, rows, mode, scale, line_base=base, line_direction=direction)
+
+
+def _unsigned(values) -> tuple:
+    """The values with a float -0.0 read as 0.0; adding int 0 moves no other value."""
+    return tuple(x + 0 for x in values)
 
 
 def _least_squares(rows):

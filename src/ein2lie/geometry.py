@@ -17,17 +17,18 @@ Index conventions, fixed once for the whole package:
                      rho0(e_i) = sum_j rho_op[i][j] e_j
   rho_sq[i][j]     : g(rho0 e_i, rho0 e_j)
 
-`levi_civita` returns Gamma and `curvature` returns R as plain nested
-tuples indexed this way.
+`RicciData.connection` is Gamma and `curvature` returns R, as plain
+nested tuples indexed this way.
 
 The Ricci sign convention above is taken verbatim from the tabulated
 classification data this package verifies; it is anchored to those
 tables, not to any textbook convention.
 
-`ricci` does not build the curvature tensor: `curvature`, which does,
-is the reference `ricci` is checked against, not a step on its path.
-`ricci` contracts the connection straight into the 27 traced
-components that rho needs,
+`ricci` is the one route from a table to its geometry: it checks the
+Jacobi identity, builds the connection and contracts it.  It does not
+build the curvature tensor: `curvature`, which does, is the reference
+`ricci` is checked against, not a step on its path.  `ricci` contracts
+the connection straight into the 27 traced components that rho needs,
 
   rho[i][j] = -sum_a sum_m (Gamma[a][j][m] Gamma[i][m][a]
                             - Gamma[i][j][m] Gamma[a][m][a]
@@ -36,8 +37,9 @@ components that rho needs,
 and for an exact table it does so on integers: with L the lcm of the
 denominators of c, both L c and H = 2 L Gamma are integer tables, and
 rho = N / (4 L^2), where N is the same sum with Gamma replaced by H
-and c by 2 L c.  `RicciData` carries N and L; `ein2.solve` solves on
-them, so an exact decision builds no Ricci Fraction.
+and c by 2 L c.  The Jacobi check runs on L c too: J(L c) = L^2 J(c),
+so it is exact.  `RicciData` carries H, N and L; `ein2.solve` solves on
+N and L, so an exact decision builds no Ricci Fraction.
 """
 
 from __future__ import annotations
@@ -48,26 +50,26 @@ from functools import cached_property
 from math import lcm
 from typing import Optional, Tuple
 
-from .liealg import EPS, StructureConstants, require_lie_algebra
+from .liealg import EPS, NotLieAlgebra, StructureConstants, _jacobi_base, jacobi_ok
 from .scalars import Mode, Scalar
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
 Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
-_HALF = Fraction(1, 2)
-
 
 @dataclass(frozen=True)
 class RicciData:
-    """Ricci tensor, Ricci operator (row convention) and the rho^2 tensor.
+    """Connection, Ricci tensor, Ricci operator (row convention) and rho^2.
 
-    Holds what `ricci` computes, the contraction n = 4 L^2 rho and its
-    scale L (see `ricci`); rho, rho_op and rho_sq are built from them on
-    first read.  rho is symmetric; rho_op satisfies rho[i][j] = eps_j *
+    Holds what `ricci` computes, the Koszul table h = 2 L Gamma, the
+    contraction n = 4 L^2 rho and their scale L (see `ricci`); the
+    connection, rho, rho_op and rho_sq are built from them on first
+    read.  rho is symmetric; rho_op satisfies rho[i][j] = eps_j *
     rho_op[i][j] and is g-self-adjoint (eps_j rho_op[i][j] = eps_i
     rho_op[j][i]); in Lorentzian signature it need not be diagonalizable.
     """
 
+    h: list
     n: Matrix
     scale: int
 
@@ -78,6 +80,15 @@ class RicciData:
         return tuple(
             tuple(0 + e0 * u[0] * v[0] + e1 * u[1] * v[1] + e2 * u[2] * v[2] for v in n) for u in n
         )
+
+    @cached_property
+    def connection(self) -> Tensor3:
+        """The Levi-Civita connection Gamma = h / (2 L), h by the Koszul formula (`_koszul`).
+
+        Torsion-freeness (Gamma^k_ij - Gamma^k_ji = c^k_ij) and metric
+        compatibility (eps_k Gamma^k_ij + eps_j Gamma^j_ik = 0) hold by construction.
+        """
+        return tuple(_divide(plane, 2 * self.scale) for plane in self.h)
 
     @cached_property
     def rho(self) -> Matrix:
@@ -112,23 +123,6 @@ def _koszul(c) -> list:
         ]
         for i in range(3)
     ]
-
-
-def levi_civita(sc: StructureConstants, mode: Optional[Mode] = None) -> Tensor3:
-    """Unique torsion-free metric connection Gamma, via the Koszul formula.
-
-    With a constant frame metric the formula collapses to
-
-      Gamma^k_ij = (c^k_ij - eps_i eps_k c^i_jk + eps_j eps_k c^j_ki) / 2,
-
-    so torsion-freeness (Gamma^k_ij - Gamma^k_ji = c^k_ij) and metric
-    compatibility (eps_k Gamma^k_ij + eps_j Gamma^j_ik = 0) hold by
-    construction.  Raises NotLieAlgebra when the Jacobi residual is nonzero.
-    """
-    require_lie_algebra(sc, mode)
-    return tuple(
-        tuple(tuple(x * _HALF for x in row) for row in plane) for plane in _koszul(sc.c)
-    )
 
 
 def curvature(sc: StructureConstants, g: Tensor3) -> Tensor3:
@@ -206,9 +200,10 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
     `curvature` adds them, so floats come out bit for bit as through the
     full tensor.
 
-    Raises NotLieAlgebra when the Jacobi residual is nonzero.
+    Raises NotLieAlgebra when the Jacobi residual is nonzero: exactly
+    zero for an exact table, which it tests on L c, and within the
+    tolerance of `mode` for a float table.
     """
-    require_lie_algebra(sc, mode)
     c, scale = sc.c, 1
     if sc.is_exact():
         scale = lcm(*(x.denominator for x in sc.values()))
@@ -216,6 +211,11 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
             [[x.numerator * (scale // x.denominator) for x in row] for row in plane]
             for plane in c
         ]
+        lie = not any(_jacobi_base(c))
+    else:
+        lie = jacobi_ok(sc, mode)
+    if not lie:
+        raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
     h = _koszul(c)
     n = []
     for i in range(3):
@@ -243,4 +243,4 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
                 total = total + acc
             row.append(-total)
         n.append(tuple(row))
-    return RicciData(n=tuple(n), scale=scale)
+    return RicciData(h=h, n=tuple(n), scale=scale)

@@ -14,7 +14,7 @@ listed in `FAMILY_CONSTRAINTS`, which `validate_params` compiles and
 checks, and the pieces of its parameter variety listed in
 `FAMILY_PIECES`, from which its points are sampled.  Arbitrary tables
 enter through `from_raw`, which enforces antisymmetry but deliberately
-not the Jacobi identity: `jacobi_ok` decides it, and the geometry
+not the Jacobi identity: `jacobi_ok` decides it, and `geometry.ricci`
 raises NotLieAlgebra where it fails.
 """
 
@@ -30,17 +30,6 @@ from typing import Callable, Mapping, Optional, Sequence, Tuple
 from .scalars import Mode, Scalar, as_scalar, is_exact
 
 FAMILIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7")
-
-#: Which parameter fields each family actually reads.
-PARAMS_USED = {
-    "G1": ("alpha", "beta"),
-    "G2": ("alpha", "beta", "gamma"),
-    "G3": ("alpha", "beta", "gamma"),
-    "G4": ("alpha", "beta", "eta"),
-    "G5": ("alpha", "beta", "gamma", "delta"),
-    "G6": ("alpha", "beta", "gamma", "delta"),
-    "G7": ("alpha", "beta", "gamma", "delta"),
-}
 
 
 class LieAlgebraError(Exception):
@@ -93,9 +82,6 @@ class StructureConstants:
 
     c: Tuple[Tuple[Vector, Vector, Vector], ...]
 
-    def bracket(self, i: int, j: int) -> Vector:
-        return self.c[i][j]
-
     def values(self):
         for plane in self.c:
             for row in plane:
@@ -144,13 +130,11 @@ class FamilyParams:
         if self.eta is not None and self.eta not in (1, -1):
             raise ConstraintViolation("eta = 1 or -1", f"got eta = {self.eta}")
 
-    def used_values(self) -> Tuple[Scalar, ...]:
-        return tuple(
+    def mode(self) -> Mode:
+        """Exact unless a parameter the family reads is a float."""
+        return Mode.for_values(
             getattr(self, name) for name in PARAMS_USED[self.family] if name != "eta"
         )
-
-    def mode(self) -> Mode:
-        return Mode.for_values(self.used_values())
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +276,17 @@ FAMILY_PIECES = {
     ),
 }
 
+#: Which parameter fields each family actually reads: the free
+#: parameters of its pieces, in the order of `_PARAM_NAMES`.
+PARAMS_USED = {
+    family: tuple(
+        name
+        for name in _PARAM_NAMES
+        if any(name in free.replace("*", "").split() for free, _ in pieces)
+    )
+    for family, pieces in FAMILY_PIECES.items()
+}
+
 # G3 is unconstrained and G4's eta is an integer sign, checked in code.
 _FAMILY_RELATIONS = {
     family: _compile_clauses(text)
@@ -382,9 +377,8 @@ def from_raw(c, mode: Optional[Mode] = None) -> StructureConstants:
     return StructureConstants(_freeze(sym))
 
 
-def _jacobi_base(sc: StructureConstants) -> Vector:
-    """Coefficients of [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2]."""
-    c = sc.c
+def _jacobi_base(c) -> Vector:
+    """Coefficients of [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] in the table c."""
     out = [0, 0, 0]
     for first, second, third in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         pair = c[first][second]
@@ -401,12 +395,7 @@ def _jacobi_base(sc: StructureConstants) -> Vector:
 def jacobi_ok(sc: StructureConstants, mode: Optional[Mode] = None) -> bool:
     if mode is None:
         mode = Mode.for_values(sc.values())
-    return all(mode.is_zero(x) for x in _jacobi_base(sc))
-
-
-def require_lie_algebra(sc: StructureConstants, mode: Optional[Mode] = None) -> None:
-    if not jacobi_ok(sc, mode):
-        raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
+    return all(mode.is_zero(x) for x in _jacobi_base(sc.c))
 
 
 def unimodular(sc: StructureConstants, mode: Optional[Mode] = None) -> bool:

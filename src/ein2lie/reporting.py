@@ -397,10 +397,8 @@ def scan_row(params: FamilyParams, result: Optional[ClassificationResult],
     row["residual"] = _text(solution["residual"])
     row["branches"] = ";".join(result.branches)
     if "lambda1" in solution:
-        # a free lambda1 lies on the line lambda2 = 0, whose JSON may hold -0.0
-        free = solution["lambda1"] is None
-        row["lambda1"] = "free" if free else _text(solution["lambda1"])
-        row["lambda2"] = "0" if free else _text(solution["lambda2"])
+        row["lambda1"] = "free" if solution["lambda1"] is None else _text(solution["lambda1"])
+        row["lambda2"] = _text(solution["lambda2"])
     return row
 
 

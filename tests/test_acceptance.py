@@ -27,7 +27,6 @@ from ein2lie import (
     curvature,
     is_ein2,
     jacobi_ok,
-    levi_civita,
     match_printed_system,
     ricci,
     sample_branch,
@@ -47,7 +46,7 @@ def test_criterion_1_connection_fidelity(family_samples_100):
         table = CONNECTION_TABLES[family]
         assert len(samples) == 100
         for params in samples:
-            nabla = levi_civita(build_family(params))
+            nabla = ricci(build_family(params)).connection
             expected = table(params)
             for i in range(3):
                 for j in range(3):
@@ -150,7 +149,7 @@ def test_criterion_8_invariant_suite(family_samples_100):
         for params in samples:
             sc = build_family(params)
             assert jacobi_ok(sc)
-            nabla = levi_civita(sc)
+            nabla = ricci(sc).connection
             riem = curvature(sc, nabla)
             rd = ricci(sc)
             for i in range(3):

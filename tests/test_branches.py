@@ -118,8 +118,18 @@ def test_empty_branch_raises():
         draw=lambda rng: None,
         expected=lambda p: ExpectedLambdas.point(F(0), F(0)),
     )
-    with pytest.raises(EmptyBranch):
+    with pytest.raises(EmptyBranch, match=r"^branch dead: no valid sample in 10000 draws$"):
         sample_branch(dead, 1, seed=0)
+
+
+def test_family_samplers_are_bounded(monkeypatch):
+    """Every sampler gives up after MAX_DRAWS draws, with its own message."""
+    monkeypatch.setitem(_FAMILY_DRAWS, "G1", (lambda rng: None,))
+    with pytest.raises(EmptyBranch, match=r"^G1: no valid point in 10000 draws$"):
+        sample_family_point("G1", random.Random(0))
+    monkeypatch.setitem(_FAMILY_DRAWS, "G1", (lambda rng: FamilyParams("G1", alpha=1, beta=0),))
+    with pytest.raises(EmptyBranch, match=r"^G1: no off-branch sample in 10000 draws$"):
+        sample_off_branch("G1", 1)
 
 
 def test_verify_branch_2_3_all_zero_lambdas():

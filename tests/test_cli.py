@@ -367,6 +367,17 @@ def test_derive_rejects_non_lie_raw_table(tmp_path):
     assert "Jacobi" in err
 
 
+@pytest.mark.parametrize("command", ["derive", "check"])
+def test_non_lie_raw_table_with_denominators_exit_2(command, tmp_path):
+    raw = tmp_path / "nonlie.json"
+    table = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    table[0][1][2], table[1][0][2] = "1/2", "-1/2"  # [e1,e2] = e3/2
+    table[0][2][0], table[2][0][0] = "2/3", "-2/3"  # [e1,e3] = 2 e1/3
+    raw.write_text(json.dumps({"c": table}))
+    code, out, err = run_cli(command, "--raw", str(raw))
+    assert (code, out, err) == (2, "", "error: Jacobi identity fails; residual is nonzero\n")
+
+
 # ---------------------------------------------------------------------------
 # check / classify
 # ---------------------------------------------------------------------------
@@ -570,10 +581,10 @@ def test_scan_g2_half_alpha_rows_are_ein2():
 
 
 def test_scan_free_line_prints_lambda2_zero():
-    """The JSON of this line holds lambda2 = -0.0; its scan row prints 0."""
+    """The JSON of this line holds lambda2 = 0.0; its scan row prints 0."""
     argv = ("--family", "G3", "--beta", "1", "--gamma", "0", "--mode", "approx")
     _, doc, _ = run_json("classify", *argv, "--alpha", "1")
-    assert doc["solution"]["lambda1"] is None and str(doc["solution"]["lambda2"]) == "-0.0"
+    assert doc["solution"]["lambda1"] is None and str(doc["solution"]["lambda2"]) == "0.0"
     code, out, _ = run_cli("scan", *argv, "--grid", "alpha=1")
     assert code == 0
     [row] = csv.DictReader(io.StringIO(out))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import lcm
 
@@ -488,6 +489,20 @@ def test_approx_mode_reads_exact_tables_at_their_scale(family_samples_100):
             assert all(abs(x - y) <= 1e-9 for x, y in zip(approx.point, exact.point)), params
         assert match_printed_system(params, Mode.approx()), params
     assert is_ein2(build_family(_EXACT_IN_APPROX[0]), mode=Mode.approx()).point == (1 / 3, 0)
+
+
+def test_approx_solutions_are_floats_without_negative_zero(family_samples_100):
+    """Approx points, line bases and line directions are floats, and a zero is +0.0."""
+    points = [(params, params.mode()) for params in _float_route_points()]
+    points += [(params, Mode.approx()) for params in _exact_points_in_approx(family_samples_100)]
+    kinds = set()
+    for params, mode in points:
+        solution = is_ein2(build_family(params, mode), DELTA, mode)
+        kinds.add(solution.kind)
+        values = solution.point or (solution.line_base or ()) + (solution.line_direction or ())
+        for x in values:
+            assert type(x) is float and (x != 0 or math.copysign(1.0, x) == 1.0), (params, x)
+    assert {"point", "line"} <= kinds
 
 
 def test_exact_point_contains_compares_with_the_point():

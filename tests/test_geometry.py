@@ -21,7 +21,8 @@ from ein2lie import (
     build_family,
     curvature,
     from_raw,
-    levi_civita,
+    is_ein2,
+    jacobi_ok,
     ricci,
     sample_branch,
 )
@@ -45,7 +46,7 @@ def ricci_via_tensor(sc, mode=None):
     Each sum runs left to right from 0; builtin `sum` compensates float
     rounding from Python 3.12 on, which would move the bits compared here.
     """
-    riem = curvature(sc, levi_civita(sc, mode))
+    riem = curvature(sc, ricci(sc, mode).connection)
     rho = tuple(
         tuple(-(0 + riem[i][0][j][0] + riem[i][1][j][1] + riem[i][2][j][2]) for j in range(3))
         for i in range(3)
@@ -86,7 +87,7 @@ def assert_matches_reference_routes(sc, mode=None):
 
 
 def test_levi_civita_g1_spot_values():
-    nabla = levi_civita(build_family(FamilyParams("G1", alpha=1, beta=2)))
+    nabla = ricci(build_family(FamilyParams("G1", alpha=1, beta=2))).connection
     assert nabla[0][0] == (0, -1, -1)
     assert nabla[1][0] == (0, 0, 1)
     assert nabla[2][0] == (0, 1, 0)
@@ -94,7 +95,7 @@ def test_levi_civita_g1_spot_values():
 
 
 def test_levi_civita_g5_spot_values():
-    nabla = levi_civita(build_family(FamilyParams("G5", alpha=2, beta=0, gamma=0, delta=1)))
+    nabla = ricci(build_family(FamilyParams("G5", alpha=2, beta=0, gamma=0, delta=1))).connection
     assert nabla[0][0] == (0, 0, 2)
     assert nabla[1][1] == (0, 0, 1)
     assert nabla[0][2] == (2, 0, 0)
@@ -104,7 +105,7 @@ def test_levi_civita_g5_spot_values():
 
 
 def test_levi_civita_abelian_is_flat():
-    nabla = levi_civita(ABELIAN)
+    nabla = ricci(ABELIAN).connection
     assert all(x == 0 for i in nabla for j in i for x in j)
     riem = curvature(ABELIAN, nabla)
     assert all(x == 0 for a in riem for b in a for c in b for x in c)
@@ -114,7 +115,7 @@ def test_levi_civita_matches_tables(family_samples_100):
     for family, samples in family_samples_100.items():
         expected_table = CONNECTION_TABLES[family]
         for params in samples:
-            nabla = levi_civita(build_family(params))
+            nabla = ricci(build_family(params)).connection
             expected = expected_table(params)
             for i in range(3):
                 for j in range(3):
@@ -128,7 +129,7 @@ def test_levi_civita_matches_tables(family_samples_100):
 
 def test_levi_civita_rejects_non_lie_algebra():
     with pytest.raises(NotLieAlgebra):
-        levi_civita(from_raw(_non_jacobi_table()))
+        ricci(from_raw(_non_jacobi_table())).connection
 
 
 def test_ricci_rejects_non_lie_algebra():
@@ -136,11 +137,49 @@ def test_ricci_rejects_non_lie_algebra():
         ricci(from_raw(_non_jacobi_table()))
 
 
+def _scaled(table, t):
+    return [[[t * x for x in row] for row in plane] for plane in table]
+
+
+def test_non_lie_table_with_denominators_is_rejected():
+    """The Jacobi check runs on the integer table L c, here with L = 6."""
+    sc = from_raw(_scaled(_non_jacobi_table(), F(5, 6)))
+    with pytest.raises(NotLieAlgebra):
+        ricci(sc)
+    with pytest.raises(NotLieAlgebra):
+        is_ein2(sc)
+
+
+def test_lie_table_with_denominators_passes():
+    params = FamilyParams("G5", alpha=F(1, 2), beta=0, gamma=0, delta=F(1, 3))
+    rd = ricci(build_family(params))
+    assert rd.scale == 6
+    expected = CONNECTION_TABLES["G5"](params)
+    for i in range(3):
+        for j in range(3):
+            assert rd.connection[i][j] == tuple(expected[i][j]), (i, j)
+
+
+def test_approx_mode_on_an_exact_table_tests_jacobi_exactly():
+    """An exact table's residual is tested on L c, exactly, whatever the mode.
+
+    Here J(c) = (0, 0, -1e-10), within the 1e-9 tolerance that `jacobi_ok`
+    still applies; a float copy of the table keeps that tolerance test.
+    """
+    exact = from_raw(_scaled(_non_jacobi_table(), F(1, 100000)))
+    approx = Mode.approx()
+    assert jacobi_ok(exact, approx)
+    with pytest.raises(NotLieAlgebra):
+        ricci(exact, approx)
+    floats = from_raw(_scaled(_non_jacobi_table(), 1e-5))
+    assert ricci(floats).scale == 1
+
+
 def test_connection_invariants(family_samples_100):
     for samples in family_samples_100.values():
         for params in samples[:25]:
             sc = build_family(params)
-            nabla = levi_civita(sc)
+            nabla = ricci(sc).connection
             for i in range(3):
                 for j in range(3):
                     for k in range(3):
@@ -154,7 +193,7 @@ def test_curvature_antisymmetry_and_bianchi(family_samples_100):
     for samples in family_samples_100.values():
         for params in samples[:25]:
             sc = build_family(params)
-            riem = curvature(sc, levi_civita(sc))
+            riem = curvature(sc, ricci(sc).connection)
             for i in range(3):
                 for j in range(3):
                     for k in range(3):
@@ -172,7 +211,7 @@ def test_curvature_g1_spot_value():
     from oracles import curvature_vec, koszul_connection
 
     sc = build_family(FamilyParams("G1", alpha=1, beta=0))
-    riem = curvature(sc, levi_civita(sc))
+    riem = curvature(sc, ricci(sc).connection)
     assert riem[0][1][0] == (0, 2, 2)
     assert curvature_vec(sc, koszul_connection(sc), 0, 1, 0) == (0, 2, 2)
 

@@ -21,7 +21,7 @@ from ein2lie import (
     unimodular,
     validate_params,
 )
-from ein2lie.liealg import _jacobi_base
+from ein2lie.liealg import PARAMS_USED, _jacobi_base, family_table
 from oracles import jacobi_brute
 
 F = Fraction
@@ -41,9 +41,9 @@ def table(**entries):
 
 def test_build_family_g1_brackets():
     sc = build_family(FamilyParams("G1", alpha=1, beta=2))
-    assert sc.bracket(0, 1) == (1, 0, -2)
-    assert sc.bracket(0, 2) == (-1, -2, 0)
-    assert sc.bracket(1, 2) == (2, 1, 1)
+    assert sc.c[0][1] == (1, 0, -2)
+    assert sc.c[0][2] == (-1, -2, 0)
+    assert sc.c[1][2] == (2, 1, 1)
 
 
 def test_build_family_antisymmetry(family_samples_100):
@@ -105,7 +105,7 @@ def test_from_raw_tolerates_float_noise_in_approx_mode():
 def test_jacobi_zero_for_g2_sample():
     sc = build_family(FamilyParams("G2", alpha=1, beta=1, gamma=1))
     assert jacobi_ok(sc)
-    assert _jacobi_base(sc) == (0, 0, 0)
+    assert _jacobi_base(sc.c) == (0, 0, 0)
 
 
 def test_jacobi_solvable_swap_table_is_a_lie_algebra():
@@ -122,13 +122,13 @@ def test_jacobi_nonzero_residual():
     sc = from_raw(table(c_123=1, c_131=1))
     assert jacobi_brute(sc, 0, 1, 2) == (0, 0, -1)
     assert not jacobi_ok(sc)
-    assert _jacobi_base(sc) == (0, 0, -1)
+    assert _jacobi_base(sc.c) == (0, 0, -1)
 
 
 def test_jacobi_residual_matches_brute_expansion(family_samples_100):
     for samples in family_samples_100.values():
         sc = build_family(samples[0])
-        assert _jacobi_base(sc) == jacobi_brute(sc, 0, 1, 2)
+        assert _jacobi_base(sc.c) == jacobi_brute(sc, 0, 1, 2)
 
 
 def test_unimodular_examples():
@@ -211,3 +211,14 @@ def test_sample_valid_points_deterministic():
     assert a == b
     for params in a:
         validate_params(params)
+
+
+def test_family_table_reads_exactly_the_params_used():
+    """Perturbing a parameter changes a family's table iff PARAMS_USED lists it."""
+    base = {"alpha": F(2), "beta": F(3), "gamma": F(5), "delta": F(7), "eta": 1}
+    perturbed = {"alpha": F(11), "beta": F(13), "gamma": F(17), "delta": F(19), "eta": -1}
+    for family, used in PARAMS_USED.items():
+        table = family_table(FamilyParams(family, **base)).c
+        for name, value in perturbed.items():
+            moved = family_table(FamilyParams(family, **{**base, name: value})).c
+            assert (moved != table) == (name in used), (family, name)
