@@ -6,23 +6,26 @@ constraints that define the branch, a seeded sampler that produces
 parameter points satisfying them, and the stated (lambda1, lambda2).
 
 The constraint text is the one statement of a branch: its membership
-test and, for the rational branches, its sampler are compiled from it.
-The text is a list of clauses separated by ", ".  A clause is a chain
-of `=` and `!=` over the parameters alpha..eta, integer constants,
-+ - * / ^ and unary minus, so `alpha = beta != 0` reads as alpha = beta
-and beta != 0.  A product compared `!= 0` is tested factor by factor.
-The clause "alpha^2 a root of the branch quartic" tests the quartic
-whose coefficients (qa, qb, qc) in alpha^2 the entry gives as a
+test and its sampler are compiled from it.  The text is a list of
+clauses separated by ", ".  A clause is a chain of `=` and `!=` over
+the parameters alpha..eta, integer constants, + - * / ^ and unary
+minus, so `alpha = beta != 0` reads as alpha = beta and beta != 0.  A
+product compared `!= 0` is tested factor by factor.  The clause
+"alpha^2 a root of the branch quartic" reads as alpha^2 = a root of the
+quartic whose coefficients (qa, qb, qc) in alpha^2 the entry gives as a
 function of (beta, gamma).
 
-A rational branch lists its free parameters in RNG order, "*" marking
-a nonzero draw ("alpha* delta beta"); eta is always a random sign.
-They are drawn from a fixed rational grid.  An equality with a bare,
-still unbound parameter on one side binds that parameter; every other
-relation is checked as soon as its parameters are bound, and a failed
-check rejects the draw.  Parameters neither drawn nor bound are 0.
-Three branch groups force irrational parameters (square roots of
-quartic roots); those keep hand-written samplers that draw floats.
+A branch lists its free parameters in RNG order, "*" marking a nonzero
+draw ("alpha* delta beta"); eta is always a random sign.  They are
+drawn from a fixed rational grid.  An equality binds a parameter,
+neither free nor yet bound, that is one of its sides: a bare one to the
+other side, a squared one (`gamma^2 = alpha^2 + beta^2`, alpha^2 of the
+quartic clause) to a random sign times the square root of the other
+side, or of a random positive root of the quartic, which rejects the
+draw if it has none.
+Every other relation is checked once its parameters are bound, in
+approx mode after a square root, and a failed check rejects the draw.
+Parameters neither drawn nor bound are 0.
 The valid-point sampler of each family is compiled the same way, from
 the pieces of its parameter variety in `liealg.FAMILY_PIECES`, each a
 list of free parameters and the relations that fix the rest, checked
@@ -61,7 +64,7 @@ from .liealg import (
     family_table,
     validate_params,
 )
-from .scalars import DEFAULT_TOLERANCE, Mode, Scalar
+from .scalars import Mode, Scalar
 
 #: Published default seed: default runs are reproducible.
 DEFAULT_SEED = 7
@@ -314,7 +317,7 @@ _CASE_NOTES = {
 
 
 # ---------------------------------------------------------------------------
-# Compiled constraints: membership tests and rational samplers
+# Compiled constraints: membership tests and samplers
 # ---------------------------------------------------------------------------
 
 _QUARTIC_CLAUSE = "alpha^2 a root of the branch quartic"
@@ -335,66 +338,82 @@ def _quartic_34vii(b, g):
     return b + g, g * b * (g - b), -_H * b**3 * (b - g) ** 2
 
 
-def _quartic_root(quartic):
-    """Membership test of the clause `alpha^2 a root of the branch quartic`."""
+class _QuarticRoot:
+    """The relation `alpha^2 = a root of quartic(beta, gamma)`; `root` binds alpha."""
 
-    def holds(values, mode: Mode) -> bool:
-        qa, qb, qc = quartic(values["beta"], values["gamma"])
-        alpha = values["alpha"]
-        return mode.is_zero(qa * alpha**4 + qb * alpha**2 + qc)
+    clause, equal, bare, squared = _QUARTIC_CLAUSE, True, (None, None), ("alpha", None)
+    names = (frozenset({"alpha"}), frozenset({"beta", "gamma"}))
 
-    return holds
+    def __init__(self, quartic):
+        self.quartic = quartic
 
+    def holds(self, values, mode: Mode) -> bool:
+        qa, qb, qc = self.quartic(values["beta"], values["gamma"])
+        return mode.is_zero(qa * values["alpha"] ** 4 + qb * values["alpha"] ** 2 + qc)
 
-def _member(checks) -> Callable[[FamilyParams, Mode], bool]:
-    """Membership test: every check holds, evaluated in order."""
-
-    def member(params: FamilyParams, mode: Mode) -> bool:
-        values = vars(params)
-        for check in checks:
-            if not check(values, mode):
-                return False
-        return True
-
-    return member
+    def root(self, values, rng: random.Random) -> Optional[float]:
+        """A random sign times the square root of a random positive root; None if none."""
+        roots = _positive_quadratic_roots(*self.quartic(values["beta"], values["gamma"]))
+        return _sign(rng) * math.sqrt(rng.choice(roots)) if roots else None
 
 
-def _next_step(pending, bound, free):
+def _signed_root(square, values, rng: random.Random) -> float:
+    """A random sign times the square root of `square(values)`."""
+    return _sign(rng) * math.sqrt(float(square(values)))
+
+
+def _member(relations, params: FamilyParams, mode: Mode) -> bool:
+    """Membership test: every relation holds, evaluated in order."""
+    values = vars(params)
+    for relation in relations:
+        if not relation.holds(values, mode):
+            return False
+    return True
+
+
+def _next_step(pending, bound, free, mode: Mode):
     """Take the first pending relation that the `bound` parameters decide; return its step.
 
-    An equality binds a bare parameter only if it is neither bound nor free.
+    An equality binds a bare parameter, or the root of a squared one, only
+    if that parameter is neither bound nor free.  A check step carries its
+    `mode` where the other steps carry the parameter they bind.
     """
     for relation in pending:
         for side in (0, 1) if relation.equal else ():
-            name = relation.bare[side]
+            name = relation.bare[side] or relation.squared[side]
             if name not in bound | free | {None} and relation.names[1 - side] <= bound:
                 pending.remove(relation)
                 bound.add(name)
-                return "set", name, relation.sides[1 - side]
+                if relation.bare[side]:
+                    return "set", name, relation.sides[1 - side]
+                if isinstance(relation, _QuarticRoot):
+                    return "root", name, relation.root
+                return "root", name, partial(_signed_root, relation.sides[1 - side])
         if relation.names[0] | relation.names[1] <= bound:
             pending.remove(relation)
-            return "check", None, relation
+            return "check", mode, relation
     return None
 
 
 def _rational_draw(
     family: str, free: str, relations
 ) -> Callable[[random.Random], Optional[FamilyParams]]:
-    """Compile a rational branch's sampler from its free parameters and relations.
+    """Compile a sampler from its free parameters and relations.
 
     The plan draws each free parameter in turn, then binds or checks
     every relation that has become decidable, as the module docstring
     describes.
     """
-    exact = Mode.exact()
+    mode = Mode.exact()
     plan, bound, pending = [], set(), list(relations)
     free_names = {token.rstrip("*") for token in free.split()}
     for token in free.split():
         name = token.rstrip("*")
         plan.append(("draw", name, token.endswith("*")))
         bound.add(name)
-        while (step := _next_step(pending, bound, free_names)) is not None:
+        while (step := _next_step(pending, bound, free_names, mode)) is not None:
             plan.append(step)
+            mode = Mode.approx() if step[0] == "root" else mode
     if pending:
         raise ValueError(f"{family}: {pending[0].clause!r} is not fixed by {free!r}")
 
@@ -405,7 +424,11 @@ def _rational_draw(
                 values[name] = _sign(rng) if name == "eta" else _frac(rng, nonzero=arg)
             elif kind == "set":
                 values[name] = arg(values)
-            elif not arg.holds(values, exact):
+            elif kind == "root":
+                if (value := arg(values, rng)) is None:
+                    return None
+                values[name] = value
+            elif not arg.holds(values, name):
                 return None
         return FamilyParams(family, **values)
 
@@ -419,21 +442,18 @@ def _rational_draw(
 def _catalog() -> Tuple[BranchSpec, ...]:
     specs: List[BranchSpec] = []
 
-    def add(label, constraints, draw, expected, recompute=None, note="", quartic=None):
-        """Register a branch; `draw` is a sampler, or a rational branch's free parameters."""
+    def add(label, constraints, free, expected, recompute=None, note="", quartic=None):
+        """Register a branch; `free` lists the free parameters its sampler draws."""
         family = _THEOREM_FAMILY[_theorem(label)]
         text = constraints.removesuffix(", " + _QUARTIC_CLAUSE)
-        relations = _compile_clauses(text)
-        checks = [relation.holds for relation in relations]
-        if text != constraints:
-            checks.append(_quartic_root(quartic))
+        relations = _compile_clauses(text) + ((_QuarticRoot(quartic),) if text != constraints else ())
         specs.append(
             BranchSpec(
                 label=label,
                 family=family,
                 constraints=constraints,
-                member=_member(checks),
-                draw=_rational_draw(family, draw, relations) if isinstance(draw, str) else draw,
+                member=partial(_member, relations),
+                draw=_rational_draw(family, free, relations),
                 expected=expected,
                 recompute=recompute,
                 correction_note=note + _CASE_NOTES.get(recompute, ""),
@@ -509,18 +529,10 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         recompute=_recompute_g3,
     )
 
-    def draw_27viii(rng):
-        a = _frac(rng, nonzero=True)
-        b = _frac(rng, nonzero=True)
-        if a == b:
-            return None
-        g = _sign(rng) * math.sqrt(float(a * a + b * b))
-        return FamilyParams("G3", alpha=a, beta=b, gamma=g)
-
     add(
         "2.7(viii)",
         "alpha != beta, alpha + beta - gamma != 0, gamma^2 = alpha^2 + beta^2",
-        draw_27viii,
+        "alpha* beta*",
         _g3_case,
         recompute=_recompute_g3,
     )
@@ -568,23 +580,11 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         recompute=_recompute_g5,
     )
 
-    def draw_32iv(rng):
-        b = _frac(rng, nonzero=True)
-        g = _frac(rng, nonzero=True)
-        if b == g or b == -g:
-            return None
-        roots = _positive_quadratic_roots(*_quartic_32iv(b, g))
-        if not roots:
-            return None
-        alpha = _sign(rng) * math.sqrt(rng.choice(roots))
-        delta = float(-alpha * g / b)
-        return FamilyParams("G5", alpha=alpha, beta=b, gamma=g, delta=delta)
-
     add(
         "3.2(iv)",
         "beta != 0, delta = -alpha*gamma/beta, beta^2 != gamma^2, "
         "alpha^2 a root of the branch quartic",
-        draw_32iv,
+        "beta* gamma*",
         _g5_case,
         recompute=_recompute_g5,
         quartic=_quartic_32iv,
@@ -644,24 +644,11 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         recompute=_recompute_g6,
     )
 
-    def draw_34vii(rng):
-        b = _frac(rng, nonzero=True)
-        g = _frac(rng)
-        roots = _positive_quadratic_roots(*_quartic_34vii(b, g))
-        if not roots:
-            return None
-        alpha = _sign(rng) * math.sqrt(rng.choice(roots))
-        delta = float(alpha * g / b)
-        case = delta * delta - alpha * delta + float(b * g) - float(g) ** 2
-        if abs(case) <= DEFAULT_TOLERANCE or abs(alpha + delta) <= DEFAULT_TOLERANCE:
-            return None
-        return FamilyParams("G6", alpha=alpha, beta=b, gamma=g, delta=delta)
-
     add(
         "3.4(vii)",
         "beta != 0, delta = alpha*gamma/beta, delta^2 - alpha*delta + beta*gamma - gamma^2 != 0, "
         "alpha^2 a root of the branch quartic",
-        draw_34vii,
+        "beta* gamma",
         _g6_case,
         recompute=_recompute_g6,
         quartic=_quartic_34vii,
@@ -674,15 +661,10 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         recompute=_recompute_g6,
     )
 
-    def draw_34viiii(rng):
-        g = _frac(rng, nonzero=True)
-        d = _sign(rng) * float(abs(g)) / math.sqrt(2.0)
-        return FamilyParams("G6", gamma=g, delta=d)
-
     add(
         "3.4(viiii)",
         "alpha = beta = 0, gamma != 0, delta^2 = gamma^2/2",
-        draw_34viiii,
+        "gamma*",
         lambda p: ExpectedLambdas.point(p.delta**2, zero),
         recompute=_recompute_g6,
     )

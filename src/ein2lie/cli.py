@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from fractions import Fraction
 from itertools import product
@@ -139,8 +141,8 @@ def _build_job(args: argparse.Namespace) -> argparse.Namespace:
             raise InputError(f"{name.replace('_', '-')} must be >= {least}")
     if "mode" in job:
         tol = float(job.pop("tol"))
-        if tol <= 0:
-            raise InputError("tolerance must be positive")
+        if not 0 < tol < math.inf:
+            raise InputError("tolerance must be positive and finite")
         job["mode"] = Mode.approx(tol) if job["mode"] == APPROX else Mode.exact()
     if job.get("family") is not None:
         family = job["family"] = job["family"].upper()
@@ -180,23 +182,25 @@ def _load_raw(path: str, mode: Mode) -> StructureConstants:
     if table is None:
         raise InputError(f"{path}: field 'c' (or 'structure_constants.c') missing")
     try:
-        entries = [[[_raw_entry(table, i, j, k, mode) for k in range(3)] for j in range(3)]
+        entries = [[[_raw_entry(path, table, i, j, k, mode) for k in range(3)] for j in range(3)]
                    for i in range(3)]
     except (IndexError, TypeError) as exc:
         raise InputError(f"{path}: field 'c' must be a 3x3x3 array") from exc
     return from_raw(entries, mode)
 
 
-def _raw_entry(table, i, j, k, mode: Mode):
+def _raw_entry(path: str, table, i, j, k, mode: Mode) -> Scalar:
+    """Entry c[i][j][k], a finite JSON number or a rational string, as a scalar of `mode`."""
     value = table[i][j][k]
-    if isinstance(value, str):
-        value = parse_scalar(value)
-    if mode.kind == APPROX:
-        return float(value)
-    if isinstance(value, float):
-        # exact mode keeps the float's exact binary value as a rational
-        return Fraction(value)
-    return value
+    try:
+        if isinstance(value, str):
+            value = parse_scalar(value)
+        elif type(value) not in (int, float) or (type(value) is float and not math.isfinite(value)):
+            raise ValueError(f"expected a finite number or a rational string, got {json.dumps(value)}")
+        # exact mode keeps a float's exact binary value as a rational
+        return float(value) if mode.kind == APPROX else Fraction(value)
+    except (ValueError, OverflowError) as exc:
+        raise InputError(f"{path}: c[{i}][{j}][{k}]: {exc}") from exc
 
 
 def _input_algebra(job: argparse.Namespace):
@@ -451,6 +455,11 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # argparse reads -1/2, unlike -1, as an option: `--alpha -1/2` becomes `--alpha=-1/2`
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in [f"--{name}" for name in _PARAM_KEYS] and re.match(r"-[0-9.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         if args.config:

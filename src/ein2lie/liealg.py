@@ -185,12 +185,19 @@ class _Relation:
 
     Sides read the parameters from a mapping of names to values, such as
     vars(params).  `bare[i]` is side i's name if it is a bare parameter,
+    `squared[i]` its name if it is a bare parameter squared (`gamma^2`),
     `names[i]` the parameters it reads.
     """
 
     def __init__(self, clause: str, equal: bool, left: ast.expr, right: ast.expr):
         self.clause, self.equal = clause, equal
         self.bare = tuple(getattr(side, "id", None) for side in (left, right))
+        self.squared = tuple(
+            getattr(side.left, "id", None)
+            if isinstance(side, ast.BinOp) and isinstance(side.op, ast.Pow)
+            and getattr(side.right, "value", None) == 2 else None
+            for side in (left, right)
+        )
         (first, left_names), (second, right_names) = _term(left), _term(right)
         self.sides, self.names = (first, second), (left_names, right_names)
         if not (isinstance(right, ast.Constant) and right.value == 0):

@@ -318,7 +318,7 @@ SAMPLE_STREAM_SHA256 = {
     "3.4(vi)": "7cb85a3aae2b6a4fda488f23cef2e105a1d212e44a795e0e945bb593a65721f9",
     "3.4(vii)": "d045706cb9642ca165f4a57803ed3417b08a6d415befe56e9847e66d8d571224",
     "3.4(viii)": "983ed6d30182cbc3af3b49deb41690508d375c1c542fbebaea548399b12a6c5b",
-    "3.4(viiii)": "bd6a2ffe9110fbeb7bad7b6a447c41406f5222348f39269b087e673116bdb8ab",
+    "3.4(viiii)": "f3b516d87c9280fb749ea571c24d7068cfda1a185907e47fa9ad318c3497d375",
     "3.6(i)": "a3cf803ac4c862fedbc58fbfce277e1a170f3587665871632b03955e64d9f330",
     "3.6(ii)": "3ee3756724d002d097ef4e9f39080714d8df4a0263f75c40db2d5291a6a5e5a6",
     "3.6(iii)": "21f253e9866c81f9125e44c86c11664020e55e749fe78ba713fdd294b3c3b014",
@@ -485,6 +485,38 @@ def test_sampler_checks_equalities_on_free_parameters():
     rng = random.Random(0)
     samples = [p for p in (draw(rng) for _ in range(200)) if p is not None]
     assert samples and all(p.beta == 0 for p in samples)
+
+
+def test_sampler_binds_a_squared_parameter_to_both_roots():
+    relations = _compile_clauses("gamma^2 = alpha^2 + beta^2")
+    draw = _rational_draw("G3", "alpha* beta*", relations)
+    rng = random.Random(0)
+    samples = [draw(rng) for _ in range(200)]
+    assert {math.copysign(1, p.gamma) for p in samples} == {1, -1}
+    assert all(relations[0].holds(vars(p), Mode.approx()) for p in samples)
+
+
+def test_sampler_checks_a_squared_free_parameter():
+    # gamma is free, so gamma^2 = alpha^2 + beta^2 is checked on the drawn
+    # rational gamma, not bound to a float root.
+    draw = _rational_draw("G3", "alpha beta gamma", _compile_clauses("gamma^2 = alpha^2 + beta^2"))
+    rng = random.Random(0)
+    samples = [p for p in (draw(rng) for _ in range(2000)) if p is not None]
+    assert samples
+    assert all(
+        isinstance(p.gamma, Fraction) and p.gamma**2 == p.alpha**2 + p.beta**2 for p in samples
+    )
+
+
+def test_checks_after_a_root_binding_run_at_the_approx_tolerance():
+    # gamma is a rounded square root, so an exact test of the identity
+    # below would reject some of these draws.
+    text = "gamma^2 = alpha^2 + beta^2, gamma^2 - alpha^2 - beta^2 = 0"
+    draw = _rational_draw("G3", "alpha* beta*", _compile_clauses(text))
+    rng = random.Random(0)
+    samples = [draw(rng) for _ in range(200)]
+    assert None not in samples
+    assert any(p.gamma**2 - p.alpha**2 - p.beta**2 != 0 for p in samples)
 
 
 def test_product_nonzero_reads_factor_by_factor_in_approx_mode():

@@ -378,6 +378,48 @@ def test_non_lie_raw_table_with_denominators_exit_2(command, tmp_path):
     assert (code, out, err) == (2, "", "error: Jacobi identity fails; residual is nonzero\n")
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("true", "expected a finite number or a rational string, got true"),
+        ("null", "expected a finite number or a rational string, got null"),
+        ("[1]", "expected a finite number or a rational string, got [1]"),
+        ('{"p": 1}', 'expected a finite number or a rational string, got {"p": 1}'),
+        ("1e400", "expected a finite number or a rational string, got Infinity"),
+        ("NaN", "expected a finite number or a rational string, got NaN"),
+        ('"one"', "not a rational literal: 'one'"),
+    ],
+)
+def test_raw_entry_that_is_no_finite_number_exit_2(entry, message, mode, tmp_path):
+    raw = tmp_path / "entry.json"
+    table = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    table[1][2][0] = "ENTRY"
+    raw.write_text(json.dumps({"c": table}).replace('"ENTRY"', entry))
+    code, out, err = run_cli("check", "--raw", str(raw), "--mode", mode)
+    assert (code, out, err) == (2, "", f"error: {raw}: c[1][2][0]: {message}\n")
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_tolerance_that_is_not_positive_and_finite_exit_2(tol):
+    code, out, err = run_cli(
+        "check", "--family", "G1", "--alpha", "1", "--beta", "2", "--mode", "approx", "--tol", tol
+    )
+    assert (code, out, err) == (2, "", "error: tolerance must be positive and finite\n")
+
+
+@pytest.mark.parametrize("command", ["derive", "check", "classify"])
+def test_negative_fraction_as_separate_argument(command):
+    # A valid G6 point (alpha*gamma = beta*delta = 1/6) whose four parameters
+    # are negative fractions, which argparse alone reads as options.
+    values = {"alpha": "-1/2", "beta": "-1/3", "gamma": "-1/3", "delta": "-1/2"}
+    separate = [token for name, value in values.items() for token in (f"--{name}", value)]
+    attached = [f"--{name}={value}" for name, value in values.items()]
+    result = run_cli(command, "--family", "G6", *separate)
+    assert result == run_cli(command, "--family", "G6", *attached)
+    assert result[0] in (0, 1) and result[1] and result[2] == ""
+
+
 # ---------------------------------------------------------------------------
 # check / classify
 # ---------------------------------------------------------------------------
