@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -38,6 +39,7 @@ from ein2lie.branches import (
     sample_family_point,
 )
 from ein2lie.liealg import FAMILY_CONSTRAINTS, FAMILY_PIECES, _compile_clauses
+from ein2lie.reporting import expected_json
 
 F = Fraction
 
@@ -406,6 +408,57 @@ def test_family_streams_are_pinned():
         for family, seed in FAMILY_STREAM_SHA256
     }
     assert streams == FAMILY_STREAM_SHA256
+
+
+# sha256 of the JSON form (`expected_json`) of each seed-7 sample's stated
+# lambdas and, where the branch has one, its recomputed lambdas.  JSON
+# prints int 0 and Fraction(0) alike and keeps every float bit.
+EXPECTED_SHA256 = {
+    "2.3": "a4b393d9b1c62f2ef54b05bd8893a483f5a1d395127ae2f7f06bc31b36763b46",
+    "2.5": "693c5445ef8fca016ca9d76ded9040d2c0c5d669989480f224736a2cfca2de5c",
+    "2.7(i)": "405f22a62d9fa28df03f5f56f2f09b1a41e4f2897b7179a439fee4fa8d3ec4aa",
+    "2.7(ii)": "2a2f021dbd71e8f4733c621abc5403891dca6716cc66e1831eec5d41bb652db3",
+    "2.7(iii)": "405f22a62d9fa28df03f5f56f2f09b1a41e4f2897b7179a439fee4fa8d3ec4aa",
+    "2.7(iv)": "405f22a62d9fa28df03f5f56f2f09b1a41e4f2897b7179a439fee4fa8d3ec4aa",
+    "2.7(v)": "1137a16aca92d3dd0c0ccbfdb234808bcd9eb4f871b52c5b78862982786e1262",
+    "2.7(vi)": "e9c237368890d228a9acd6d41756dc71323090ad6a5be3b4fd308497a631ff75",
+    "2.7(vii)": "37ce37ab6d1ed2ea1628169aacd82e099babb25f000e44f8a1add39134fd2a26",
+    "2.7(viii)": "1df644e9cd0e06c5e09e9922d16db9de0c6eb4d4e5992003dd3db03060b01e21",
+    "2.9(i)": "405f22a62d9fa28df03f5f56f2f09b1a41e4f2897b7179a439fee4fa8d3ec4aa",
+    "2.9(ii)": "174d28d457ccfe42ecd28f9d5b4fe6c94f7e9c86b5281c86ac23e0a8d413f55b",
+    "2.9(iii)": "a4b393d9b1c62f2ef54b05bd8893a483f5a1d395127ae2f7f06bc31b36763b46",
+    "3.2(i)": "4b46213e580c22ae3f016cb9d751feca112a2e6f5d32006960f12091b8d1ae13",
+    "3.2(ii)": "2305fd60504e8ba90c815ff28eb05252fba60df2b05dd09f760718d4d4987ff2",
+    "3.2(iii)": "000d18a8050f50ac53c00cff59b299758599b367c67c895935c4a2e4c83ffce3",
+    "3.2(iv)": "dbb9cb9b001d7d4be521d4f73c45183e8f3551c659d012ae4e7eb6bf9cd099d6",
+    "3.4(i)": "dbc318d3886aca779beb37813c4d5bf3ad0f804455b2a123b39375b77d481267",
+    "3.4(ii)": "de76442ab3d40a4fab3f19f072259e7219e45deed99b76834f155fecd0fbd864",
+    "3.4(iii)": "c4c9929335b95e765eda60c390333c87a28f592e8a8ab431f80934149371fd3d",
+    "3.4(iv)": "0be2f51570e62b39a05348607c6225d30a9a7bf19f78e1cbda77183b961aab53",
+    "3.4(v)": "ed4d11436bc8984db34c8b7828c73ee95138842710be66e20073c1c897699791",
+    "3.4(vi)": "36e427091f204024d02cbd2fe2f81a04801626ada026c32872ff21e57d9c67e5",
+    "3.4(vii)": "0787b4f96a9e57fdbbb6d41f15257d033079abc42f203c1c41aad6a7aa866ae5",
+    "3.4(viii)": "9ebb3f5715520a52b1b33be32fad7b6e1b4193ab24fa7af45b3923a5f6f02414",
+    "3.4(viiii)": "14d262db3401326d7200b2d453728c41a5184111e7400079768fa920bf0f77d4",
+    "3.6(i)": "405f22a62d9fa28df03f5f56f2f09b1a41e4f2897b7179a439fee4fa8d3ec4aa",
+    "3.6(ii)": "405f22a62d9fa28df03f5f56f2f09b1a41e4f2897b7179a439fee4fa8d3ec4aa",
+    "3.6(iii)": "405f22a62d9fa28df03f5f56f2f09b1a41e4f2897b7179a439fee4fa8d3ec4aa",
+    "3.6(iv)": "a4b393d9b1c62f2ef54b05bd8893a483f5a1d395127ae2f7f06bc31b36763b46",
+}
+
+
+def test_stated_and_recomputed_lambdas_are_pinned():
+    streams = {}
+    for spec in BRANCHES:
+        doc = [
+            [
+                expected_json(spec.expected(p)),
+                expected_json(spec.recompute(p, p.mode())) if spec.recompute else None,
+            ]
+            for p in sample_branch(spec, 50, seed=7)
+        ]
+        streams[spec.label] = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+    assert streams == EXPECTED_SHA256
 
 
 def test_every_piece_draw_is_a_valid_point():
