@@ -4,11 +4,13 @@ Each branch of the classification (labeled by theorem and case, "2.3"
 through "3.6(iv)") is recorded as a `BranchSpec`: the parameter
 constraints that define the branch, a seeded sampler that produces
 parameter points satisfying them, and the stated (lambda1, lambda2).
+The constraints and the stated lambdas are text, compiled by one clause
+compiler.
 
-The constraint text is the one statement of a branch: its membership
-test and its sampler are compiled from it.  The text is a list of
-clauses separated by ", ".  A clause is a chain of `=` and `!=` over
-the parameters alpha..eta, integer constants, + - * / ^ and unary
+The constraint text is the one statement of a branch's points: its
+membership test and its sampler are compiled from it.  The text is a
+list of clauses separated by ", ".  A clause is a chain of `=` and `!=`
+over the parameters alpha..eta, integer constants, + - * / ^ and unary
 minus, so `alpha = beta != 0` reads as alpha = beta and beta != 0.  A
 product compared `!= 0` is tested factor by factor.  The clause
 "alpha^2 a root of the branch quartic" reads as alpha^2 = a root of the
@@ -31,6 +33,18 @@ the pieces of its parameter variety in `liealg.FAMILY_PIECES`, each a
 list of free parameters and the relations that fix the rest, checked
 together with the family constraints.
 
+The stated lambdas are a formula text in the same grammar, whose
+equalities bind lambda1, lambda2 and helper names (T, V, W, ...) from
+the parameters by the same binding step: each binds once every name its
+other side reads is bound, so a text may define a helper after its use.
+Every other relation of the text is a check, run in the caller's mode.
+A formula that leaves lambda1 unbound states lambda1 free (with
+lambda2 = 0).  A family's case identities are an ordered list of such
+texts, each its checks followed by its formula: the first whose checks
+pass gives the recomputed lambdas, and none passing gives None.  The
+last is the family's generic case, the stated formula of its float
+branch, and each errata note quotes the formula text it evaluates.
+
 `verify_branch` replays a branch against the solver: every sample must
 be Ein(2) and the stated lambdas must lie in the computed solution set
 (membership, not uniqueness; several branches leave lambda1 free, which
@@ -49,12 +63,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, List, Optional, Tuple
 
 from .ein2 import DELTA, NONE, Ein2Solution, is_ein2
 from .liealg import (
     _FAMILY_RELATIONS,
+    _PARAM_NAMES,
     FAMILY_PIECES,
     ConstraintViolation,
     FamilyParams,
@@ -122,6 +137,7 @@ class BranchSpec:
     expected: Callable[[FamilyParams], ExpectedLambdas]
     recompute: Optional[Callable[[FamilyParams, Mode], Optional[ExpectedLambdas]]] = None
     correction_note: str = ""
+    lambdas: str = ""
 
     @property
     def theorem(self) -> str:
@@ -229,91 +245,6 @@ def sample_branch(spec: BranchSpec, count: int, seed: int = DEFAULT_SEED) -> Lis
     rng = _rng_for(seed, spec.label)
     empty = f"branch {spec.label}: no valid sample"
     return [_first_draw(lambda: spec.draw(rng), _valid, empty) for _ in range(count)]
-
-
-# ---------------------------------------------------------------------------
-# Case identities: the generic case of a family is the stated formula of its
-# float branch; the recomputations run only when a stated formula fails
-# ---------------------------------------------------------------------------
-
-def _g3_case(p: FamilyParams) -> ExpectedLambdas:
-    a, b, g = p.alpha, p.beta, p.gamma
-    lam1 = g * (a + b - g)
-    lam2 = (_H * a**2 - _H * (b - g) ** 2) * (_H * b**2 - _H * (a - g) ** 2)
-    return ExpectedLambdas.point(lam1, lam2)
-
-
-def _g5_case(p: FamilyParams) -> ExpectedLambdas:
-    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-    lam1 = -((a + d) ** 2)
-    lam2 = a * d * (a + d) ** 2 + (b**2 - g**2) * (d**2 - a**2) * _H - _Q * (b**2 - g**2) ** 2
-    return ExpectedLambdas.point(lam1, lam2)
-
-
-def _g6_case(p: FamilyParams) -> ExpectedLambdas:
-    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-    lam1 = 2 * a**2 + d**2 + a * d + b * g - b**2
-    t = a**2 + d**2 - _H * (b - g) ** 2
-    return ExpectedLambdas.point(lam1, lam1 * t - t**2)
-
-
-def _recompute_g3(p: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
-    a, b, g = p.alpha, p.beta, p.gamma
-    if mode.eq(a, b):
-        if mode.is_zero(g) or mode.is_zero(a):
-            return None  # flat or degenerate: the solution is a line
-        lam1 = g * ((2 * a - g) ** 2 + g**2) / (4 * a)
-        lam2 = _Q * g**4 - _H * g**2 * lam1
-        return ExpectedLambdas.point(lam1, lam2)
-    return _g3_case(p)
-
-
-def _recompute_g5(p: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
-    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-    if mode.is_zero(a**2 + b**2 - d**2 - g**2):
-        q = a * d + d**2 - _H * (b**2 - g**2)
-        r = a**2 + d**2 + _H * (b + g) ** 2
-        denom = q + r
-        if mode.is_zero(denom):
-            return None
-        lam1 = -(q**2 + r**2) / denom
-        lam2 = r * q * (r - q) / denom
-        return ExpectedLambdas.point(lam1, lam2)
-    return _g5_case(p)
-
-
-def _recompute_g6(p: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
-    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-    if mode.is_zero(d**2 - a * d + b * g - g**2):
-        v = a**2 + a * d - _H * (b**2 - g**2)
-        w = d**2 + a * d + _H * (b**2 - g**2)
-        denom = (a + d) ** 2
-        lam1 = (v**2 + w**2) / denom
-        lam2 = v * w * (d**2 - a**2 + b**2 - g**2) / denom
-        return ExpectedLambdas.point(lam1, lam2)
-    return _g6_case(p)
-
-
-#: The errata note of each recomputation: the identities it evaluates.
-_CASE_NOTES = {
-    _recompute_g3: (
-        "recomputed from the G3 case identities: lambda1 = gamma*(alpha + beta - gamma), "
-        "lambda2 = (alpha^2 - (beta - gamma)^2)*(beta^2 - (alpha - gamma)^2)/4, "
-        "with a separate identity at alpha = beta"
-    ),
-    _recompute_g5: (
-        "recomputed from the G5 case identities: lambda1 = -(alpha + delta)^2, "
-        "lambda2 = alpha*delta*(alpha + delta)^2 + (beta^2 - gamma^2)*(delta^2 - alpha^2)/2 "
-        "- (beta^2 - gamma^2)^2/4, with a separate identity on alpha^2 + beta^2 = gamma^2 + delta^2"
-    ),
-    _recompute_g6: (
-        "recomputed by eliminating lambda2 between the two trailing diagonal equations: "
-        "lambda1 = (V^2 + W^2) / (alpha + delta)^2, "
-        "lambda2 = V*W*(delta^2 - alpha^2 + beta^2 - gamma^2) / (alpha + delta)^2, "
-        "V = alpha^2 + alpha*delta - (beta^2 - gamma^2)/2, "
-        "W = delta^2 + alpha*delta + (beta^2 - gamma^2)/2"
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +367,122 @@ def _rational_draw(
 
 
 # ---------------------------------------------------------------------------
+# Stated lambdas and case identities, compiled from formula text
+# ---------------------------------------------------------------------------
+
+#: Each family's case identities in order, as (checks, formula) texts; the
+#: recomputations run only when a stated formula fails.  The last case is
+#: the family's generic one, the stated formula of its float branch.
+_CASES = {
+    "G3": (
+        (
+            "alpha = beta != 0, gamma != 0",
+            "lambda1 = gamma*((2*alpha - gamma)^2 + gamma^2)/(4*alpha), "
+            "lambda2 = gamma^4/4 - gamma^2/2*lambda1",
+        ),
+        (
+            "alpha != beta",
+            "lambda1 = gamma*(alpha + beta - gamma), "
+            "lambda2 = (alpha^2 - (beta - gamma)^2)*(beta^2 - (alpha - gamma)^2)/4",
+        ),
+    ),
+    "G5": (
+        (
+            "alpha^2 + beta^2 - delta^2 - gamma^2 = 0, Q + R != 0",
+            "Q = alpha*delta + delta^2 - (beta^2 - gamma^2)/2, "
+            "R = alpha^2 + delta^2 + (beta + gamma)^2/2, "
+            "lambda1 = -(Q^2 + R^2)/(Q + R), lambda2 = R*Q*(R - Q)/(Q + R)",
+        ),
+        (
+            "alpha^2 + beta^2 - delta^2 - gamma^2 != 0",
+            "lambda1 = -(alpha + delta)^2, "
+            "lambda2 = alpha*delta*(alpha + delta)^2 + (beta^2 - gamma^2)*(delta^2 - alpha^2)/2 "
+            "- (beta^2 - gamma^2)^2/4",
+        ),
+    ),
+    "G6": (
+        (
+            "delta^2 - alpha*delta + beta*gamma - gamma^2 = 0",
+            "lambda1 = (V^2 + W^2) / (alpha + delta)^2, "
+            "lambda2 = V*W*(delta^2 - alpha^2 + beta^2 - gamma^2) / (alpha + delta)^2, "
+            "V = alpha^2 + alpha*delta - (beta^2 - gamma^2)/2, "
+            "W = delta^2 + alpha*delta + (beta^2 - gamma^2)/2",
+        ),
+        (
+            "delta^2 - alpha*delta + beta*gamma - gamma^2 != 0",
+            "lambda1 = 2*alpha^2 + delta^2 + alpha*delta + beta*gamma - beta^2, "
+            "T = alpha^2 + delta^2 - (beta - gamma)^2/2, lambda2 = lambda1*T - T^2",
+        ),
+    ),
+}
+
+#: The errata note of each family's recomputation; "{i}" is the formula of case i.
+_ERRATA_NOTES = {
+    "G3": "recomputed from the G3 case identities: {1}, with a separate identity at alpha = beta",
+    "G5": (
+        "recomputed from the G5 case identities: {1}, "
+        "with a separate identity on alpha^2 + beta^2 = gamma^2 + delta^2"
+    ),
+    "G6": "recomputed by eliminating lambda2 between the two trailing diagonal equations: {0}",
+}
+
+_CASE_TEXTS = {
+    family: tuple(", ".join(case) for case in cases) for family, cases in _CASES.items()
+}
+
+
+# Compiled on first use, once, so that importing the package compiles no formula.
+@lru_cache(maxsize=None)
+def _formula(text: str) -> Tuple:
+    """Compile a formula text to its plan of "set" and "check" steps (`_next_step`)."""
+    plan, bound, pending = [], set(_PARAM_NAMES), list(_compile_clauses(text, names=None))
+    while (step := _next_step(pending, bound, set(), None)) is not None:
+        plan.append(step)
+    if pending or any(kind == "root" for kind, _, _ in plan):
+        raise ValueError(f"formula {text!r} does not bind each name it reads by a bare equality")
+    return tuple(plan)
+
+
+def _lambdas(
+    texts, params: FamilyParams, mode: Optional[Mode] = None
+) -> Optional[ExpectedLambdas]:
+    """The lambdas of the first formula text whose checks pass at `params`; None if none does.
+
+    Checks run in `mode`, by default the point's own.  A formula that
+    leaves lambda1 unbound states lambda1 free.
+    """
+    mode = params.mode() if mode is None else mode
+    for text in texts:
+        values = dict(vars(params))
+        for kind, name, arg in _formula(text):
+            if kind == "set":
+                values[name] = arg(values)
+            elif not arg.holds(values, mode):
+                break
+        else:
+            if "lambda1" not in values:
+                return ExpectedLambdas.free_lambda1()
+            return ExpectedLambdas.point(values["lambda1"], values["lambda2"])
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Branch catalog
 # ---------------------------------------------------------------------------
 
 def _catalog() -> Tuple[BranchSpec, ...]:
     specs: List[BranchSpec] = []
 
-    def add(label, constraints, free, expected, recompute=None, note="", quartic=None):
-        """Register a branch; `free` lists the free parameters its sampler draws."""
+    def add(label, constraints, free, lambdas, note="", quartic=None):
+        """Register a branch; `free` lists the free parameters its sampler draws,
+        `lambdas` is the formula text of its stated (lambda1, lambda2)."""
         family = _THEOREM_FAMILY[_theorem(label)]
         text = constraints.removesuffix(", " + _QUARTIC_CLAUSE)
         relations = _compile_clauses(text) + ((_QuarticRoot(quartic),) if text != constraints else ())
+        # A stated point (a formula naming lambda1 binds it) is recomputed
+        # from the case identities of its family, if it has them.
+        cases = family in _CASES and "lambda1" in lambdas
+        formulas = (formula for _, formula in _CASES.get(family, ()))
         specs.append(
             BranchSpec(
                 label=label,
@@ -454,139 +490,95 @@ def _catalog() -> Tuple[BranchSpec, ...]:
                 constraints=constraints,
                 member=partial(_member, relations),
                 draw=_rational_draw(family, free, relations),
-                expected=expected,
-                recompute=recompute,
-                correction_note=note + _CASE_NOTES.get(recompute, ""),
+                expected=partial(_lambdas, (lambdas,)),
+                recompute=partial(_lambdas, _CASE_TEXTS[family]) if cases else None,
+                correction_note=(note + _ERRATA_NOTES[family].format(*formulas)) if cases else "",
+                lambdas=lambdas,
             )
         )
 
-    zero = Fraction(0)
-
     # --- G1 ---------------------------------------------------------------
-    add(
-        "2.3",
-        "beta = 0, alpha != 0",
-        "alpha*",
-        lambda p: ExpectedLambdas.point(zero, zero),
-    )
+    add("2.3", "beta = 0, alpha != 0", "alpha*", "lambda1 = 0, lambda2 = 0")
 
     # --- G2 ---------------------------------------------------------------
     add(
         "2.5",
         "alpha = 2*beta, gamma != 0",
         "beta gamma*",
-        lambda p: ExpectedLambdas.point(_H * p.alpha**2 + 2 * p.gamma**2, zero),
+        "lambda1 = alpha^2/2 + 2*gamma^2, lambda2 = 0",
     )
 
     # --- G3 ---------------------------------------------------------------
-    add(
-        "2.7(i)",
-        "alpha = beta, gamma = 0",
-        "alpha",
-        lambda p: ExpectedLambdas.free_lambda1(),
-    )
+    add("2.7(i)", "alpha = beta, gamma = 0", "alpha", "lambda2 = 0")
     add(
         "2.7(ii)",
         "alpha = beta != 0, gamma != 0",
         "alpha* gamma*",
-        lambda p: ExpectedLambdas.point(
-            p.gamma * ((2 * p.alpha - p.gamma) ** 2 + p.gamma**2) / (4 * p.alpha),
-            p.gamma**3 * (-2 * p.alpha**2 + 3 * p.alpha * p.gamma - p.gamma**2) / (4 * p.alpha),
-        ),
-        recompute=_recompute_g3,
+        "lambda1 = gamma*((2*alpha - gamma)^2 + gamma^2)/(4*alpha), "
+        "lambda2 = gamma^3*(-2*alpha^2 + 3*alpha*gamma - gamma^2)/(4*alpha)",
     )
-    add(
-        "2.7(iii)",
-        "alpha = 0, beta = gamma != 0",
-        "beta*",
-        lambda p: ExpectedLambdas.free_lambda1(),
-    )
-    add(
-        "2.7(iv)",
-        "beta = 0, alpha = gamma != 0",
-        "alpha*",
-        lambda p: ExpectedLambdas.free_lambda1(),
-    )
+    add("2.7(iii)", "alpha = 0, beta = gamma != 0", "beta*", "lambda2 = 0")
+    add("2.7(iv)", "beta = 0, alpha = gamma != 0", "alpha*", "lambda2 = 0")
     add(
         "2.7(v)",
         "alpha != beta, alpha*beta != 0, gamma = alpha + beta",
         "alpha* beta*",
-        lambda p: ExpectedLambdas.point(2 * p.alpha * p.beta, zero),
-        recompute=_recompute_g3,
+        "lambda1 = 2*alpha*beta, lambda2 = 0",
     )
     add(
         "2.7(vi)",
         "alpha != beta, alpha + beta - gamma != 0, gamma = alpha - beta",
         "alpha beta*",
-        lambda p: ExpectedLambdas.point(2 * p.beta * (p.alpha - p.beta), zero),
-        recompute=_recompute_g3,
+        "lambda1 = 2*beta*(alpha - beta), lambda2 = 0",
     )
     add(
         "2.7(vii)",
         "alpha != beta, alpha + beta - gamma != 0, gamma = beta - alpha",
         "alpha* beta",
-        lambda p: ExpectedLambdas.point(2 * p.alpha * (p.beta - p.alpha), zero),
-        recompute=_recompute_g3,
+        "lambda1 = 2*alpha*(beta - alpha), lambda2 = 0",
     )
-
     add(
         "2.7(viii)",
         "alpha != beta, alpha + beta - gamma != 0, gamma^2 = alpha^2 + beta^2",
         "alpha* beta*",
-        _g3_case,
-        recompute=_recompute_g3,
+        _CASE_TEXTS["G3"][-1],
     )
 
     # --- G4 ---------------------------------------------------------------
-    add(
-        "2.9(i)",
-        "alpha = 0, beta = eta",
-        "eta",
-        lambda p: ExpectedLambdas.free_lambda1(),
-    )
+    add("2.9(i)", "alpha = 0, beta = eta", "eta", "lambda2 = 0")
     add(
         "2.9(ii)",
         "alpha != 0, beta = alpha/2 + eta",
         "alpha* eta",
-        lambda p: ExpectedLambdas.point(_H * p.alpha**2, zero),
+        "lambda1 = alpha^2/2, lambda2 = 0",
     )
-    add(
-        "2.9(iii)",
-        "alpha = 0, beta != eta",
-        "eta beta",
-        lambda p: ExpectedLambdas.point(zero, zero),
-    )
+    add("2.9(iii)", "alpha = 0, beta != eta", "eta beta", "lambda1 = 0, lambda2 = 0")
 
     # --- G5 ---------------------------------------------------------------
     add(
         "3.2(i)",
         "gamma = -beta, alpha = delta != 0",
         "delta* beta",
-        lambda p: ExpectedLambdas.point(-2 * p.alpha**2, zero),
-        recompute=_recompute_g5,
+        "lambda1 = -2*alpha^2, lambda2 = 0",
     )
     add(
         "3.2(ii)",
         "alpha = beta = gamma = 0, delta != 0",
         "delta*",
-        lambda p: ExpectedLambdas.point(-(p.delta**2), zero),
-        recompute=_recompute_g5,
+        "lambda1 = -delta^2, lambda2 = 0",
     )
     add(
         "3.2(iii)",
         "alpha != 0, beta = gamma = delta = 0",
         "alpha*",
-        lambda p: ExpectedLambdas.point(-(p.alpha**2), zero),
-        recompute=_recompute_g5,
+        "lambda1 = -alpha^2, lambda2 = 0",
     )
-
     add(
         "3.2(iv)",
         "beta != 0, delta = -alpha*gamma/beta, beta^2 != gamma^2, "
         "alpha^2 a root of the branch quartic",
         "beta* gamma*",
-        _g5_case,
-        recompute=_recompute_g5,
+        _CASE_TEXTS["G5"][-1],
         quartic=_quartic_32iv,
     )
 
@@ -595,29 +587,25 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         "3.4(i)",
         "beta = gamma != 0, alpha = delta != 0",
         "alpha* beta*",
-        lambda p: ExpectedLambdas.point(2 * p.alpha**2, zero),
-        recompute=_recompute_g6,
+        "lambda1 = 2*alpha^2, lambda2 = 0",
     )
     add(
         "3.4(ii)",
         "beta = gamma = delta = 0, alpha != 0",
         "alpha*",
-        lambda p: ExpectedLambdas.point(p.alpha**2, zero),
-        recompute=_recompute_g6,
+        "lambda1 = alpha^2, lambda2 = 0",
     )
     add(
         "3.4(iii)",
         "beta = gamma = 0, alpha = delta != 0",
         "alpha*",
-        lambda p: ExpectedLambdas.point(2 * p.alpha**2, zero),
-        recompute=_recompute_g6,
+        "lambda1 = 2*alpha^2, lambda2 = 0",
     )
     add(
         "3.4(iv)",
         "beta != gamma, delta = gamma != 0, alpha = beta, alpha + delta != 0",
         "gamma* beta",
-        lambda p: ExpectedLambdas.point(_H * (p.alpha + p.delta) ** 2, zero),
-        recompute=_recompute_g6,
+        "lambda1 = (alpha + delta)^2/2, lambda2 = 0",
     )
     add(
         "3.4(v)",
@@ -625,11 +613,8 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         "alpha* beta*",
         # Stated as tabulated; the lambda1 numerator's trailing beta^4 term
         # fails recomputation (see the errata machinery).
-        lambda p: ExpectedLambdas.point(
-            (p.alpha**4 - p.alpha**2 * p.beta**2 + p.beta**4) / p.alpha**2,
-            p.beta**2 * (p.alpha**2 - _H * p.beta**2) * (p.beta**2 - p.alpha**2) / (2 * p.alpha**2),
-        ),
-        recompute=_recompute_g6,
+        "lambda1 = (alpha^4 - alpha^2*beta^2 + beta^4) / alpha^2, "
+        "lambda2 = beta^2*(alpha^2 - beta^2/2)*(beta^2 - alpha^2) / (2*alpha^2)",
         note=(
             "lambda1 = (alpha^4 - alpha^2*beta^2 + beta^4/2) / alpha^2 "
             "(the tabulated numerator ends in beta^4 where the case identity gives beta^4/2); "
@@ -640,59 +625,38 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         "3.4(vi)",
         "beta != gamma, delta = -gamma != 0, alpha = -beta, alpha + delta != 0",
         "gamma* beta",
-        lambda p: ExpectedLambdas.point(_H * (p.alpha + p.delta) ** 2, zero),
-        recompute=_recompute_g6,
+        "lambda1 = (alpha + delta)^2/2, lambda2 = 0",
     )
-
     add(
         "3.4(vii)",
         "beta != 0, delta = alpha*gamma/beta, delta^2 - alpha*delta + beta*gamma - gamma^2 != 0, "
         "alpha^2 a root of the branch quartic",
         "beta* gamma",
-        _g6_case,
-        recompute=_recompute_g6,
+        _CASE_TEXTS["G6"][-1],
         quartic=_quartic_34vii,
     )
     add(
         "3.4(viii)",
         "alpha = beta = gamma = 0, delta != 0",
         "delta*",
-        lambda p: ExpectedLambdas.point(p.delta**2, zero),
-        recompute=_recompute_g6,
+        "lambda1 = delta^2, lambda2 = 0",
     )
-
     add(
         "3.4(viiii)",
         "alpha = beta = 0, gamma != 0, delta^2 = gamma^2/2",
         "gamma*",
-        lambda p: ExpectedLambdas.point(p.delta**2, zero),
-        recompute=_recompute_g6,
+        "lambda1 = delta^2, lambda2 = 0",
     )
 
     # --- G7 ---------------------------------------------------------------
-    add(
-        "3.6(i)",
-        "alpha = beta = gamma = 0, delta != 0",
-        "delta*",
-        lambda p: ExpectedLambdas.free_lambda1(),
-    )
-    add(
-        "3.6(ii)",
-        "alpha = gamma = 0, beta != 0, delta != 0",
-        "beta* delta*",
-        lambda p: ExpectedLambdas.free_lambda1(),
-    )
-    add(
-        "3.6(iii)",
-        "alpha != 0, gamma = 0, alpha = delta",
-        "alpha* beta",
-        lambda p: ExpectedLambdas.free_lambda1(),
-    )
+    add("3.6(i)", "alpha = beta = gamma = 0, delta != 0", "delta*", "lambda2 = 0")
+    add("3.6(ii)", "alpha = gamma = 0, beta != 0, delta != 0", "beta* delta*", "lambda2 = 0")
+    add("3.6(iii)", "alpha != 0, gamma = 0, alpha = delta", "alpha* beta", "lambda2 = 0")
     add(
         "3.6(iv)",
         "alpha != 0, gamma = 0, alpha != delta, alpha != -delta",
         "alpha* delta beta",
-        lambda p: ExpectedLambdas.point(zero, zero),
+        "lambda1 = 0, lambda2 = 0",
     )
 
     return tuple(specs)

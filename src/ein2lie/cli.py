@@ -140,7 +140,10 @@ def _build_job(args: argparse.Namespace) -> argparse.Namespace:
         if job.get(name, least) < least:
             raise InputError(f"{name.replace('_', '-')} must be >= {least}")
     if "mode" in job:
-        tol = float(job.pop("tol"))
+        try:
+            tol = float(job.pop("tol"))
+        except ValueError as exc:
+            raise InputError(f"field tol: {exc}") from exc
         if not 0 < tol < math.inf:
             raise InputError("tolerance must be positive and finite")
         job["mode"] = Mode.approx(tol) if job["mode"] == APPROX else Mode.exact()
@@ -317,6 +320,8 @@ def _parse_grid(specs: Optional[Sequence[str]], mode: Mode) -> List[Tuple[str, L
         name = name.strip().lower()
         if name not in _PARAM_KEYS + ("eta",):
             raise InputError(f"grid axis {spec!r}: unknown parameter {name!r}")
+        if name in dict(axes):
+            raise InputError(f"grid axis {name!r} given twice")
         rhs = rhs.strip()
         values: List[Scalar] = []
         if ":" in rhs:
@@ -455,10 +460,13 @@ _DISPATCH = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    # argparse reads -1/2, unlike -1, as an option: `--alpha -1/2` becomes `--alpha=-1/2`
+    # argparse reads -1/2 and -inf, unlike -1, as options: `--alpha -1/2`
+    # becomes `--alpha=-1/2`, `--tol -inf` becomes `--tol=-inf`
     argv = list(sys.argv[1:] if argv is None else argv)
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1] in [f"--{name}" for name in _PARAM_KEYS] and re.match(r"-[0-9.]", argv[i]):
+        if argv[i - 1] in [f"--{name}" for name in _PARAM_KEYS + ("tol",)] and re.match(
+            r"-([0-9.]|inf|nan)", argv[i], re.IGNORECASE
+        ):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:

@@ -154,11 +154,11 @@ _OPERATORS = {
 def _term(node: ast.expr) -> Tuple[Callable[[Mapping[str, Scalar]], Scalar], frozenset]:
     """Compile one side of a relation to a function of the parameter values.
 
-    Returns the function and the parameters it reads.  Integer constants
-    stay ints, so a quotient's numerator must read a parameter: `alpha/2`
-    is exact, `1/2` would be a float.
+    Returns the function and the names it reads.  Integer constants stay
+    ints, so a quotient's numerator must read a name: `alpha/2` is exact,
+    `1/2` would be a float.
     """
-    if isinstance(node, ast.Name) and node.id in _PARAM_NAMES:
+    if isinstance(node, ast.Name):
         return operator.itemgetter(node.id), frozenset((node.id,))
     if isinstance(node, ast.Constant) and type(node.value) is int:
         value = node.value
@@ -218,16 +218,24 @@ class _Relation:
         return True
 
 
-def _compile_clauses(text: str) -> Tuple[_Relation, ...]:
+def _compile_clauses(
+    text: str, names: Optional[Sequence[str]] = _PARAM_NAMES
+) -> Tuple[_Relation, ...]:
     """Compile a constraint text into its relations, in reading order.
 
     Clauses are separated by ", " and read as Python comparisons, with
     `^` for a power and `=` for equality, so `alpha = beta != 0` yields
-    `alpha = beta` and `beta != 0`.  Terms may use the names alpha..eta,
-    integer constants, + - * / ^ and unary minus; anything else raises
-    ValueError (SyntaxError for a clause that is no expression).
+    `alpha = beta` and `beta != 0`.  Terms may use the `names` (any name
+    if None), integer constants, + - * / ^ and unary minus; anything else
+    raises ValueError (SyntaxError for a clause that is no expression).
     """
-    return tuple(relation for clause in text.split(", ") for relation in _compile_clause(clause))
+    relations = tuple(
+        relation for clause in text.split(", ") for relation in _compile_clause(clause)
+    )
+    read = frozenset().union(*(relation.names[0] | relation.names[1] for relation in relations))
+    if names is not None and not read <= set(names):
+        raise ValueError(f"unsupported term {min(read.difference(names))!r}")
+    return relations
 
 
 # The catalog repeats many clauses; relations are never mutated, so

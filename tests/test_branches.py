@@ -31,14 +31,16 @@ from ein2lie import (
     verify_branch,
 )
 from ein2lie.branches import (
+    _CASES,
     _FAMILY_DRAWS,
     _QUARTIC_CLAUSE,
     BranchSpec,
     ExpectedLambdas,
+    _formula,
     _rational_draw,
     sample_family_point,
 )
-from ein2lie.liealg import FAMILY_CONSTRAINTS, FAMILY_PIECES, _compile_clauses
+from ein2lie.liealg import FAMILY_CONSTRAINTS, FAMILY_PIECES, _compile_clauses, family_table
 from ein2lie.reporting import expected_json
 
 F = Fraction
@@ -517,6 +519,61 @@ def test_every_constraint_clause_compiles():
         BRANCHES_BY_LABEL["3.2(iv)"].constraints,
         BRANCHES_BY_LABEL["3.4(vii)"].constraints,
     }
+
+
+def test_every_formula_text_compiles():
+    texts = [spec.lambdas for spec in BRANCHES]
+    texts += [", ".join(case) for cases in _CASES.values() for case in cases]
+    params = {"alpha", "beta", "gamma", "delta", "eta"}
+    for text in texts:
+        relations = _compile_clauses(text, names=None)
+        bound = {r.bare[0] for r in relations if r.equal and r.bare[0] not in params}
+        read = set().union(*(r.names[0] | r.names[1] for r in relations))
+        # Every name read is a parameter or bound by the same text.
+        assert read <= params | bound, text
+        assert "lambda2" in bound, text
+        assert _formula(text), text
+    assert len(texts) == len(BRANCHES) + 6
+
+
+def test_formula_must_bind_every_name_it_reads():
+    with pytest.raises(ValueError):
+        _formula("lambda1 = V, lambda2 = 0")
+    with pytest.raises(ValueError):
+        _formula("lambda1 = 0, lambda2^2 = alpha")
+
+
+def test_constraint_text_keeps_the_parameter_vocabulary():
+    with pytest.raises(ValueError, match="'lambda1'"):
+        _compile_clauses("lambda1 = alpha")
+    assert _compile_clauses("lambda1 = alpha", names=None)
+
+
+def test_case_identities_split_in_the_callers_mode():
+    # alpha = beta with gamma = 0 is flat: neither G3 case applies.
+    recompute = BRANCHES_BY_LABEL["2.7(ii)"].recompute
+    flat = FamilyParams("G3", alpha=F(1), beta=F(1), gamma=F(0))
+    assert recompute(flat, Mode.exact()) is None
+    # At the approx tolerance alpha = beta + 1e-12 takes the alpha = beta
+    # case (lambda1 = 2) and not the generic one (lambda1 = 2e-12).
+    near = FamilyParams("G3", alpha=1.0 + 1e-12, beta=1.0, gamma=2.0)
+    assert abs(recompute(near, Mode.approx()).lambda1 - 2) < 1e-9
+    assert recompute(near, Mode.exact()).lambda1 < 1e-9
+
+
+def test_3_4_v_correction_holds_and_the_stated_lambda1_fails_on_every_sample():
+    # The sampled form of the erratum: the corrected lambda1 that the
+    # correction prints, compiled from that text, with the stated lambda2.
+    spec = BRANCHES_BY_LABEL["3.4(v)"]
+    correction = verify_branch(spec, count=5, seed=7).correction
+    text = correction.partition(" (the tabulated")[0]
+    assert text == "lambda1 = (alpha^4 - alpha^2*beta^2 + beta^4/2) / alpha^2"
+    (relation,) = _compile_clauses(text, names=None)
+    for params in sample_branch(spec, 50, seed=7):
+        solution = is_ein2(family_table(params))
+        stated = spec.expected(params)
+        assert solution.contains(relation.sides[1](vars(params)), stated.lambda2)
+        assert not solution.contains(stated.lambda1, stated.lambda2)
 
 
 @pytest.mark.parametrize("text", ["zeta = 0", "alpha < beta", "alpha = 0.5", "alpha = 1/2"])

@@ -400,12 +400,22 @@ def test_raw_entry_that_is_no_finite_number_exit_2(entry, message, mode, tmp_pat
     assert (code, out, err) == (2, "", f"error: {raw}: c[1][2][0]: {message}\n")
 
 
-@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+# argparse alone reads -1e-3, -inf and -NaN as options and fails with a usage error.
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "-1e-3", "-inf", "-NaN"])
 def test_tolerance_that_is_not_positive_and_finite_exit_2(tol):
     code, out, err = run_cli(
         "check", "--family", "G1", "--alpha", "1", "--beta", "2", "--mode", "approx", "--tol", tol
     )
     assert (code, out, err) == (2, "", "error: tolerance must be positive and finite\n")
+
+
+@pytest.mark.parametrize("tol", ["abc", "1/2"])
+def test_tolerance_that_is_no_number_exit_2(tol):
+    code, out, err = run_cli(
+        "check", "--family", "G1", "--alpha", "1", "--beta", "2", "--mode", "approx", "--tol", tol
+    )
+    message = f"field tol: could not convert string to float: {tol!r}"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("command", ["derive", "check", "classify"])
@@ -675,6 +685,13 @@ def test_scan_bad_step_exit_2():
     code, _, err = run_cli("scan", "--family", "G1", "--grid", "alpha=0:1:0")
     assert code == 2
     assert "step" in err
+
+
+def test_scan_rejects_a_parameter_on_two_grid_axes():
+    code, out, err = run_cli(
+        "scan", "--family", "G1", "--alpha", "1", "--grid", "beta=-1:1:1", "--grid", "beta=0,1"
+    )
+    assert (code, out, err) == (2, "", "error: grid axis 'beta' given twice\n")
 
 
 def test_scan_rows_in_grid_lexicographic_order():
