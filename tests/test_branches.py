@@ -70,18 +70,25 @@ def test_sample_branch_deterministic():
     assert sample_branch(spec, 5, seed=3) != sample_branch(spec, 5, seed=4)
 
 
-def test_sample_branch_quartic_constraint_holds():
-    spec = BRANCHES_BY_LABEL["3.2(iv)"]
-    for p in sample_branch(spec, 5, seed=1):
-        a, b, g = p.alpha, p.beta, p.gamma
-        k = (b**2 - g**2) ** 2 + (b + g) ** 4
-        quartic = (
-            float(g * (3 * b**2 + 3 * g**2 - 2 * g * b)) * a**4
-            + float(b * k) / 2 * a**2
-            + float(b**3 * k) / 4
-        )
-        assert abs(quartic) < 1e-9
-        assert p.delta == pytest.approx(float(-a * g / b))
+#: Each irrational branch's quartic, written out independently of the catalog:
+#: the coefficients (qa, qb, qc) of qa*x^2 + qb*x + qc in x = alpha^2.
+QUARTICS = {
+    "3.2(iv)": lambda b, g: (
+        g * (3 * b**2 + 3 * g**2 - 2 * g * b),
+        b * ((b**2 - g**2) ** 2 + (b + g) ** 4) / 2,
+        b**3 * ((b**2 - g**2) ** 2 + (b + g) ** 4) / 4,
+    ),
+    "3.4(vii)": lambda b, g: (b + g, g * b * (g - b), -(b**3) * (b - g) ** 2 / 2),
+}
+
+
+@pytest.mark.parametrize("label, sign", [("3.2(iv)", -1), ("3.4(vii)", 1)])
+def test_sample_branch_quartic_constraint_holds(label, sign):
+    for p in sample_branch(BRANCHES_BY_LABEL[label], 5, seed=1):
+        qa, qb, qc = map(float, QUARTICS[label](p.beta, p.gamma))
+        assert abs(qa * p.alpha**4 + qb * p.alpha**2 + qc) < 1e-9
+        # delta = -alpha*gamma/beta on 3.2(iv), alpha*gamma/beta on 3.4(vii)
+        assert p.delta == pytest.approx(sign * float(p.alpha * p.gamma / p.beta))
 
 
 def test_quartic_root_example_g5():
