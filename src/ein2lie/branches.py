@@ -4,8 +4,8 @@ Each branch of the classification (labeled by theorem and case, "2.3"
 through "3.6(iv)") is recorded as a `BranchSpec`: the parameter
 constraints that define the branch, a seeded sampler that produces
 parameter points satisfying them, and the stated (lambda1, lambda2).
-The constraints and the stated lambdas are text, compiled by one clause
-compiler.
+The constraints, the stated lambdas and the branch quartics are text,
+compiled by one clause compiler.
 
 The constraint text is the one statement of a branch's points: its
 membership test and its sampler are compiled from it.  The text is a
@@ -13,9 +13,9 @@ list of clauses separated by ", ".  A clause is a chain of `=` and `!=`
 over the parameters alpha..eta, integer constants, + - * / ^ and unary
 minus, so `alpha = beta != 0` reads as alpha = beta and beta != 0.  A
 product compared `!= 0` is tested factor by factor.  The clause
-"alpha^2 a root of the branch quartic" reads as alpha^2 = a root of the
-quartic whose coefficients (qa, qb, qc) in alpha^2 the entry gives as a
-function of (beta, gamma).
+"alpha^2 a root of the branch quartic" reads as alpha^2 = a root of
+qa*alpha^4 + qb*alpha^2 + qc, where the branch's quartic is a formula
+text (below) binding qa, qb and qc from beta and gamma.
 
 A branch lists its free parameters in RNG order, "*" marking a nonzero
 draw ("alpha* delta beta"); eta is always a random sign.  They are
@@ -44,6 +44,9 @@ texts, each its checks followed by its formula: the first whose checks
 pass gives the recomputed lambdas, and none passing gives None.  The
 last is the family's generic case, the stated formula of its float
 branch, and each errata note quotes the formula text it evaluates.
+One evaluator, `liealg._evaluate`, runs every formula text: the stated
+lambdas, the case identities, the quartics and the tabulated systems of
+`ein2.PRINTED_SYSTEMS`.
 
 `verify_branch` replays a branch against the solver: every sample must
 be Ein(2) and the stated lambdas must lie in the computed solution set
@@ -63,18 +66,19 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, List, Optional, Tuple
 
 from .ein2 import DELTA, NONE, Ein2Solution, is_ein2
 from .liealg import (
     _FAMILY_RELATIONS,
-    _PARAM_NAMES,
     FAMILY_PIECES,
     ConstraintViolation,
     FamilyParams,
     LieAlgebraError,
     _compile_clauses,
+    _evaluate,
+    _next_step,
     build_family,
     family_table,
     validate_params,
@@ -85,9 +89,6 @@ from .scalars import Mode, Scalar
 DEFAULT_SEED = 7
 
 MAX_DRAWS = 10_000
-
-_H = Fraction(1, 2)
-_Q = Fraction(1, 4)
 
 
 class EmptyBranch(LieAlgebraError):
@@ -138,6 +139,7 @@ class BranchSpec:
     recompute: Optional[Callable[[FamilyParams, Mode], Optional[ExpectedLambdas]]] = None
     correction_note: str = ""
     lambdas: str = ""
+    quartic: str = ""
 
     @property
     def theorem(self) -> str:
@@ -258,39 +260,40 @@ _THEOREM_FAMILY = {
 }
 
 
-def _quartic_32iv(b, g):
-    """Coefficients (qa, qb, qc) of the 3.2(iv) quartic qa*x^2 + qb*x + qc in x = alpha^2."""
-    k = (b**2 - g**2) ** 2 + (b + g) ** 4
-    return g * (3 * b**2 + 3 * g**2 - 2 * g * b), _H * b * k, _Q * b**3 * k
-
-
-def _quartic_34vii(b, g):
-    """Coefficients (qa, qb, qc) of the 3.4(vii) quartic qa*x^2 + qb*x + qc in x = alpha^2."""
-    return b + g, g * b * (g - b), -_H * b**3 * (b - g) ** 2
-
-
 class _QuarticRoot:
-    """The relation `alpha^2 = a root of quartic(beta, gamma)`; `root` binds alpha."""
+    """The relation `alpha^2 = a root of the quartic`, whose formula text binds its
+    coefficients (qa, qb, qc) in alpha^2 from (beta, gamma); `root` binds alpha."""
 
     clause, equal, bare, squared = _QUARTIC_CLAUSE, True, (None, None), ("alpha", None)
     names = (frozenset({"alpha"}), frozenset({"beta", "gamma"}))
 
-    def __init__(self, quartic):
-        self.quartic = quartic
+    def __init__(self, text: str):
+        self.text = text
+
+    def coefficients(self, values) -> Tuple[Scalar, Scalar, Scalar]:
+        bound = _evaluate(self.text, values, None)
+        return bound["qa"], bound["qb"], bound["qc"]
 
     def holds(self, values, mode: Mode) -> bool:
-        qa, qb, qc = self.quartic(values["beta"], values["gamma"])
+        qa, qb, qc = self.coefficients(values)
         return mode.is_zero(qa * values["alpha"] ** 4 + qb * values["alpha"] ** 2 + qc)
 
     def root(self, values, rng: random.Random) -> Optional[float]:
         """A random sign times the square root of a random positive root; None if none."""
-        roots = _positive_quadratic_roots(*self.quartic(values["beta"], values["gamma"]))
+        roots = _positive_quadratic_roots(*self.coefficients(values))
         return _sign(rng) * math.sqrt(rng.choice(roots)) if roots else None
 
 
 def _signed_root(square, values, rng: random.Random) -> float:
     """A random sign times the square root of `square(values)`."""
     return _sign(rng) * math.sqrt(float(square(values)))
+
+
+def _root(relation, name: str):
+    """The draw binding `name` by the root step of `relation` (`_next_step`)."""
+    if isinstance(relation, _QuarticRoot):
+        return relation.root
+    return partial(_signed_root, relation.sides[1 - relation.squared.index(name)])
 
 
 def _member(relations, params: FamilyParams, mode: Mode) -> bool:
@@ -300,30 +303,6 @@ def _member(relations, params: FamilyParams, mode: Mode) -> bool:
         if not relation.holds(values, mode):
             return False
     return True
-
-
-def _next_step(pending, bound, free, mode: Mode):
-    """Take the first pending relation that the `bound` parameters decide; return its step.
-
-    An equality binds a bare parameter, or the root of a squared one, only
-    if that parameter is neither bound nor free.  A check step carries its
-    `mode` where the other steps carry the parameter they bind.
-    """
-    for relation in pending:
-        for side in (0, 1) if relation.equal else ():
-            name = relation.bare[side] or relation.squared[side]
-            if name not in bound | free | {None} and relation.names[1 - side] <= bound:
-                pending.remove(relation)
-                bound.add(name)
-                if relation.bare[side]:
-                    return "set", name, relation.sides[1 - side]
-                if isinstance(relation, _QuarticRoot):
-                    return "root", name, relation.root
-                return "root", name, partial(_signed_root, relation.sides[1 - side])
-        if relation.names[0] | relation.names[1] <= bound:
-            pending.remove(relation)
-            return "check", mode, relation
-    return None
 
 
 def _rational_draw(
@@ -343,8 +322,9 @@ def _rational_draw(
         plan.append(("draw", name, token.endswith("*")))
         bound.add(name)
         while (step := _next_step(pending, bound, free_names, mode)) is not None:
+            if step[0] == "root":
+                step, mode = ("root", step[1], _root(step[2], step[1])), Mode.approx()
             plan.append(step)
-            mode = Mode.approx() if step[0] == "root" else mode
     if pending:
         raise ValueError(f"{family}: {pending[0].clause!r} is not fixed by {free!r}")
 
@@ -431,18 +411,6 @@ _CASE_TEXTS = {
 }
 
 
-# Compiled on first use, once, so that importing the package compiles no formula.
-@lru_cache(maxsize=None)
-def _formula(text: str) -> Tuple:
-    """Compile a formula text to its plan of "set" and "check" steps (`_next_step`)."""
-    plan, bound, pending = [], set(_PARAM_NAMES), list(_compile_clauses(text, names=None))
-    while (step := _next_step(pending, bound, set(), None)) is not None:
-        plan.append(step)
-    if pending or any(kind == "root" for kind, _, _ in plan):
-        raise ValueError(f"formula {text!r} does not bind each name it reads by a bare equality")
-    return tuple(plan)
-
-
 def _lambdas(
     texts, params: FamilyParams, mode: Optional[Mode] = None
 ) -> Optional[ExpectedLambdas]:
@@ -453,16 +421,12 @@ def _lambdas(
     """
     mode = params.mode() if mode is None else mode
     for text in texts:
-        values = dict(vars(params))
-        for kind, name, arg in _formula(text):
-            if kind == "set":
-                values[name] = arg(values)
-            elif not arg.holds(values, mode):
-                break
-        else:
-            if "lambda1" not in values:
-                return ExpectedLambdas.free_lambda1()
-            return ExpectedLambdas.point(values["lambda1"], values["lambda2"])
+        values = _evaluate(text, vars(params), mode)
+        if values is None:
+            continue
+        if "lambda1" not in values:
+            return ExpectedLambdas.free_lambda1()
+        return ExpectedLambdas.point(values["lambda1"], values["lambda2"])
     return None
 
 
@@ -473,9 +437,10 @@ def _lambdas(
 def _catalog() -> Tuple[BranchSpec, ...]:
     specs: List[BranchSpec] = []
 
-    def add(label, constraints, free, lambdas, note="", quartic=None):
+    def add(label, constraints, free, lambdas, note="", quartic=""):
         """Register a branch; `free` lists the free parameters its sampler draws,
-        `lambdas` is the formula text of its stated (lambda1, lambda2)."""
+        `lambdas` is the formula text of its stated (lambda1, lambda2) and
+        `quartic` that of the quartic its quartic clause names."""
         family = _THEOREM_FAMILY[_theorem(label)]
         text = constraints.removesuffix(", " + _QUARTIC_CLAUSE)
         relations = _compile_clauses(text) + ((_QuarticRoot(quartic),) if text != constraints else ())
@@ -494,6 +459,7 @@ def _catalog() -> Tuple[BranchSpec, ...]:
                 recompute=partial(_lambdas, _CASE_TEXTS[family]) if cases else None,
                 correction_note=(note + _ERRATA_NOTES[family].format(*formulas)) if cases else "",
                 lambdas=lambdas,
+                quartic=quartic,
             )
         )
 
@@ -579,7 +545,8 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         "alpha^2 a root of the branch quartic",
         "beta* gamma*",
         _CASE_TEXTS["G5"][-1],
-        quartic=_quartic_32iv,
+        quartic="k = (beta^2 - gamma^2)^2 + (beta + gamma)^4, "
+        "qa = gamma*(3*beta^2 + 3*gamma^2 - 2*gamma*beta), qb = beta*k/2, qc = beta^3*k/4",
     )
 
     # --- G6 ---------------------------------------------------------------
@@ -633,7 +600,8 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         "alpha^2 a root of the branch quartic",
         "beta* gamma",
         _CASE_TEXTS["G6"][-1],
-        quartic=_quartic_34vii,
+        quartic="qa = beta + gamma, qb = gamma*beta*(gamma - beta), "
+        "qc = -beta^3*(beta - gamma)^2/2",
     )
     add(
         "3.4(viii)",

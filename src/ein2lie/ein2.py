@@ -24,13 +24,15 @@ Ricci contraction for exact data.  `solve` solves them for one
 `is_ein2` is `solve` on the Ricci data of a table, and
 `match_printed_system` compares the same rows with the tabulated
 systems, so the fidelity check reads the rows every verdict is decided
-on.  `_solve` computes the affine solution set from 2x2 minors, on
-integers for exact rows and with tolerance tests for float ones.  For
-unsolvable systems the reported residual is the minimal achievable
-sup-norm over all (lambda1, lambda2).  It is read off the dual of that
-Chebyshev problem in closed form: the largest |sum w_r a_r| / sum |w_r|
-over the references of at most three rows (cofactor triples, parallel
-pairs, rows with b = c = 0), on integers for exact rows.
+on.  The tabulated systems are formula texts (`PRINTED_SYSTEMS`), read
+by the evaluator of every other formula of the package.  `_solve`
+computes the affine solution set from 2x2 minors, on integers for exact
+rows and with tolerance tests for float ones.  For unsolvable systems
+the reported residual is the minimal achievable sup-norm over all
+(lambda1, lambda2).  It is read off the dual of that Chebyshev problem
+in closed form: the largest |sum w_r a_r| / sum |w_r| over the
+references of at most three rows (cofactor triples, parallel pairs,
+rows with b = c = 0), on integers for exact rows.
 """
 
 from __future__ import annotations
@@ -38,10 +40,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .geometry import RicciData, ricci
-from .liealg import EPS, FamilyParams, StructureConstants, build_family
+from .liealg import EPS, FamilyParams, StructureConstants, _evaluate, build_family
 from .scalars import Mode, Scalar
 
 DELTA = "delta"
@@ -293,107 +295,71 @@ def is_ein2(
 # ---------------------------------------------------------------------------
 # Tabulated per-family component systems (delta convention)
 # ---------------------------------------------------------------------------
-#
-# Each entry lists the nonzero component equations of the family's
-# Ein(2) system exactly as tabulated, as (A, B, C) triples for
-# A + lambda1*B + lambda2*C = 0.  Rows may differ from the rows of
-# `_rows` by an overall sign and by ordering; never by more.
 
-_H = Fraction(1, 2)
-_Q = Fraction(1, 4)
-
-
-def _printed_g1(p: FamilyParams):
-    a, b = p.alpha, p.beta
-    return [
-        (_Q * b**4, -_H * b**2, 1),
-        (3 * a**2 * b**2 + _Q * b**4, -(2 * a**2 + _H * b**2), 1),
-        (3 * a**2 * b**2 - _Q * b**4, -2 * a**2 + _H * b**2, 1),
-        (a * b * b**2, -a * b, 0),
-        (3 * a**2 * b**2, -2 * a**2, 0),
-    ]
-
-
-def _printed_g2(p: FamilyParams):
-    a, b, g = p.alpha, p.beta, p.gamma
-    m1 = _H * a**2 + 2 * g**2
-    return [
-        (m1**2, -m1, 1),
-        ((_Q * a**2 - g**2) * (a - 2 * b) ** 2, _H * a**2 - a * b, 1),
-        ((g**2 - _Q * a**2) * (a - 2 * b) ** 2, a * b - _H * a**2, 1),
-        ((a**2 - 2 * a * b) * (2 * b * g - a * g), 2 * b * g - a * g, 0),
-    ]
-
-
-def _printed_g3(p: FamilyParams):
-    a, b, g = p.alpha, p.beta, p.gamma
-    q1 = _H * a**2 - _H * (b - g) ** 2
-    q2 = _H * b**2 - _H * (a - g) ** 2
-    q3 = _H * g**2 - _H * (a - b) ** 2
-    return [
-        (q1**2, -q1, 1),
-        (q2**2, -q2, 1),
-        (q3**2, -q3, -1),
-    ]
-
-
-def _printed_g4(p: FamilyParams):
-    a, b, eta = p.alpha, p.beta, p.eta
-    m2 = _H * a**2 + 2 * eta * (a - b) - a * b + 2
-    m3 = _H * a**2 - a * b - 2 + 2 * eta * b
-    dd = a - 2 * b + 2 * eta
-    return [
-        (_Q * a**4, -_H * a**2, 1),
-        (m2**2 - dd**2, m2, 1),
-        (m3**2 - dd**2, m3, -1),
-        (a * dd**2, dd, 0),
-    ]
-
-
-def _printed_g5(p: FamilyParams):
-    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-    p1 = a**2 + a * d + _H * (b**2 - g**2)
-    p2 = a * d + d**2 - _H * (b**2 - g**2)
-    p3 = a**2 + d**2 + _H * (b + g) ** 2
-    return [
-        (p1**2, p1, 1),
-        (p2**2, p2, 1),
-        (p3**2, p3, -1),
-    ]
-
-
-def _printed_g6(p: FamilyParams):
-    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-    u = a**2 + d**2 - _H * (b - g) ** 2
-    v = a**2 + a * d - _H * (b**2 - g**2)
-    w = d**2 + a * d + _H * (b**2 - g**2)
-    return [
-        (u**2, -u, 1),
-        (v**2, -v, 1),
-        (-(w**2), w, 1),
-    ]
-
-
-def _printed_g7(p: FamilyParams):
-    a, b, g, d = p.alpha, p.beta, p.gamma, p.delta
-    s = a**2 - a * d + b * g
-    return [
-        (_Q * g**4, -_H * g**2, 1),
-        ((_H * g**2 - s) ** 2 - s**2, _H * g**2 - s, 1),
-        ((s + _H * g**2) ** 2 - s**2, s + _H * g**2, -1),
-        (s * g**2, s, 0),
-    ]
-
-
-PRINTED_SYSTEMS: Dict[str, Callable[[FamilyParams], List[Tuple[Scalar, Scalar, Scalar]]]] = {
-    "G1": _printed_g1,
-    "G2": _printed_g2,
-    "G3": _printed_g3,
-    "G4": _printed_g4,
-    "G5": _printed_g5,
-    "G6": _printed_g6,
-    "G7": _printed_g7,
+#: Each family's Ein(2) component system as tabulated, one formula text
+#: per family (`liealg._formula`): it binds helper names and, for each
+#: nonzero equation A + lambda1*B + lambda2*C = 0, row i's (Ai, Bi, Ci).
+#: The rows may differ from the nonzero rows of `_rows` by an overall
+#: sign, by ordering and by repetition; never by more (`_covers`).
+PRINTED_SYSTEMS: Dict[str, str] = {
+    "G1": (
+        "A1 = beta^4/4, B1 = -beta^2/2, C1 = 1, "
+        "A2 = 3*alpha^2*beta^2 + beta^4/4, B2 = -(2*alpha^2 + beta^2/2), C2 = 1, "
+        "A3 = 3*alpha^2*beta^2 - beta^4/4, B3 = -2*alpha^2 + beta^2/2, C3 = 1, "
+        "A4 = alpha*beta^3, B4 = -alpha*beta, C4 = 0, "
+        "A5 = 3*alpha^2*beta^2, B5 = -2*alpha^2, C5 = 0"
+    ),
+    "G2": (
+        "m1 = alpha^2/2 + 2*gamma^2, "
+        "A1 = m1^2, B1 = -m1, C1 = 1, "
+        "A2 = (alpha^2/4 - gamma^2)*(alpha - 2*beta)^2, B2 = alpha^2/2 - alpha*beta, C2 = 1, "
+        "A3 = (gamma^2 - alpha^2/4)*(alpha - 2*beta)^2, B3 = alpha*beta - alpha^2/2, C3 = 1, "
+        "A4 = (alpha^2 - 2*alpha*beta)*(2*beta*gamma - alpha*gamma), "
+        "B4 = 2*beta*gamma - alpha*gamma, C4 = 0"
+    ),
+    "G3": (
+        "q1 = alpha^2/2 - (beta - gamma)^2/2, "
+        "q2 = beta^2/2 - (alpha - gamma)^2/2, "
+        "q3 = gamma^2/2 - (alpha - beta)^2/2, "
+        "A1 = q1^2, B1 = -q1, C1 = 1, A2 = q2^2, B2 = -q2, C2 = 1, A3 = q3^2, B3 = -q3, C3 = -1"
+    ),
+    "G4": (
+        "m2 = alpha^2/2 + 2*eta*(alpha - beta) - alpha*beta + 2, "
+        "m3 = alpha^2/2 - alpha*beta - 2 + 2*eta*beta, "
+        "dd = alpha - 2*beta + 2*eta, "
+        "A1 = alpha^4/4, B1 = -alpha^2/2, C1 = 1, A2 = m2^2 - dd^2, B2 = m2, C2 = 1, "
+        "A3 = m3^2 - dd^2, B3 = m3, C3 = -1, A4 = alpha*dd^2, B4 = dd, C4 = 0"
+    ),
+    "G5": (
+        "p1 = alpha^2 + alpha*delta + (beta^2 - gamma^2)/2, "
+        "p2 = alpha*delta + delta^2 - (beta^2 - gamma^2)/2, "
+        "p3 = alpha^2 + delta^2 + (beta + gamma)^2/2, "
+        "A1 = p1^2, B1 = p1, C1 = 1, A2 = p2^2, B2 = p2, C2 = 1, A3 = p3^2, B3 = p3, C3 = -1"
+    ),
+    "G6": (
+        "u = alpha^2 + delta^2 - (beta - gamma)^2/2, "
+        "v = alpha^2 + alpha*delta - (beta^2 - gamma^2)/2, "
+        "w = delta^2 + alpha*delta + (beta^2 - gamma^2)/2, "
+        "A1 = u^2, B1 = -u, C1 = 1, A2 = v^2, B2 = -v, C2 = 1, A3 = -w^2, B3 = w, C3 = 1"
+    ),
+    "G7": (
+        "s = alpha^2 - alpha*delta + beta*gamma, "
+        "A1 = gamma^4/4, B1 = -gamma^2/2, C1 = 1, "
+        "A2 = (gamma^2/2 - s)^2 - s^2, B2 = gamma^2/2 - s, C2 = 1, "
+        "A3 = (s + gamma^2/2)^2 - s^2, B3 = s + gamma^2/2, C3 = -1, "
+        "A4 = s*gamma^2, B4 = s, C4 = 0"
+    ),
 }
+
+
+def _printed_rows(params: FamilyParams, mode: Mode) -> List[Tuple[Scalar, Scalar, Scalar]]:
+    """The family's tabulated rows (A_i, B_i, C_i) at `params`, evaluated from its text."""
+    values = _evaluate(PRINTED_SYSTEMS[params.family], vars(params), mode)
+    return [
+        (values[f"A{i}"], values[f"B{i}"], values[f"C{i}"])
+        for i in range(1, len(PAIRS) + 1)
+        if f"A{i}" in values
+    ]
 
 
 def _covers(rows, others, mode: Mode) -> bool:
@@ -418,5 +384,5 @@ def match_printed_system(params: FamilyParams, mode: Optional[Mode] = None) -> b
     if mode is None:
         mode = params.mode()
     rows, scale = _rows(ricci(build_family(params, mode), mode), DELTA, mode)
-    printed = [tuple(scale * x for x in row) for row in PRINTED_SYSTEMS[params.family](params)]
+    printed = [tuple(scale * x for x in row) for row in _printed_rows(params, mode)]
     return _covers(rows, printed, mode) and _covers(printed, rows, mode)

@@ -12,10 +12,12 @@ package verifies.  G1-G4 are the unimodular ones, G5-G7 the
 non-unimodular ones.  Each family carries the parameter constraints
 listed in `FAMILY_CONSTRAINTS`, which `validate_params` compiles and
 checks, and the pieces of its parameter variety listed in
-`FAMILY_PIECES`, from which its points are sampled.  Arbitrary tables
-enter through `from_raw`, which enforces antisymmetry but deliberately
-not the Jacobi identity: `jacobi_ok` decides it, and `geometry.ricci`
-raises NotLieAlgebra where it fails.
+`FAMILY_PIECES`, from which its points are sampled.  The same clause
+compiler reads the package's formula texts, which bind names in turn
+(`_formula`); `_evaluate` runs them.  Arbitrary tables enter through
+`from_raw`, which enforces antisymmetry but deliberately not the Jacobi
+identity: `jacobi_ok` decides it, and `geometry.ricci` raises
+NotLieAlgebra where it fails.
 """
 
 from __future__ import annotations
@@ -252,6 +254,55 @@ def _compile_clause(clause: str) -> Tuple[_Relation, ...]:
         _Relation(clause, isinstance(op, ast.Eq), left, right)
         for op, left, right in zip(tree.ops, sides, sides[1:])
     )
+
+
+def _next_step(pending, bound, free, mode: Optional[Mode]):
+    """Take the first pending relation that the `bound` names decide; return its step.
+
+    An equality binds a bare name, or the square root of a squared one,
+    only if that name is neither bound nor free: ("set", name, the other
+    side) or ("root", name, the relation).  Any other decided relation is
+    a check, ("check", mode, relation).
+    """
+    for relation in pending:
+        for side in (0, 1) if relation.equal else ():
+            name = relation.bare[side] or relation.squared[side]
+            if name not in bound | free | {None} and relation.names[1 - side] <= bound:
+                pending.remove(relation)
+                bound.add(name)
+                if relation.bare[side]:
+                    return "set", name, relation.sides[1 - side]
+                return "root", name, relation
+        if relation.names[0] | relation.names[1] <= bound:
+            pending.remove(relation)
+            return "check", mode, relation
+    return None
+
+
+# Compiled on first use, once, so that importing the package compiles no formula.
+@functools.lru_cache(maxsize=None)
+def _formula(text: str) -> tuple:
+    """Compile a formula text to its plan of "set" and "check" steps (`_next_step`)."""
+    plan, bound, pending = [], set(_PARAM_NAMES), list(_compile_clauses(text, names=None))
+    while (step := _next_step(pending, bound, set(), None)) is not None:
+        plan.append(step)
+    if pending or any(kind == "root" for kind, _, _ in plan):
+        raise ValueError(f"formula {text!r} does not bind each name it reads by a bare equality")
+    return tuple(plan)
+
+
+def _evaluate(text: str, values: Mapping[str, Scalar], mode: Optional[Mode]) -> Optional[dict]:
+    """The `values` and every name the formula text binds; None once one of its checks fails.
+
+    The checks run in `mode`; a text without checks needs none.
+    """
+    values = dict(values)
+    for kind, name, arg in _formula(text):
+        if kind == "set":
+            values[name] = arg(values)
+        elif not arg.holds(values, mode):
+            return None
+    return values
 
 
 FAMILY_CONSTRAINTS = {

@@ -13,6 +13,7 @@ operation can accept an explicit mode or infer one from its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -30,7 +31,8 @@ def as_scalar(value) -> Scalar:
     """Normalize a number: exact rational where possible, float otherwise.
 
     ints and other rationals become Fractions; strings parse exactly
-    ("3", "-5/2", "0.25"); floats stay floats.
+    ("3", "-5/2", "0.25"); finite floats stay floats, and nan or an
+    infinity raises ValueError.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
@@ -39,6 +41,8 @@ def as_scalar(value) -> Scalar:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"not a finite number: {value!r}")
         return value
     if isinstance(value, Rational):
         return Fraction(value)

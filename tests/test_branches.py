@@ -36,11 +36,13 @@ from ein2lie.branches import (
     _QUARTIC_CLAUSE,
     BranchSpec,
     ExpectedLambdas,
-    _formula,
+    _QuarticRoot,
+    _positive_quadratic_roots,
     _rational_draw,
     sample_family_point,
 )
-from ein2lie.liealg import FAMILY_CONSTRAINTS, FAMILY_PIECES, _compile_clauses, family_table
+from ein2lie.ein2 import PRINTED_SYSTEMS
+from ein2lie.liealg import FAMILY_CONSTRAINTS, FAMILY_PIECES, _compile_clauses, _formula, family_table
 from ein2lie.reporting import expected_json
 
 F = Fraction
@@ -82,7 +84,9 @@ QUARTICS = {
 }
 
 
-@pytest.mark.parametrize("label, sign", [("3.2(iv)", -1), ("3.4(vii)", 1)])
+@pytest.mark.parametrize(
+    "label, sign", [("3.2(iv)", -1), ("3.4(vii)", 1)], ids=["3.2(iv)", "3.4(vii)"]
+)
 def test_sample_branch_quartic_constraint_holds(label, sign):
     for p in sample_branch(BRANCHES_BY_LABEL[label], 5, seed=1):
         qa, qb, qc = map(float, QUARTICS[label](p.beta, p.gamma))
@@ -91,27 +95,35 @@ def test_sample_branch_quartic_constraint_holds(label, sign):
         assert p.delta == pytest.approx(sign * float(p.alpha * p.gamma / p.beta))
 
 
-def test_quartic_root_example_g5():
-    # At beta = -1, gamma = 2 the branch quartic reduces to
-    # 76 x^2 - 10 x - 5 = 0 in x = alpha^2, with positive root (5 + sqrt(405))/76.
-    from ein2lie.branches import _positive_quadratic_roots
+def _branch_quartic(label, params):
+    """The coefficients (qa, qb, qc) that the branch's own quartic text gives at params."""
+    return _QuarticRoot(BRANCHES_BY_LABEL[label].quartic).coefficients(vars(params))
 
-    k = (F(1) - F(4)) ** 2 + F(1) ** 4  # 10
-    qa = F(2) * (3 * F(1) + 3 * F(4) - 2 * F(-1) * F(2))  # 38
-    qb = F(-1, 2) * k  # -5
-    qc = F(-1, 4) * k  # -5/2
-    roots = _positive_quadratic_roots(qa, qb, qc)
+
+def test_quartic_root_example_g5():
+    # At the anchor's beta = -1, gamma = 2 the quartic is 38 x^2 - 5 x - 5/2
+    # in x = alpha^2 (76 x^2 - 10 x - 5 halved), positive root (5 + sqrt(405))/76.
+    anchor = ANCHORS[0]
+    assert anchor.label == "3.2(iv) @ beta=-1, gamma=2"
+    coefficients = _branch_quartic("3.2(iv)", anchor.params)
+    assert coefficients == (38, -5, F(-5, 2))
+    roots = _positive_quadratic_roots(*coefficients)
     assert len(roots) == 1
     assert roots[0] == pytest.approx((5 + math.sqrt(405)) / 76, abs=1e-15)
+    assert roots[0] == pytest.approx(anchor.params.alpha**2, abs=1e-15)
 
 
 def test_quartic_root_example_g6():
-    # At beta = 1, gamma = 2 the positive root is (-2 + sqrt(10))/6.
-    from ein2lie.branches import _positive_quadratic_roots
-
-    roots = _positive_quadratic_roots(F(3), F(2), F(-1, 2))
+    # At the anchor's beta = 1, gamma = 2 the quartic is 3 x^2 + 2 x - 1/2,
+    # positive root (-2 + sqrt(10))/6.
+    anchor = ANCHORS[1]
+    assert anchor.label == "3.4(vii) @ beta=1, gamma=2"
+    coefficients = _branch_quartic("3.4(vii)", anchor.params)
+    assert coefficients == (3, 2, F(-1, 2))
+    roots = _positive_quadratic_roots(*coefficients)
     assert len(roots) == 1
     assert roots[0] == pytest.approx((-2 + math.sqrt(10)) / 6, abs=1e-15)
+    assert roots[0] == pytest.approx(anchor.params.alpha**2, abs=1e-15)
 
 
 def test_sample_branch_2_3_values():
@@ -529,18 +541,29 @@ def test_every_constraint_clause_compiles():
 
 
 def test_every_formula_text_compiles():
-    texts = [spec.lambdas for spec in BRANCHES]
-    texts += [", ".join(case) for cases in _CASES.values() for case in cases]
+    # Each kind of formula text, with the names every text of the kind binds.
+    kinds = [
+        ([spec.lambdas for spec in BRANCHES], {"lambda2"}),
+        ([", ".join(case) for cases in _CASES.values() for case in cases], {"lambda2"}),
+        (list(PRINTED_SYSTEMS.values()), {"A1", "B1", "C1"}),
+        ([spec.quartic for spec in BRANCHES if spec.quartic], {"qa", "qb", "qc"}),
+    ]
     params = {"alpha", "beta", "gamma", "delta", "eta"}
-    for text in texts:
-        relations = _compile_clauses(text, names=None)
-        bound = {r.bare[0] for r in relations if r.equal and r.bare[0] not in params}
-        read = set().union(*(r.names[0] | r.names[1] for r in relations))
-        # Every name read is a parameter or bound by the same text.
-        assert read <= params | bound, text
-        assert "lambda2" in bound, text
-        assert _formula(text), text
-    assert len(texts) == len(BRANCHES) + 6
+    for texts, binds in kinds:
+        for text in texts:
+            relations = _compile_clauses(text, names=None)
+            bound = {r.bare[0] for r in relations if r.equal and r.bare[0] not in params}
+            read = set().union(*(r.names[0] | r.names[1] for r in relations))
+            # Every name read is a parameter or bound by the same text.
+            assert read <= params | bound, text
+            assert binds <= bound, text
+            assert _formula(text), text
+    # A tabulated system binds A, B and C of each of its rows 1..n.
+    for text in PRINTED_SYSTEMS.values():
+        bound = {r.bare[0] for r in _compile_clauses(text, names=None)}
+        n = sum(f"A{i}" in bound for i in range(1, 7))
+        assert {f"{x}{i}" for x in "ABC" for i in range(1, n + 1)} <= bound, text
+    assert [len(texts) for texts, _ in kinds] == [len(BRANCHES), 6, 7, 2]
 
 
 def test_formula_must_bind_every_name_it_reads():

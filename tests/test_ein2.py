@@ -193,10 +193,11 @@ def _distinct_nonzero(rows):
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "approx"])
 def test_match_printed_system_rejects_a_changed_table(monkeypatch, family_samples_100, exact):
     """Adding 1 to any one tabulated coefficient breaks the match, and so
-    does an extra row (0, 0, 2), which no delta-convention system has."""
-    tabulated = dict(ein2.PRINTED_SYSTEMS)
+    does an extra row (0, 0, 2), which no delta-convention system has.
+    The change wraps the evaluator of the tabulated rows."""
+    tabulated = ein2._printed_rows
     for family, samples in family_samples_100.items():
-        points = [p for p in samples if _distinct_nonzero(tabulated[family](p))][:3]
+        points = [p for p in samples if _distinct_nonzero(tabulated(p, p.mode()))][:3]
         assert points, family
         for params in points:
             if not exact:
@@ -204,23 +205,23 @@ def test_match_printed_system_rejects_a_changed_table(monkeypatch, family_sample
                 params = FamilyParams(family, *map(float, values), eta=params.eta)
             mode = params.mode()
             assert mode.is_exact is exact
-            monkeypatch.setitem(ein2.PRINTED_SYSTEMS, family, tabulated[family])
+            monkeypatch.setattr(ein2, "_printed_rows", tabulated)
             assert match_printed_system(params, mode), params
-            for r in range(len(tabulated[family](params))):
+            for r in range(len(tabulated(params, mode))):
                 for k in range(3):
 
-                    def changed(p, r=r, k=k):
-                        rows = [list(row) for row in tabulated[family](p)]
+                    def changed(p, m, r=r, k=k):
+                        rows = [list(row) for row in tabulated(p, m)]
                         rows[r][k] += 1
                         return rows
 
-                    monkeypatch.setitem(ein2.PRINTED_SYSTEMS, family, changed)
+                    monkeypatch.setattr(ein2, "_printed_rows", changed)
                     assert not match_printed_system(params, mode), (params, r, k)
 
-            def extended(p):
-                return [*tabulated[family](p), (0, 0, 2)]
+            def extended(p, m):
+                return [*tabulated(p, m), (0, 0, 2)]
 
-            monkeypatch.setitem(ein2.PRINTED_SYSTEMS, family, extended)
+            monkeypatch.setattr(ein2, "_printed_rows", extended)
             assert not match_printed_system(params, mode), params
 
 

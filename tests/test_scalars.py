@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from ein2lie import Mode, as_scalar, format_scalar, parse_scalar
+from ein2lie import FamilyParams, Mode, as_scalar, format_scalar, from_raw, parse_scalar
 
 F = Fraction
 
@@ -21,6 +22,17 @@ def test_as_scalar_normalizes():
         as_scalar(True)
     with pytest.raises(TypeError):
         as_scalar(None)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_float_is_no_scalar(value):
+    # Both entry points reject it before any geometry reads it.
+    with pytest.raises(ValueError, match="^not a finite number: "):
+        FamilyParams("G1", alpha=value, beta=0.0)
+    table = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    table[0][0][0] = value
+    with pytest.raises(ValueError, match="^not a finite number: "):
+        from_raw(table)
 
 
 def test_parse_scalar_rejects_junk():
