@@ -25,32 +25,31 @@ classification data this package verifies; it is anchored to those
 tables, not to any textbook convention.
 
 `ricci` is the one route from a table to its geometry: it checks the
-Jacobi identity, builds the connection and contracts it.  It does not
-build the curvature tensor: `curvature`, which does, is the reference
-`ricci` is checked against, not a step on its path.  `ricci` contracts
-the connection straight into the 27 traced components that rho needs,
+Jacobi identity and contracts the connection straight into the 27
+traced components that rho needs,
 
   rho[i][j] = -sum_a sum_m (Gamma[a][j][m] Gamma[i][m][a]
                             - Gamma[i][j][m] Gamma[a][m][a]
-                            - c[i][a][m] Gamma[m][j][a]),
+                            - c[i][a][m] Gamma[m][j][a]).
 
-and for an exact table it does so on integers: with L the lcm of the
-denominators of c, both L c and H = 2 L Gamma are integer tables, and
-rho = N / (4 L^2), where N is the same sum with Gamma replaced by H
-and c by 2 L c.  The Jacobi check runs on L c too: J(L c) = L^2 J(c),
-so it is exact.  `RicciData` carries H, N and L; `ein2.solve` solves on
-N and L, so an exact decision builds no Ricci Fraction.
+It does not build the curvature tensor: `curvature`, which does, is the
+reference `ricci` is checked against, not a step on its path.
+`_contract` is the one statement of this sum, and a float table runs
+it.  For an exact table the sum is an integer quadratic form in the
+nine brackets scaled to ints, derived from `_contract` by polarisation
+on the first exact call (`_form`), so an exact decision multiplies only
+ints and builds no Ricci Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import lcm
 from typing import Optional, Tuple
 
-from .liealg import EPS, NotLieAlgebra, StructureConstants, _jacobi_base, jacobi_ok
+from .liealg import EPS, NotLieAlgebra, StructureConstants, _from_brackets, _jacobi_base, jacobi_ok
 from .scalars import Mode, Scalar
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
@@ -61,15 +60,15 @@ Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 class RicciData:
     """Connection, Ricci tensor, Ricci operator (row convention) and rho^2.
 
-    Holds what `ricci` computes, the Koszul table h = 2 L Gamma, the
-    contraction n = 4 L^2 rho and their scale L (see `ricci`); the
-    connection, rho, rho_op and rho_sq are built from them on first
-    read.  rho is symmetric; rho_op satisfies rho[i][j] = eps_j *
-    rho_op[i][j] and is g-self-adjoint (eps_j rho_op[i][j] = eps_i
-    rho_op[j][i]); in Lorentzian signature it need not be diagonalizable.
+    Holds the table `ricci` read, the contraction n = 4 L^2 rho and its
+    scale L (see `ricci`); the connection, rho, rho_op and rho_sq are
+    built from them on first read.  rho is symmetric; rho_op satisfies
+    rho[i][j] = eps_j * rho_op[i][j] and is g-self-adjoint (eps_j
+    rho_op[i][j] = eps_i rho_op[j][i]); in Lorentzian signature it need
+    not be diagonalizable.
     """
 
-    h: list
+    table: Tensor3
     n: Matrix
     scale: int
 
@@ -83,12 +82,12 @@ class RicciData:
 
     @cached_property
     def connection(self) -> Tensor3:
-        """The Levi-Civita connection Gamma = h / (2 L), h by the Koszul formula (`_koszul`).
+        """The Levi-Civita connection Gamma = `_koszul(table)` / 2.
 
         Torsion-freeness (Gamma^k_ij - Gamma^k_ji = c^k_ij) and metric
         compatibility (eps_k Gamma^k_ij + eps_j Gamma^j_ik = 0) hold by construction.
         """
-        return tuple(_divide(plane, 2 * self.scale) for plane in self.h)
+        return tuple(_divide(plane, 2) for plane in _koszul(self.table))
 
     @cached_property
     def rho(self) -> Matrix:
@@ -174,48 +173,10 @@ def curvature(sc: StructureConstants, g: Tensor3) -> Tensor3:
     return tuple(r)
 
 
-def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
-    """Ricci tensor, operator and rho^2, contracted straight from the table.
 
-    rho(e_i, e_j) = -sum_a R^a_{i a j} (the eps weights of the trace and
-    of the frame inner product cancel), rho_op[i][j] = eps_j rho[i][j]
-    and rho_sq[i][j] = sum_k eps_k rho_op[i][k] rho_op[j][k].  Only the
-    27 traced components are formed, each as the curvature formula
-    gives it, so `curvature` is not on this path:
 
-      R^a_{i a j} = sum_m (Gamma^m_aj Gamma^a_im - Gamma^m_ij Gamma^a_am
-                           - c^m_ia Gamma^a_mj).
-
-    The contraction runs in units of H = 2 L Gamma, where L is the lcm of
-    the table's denominators.  For an exact table L c and H are integer
-    tables and all the work is on ints.  The result hands on the
-    contraction N and L; each Fraction is built from them once, and only
-    when it is read:
-
-      rho[i][j] = N_ij / (4 L^2),
-      rho_sq[i][j] = sum_k eps_k N_ik N_jk / (16 L^4).
-
-    A float table runs the same contraction with L = 1.  Scaling by a
-    power of two is exact and the terms are added in the order
-    `curvature` adds them, so floats come out bit for bit as through the
-    full tensor.
-
-    Raises NotLieAlgebra when the Jacobi residual is nonzero: exactly
-    zero for an exact table, which it tests on L c, and within the
-    tolerance of `mode` for a float table.
-    """
-    c, scale = sc.c, 1
-    if sc.is_exact():
-        scale = lcm(*(x.denominator for x in sc.values()))
-        c = [
-            [[x.numerator * (scale // x.denominator) for x in row] for row in plane]
-            for plane in c
-        ]
-        lie = not any(_jacobi_base(c))
-    else:
-        lie = jacobi_ok(sc, mode)
-    if not lie:
-        raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
+def _contract(c) -> Matrix:
+    """The contraction N of `ricci`, term by term, on H = `_koszul(c)`."""
     h = _koszul(c)
     n = []
     for i in range(3):
@@ -243,4 +204,80 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
                 total = total + acc
             row.append(-total)
         n.append(tuple(row))
-    return RicciData(h=h, n=tuple(n), scale=scale)
+    return tuple(n)
+
+
+@cache
+def _form() -> tuple:
+    """form[p][q], p <= q: the (output, k) pairs of the terms k x_p x_q, k != 0.
+
+    The twelve outputs, the nine entries of `_contract` and the three of
+    `_jacobi_base`, are quadratic forms f in the nine brackets x.  By
+    polarisation on integer unit tables e_p, k is f(e_p) for p = q and
+    f(e_p + e_q) - f(e_p) - f(e_q) otherwise.
+    """
+
+    def f(*units):
+        x = [sum(column) for column in zip(*units)]
+        c = _from_brackets(x[:3], x[3:6], x[6:]).c
+        return [v for row in _contract(c) for v in row] + list(_jacobi_base(c))
+
+    e = [[int(p == q) for q in range(9)] for p in range(9)]
+    square = [f(u) for u in e]
+
+    def terms(p, q):
+        k = square[p] if p == q else [a - b - d for a, b, d in zip(f(e[p], e[q]), square[p], square[q])]
+        return tuple((o, v) for o, v in enumerate(k) if v)
+
+    return tuple(tuple(terms(p, q) if p <= q else () for q in range(9)) for p in range(9))
+
+
+def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
+    """Ricci tensor, operator and rho^2 of the table, with its Jacobi check.
+
+    rho(e_i, e_j) = -sum_a R^a_{i a j} (the eps weights of the trace and
+    of the frame inner product cancel), rho_op[i][j] = eps_j rho[i][j]
+    and rho_sq[i][j] = sum_k eps_k rho_op[i][k] rho_op[j][k].  Only the
+    27 traced components are formed, each as the curvature formula
+    gives it, so `curvature` is not on this path:
+
+      R^a_{i a j} = sum_m (Gamma^m_aj Gamma^a_im - Gamma^m_ij Gamma^a_am
+                           - c^m_ia Gamma^a_mj).
+
+    The sum runs in units of H = 2 L Gamma, L the lcm of the table's
+    denominators, giving N = 4 L^2 rho; the result hands on N and L, and
+    each Fraction is built from them once, when it is read:
+
+      rho[i][j] = N_ij / (4 L^2),
+      rho_sq[i][j] = sum_k eps_k N_ik N_jk / (16 L^4).
+
+    Exact route: the nine brackets x_p = c^k_ij (i < j) become the ints
+    X = L x, and for each pair p <= q of nonzero X the coefficients k of
+    `_form` add k X_p X_q into the nine entries of N and the three of the
+    Jacobi vector J(X) = L^2 J(c), which must vanish exactly, or
+    NotLieAlgebra is raised.  Float route: `jacobi_ok` tests the table
+    within the tolerance of `mode`, then `_contract` runs on it with
+    L = 1, adding the terms in the order `curvature` adds them, so floats
+    come out bit for bit as through the full tensor.
+    """
+    c = sc.c
+    # ints and Fractions are exact without asking `is_exact` entry by entry
+    if not ({type(x) for plane in c for row in plane for x in row} <= {int, Fraction}
+            or sc.is_exact()):
+        if not jacobi_ok(sc, mode):
+            raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
+        return RicciData(c, _contract(c), 1)
+    brackets = c[0][1] + c[0][2] + c[1][2]
+    scale = lcm(*[x.denominator for x in brackets])
+    x = [v.numerator * (scale // v.denominator) for v in brackets]
+    live = [p for p in range(9) if x[p]]
+    form, out = _form(), [0] * 12
+    for i, p in enumerate(live):
+        xp, terms = x[p], form[p]
+        for q in live[i:]:
+            xpq = xp * x[q]
+            for o, k in terms[q]:
+                out[o] += k * xpq
+    if out[9] or out[10] or out[11]:
+        raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
+    return RicciData(c, (tuple(out[:3]), tuple(out[3:6]), tuple(out[6:9])), scale)

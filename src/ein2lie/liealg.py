@@ -129,6 +129,8 @@ class FamilyParams:
             raise UnknownFamily(self.family)
         for name in ("alpha", "beta", "gamma", "delta"):
             object.__setattr__(self, name, as_scalar(getattr(self, name)))
+        if self.eta is not None and type(self.eta) is not int:
+            raise TypeError(f"eta must be an int, got {self.eta!r}")
         if self.eta is not None and self.eta not in (1, -1):
             raise ConstraintViolation("eta = 1 or -1", f"got eta = {self.eta}")
 

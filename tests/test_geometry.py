@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,9 @@ from ein2lie import (
     ricci,
     sample_branch,
 )
+import ein2lie
+from ein2lie.geometry import _contract, _koszul
+from ein2lie.liealg import _jacobi_base, family_table
 from oracles import CONNECTION_TABLES, RHO_OP_TABLES, ricci_brute
 
 F = Fraction
@@ -362,3 +368,73 @@ def test_ricci_float_tables_bit_identical_to_tensor_route(params):
     sc = _valid_table(params)
     assume(not sc.is_exact())
     assert_matches_reference_routes(sc)
+
+
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+@st.composite
+def raw_tables(draw, scalars):
+    """An antisymmetric raw table from nine drawn brackets c^k_ij (i < j), zero in part."""
+    brackets = draw(st.lists(st.one_of(st.just(0), scalars), min_size=9, max_size=9))
+    table = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for p, (i, j) in enumerate(_PAIRS):
+        for k in range(3):
+            table[i][j][k], table[j][i][k] = brackets[3 * p + k], -brackets[3 * p + k]
+    return table
+
+
+def _assert_antisymmetric_with_zero_diagonal(sc):
+    c = sc.c
+    for i in range(3):
+        assert c[i][i] == (0, 0, 0)
+        for j in range(3):
+            assert all(c[i][j][k] == -c[j][i][k] for k in range(3))
+
+
+@given(source=st.one_of(raw_tables(_BIG_DENOMINATORS), family_points(_BIG_DENOMINATORS)))
+@settings(max_examples=300, deadline=None)
+def test_exact_ricci_equals_the_contraction_loop_on_the_scaled_table(source):
+    """The compiled form against `_contract` and `_jacobi_base` run on L c.
+
+    Raw tables are mostly not Lie and their Lie ones sparse; family
+    points add dense Lie tables (G1 and G7 have seven or eight brackets).
+    """
+    sc = from_raw(source) if isinstance(source, list) else _valid_table(source)
+    scale = math.lcm(*(x.denominator for x in sc.values()))
+    scaled = [[[x.numerator * (scale // x.denominator) for x in row] for row in plane]
+              for plane in sc.c]
+    if any(_jacobi_base(scaled)):
+        with pytest.raises(NotLieAlgebra):
+            ricci(sc)
+        return
+    rd = ricci(sc)
+    assert (rd.n, rd.scale) == (_contract(scaled), scale)
+    assert all(type(x) is int for row in rd.n for x in row)
+    assert rd.connection == tuple(
+        tuple(tuple(F(x, 2 * scale) for x in row) for row in plane) for plane in _koszul(scaled)
+    )
+
+
+@given(table=raw_tables(_BIG_DENOMINATORS | _FULL_MANTISSA_FLOATS))
+@settings(max_examples=100, deadline=None)
+def test_from_raw_stores_an_antisymmetric_table_with_zero_diagonal(table):
+    _assert_antisymmetric_with_zero_diagonal(from_raw(table))
+
+
+def test_family_tables_are_antisymmetric_with_zero_diagonal(family_samples_100):
+    for samples in family_samples_100.values():
+        for params in samples:
+            _assert_antisymmetric_with_zero_diagonal(family_table(params))
+    for anchor in ANCHORS:
+        _assert_antisymmetric_with_zero_diagonal(family_table(anchor.params))
+
+
+def test_importing_the_package_derives_no_form():
+    """The exact form is derived on the first exact `ricci` call, not at import."""
+    src = os.path.dirname(os.path.dirname(ein2lie.__file__))
+    code = "import ein2lie; print(ein2lie.geometry._form.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert run.stdout.strip() == "0"

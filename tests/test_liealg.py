@@ -156,6 +156,14 @@ def test_validate_params_examples():
         FamilyParams("G4", alpha=1, beta=1, eta=2)
 
 
+@pytest.mark.parametrize("eta", [True, 1.0, F(1)])
+def test_family_params_rejects_a_non_int_eta(eta):
+    """eta is an int sign: a bool, a float or a Fraction raises TypeError, as alpha=True does."""
+    with pytest.raises(TypeError):
+        FamilyParams("G4", alpha=2, beta=2, eta=eta)
+    assert FamilyParams("G4", alpha=2, beta=2, eta=1).eta == 1
+
+
 def test_validate_params_messages():
     with pytest.raises(ConstraintViolation) as info:
         validate_params(FamilyParams("G5", alpha=1, beta=1, gamma=1, delta=1))
