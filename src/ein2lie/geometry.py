@@ -173,8 +173,6 @@ def curvature(sc: StructureConstants, g: Tensor3) -> Tensor3:
     return tuple(r)
 
 
-
-
 def _contract(c) -> Matrix:
     """The contraction N of `ricci`, term by term, on H = `_koszul(c)`."""
     h = _koszul(c)
@@ -251,19 +249,19 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
       rho[i][j] = N_ij / (4 L^2),
       rho_sq[i][j] = sum_k eps_k N_ik N_jk / (16 L^4).
 
-    Exact route: the nine brackets x_p = c^k_ij (i < j) become the ints
-    X = L x, and for each pair p <= q of nonzero X the coefficients k of
-    `_form` add k X_p X_q into the nine entries of N and the three of the
-    Jacobi vector J(X) = L^2 J(c), which must vanish exactly, or
-    NotLieAlgebra is raised.  Float route: `jacobi_ok` tests the table
+    Exact route: the table must be antisymmetric with a zero diagonal, as
+    every constructor stores it; the nine brackets x_p = c^k_ij (i < j),
+    the only entries read, become the ints X = L x, and for each pair
+    p <= q of nonzero X the coefficients k of `_form` add k X_p X_q into
+    the nine entries of N and the three of the Jacobi vector
+    J(X) = L^2 J(c), which must vanish exactly, or NotLieAlgebra is
+    raised.  Float route: `jacobi_ok` tests the table
     within the tolerance of `mode`, then `_contract` runs on it with
     L = 1, adding the terms in the order `curvature` adds them, so floats
     come out bit for bit as through the full tensor.
     """
     c = sc.c
-    # ints and Fractions are exact without asking `is_exact` entry by entry
-    if not ({type(x) for plane in c for row in plane for x in row} <= {int, Fraction}
-            or sc.is_exact()):
+    if not sc.is_exact():
         if not jacobi_ok(sc, mode):
             raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
         return RicciData(c, _contract(c), 1)

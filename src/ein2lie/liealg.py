@@ -78,8 +78,10 @@ class StructureConstants:
     """Structure constants c[i][j][k] = c^k_ij (e_k coefficient of [e_i, e_j]).
 
     Indices are 0-based internally; reports translate to the 1-based
-    labels e1, e2, e3.  Antisymmetry in (i, j) is guaranteed by the
-    constructors.
+    labels e1, e2, e3.  The constructors store an antisymmetric table
+    with a zero diagonal; a table built directly must be one too, since
+    `geometry.ricci` reads only c[0][1], c[0][2] and c[1][2] of an
+    exact table.
     """
 
     c: Tuple[Tuple[Vector, Vector, Vector], ...]
