@@ -1,11 +1,11 @@
 """The 30-branch classification catalog and its mechanical verifier.
 
 Each branch of the classification (labeled by theorem and case, "2.3"
-through "3.6(iv)") is recorded as a `BranchSpec`: the parameter
-constraints that define the branch, a seeded sampler that produces
-parameter points satisfying them, and the stated (lambda1, lambda2).
-The constraints, the stated lambdas and the branch quartics are text,
-compiled by one clause compiler.
+through "3.6(iv)") is a `BranchSpec`, six texts: the label, the
+parameter constraints that define the branch, the free parameters of
+its sampler, the stated (lambda1, lambda2), an errata note and the
+branch quartic.  Its family is read off the label; its membership
+test, seeded sampler and lambdas are compiled on first use.
 
 The constraint text is the one statement of a branch's points: its
 membership test and its sampler are compiled from it.  The text is a
@@ -19,7 +19,8 @@ text (below) binding qa, qb and qc from beta and gamma.
 
 A branch lists its free parameters in RNG order, "*" marking a nonzero
 draw ("alpha* delta beta"); eta is always a random sign.  They are
-drawn from a fixed rational grid.  An equality binds a parameter,
+drawn from a fixed rational grid.  A branch sampler checks the branch
+relations, then the family constraints.  An equality binds a parameter,
 neither free nor yet bound, that is one of its sides: a bare one to the
 other side, a squared one (`gamma^2 = alpha^2 + beta^2`, alpha^2 of the
 quartic clause) to a random sign times the square root of the other
@@ -66,14 +67,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, List, Optional, Tuple
 
 from .ein2 import DELTA, NONE, Ein2Solution, is_ein2
 from .liealg import (
     _FAMILY_RELATIONS,
     FAMILY_PIECES,
-    ConstraintViolation,
     FamilyParams,
     LieAlgebraError,
     _compile_clauses,
@@ -81,7 +81,6 @@ from .liealg import (
     _next_step,
     build_family,
     family_table,
-    validate_params,
 )
 from .scalars import Mode, Scalar
 
@@ -128,22 +127,70 @@ class ExpectedLambdas:
 
 @dataclass(frozen=True)
 class BranchSpec:
-    """One classification branch: constraints, sampler, stated lambdas."""
+    """One classification branch, stated once as text.
+
+    `free` lists the parameters its sampler draws, `lambdas` is the
+    formula text of its stated (lambda1, lambda2), `note` starts its
+    errata correction and `quartic` is the formula text of the quartic
+    its quartic clause names.  The family is read off the label.
+    """
 
     label: str
-    family: str
     constraints: str
-    member: Callable[[FamilyParams, Mode], bool]
-    draw: Callable[[random.Random], Optional[FamilyParams]]
-    expected: Callable[[FamilyParams], ExpectedLambdas]
-    recompute: Optional[Callable[[FamilyParams, Mode], Optional[ExpectedLambdas]]] = None
-    correction_note: str = ""
-    lambdas: str = ""
+    free: str
+    lambdas: str
+    note: str = ""
     quartic: str = ""
 
     @property
     def theorem(self) -> str:
         return _theorem(self.label)
+
+    @cached_property
+    def family(self) -> str:
+        return _THEOREM_FAMILY[self.theorem]
+
+    @cached_property
+    def relations(self) -> tuple:
+        """The compiled constraint text, in reading order."""
+        text = self.constraints.removesuffix(", " + _QUARTIC_CLAUSE)
+        quartic = (_QuarticRoot(self.quartic),) if text != self.constraints else ()
+        return _compile_clauses(text) + quartic
+
+    @cached_property
+    def draw(self) -> Callable[[random.Random], Optional[FamilyParams]]:
+        """The sampler: one draw of the branch's relations and then its family's, or None."""
+        return _rational_draw(
+            self.family, self.free, self.relations + _FAMILY_RELATIONS.get(self.family, ())
+        )
+
+    def member(self, params: FamilyParams, mode: Mode) -> bool:
+        """Membership test: every relation holds, evaluated in order."""
+        values = vars(params)
+        for relation in self.relations:
+            if not relation.holds(values, mode):
+                return False
+        return True
+
+    def expected(self, params: FamilyParams) -> ExpectedLambdas:
+        return _lambdas((self.lambdas,), params)
+
+    @property
+    def _recomputed(self) -> bool:
+        # A stated point (a formula naming lambda1 binds it) is recomputed
+        # from the case identities of its family, if it has them.
+        return self.family in _CASES and "lambda1" in self.lambdas
+
+    def recompute(self, params: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
+        """The family's case identities at `params`; None if none applies or lambda1 is free."""
+        return _lambdas(_CASE_TEXTS[self.family], params, mode) if self._recomputed else None
+
+    @property
+    def correction_note(self) -> str:
+        if not self._recomputed:
+            return ""
+        formulas = (formula for _, formula in _CASES[self.family])
+        return self.note + _ERRATA_NOTES[self.family].format(*formulas)
 
 
 @dataclass
@@ -216,21 +263,13 @@ def _positive_quadratic_roots(qa, qb, qc) -> List[float]:
     return [r for r in roots if r > 0]
 
 
-def _first_draw(draw, accept, empty: str) -> FamilyParams:
-    """The first of MAX_DRAWS draws that is not None and `accept`s; else EmptyBranch."""
+def _first_draw(draw, empty: str, accept=None) -> FamilyParams:
+    """The first of MAX_DRAWS draws that is not None and, if given, `accept`s; else EmptyBranch."""
     for _ in range(MAX_DRAWS):
         params = draw()
-        if params is not None and accept(params):
+        if params is not None and (accept is None or accept(params)):
             return params
     raise EmptyBranch(f"{empty} in {MAX_DRAWS} draws")
-
-
-def _valid(params: FamilyParams) -> bool:
-    try:
-        validate_params(params)
-    except ConstraintViolation:
-        return False
-    return True
 
 
 def sample_branch(spec: BranchSpec, count: int, seed: int = DEFAULT_SEED) -> List[FamilyParams]:
@@ -246,7 +285,7 @@ def sample_branch(spec: BranchSpec, count: int, seed: int = DEFAULT_SEED) -> Lis
         raise ValueError("count must be >= 1")
     rng = _rng_for(seed, spec.label)
     empty = f"branch {spec.label}: no valid sample"
-    return [_first_draw(lambda: spec.draw(rng), _valid, empty) for _ in range(count)]
+    return [_first_draw(lambda: spec.draw(rng), empty) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -294,15 +333,6 @@ def _root(relation, name: str):
     if isinstance(relation, _QuarticRoot):
         return relation.root
     return partial(_signed_root, relation.sides[1 - relation.squared.index(name)])
-
-
-def _member(relations, params: FamilyParams, mode: Mode) -> bool:
-    """Membership test: every relation holds, evaluated in order."""
-    values = vars(params)
-    for relation in relations:
-        if not relation.holds(values, mode):
-            return False
-    return True
 
 
 def _rational_draw(
@@ -434,112 +464,80 @@ def _lambdas(
 # Branch catalog
 # ---------------------------------------------------------------------------
 
-def _catalog() -> Tuple[BranchSpec, ...]:
-    specs: List[BranchSpec] = []
-
-    def add(label, constraints, free, lambdas, note="", quartic=""):
-        """Register a branch; `free` lists the free parameters its sampler draws,
-        `lambdas` is the formula text of its stated (lambda1, lambda2) and
-        `quartic` that of the quartic its quartic clause names."""
-        family = _THEOREM_FAMILY[_theorem(label)]
-        text = constraints.removesuffix(", " + _QUARTIC_CLAUSE)
-        relations = _compile_clauses(text) + ((_QuarticRoot(quartic),) if text != constraints else ())
-        # A stated point (a formula naming lambda1 binds it) is recomputed
-        # from the case identities of its family, if it has them.
-        cases = family in _CASES and "lambda1" in lambdas
-        formulas = (formula for _, formula in _CASES.get(family, ()))
-        specs.append(
-            BranchSpec(
-                label=label,
-                family=family,
-                constraints=constraints,
-                member=partial(_member, relations),
-                draw=_rational_draw(family, free, relations),
-                expected=partial(_lambdas, (lambdas,)),
-                recompute=partial(_lambdas, _CASE_TEXTS[family]) if cases else None,
-                correction_note=(note + _ERRATA_NOTES[family].format(*formulas)) if cases else "",
-                lambdas=lambdas,
-                quartic=quartic,
-            )
-        )
-
+BRANCHES: Tuple[BranchSpec, ...] = (
     # --- G1 ---------------------------------------------------------------
-    add("2.3", "beta = 0, alpha != 0", "alpha*", "lambda1 = 0, lambda2 = 0")
-
+    BranchSpec("2.3", "beta = 0, alpha != 0", "alpha*", "lambda1 = 0, lambda2 = 0"),
     # --- G2 ---------------------------------------------------------------
-    add(
+    BranchSpec(
         "2.5",
         "alpha = 2*beta, gamma != 0",
         "beta gamma*",
         "lambda1 = alpha^2/2 + 2*gamma^2, lambda2 = 0",
-    )
-
+    ),
     # --- G3 ---------------------------------------------------------------
-    add("2.7(i)", "alpha = beta, gamma = 0", "alpha", "lambda2 = 0")
-    add(
+    BranchSpec("2.7(i)", "alpha = beta, gamma = 0", "alpha", "lambda2 = 0"),
+    BranchSpec(
         "2.7(ii)",
         "alpha = beta != 0, gamma != 0",
         "alpha* gamma*",
         "lambda1 = gamma*((2*alpha - gamma)^2 + gamma^2)/(4*alpha), "
         "lambda2 = gamma^3*(-2*alpha^2 + 3*alpha*gamma - gamma^2)/(4*alpha)",
-    )
-    add("2.7(iii)", "alpha = 0, beta = gamma != 0", "beta*", "lambda2 = 0")
-    add("2.7(iv)", "beta = 0, alpha = gamma != 0", "alpha*", "lambda2 = 0")
-    add(
+    ),
+    BranchSpec("2.7(iii)", "alpha = 0, beta = gamma != 0", "beta*", "lambda2 = 0"),
+    BranchSpec("2.7(iv)", "beta = 0, alpha = gamma != 0", "alpha*", "lambda2 = 0"),
+    BranchSpec(
         "2.7(v)",
         "alpha != beta, alpha*beta != 0, gamma = alpha + beta",
         "alpha* beta*",
         "lambda1 = 2*alpha*beta, lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "2.7(vi)",
         "alpha != beta, alpha + beta - gamma != 0, gamma = alpha - beta",
         "alpha beta*",
         "lambda1 = 2*beta*(alpha - beta), lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "2.7(vii)",
         "alpha != beta, alpha + beta - gamma != 0, gamma = beta - alpha",
         "alpha* beta",
         "lambda1 = 2*alpha*(beta - alpha), lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "2.7(viii)",
         "alpha != beta, alpha + beta - gamma != 0, gamma^2 = alpha^2 + beta^2",
         "alpha* beta*",
         _CASE_TEXTS["G3"][-1],
-    )
-
+    ),
     # --- G4 ---------------------------------------------------------------
-    add("2.9(i)", "alpha = 0, beta = eta", "eta", "lambda2 = 0")
-    add(
+    BranchSpec("2.9(i)", "alpha = 0, beta = eta", "eta", "lambda2 = 0"),
+    BranchSpec(
         "2.9(ii)",
         "alpha != 0, beta = alpha/2 + eta",
         "alpha* eta",
         "lambda1 = alpha^2/2, lambda2 = 0",
-    )
-    add("2.9(iii)", "alpha = 0, beta != eta", "eta beta", "lambda1 = 0, lambda2 = 0")
-
+    ),
+    BranchSpec("2.9(iii)", "alpha = 0, beta != eta", "eta beta", "lambda1 = 0, lambda2 = 0"),
     # --- G5 ---------------------------------------------------------------
-    add(
+    BranchSpec(
         "3.2(i)",
         "gamma = -beta, alpha = delta != 0",
         "delta* beta",
         "lambda1 = -2*alpha^2, lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "3.2(ii)",
         "alpha = beta = gamma = 0, delta != 0",
         "delta*",
         "lambda1 = -delta^2, lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "3.2(iii)",
         "alpha != 0, beta = gamma = delta = 0",
         "alpha*",
         "lambda1 = -alpha^2, lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "3.2(iv)",
         "beta != 0, delta = -alpha*gamma/beta, beta^2 != gamma^2, "
         "alpha^2 a root of the branch quartic",
@@ -547,34 +545,33 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         _CASE_TEXTS["G5"][-1],
         quartic="k = (beta^2 - gamma^2)^2 + (beta + gamma)^4, "
         "qa = gamma*(3*beta^2 + 3*gamma^2 - 2*gamma*beta), qb = beta*k/2, qc = beta^3*k/4",
-    )
-
+    ),
     # --- G6 ---------------------------------------------------------------
-    add(
+    BranchSpec(
         "3.4(i)",
         "beta = gamma != 0, alpha = delta != 0",
         "alpha* beta*",
         "lambda1 = 2*alpha^2, lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "3.4(ii)",
         "beta = gamma = delta = 0, alpha != 0",
         "alpha*",
         "lambda1 = alpha^2, lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "3.4(iii)",
         "beta = gamma = 0, alpha = delta != 0",
         "alpha*",
         "lambda1 = 2*alpha^2, lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "3.4(iv)",
         "beta != gamma, delta = gamma != 0, alpha = beta, alpha + delta != 0",
         "gamma* beta",
         "lambda1 = (alpha + delta)^2/2, lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "3.4(v)",
         "beta != gamma, delta = gamma = 0, alpha != 0",
         "alpha* beta*",
@@ -587,14 +584,14 @@ def _catalog() -> Tuple[BranchSpec, ...]:
             "(the tabulated numerator ends in beta^4 where the case identity gives beta^4/2); "
             "lambda2 as tabulated. "
         ),
-    )
-    add(
+    ),
+    BranchSpec(
         "3.4(vi)",
         "beta != gamma, delta = -gamma != 0, alpha = -beta, alpha + delta != 0",
         "gamma* beta",
         "lambda1 = (alpha + delta)^2/2, lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "3.4(vii)",
         "beta != 0, delta = alpha*gamma/beta, delta^2 - alpha*delta + beta*gamma - gamma^2 != 0, "
         "alpha^2 a root of the branch quartic",
@@ -602,35 +599,30 @@ def _catalog() -> Tuple[BranchSpec, ...]:
         _CASE_TEXTS["G6"][-1],
         quartic="qa = beta + gamma, qb = gamma*beta*(gamma - beta), "
         "qc = -beta^3*(beta - gamma)^2/2",
-    )
-    add(
+    ),
+    BranchSpec(
         "3.4(viii)",
         "alpha = beta = gamma = 0, delta != 0",
         "delta*",
         "lambda1 = delta^2, lambda2 = 0",
-    )
-    add(
+    ),
+    BranchSpec(
         "3.4(viiii)",
         "alpha = beta = 0, gamma != 0, delta^2 = gamma^2/2",
         "gamma*",
         "lambda1 = delta^2, lambda2 = 0",
-    )
-
+    ),
     # --- G7 ---------------------------------------------------------------
-    add("3.6(i)", "alpha = beta = gamma = 0, delta != 0", "delta*", "lambda2 = 0")
-    add("3.6(ii)", "alpha = gamma = 0, beta != 0, delta != 0", "beta* delta*", "lambda2 = 0")
-    add("3.6(iii)", "alpha != 0, gamma = 0, alpha = delta", "alpha* beta", "lambda2 = 0")
-    add(
+    BranchSpec("3.6(i)", "alpha = beta = gamma = 0, delta != 0", "delta*", "lambda2 = 0"),
+    BranchSpec("3.6(ii)", "alpha = gamma = 0, beta != 0, delta != 0", "beta* delta*", "lambda2 = 0"),
+    BranchSpec("3.6(iii)", "alpha != 0, gamma = 0, alpha = delta", "alpha* beta", "lambda2 = 0"),
+    BranchSpec(
         "3.6(iv)",
         "alpha != 0, gamma = 0, alpha != delta, alpha != -delta",
         "alpha* delta beta",
         "lambda1 = 0, lambda2 = 0",
-    )
-
-    return tuple(specs)
-
-
-BRANCHES: Tuple[BranchSpec, ...] = _catalog()
+    ),
+)
 BRANCHES_BY_LABEL = {spec.label: spec for spec in BRANCHES}
 
 
@@ -690,11 +682,9 @@ def verify_branch(
                 else None
             ),
         )
-        if solution.kind != NONE and spec.recompute is not None:
-            recomputed = spec.recompute(params, mode)
-            if recomputed is not None:
-                failure.recomputed = recomputed
-                failure.recomputed_ok = _expected_holds(solution, recomputed)
+        if solution.kind != NONE and (recomputed := spec.recompute(params, mode)) is not None:
+            failure.recomputed = recomputed
+            failure.recomputed_ok = _expected_holds(solution, recomputed)
         report.failures.append(failure)
 
     if not report.failures:
@@ -787,7 +777,7 @@ def sample_family_point(family: str, rng: random.Random) -> FamilyParams:
     def draw() -> Optional[FamilyParams]:
         return (draws[rng.randrange(len(draws))] if len(draws) > 1 else draws[0])(rng)
 
-    return _first_draw(draw, lambda params: True, f"{family}: no valid point")
+    return _first_draw(draw, f"{family}: no valid point")
 
 
 def sample_valid_points(family: str, count: int, seed: int = DEFAULT_SEED) -> List[FamilyParams]:
@@ -803,7 +793,7 @@ def sample_off_branch(family: str, count: int, seed: int = DEFAULT_SEED) -> List
     def off_branch(params: FamilyParams) -> bool:
         return not any(spec.member(params, mode) for spec in specs)
 
-    return [_first_draw(draw, off_branch, f"{family}: no off-branch sample") for _ in range(count)]
+    return [_first_draw(draw, f"{family}: no off-branch sample", off_branch) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def _compile_clauses(
 
 
 # The catalog repeats many clauses; relations are never mutated, so
-# branches share them and the import compiles each clause once.
+# branches share them and each clause is compiled once.
 @functools.lru_cache(maxsize=None)
 def _compile_clause(clause: str) -> Tuple[_Relation, ...]:
     tree = ast.parse(clause.replace("^", "**").replace(" = ", " == "), mode="eval").body

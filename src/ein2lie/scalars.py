@@ -65,8 +65,8 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def is_exact(value) -> bool:
-    # the concrete types first: the Rational check alone is slow
-    if isinstance(value, (Fraction, int)):
+    # the concrete types first, int before Fraction: the ABC checks are slow
+    if isinstance(value, (int, Fraction)):
         return True
     return not isinstance(value, float) and isinstance(value, Rational)
 

@@ -140,7 +140,8 @@ def run_suite(
         for family in families:
             negative = SampledCheck(family=family, samples=negative_samples)
             for params in sample_off_branch(family, negative_samples, seed):
-                solution = is_ein2(build_family(params), DELTA)
+                mode = params.mode()
+                solution = is_ein2(build_family(params, mode), DELTA, mode)
                 if solution.kind != NONE:
                     negative.failures += 1
             report.negative.append(negative)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -18,6 +19,7 @@ from ein2lie import (
     BRANCHES_BY_LABEL,
     ConstraintViolation,
     EmptyBranch,
+    FAMILIES,
     FamilyParams,
     Mode,
     build_family,
@@ -35,14 +37,20 @@ from ein2lie.branches import (
     _FAMILY_DRAWS,
     _QUARTIC_CLAUSE,
     BranchSpec,
-    ExpectedLambdas,
     _QuarticRoot,
     _positive_quadratic_roots,
     _rational_draw,
     sample_family_point,
 )
 from ein2lie.ein2 import PRINTED_SYSTEMS
-from ein2lie.liealg import FAMILY_CONSTRAINTS, FAMILY_PIECES, _compile_clauses, _formula, family_table
+from ein2lie.liealg import (
+    FAMILY_CONSTRAINTS,
+    FAMILY_PIECES,
+    PARAMS_USED,
+    _compile_clauses,
+    _formula,
+    family_table,
+)
 from ein2lie.reporting import expected_json
 
 F = Fraction
@@ -133,16 +141,20 @@ def test_sample_branch_2_3_values():
 
 
 def test_empty_branch_raises():
-    dead = BranchSpec(
-        label="dead",
-        family="G1",
-        constraints="unsatisfiable",
-        member=lambda p, m: False,
-        draw=lambda rng: None,
-        expected=lambda p: ExpectedLambdas.point(F(0), F(0)),
-    )
-    with pytest.raises(EmptyBranch, match=r"^branch dead: no valid sample in 10000 draws$"):
+    dead = BranchSpec("2.3(dead)", "alpha = 0, alpha != 0", "beta", "lambda1 = 0, lambda2 = 0")
+    assert dead.family == "G1"
+    with pytest.raises(EmptyBranch, match=r"^branch 2.3\(dead\): no valid sample in 10000 draws$"):
         sample_branch(dead, 1, seed=0)
+
+
+def test_branch_sampler_checks_the_family_constraints():
+    # Every draw of this branch text meets its own clauses but lies on
+    # alpha + delta = 0, which no G7 point may.
+    off_family = BranchSpec("3.6(off)", "alpha = delta = 0, gamma != 0", "gamma* beta", "lambda2 = 0")
+    rng = random.Random(0)
+    assert all(off_family.draw(rng) is None for _ in range(50))
+    with pytest.raises(EmptyBranch, match=r"^branch 3.6\(off\): no valid sample"):
+        sample_branch(off_family, 1, seed=0)
 
 
 def test_family_samplers_are_bounded(monkeypatch):
@@ -222,7 +234,6 @@ def test_classify_rejects_invalid_params():
 
 
 def test_classify_validates_once(monkeypatch):
-    import ein2lie.branches as branches
     import ein2lie.liealg as liealg
 
     calls = []
@@ -231,8 +242,7 @@ def test_classify_validates_once(monkeypatch):
         calls.append(params)
         return validate_params(params, mode)
 
-    for module in (branches, liealg):
-        monkeypatch.setattr(module, "validate_params", counting)
+    monkeypatch.setattr(liealg, "validate_params", counting)
     classify(FamilyParams("G5", alpha=1, beta=0, gamma=0, delta=1))
     assert len(calls) == 1
     with pytest.raises(ConstraintViolation) as info:
@@ -242,7 +252,6 @@ def test_classify_validates_once(monkeypatch):
 
 
 def test_verify_branch_validates_each_sample_once(monkeypatch):
-    import ein2lie.branches as branches
     import ein2lie.liealg as liealg
 
     calls = []
@@ -251,8 +260,7 @@ def test_verify_branch_validates_each_sample_once(monkeypatch):
         calls.append(params)
         return validate_params(params, mode)
 
-    for module in (branches, liealg):
-        monkeypatch.setattr(module, "validate_params", counting)
+    monkeypatch.setattr(liealg, "validate_params", counting)
     for label in ("2.3", "3.2(iv)", "3.4(v)"):
         spec = BRANCHES_BY_LABEL[label]
         calls.clear()
@@ -260,7 +268,7 @@ def test_verify_branch_validates_each_sample_once(monkeypatch):
         sampled = len(calls)
         calls.clear()
         report = verify_branch(spec, count=5, seed=3)
-        assert len(calls) == sampled >= len(samples) == report.attempted
+        assert len(calls) == sampled and len(samples) == report.attempted
 
 
 def test_classify_overlapping_branches():
@@ -278,6 +286,25 @@ def test_off_branch_points_are_not_ein2():
     for family in ("G1", "G3", "G6", "G7"):
         for params in sample_off_branch(family, 25, seed=7):
             assert is_ein2(build_family(params)).kind == "none", params
+
+
+def test_classify_is_complete_on_a_grid():
+    # Every valid point whose used parameters lie in
+    # {n/d : d in {1, 2}, |n| <= 2d} (eta = +-1) is matched by a branch
+    # exactly when it is Ein(2): a deterministic grid reaches the special
+    # subvarieties that random draws hit only by chance.
+    grid = sorted({F(n, d) for d in (1, 2) for n in range(-2 * d, 2 * d + 1)})
+    for family in FAMILIES:
+        names = PARAMS_USED[family]
+        axes = [(1, -1) if name == "eta" else grid for name in names]
+        statuses = collections.Counter()
+        for values in itertools.product(*axes):
+            params = FamilyParams(family, **dict(zip(names, values)))
+            try:
+                statuses[classify(params, mode=Mode.exact()).status] += 1
+            except ConstraintViolation:
+                continue
+        assert set(statuses) == {"ein2", "not_ein2"}, (family, statuses)
 
 
 def test_anchor_g5_reproduces_closed_forms():
@@ -667,9 +694,7 @@ def test_product_nonzero_reads_factor_by_factor_in_approx_mode():
 
 
 def test_errata_note_is_the_family_case_note():
-    spec = dataclasses.replace(
-        BRANCHES_BY_LABEL["3.2(ii)"], expected=lambda p: ExpectedLambdas.point(F(1), F(0))
-    )
+    spec = dataclasses.replace(BRANCHES_BY_LABEL["3.2(ii)"], lambdas="lambda1 = 1, lambda2 = 0")
     report = verify_branch(spec, count=5, seed=7)
     assert report.verdict == "errata"
     assert report.correction.startswith("recomputed from the G5 case identities")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from math import lcm
@@ -527,3 +528,52 @@ def test_float_decisions_at_the_tolerance(triples, kind):
     solution = solve_triples(triples, Mode.approx())
     assert solution.kind == kind
     assert_matches_elimination(solution, triples, Mode.approx())
+
+
+def _transformed(sc, entry):
+    """The raw table whose entry c^k_ij is entry(c, i, j, k)."""
+    return from_raw([[[entry(sc.c, i, j, k) for k in range(3)] for j in range(3)] for i in range(3)])
+
+
+def _same_solution(new, old):
+    """The same kind and lambdas, the same line and the same minimal residual, exactly."""
+    assert new.kind == old.kind
+    if old.kind == "point":
+        assert new.point == old.point
+    elif old.kind == "line":
+        assert new.line_direction == old.line_direction and new.contains(*old.line_base)
+    elif old.kind == "none":
+        assert new.residual == old.residual
+
+
+_SIGNS = [signs for signs in itertools.product((1, -1), repeat=3) if signs != (1, 1, 1)]
+_SCALES = (F(2), F(-1, 3), F(3, 2), F(-1))
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_exact_verdicts_are_invariant_under_homothety_and_frame_isometries(
+    convention, family_samples_100
+):
+    # Rescaling the algebra by t rescales the Ricci operator by t^2, so a
+    # solution (lambda1, lambda2) maps to (t^2*lambda1, t^4*lambda2).  Flipping
+    # the sign of basis vectors or swapping the spacelike e1 and e2 is an
+    # isometry of the frame: it permutes the rows up to sign.
+    for samples in family_samples_100.values():
+        for index, params in enumerate(samples):
+            sc = build_family(params)
+            old = is_ein2(sc, convention)
+            t, s = _SCALES[index % len(_SCALES)], _SIGNS[index % len(_SIGNS)]
+
+            scaled = is_ein2(_transformed(sc, lambda c, i, j, k: t * c[i][j][k]), convention)
+            assert scaled.kind == old.kind, params
+            if old.kind == "point":
+                assert scaled.point == (t**2 * old.point[0], t**4 * old.point[1]), params
+            elif old.kind == "line":
+                (b1, b2), (d1, d2) = old.line_base, old.line_direction
+                assert scaled.contains(t**2 * b1, t**4 * b2), params
+                assert scaled.contains(t**2 * (b1 + d1), t**4 * (b2 + d2)), params
+
+            flip = lambda c, i, j, k: s[i] * s[j] * s[k] * c[i][j][k]
+            swap = lambda c, i, j, k: c[(1, 0, 2)[i]][(1, 0, 2)[j]][(1, 0, 2)[k]]
+            for entry in (flip, swap):
+                _same_solution(is_ein2(_transformed(sc, entry), convention), old)
