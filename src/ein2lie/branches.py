@@ -46,8 +46,9 @@ pass gives the recomputed lambdas, and none passing gives None.  The
 last is the family's generic case, the stated formula of its float
 branch, and each errata note quotes the formula text it evaluates.
 One evaluator, `liealg._evaluate`, runs every formula text: the stated
-lambdas, the case identities, the quartics and the tabulated systems of
-`ein2.PRINTED_SYSTEMS`.
+lambdas, the case identities, the quartics and, on floats, the tabulated
+systems of `ein2.PRINTED_SYSTEMS`, which exact fidelity checks run as
+integer plans of the same compiler (`liealg._evaluate_integer`).
 
 `verify_branch` replays a branch against the solver: every sample must
 be Ein(2) and the stated lambdas must lie in the computed solution set

@@ -24,8 +24,12 @@ Ricci contraction for exact data.  `solve` solves them for one
 `is_ein2` is `solve` on the Ricci data of a table, and
 `match_printed_system` compares the same rows with the tabulated
 systems, so the fidelity check reads the rows every verdict is decided
-on.  The tabulated systems are formula texts (`PRINTED_SYSTEMS`), read
-by the evaluator of every other formula of the package.  `_solve`
+on.  The tabulated systems are formula texts (`PRINTED_SYSTEMS`),
+compiled by the compiler of every other formula of the package.  For
+exact data each text runs once per point as its homogenized integer
+plan, which gives its rows as ints on the scale of `_rows`, and the two
+sides compare as sets of sign-canonical rows; float rows are compared
+within tolerance with the text evaluated on floats.  `_solve`
 computes the affine solution set from 2x2 minors, on integers for exact
 rows and with tolerance tests for float ones.  For unsolvable systems
 the reported residual is the minimal achievable sup-norm over all
@@ -43,7 +47,17 @@ from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from .geometry import RicciData, ricci
-from .liealg import EPS, FamilyParams, StructureConstants, _evaluate, build_family
+from .liealg import (
+    EPS,
+    PARAMS_USED,
+    FamilyParams,
+    StructureConstants,
+    _UNIT,
+    _evaluate,
+    _evaluate_integer,
+    _exact_quotient,
+    build_family,
+)
 from .scalars import Mode, Scalar
 
 DELTA = "delta"
@@ -300,7 +314,9 @@ def is_ein2(
 #: per family (`liealg._formula`): it binds helper names and, for each
 #: nonzero equation A + lambda1*B + lambda2*C = 0, row i's (Ai, Bi, Ci).
 #: The rows may differ from the nonzero rows of `_rows` by an overall
-#: sign, by ordering and by repetition; never by more (`_covers`).
+#: sign, by ordering and by repetition; never by more (`_canonical`,
+#: `_covers`).  Every entry is a polynomial of degree at most 4 that
+#: divides by integer constants only, so it has an integer plan.
 PRINTED_SYSTEMS: Dict[str, str] = {
     "G1": (
         "A1 = beta^4/4, B1 = -beta^2/2, C1 = 1, "
@@ -352,9 +368,28 @@ PRINTED_SYSTEMS: Dict[str, str] = {
 }
 
 
-def _printed_rows(params: FamilyParams, mode: Mode) -> List[Tuple[Scalar, Scalar, Scalar]]:
-    """The family's tabulated rows (A_i, B_i, C_i) at `params`, evaluated from its text."""
-    values = _evaluate(PRINTED_SYSTEMS[params.family], vars(params), mode)
+def _printed_rows(params: FamilyParams, mode: Mode, scale: int) -> List[Tuple[Scalar, ...]]:
+    """The family's tabulated rows (A_i, B_i, C_i) at `params`, on the scale of `_rows`.
+
+    Exact, they are the ints 16 L^4 (A_i, B_i, C_i), L = `scale`, the
+    `RicciData.scale` of the point: the family's text runs as its
+    homogenized integer plan at X = s*p, s = 2L (`liealg._evaluate_integer`),
+    with each entry lifted to degree 4.  Every parameter the family reads
+    is a bracket, so L*p is an int.  Approx, they are the floats
+    `_evaluate` gives, the scale of float rows being 1.
+    """
+    text = PRINTED_SYSTEMS[params.family]
+    if mode.is_exact:
+        unit = 2 * scale
+        values = {_UNIT: unit}
+        for name in PARAMS_USED[params.family]:
+            x = getattr(params, name)
+            if name != "eta":
+                x = _exact_quotient(unit * x.numerator, x.denominator)
+            values[name] = x
+        values = _evaluate_integer(text, values, 4)
+    else:
+        values = _evaluate(text, vars(params), mode)
     return [
         (values[f"A{i}"], values[f"B{i}"], values[f"C{i}"])
         for i in range(1, len(PAIRS) + 1)
@@ -372,17 +407,37 @@ def _covers(rows, others, mode: Mode) -> bool:
     )
 
 
+def _canonical(rows) -> set:
+    """The nonzero exact rows, each signed so its first nonzero entry is positive.
+
+    Two row lists cover each other (`_covers` both ways) exactly when
+    these sets are equal.
+    """
+    signed = set()
+    for row in rows:
+        for x in row:
+            if x:
+                signed.add(tuple(row) if x > 0 else tuple(-y for y in row))
+                break
+    return signed
+
+
 def match_printed_system(params: FamilyParams, mode: Optional[Mode] = None) -> bool:
     """Compare the rows `is_ein2` solves against the tabulated system.
 
     The rows of `_rows` (delta convention, zero rows dropped) must equal
-    the family's tabulated equations times the rows' scale, up to row
-    sign, ordering and repetition: every nonzero row on either side is a
-    row of the other.  Exact mode compares ints against the scaled table,
-    so no Ricci Fraction is built.
+    the family's tabulated equations on the same scale (`_printed_rows`),
+    up to row sign, ordering and repetition: every nonzero row on either
+    side is a row of the other.  Exact mode compares ints, the tabulated
+    ones from the text's integer plan, as sets of sign-canonical rows
+    (`_canonical`), so neither side builds a Fraction; approx mode tests
+    each row against the other side within tolerance (`_covers`).
     """
     if mode is None:
         mode = params.mode()
-    rows, scale = _rows(ricci(build_family(params, mode), mode), DELTA, mode)
-    printed = [tuple(scale * x for x in row) for row in _printed_rows(params, mode)]
+    rd = ricci(build_family(params, mode), mode)
+    rows, _ = _rows(rd, DELTA, mode)
+    printed = _printed_rows(params, mode, rd.scale)
+    if mode.is_exact:
+        return _canonical(rows) == _canonical(printed)
     return _covers(rows, printed, mode) and _covers(printed, rows, mode)

@@ -14,7 +14,9 @@ listed in `FAMILY_CONSTRAINTS`, which `validate_params` compiles and
 checks, and the pieces of its parameter variety listed in
 `FAMILY_PIECES`, from which its points are sampled.  The same clause
 compiler reads the package's formula texts, which bind names in turn
-(`_formula`); `_evaluate` runs them.  Arbitrary tables enter through
+(`_formula`); `_evaluate` runs them.  A text that only binds
+polynomials also compiles, on first use, to a homogenized integer plan,
+which `_evaluate_integer` runs on ints.  Arbitrary tables enter through
 `from_raw`, which enforces antisymmetry but deliberately not the Jacobi
 identity: `jacobi_ok` decides it, and `geometry.ricci` raises
 NotLieAlgebra where it fails.
@@ -157,27 +159,76 @@ _OPERATORS = {
 }
 
 
-def _term(node: ast.expr) -> Tuple[Callable[[Mapping[str, Scalar]], Scalar], frozenset]:
+#: The degree of each parameter in a homogenized integer plan (`_term`).
+_DEGREES = {"alpha": 1, "beta": 1, "gamma": 1, "delta": 1, "eta": 0}
+#: The key of the unit s in the values a homogenized plan reads: s stands
+#: for the constant 1 of the text, and no name of a text can be "1".
+_UNIT = "1"
+
+
+def _term(
+    node: ast.expr, degrees: Optional[Mapping[str, int]] = None
+) -> Tuple[Callable[[Mapping[str, Scalar]], Scalar], frozenset, int]:
     """Compile one side of a relation to a function of the parameter values.
 
-    Returns the function and the names it reads.  Integer constants stay
-    ints, so a quotient's numerator must read a name: `alpha/2` is exact,
-    `1/2` would be a float.
+    Returns the function, the names it reads and its degree.  Integer
+    constants stay ints, so a quotient's numerator must read a name:
+    `alpha/2` is exact, `1/2` would be a float.
+
+    Given the `degrees` of the names it may read, the function is the
+    side's homogenized integer form instead, of the returned degree d:
+    it reads each name as an int and the unit s as values[_UNIT], a sum
+    lifts its lower-degree side by a power of s, a power takes an integer
+    constant exponent, and a quotient divides by an integer constant
+    only and exactly (`_exact_quotient`).  At the values X = s*p of the
+    parameters p (eta as itself) it returns s^d times the side at p.
+    Without `degrees` every degree reads 0.
     """
+    homogeneous = degrees is not None
     if isinstance(node, ast.Name):
-        return operator.itemgetter(node.id), frozenset((node.id,))
+        degree = degrees[node.id] if homogeneous else 0
+        return operator.itemgetter(node.id), frozenset((node.id,)), degree
     if isinstance(node, ast.Constant) and type(node.value) is int:
         value = node.value
-        return (lambda values: value), frozenset()
+        return (lambda values: value), frozenset(), 0
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        operand, names = _term(node.operand)
-        return (lambda values: -operand(values)), names
+        operand, names, degree = _term(node.operand, degrees)
+        return (lambda values: -operand(values)), names, degree
     if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
         op = _OPERATORS[type(node.op)]
-        (left, left_names), (right, right_names) = _term(node.left), _term(node.right)
+        left, left_names, left_degree = _term(node.left, degrees)
+        right, right_names, right_degree = _term(node.right, degrees)
+        degree = left_degree + right_degree
+        if isinstance(node.op, (ast.Add, ast.Sub)):
+            degree = max(left_degree, right_degree)
+            left, right = _lift(left, degree - left_degree), _lift(right, degree - right_degree)
+        elif isinstance(node.op, ast.Pow) and homogeneous:
+            if not (isinstance(node.right, ast.Constant) and type(node.right.value) is int):
+                raise ValueError(f"{ast.unparse(node)!r} has no integer constant exponent")
+            degree = left_degree * node.right.value
+        elif isinstance(node.op, ast.Div) and homogeneous and right_names:
+            raise ValueError(f"{ast.unparse(node)!r} divides by a name")
+        elif isinstance(node.op, ast.Div) and homogeneous:
+            op = _exact_quotient
         if left_names or not isinstance(node.op, ast.Div):
-            return (lambda values: op(left(values), right(values))), left_names | right_names
+            names = left_names | right_names
+            return (lambda values: op(left(values), right(values))), names, degree
     raise ValueError(f"unsupported term {ast.unparse(node)!r}")
+
+
+def _lift(term, power: int):
+    """The term times s^power, s the unit of a homogenized plan; the term itself for power 0."""
+    if not power:
+        return term
+    return lambda values: term(values) * values[_UNIT] ** power
+
+
+def _exact_quotient(numerator: int, denominator: int) -> int:
+    """numerator / denominator, which must be an int: a remainder raises and never floors."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ArithmeticError(f"{numerator} / {denominator} is not an integer")
+    return quotient
 
 
 def _factors(node: ast.expr) -> list:
@@ -192,11 +243,12 @@ class _Relation:
     Sides read the parameters from a mapping of names to values, such as
     vars(params).  `bare[i]` is side i's name if it is a bare parameter,
     `squared[i]` its name if it is a bare parameter squared (`gamma^2`),
-    `names[i]` the parameters it reads.
+    `names[i]` the parameters it reads.  The relation is link `index` of
+    its clause.
     """
 
-    def __init__(self, clause: str, equal: bool, left: ast.expr, right: ast.expr):
-        self.clause, self.equal = clause, equal
+    def __init__(self, clause: str, index: int, equal: bool, left: ast.expr, right: ast.expr):
+        self.clause, self.index, self.equal = clause, index, equal
         self.bare = tuple(getattr(side, "id", None) for side in (left, right))
         self.squared = tuple(
             getattr(side.left, "id", None)
@@ -204,7 +256,7 @@ class _Relation:
             and getattr(side.right, "value", None) == 2 else None
             for side in (left, right)
         )
-        (first, left_names), (second, right_names) = _term(left), _term(right)
+        (first, left_names, _), (second, right_names, _) = _term(left), _term(right)
         self.sides, self.names = (first, second), (left_names, right_names)
         if not (isinstance(right, ast.Constant) and right.value == 0):
             self.terms = (lambda values: first(values) - second(values),)
@@ -248,25 +300,32 @@ def _compile_clauses(
 # branches share them and each clause is compiled once.
 @functools.lru_cache(maxsize=None)
 def _compile_clause(clause: str) -> Tuple[_Relation, ...]:
+    ops, sides = _parse_clause(clause)
+    return tuple(
+        _Relation(clause, index, isinstance(op, ast.Eq), left, right)
+        for index, (op, left, right) in enumerate(zip(ops, sides, sides[1:]))
+    )
+
+
+def _parse_clause(clause: str) -> Tuple[list, list]:
+    """The comparison operators of a clause and the syntax trees of its sides."""
     tree = ast.parse(clause.replace("^", "**").replace(" = ", " == "), mode="eval").body
     if not isinstance(tree, ast.Compare) or not all(
         isinstance(op, (ast.Eq, ast.NotEq)) for op in tree.ops
     ):
         raise ValueError(f"constraint {clause!r} is not a chain of = and !=")
-    sides = [tree.left, *tree.comparators]
-    return tuple(
-        _Relation(clause, isinstance(op, ast.Eq), left, right)
-        for op, left, right in zip(tree.ops, sides, sides[1:])
-    )
+    return tree.ops, [tree.left, *tree.comparators]
 
 
-def _next_step(pending, bound, free, mode: Optional[Mode]):
+def _next_step(pending, bound, free, mode: Optional[Mode], degrees=None):
     """Take the first pending relation that the `bound` names decide; return its step.
 
     An equality binds a bare name, or the square root of a squared one,
     only if that name is neither bound nor free: ("set", name, the other
     side) or ("root", name, the relation).  Any other decided relation is
-    a check, ("check", mode, relation).
+    a check, ("check", mode, relation).  Given the `degrees` of the bound
+    names, a "set" step carries the other side's homogenized integer form
+    (`_term`) and enters the name's degree into `degrees`.
     """
     for relation in pending:
         for side in (0, 1) if relation.equal else ():
@@ -274,6 +333,11 @@ def _next_step(pending, bound, free, mode: Optional[Mode]):
             if name not in bound | free | {None} and relation.names[1 - side] <= bound:
                 pending.remove(relation)
                 bound.add(name)
+                if relation.bare[side] and degrees is not None:
+                    # parsed again: the cached relations keep no syntax tree
+                    node = _parse_clause(relation.clause)[1][relation.index + 1 - side]
+                    term, _, degrees[name] = _term(node, degrees)
+                    return "set", name, term
                 if relation.bare[side]:
                     return "set", name, relation.sides[1 - side]
                 return "root", name, relation
@@ -285,14 +349,29 @@ def _next_step(pending, bound, free, mode: Optional[Mode]):
 
 # Compiled on first use, once, so that importing the package compiles no formula.
 @functools.lru_cache(maxsize=None)
-def _formula(text: str) -> tuple:
-    """Compile a formula text to its plan of "set" and "check" steps (`_next_step`)."""
-    plan, bound, pending = [], set(_PARAM_NAMES), list(_compile_clauses(text, names=None))
-    while (step := _next_step(pending, bound, set(), None)) is not None:
+def _formula(text: str, homogeneous: bool = False) -> tuple:
+    """Compile a formula text to its plan of "set" and "check" steps (`_next_step`).
+
+    The homogeneous plan, which `_evaluate_integer` runs, is of
+    (name, term, degree) steps instead: each term is the homogenized
+    integer form of the name's definition, whose degree the name takes.
+    A text with a check has none.
+    """
+    degrees = dict(_DEGREES) if homogeneous else None
+    # A homogeneous plan keeps only its integer terms, so the relations it
+    # is read from stay out of the clause cache.
+    compile_clause = _compile_clause.__wrapped__ if homogeneous else _compile_clause
+    pending = [relation for clause in text.split(", ") for relation in compile_clause(clause)]
+    plan, bound = [], set(_PARAM_NAMES)
+    while (step := _next_step(pending, bound, set(), None, degrees)) is not None:
         plan.append(step)
     if pending or any(kind == "root" for kind, _, _ in plan):
         raise ValueError(f"formula {text!r} does not bind each name it reads by a bare equality")
-    return tuple(plan)
+    if not homogeneous:
+        return tuple(plan)
+    if any(kind == "check" for kind, _, _ in plan):
+        raise ValueError(f"formula {text!r} has a check; a homogenized plan only binds")
+    return tuple((name, term, degrees[name]) for _, name, term in plan)
 
 
 def _evaluate(text: str, values: Mapping[str, Scalar], mode: Optional[Mode]) -> Optional[dict]:
@@ -307,6 +386,22 @@ def _evaluate(text: str, values: Mapping[str, Scalar], mode: Optional[Mode]) -> 
         elif not arg.holds(values, mode):
             return None
     return values
+
+
+def _evaluate_integer(text: str, values: Mapping[str, int], degree: int) -> dict:
+    """Every name the formula text binds, as the int s^degree times its value at p.
+
+    `values` holds the unit s under _UNIT and each parameter p the text
+    reads as the int s*p, eta as itself.  The text runs as its
+    homogenized plan (`_formula`), so a name of degree d comes out as
+    s^d times its value at p; it is lifted by s^(degree - d), so no name
+    may have a degree above `degree`.
+    """
+    values, lifted, unit = dict(values), {}, values[_UNIT]
+    for name, term, own in _formula(text, homogeneous=True):
+        values[name] = term(values)
+        lifted[name] = values[name] * unit ** (degree - own)
+    return lifted
 
 
 FAMILY_CONSTRAINTS = {

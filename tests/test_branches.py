@@ -25,6 +25,7 @@ from ein2lie import (
     build_family,
     classify,
     is_ein2,
+    match_printed_system,
     sample_branch,
     sample_off_branch,
     sample_valid_points,
@@ -47,6 +48,7 @@ from ein2lie.liealg import (
     FAMILY_CONSTRAINTS,
     FAMILY_PIECES,
     PARAMS_USED,
+    _UNIT,
     _compile_clauses,
     _formula,
     family_table,
@@ -288,23 +290,37 @@ def test_off_branch_points_are_not_ein2():
             assert is_ein2(build_family(params)).kind == "none", params
 
 
-def test_classify_is_complete_on_a_grid():
-    # Every valid point whose used parameters lie in
-    # {n/d : d in {1, 2}, |n| <= 2d} (eta = +-1) is matched by a branch
-    # exactly when it is Ein(2): a deterministic grid reaches the special
-    # subvarieties that random draws hit only by chance.
+def _grid_points():
+    """Every valid point whose used parameters lie in {n/d : d in {1, 2}, |n| <= 2d}
+    (eta = +-1): a deterministic grid that reaches the special subvarieties
+    random draws hit only by chance."""
     grid = sorted({F(n, d) for d in (1, 2) for n in range(-2 * d, 2 * d + 1)})
     for family in FAMILIES:
         names = PARAMS_USED[family]
         axes = [(1, -1) if name == "eta" else grid for name in names]
-        statuses = collections.Counter()
         for values in itertools.product(*axes):
             params = FamilyParams(family, **dict(zip(names, values)))
             try:
-                statuses[classify(params, mode=Mode.exact()).status] += 1
+                validate_params(params)
             except ConstraintViolation:
                 continue
-        assert set(statuses) == {"ein2", "not_ein2"}, (family, statuses)
+            yield params
+
+
+def test_classify_is_complete_on_a_grid():
+    # Every valid grid point is matched by a branch exactly when it is Ein(2).
+    statuses = collections.defaultdict(collections.Counter)
+    for params in _grid_points():
+        statuses[params.family][classify(params, mode=Mode.exact()).status] += 1
+    for family in FAMILIES:
+        assert set(statuses[family]) == {"ein2", "not_ein2"}, (family, statuses[family])
+
+
+def test_match_printed_system_holds_on_the_grid():
+    points = list(_grid_points())
+    assert len(points) == 3619
+    for params in points:
+        assert match_printed_system(params), params
 
 
 def test_anchor_g5_reproduces_closed_forms():
@@ -591,6 +607,36 @@ def test_every_formula_text_compiles():
         n = sum(f"A{i}" in bound for i in range(1, 7))
         assert {f"{x}{i}" for x in "ABC" for i in range(1, n + 1)} <= bound, text
     assert [len(texts) for texts, _ in kinds] == [len(BRANCHES), 6, 7, 2]
+
+
+def test_every_tabulated_system_compiles_to_an_integer_plan():
+    # Every name of degree at most 4, so the rows lift to the scale of `_rows`.
+    for text in PRINTED_SYSTEMS.values():
+        plan = _formula(text, homogeneous=True)
+        assert [name for name, _, _ in plan] == [name for _, name, _ in _formula(text)], text
+        assert all(degree <= 4 for _, _, degree in plan), text
+
+
+def test_integer_plan_is_homogeneous_and_divides_exactly():
+    # degrees: beta^2/2 is 2, m*eta - 3 lifts 3 by s; at X = s*p it is s^d times the value
+    (_, m, dm), (_, a, da) = _formula("m = beta^2/2, A = m*eta - 3", homogeneous=True)
+    assert (dm, da) == (2, 2)
+    values = {_UNIT: 4, "beta": 4 * 3, "eta": -1}
+    values["m"] = m(values)
+    assert (values["m"], a(values)) == (4**2 * F(9, 2), 4**2 * (-F(9, 2) - 3))
+    # a remainder raises and never floors: beta/4 at X = 2*(1/2) = 1 is not an int
+    (_, q, _), = _formula("q = beta/4", homogeneous=True)
+    with pytest.raises(ArithmeticError):
+        q({_UNIT: 2, "beta": 1})
+
+
+def test_integer_plan_refuses_what_it_cannot_state_on_ints():
+    for text in ("q = alpha/beta", "q = alpha/(2*beta)", "q = alpha^eta", "m = alpha, q = beta/m"):
+        with pytest.raises(ValueError):
+            _formula(text, homogeneous=True)
+        assert _formula(text), text
+    with pytest.raises(ValueError):
+        _formula("q = alpha, alpha != 0", homogeneous=True)
 
 
 def test_formula_must_bind_every_name_it_reads():

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -28,11 +31,18 @@ from ein2lie import (
     sample_branch,
     solve,
 )
+import ein2lie
 from ein2lie import ein2
 from ein2lie.ein2 import PAIRS
-from ein2lie.liealg import ConstraintViolation
+from ein2lie.liealg import (
+    FAMILY_PIECES,
+    ConstraintViolation,
+    _compile_clauses,
+    _evaluate,
+    _next_step,
+)
 from oracles import min_sup_residual_vertices, solve_brute, solve_eliminate
-from test_geometry import family_points
+from test_geometry import _BIG_DENOMINATORS, _valid_table, family_points
 
 F = Fraction
 
@@ -171,7 +181,9 @@ def test_match_printed_system_approx_mode():
 
 
 def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family_samples_100):
-    """Exact is_ein2 and match_printed_system read only the integer contraction."""
+    """Exact is_ein2 and match_printed_system read only the integer contraction,
+    and exact fidelity evaluates the tabulated texts on ints only: it runs
+    their integer plans and calls `_evaluate` on no Fraction."""
     points = [params for samples in family_samples_100.values() for params in samples[:10]]
     references = [ricci_rows(ricci(build_family(p)), DELTA) for p in points]
 
@@ -180,9 +192,24 @@ def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family
 
     for name in ("rho", "rho_op", "rho_sq"):
         monkeypatch.setattr(RicciData, name, property(refuse))
+    evaluate, evaluate_integer, integer_runs = ein2._evaluate, ein2._evaluate_integer, []
+
+    def no_fraction(text, values, mode):
+        assert not any(isinstance(x, Fraction) for x in values.values()), values
+        return evaluate(text, values, mode)
+
+    def ints_only(text, values, degree):
+        out = evaluate_integer(text, values, degree)
+        assert all(type(x) is int for x in [*values.values(), *out.values()]), (values, out)
+        integer_runs.append(text)
+        return out
+
+    monkeypatch.setattr(ein2, "_evaluate", no_fraction)
+    monkeypatch.setattr(ein2, "_evaluate_integer", ints_only)
     for params, rows in zip(points, references):
         assert_matches_elimination(is_ein2(build_family(params)), rows, Mode.exact())
         assert match_printed_system(params), params
+    assert integer_runs == [ein2.PRINTED_SYSTEMS[params.family] for params in points]
 
 
 def _distinct_nonzero(rows):
@@ -195,35 +222,117 @@ def _distinct_nonzero(rows):
 def test_match_printed_system_rejects_a_changed_table(monkeypatch, family_samples_100, exact):
     """Adding 1 to any one tabulated coefficient breaks the match, and so
     does an extra row (0, 0, 2), which no delta-convention system has.
-    The change wraps the evaluator of the tabulated rows."""
+    The change wraps `_printed_rows`, which both routes read: in exact
+    mode the ints of the text's integer plan, on the scale of `_rows`,
+    so +1 is a change of 1/(16 L^4) in the table; in approx mode the
+    floats of `_evaluate`."""
     tabulated = ein2._printed_rows
     for family, samples in family_samples_100.items():
-        points = [p for p in samples if _distinct_nonzero(tabulated(p, p.mode()))][:3]
+        scales = {p: ricci(build_family(p)).scale for p in samples}
+        points = [p for p in samples if _distinct_nonzero(tabulated(p, p.mode(), scales[p]))][:3]
         assert points, family
         for params in points:
+            scale = scales[params]
             if not exact:
                 values = (params.alpha, params.beta, params.gamma, params.delta)
-                params = FamilyParams(family, *map(float, values), eta=params.eta)
+                params, scale = FamilyParams(family, *map(float, values), eta=params.eta), 1
             mode = params.mode()
             assert mode.is_exact is exact
             monkeypatch.setattr(ein2, "_printed_rows", tabulated)
             assert match_printed_system(params, mode), params
-            for r in range(len(tabulated(params, mode))):
+            for r in range(len(tabulated(params, mode, scale))):
                 for k in range(3):
 
-                    def changed(p, m, r=r, k=k):
-                        rows = [list(row) for row in tabulated(p, m)]
+                    def changed(p, m, s, r=r, k=k):
+                        rows = [list(row) for row in tabulated(p, m, s)]
                         rows[r][k] += 1
                         return rows
 
                     monkeypatch.setattr(ein2, "_printed_rows", changed)
                     assert not match_printed_system(params, mode), (params, r, k)
 
-            def extended(p, m):
-                return [*tabulated(p, m), (0, 0, 2)]
+            def extended(p, m, s):
+                return [*tabulated(p, m, s), (0, 0, 2)]
 
             monkeypatch.setattr(ein2, "_printed_rows", extended)
             assert not match_printed_system(params, mode), params
+
+
+def test_importing_the_package_compiles_no_integer_plan():
+    """Import compiles no formula; an exact fidelity check then compiles its
+    family's integer plan, and only that."""
+    src = os.path.dirname(os.path.dirname(ein2lie.__file__))
+    code = (
+        "import ein2lie; size = ein2lie.liealg._formula.cache_info().currsize; "
+        "ein2lie.match_printed_system(ein2lie.FamilyParams('G1', alpha=1, beta=2)); "
+        "print(size, ein2lie.liealg._formula.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert run.stdout.split() == ["0", "1"]
+
+
+_PIECES = [(family, free, text) for family, pieces in FAMILY_PIECES.items() for free, text in pieces]
+
+
+@pytest.mark.parametrize("family, free, text", _PIECES, ids=[f"{f}:{free}" for f, free, _ in _PIECES])
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_integer_plan_rows_are_the_scaled_fraction_rows(family, free, text, data):
+    """At rational points with large denominators on each piece of each
+    family, the tabulated rows of the integer plan are ints, and entry by
+    entry 16 L^4 times the Fraction rows `_evaluate` gives."""
+    values = {}
+    for token in free.split():
+        name = token.rstrip("*")
+        if name == "eta":
+            values[name] = data.draw(st.sampled_from((1, -1)))
+        else:
+            nonzero = token.endswith("*")
+            values[name] = data.draw(_BIG_DENOMINATORS.filter(bool) if nonzero else _BIG_DENOMINATORS)
+    # the piece's relations fix the other parameters, as its sampler's plan does
+    exact, pending, drawn = Mode.exact(), list(_compile_clauses(text)) if text else [], set(values)
+    while (step := _next_step(pending, set(values), drawn, exact)) is not None:
+        kind, name, arg = step
+        if kind == "set":
+            values[name] = arg(values)
+        else:
+            assume(arg.holds(values, exact))
+    params = FamilyParams(family, **values)
+    scale = ricci(_valid_table(params)).scale
+    integer = ein2._printed_rows(params, exact, scale)
+    bound = _evaluate(ein2.PRINTED_SYSTEMS[family], vars(params), exact)
+    fractions = [tuple(bound[f"{x}{i}"] for x in "ABC") for i in range(1, 7) if f"A{i}" in bound]
+    assert all(type(x) is int for row in integer for x in row), integer
+    assert integer == [tuple(16 * scale**4 * x for x in row) for row in fractions]
+
+
+@given(
+    rows=st.lists(st.tuples(*[st.integers(-2, 2)] * 3), max_size=6),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_sign_canonical_sets_equal_the_two_way_cover(rows, data):
+    """Equal sets of sign-canonical nonzero rows are exactly `_covers` both ways.
+
+    The other side drops, keeps or repeats each row, flips its sign, adds
+    zero rows, may change one entry by 1 and is shuffled."""
+    others = [
+        tuple(data.draw(st.sampled_from((1, -1))) * x for x in row)
+        for row in rows
+        for _ in range(data.draw(st.integers(0, 2)))
+    ]
+    others += [(0, 0, 0)] * data.draw(st.integers(0, 2))
+    if others and data.draw(st.booleans()):
+        r, k = data.draw(st.integers(0, len(others) - 1)), data.draw(st.integers(0, 2))
+        changed = list(others[r])
+        changed[k] += data.draw(st.sampled_from((1, -1)))
+        others[r] = tuple(changed)
+    others = data.draw(st.permutations(others))
+    exact = Mode.exact()
+    covers = ein2._covers(rows, others, exact) and ein2._covers(others, rows, exact)
+    assert (ein2._canonical(rows) == ein2._canonical(others)) is covers
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
