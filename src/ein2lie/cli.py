@@ -117,6 +117,14 @@ def _parse_cli_scalar(text: str, field_name: str) -> Scalar:
         raise InputError(f"field {field_name}: {exc}") from exc
 
 
+def _mode_scalar(value: Scalar, field_name: str, mode: Mode) -> Scalar:
+    """An exact value as a scalar of `mode`: a float in approx mode, if it fits one."""
+    try:
+        return value if mode.is_exact else float(value)
+    except OverflowError as exc:
+        raise InputError(f"field {field_name}: {exc}") from exc
+
+
 def _build_job(args: argparse.Namespace) -> argparse.Namespace:
     """Parse and validate, in place, the options of `args.command`.
 
@@ -153,8 +161,7 @@ def _build_job(args: argparse.Namespace) -> argparse.Namespace:
             raise InputError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
     for name in _PARAM_KEYS:
         if job.get(name) is not None:
-            value = _parse_cli_scalar(job[name], name)
-            job[name] = value if job["mode"].is_exact else float(value)
+            job[name] = _mode_scalar(_parse_cli_scalar(job[name], name), name, job["mode"])
     return args
 
 
@@ -342,8 +349,8 @@ def _parse_grid(specs: Optional[Sequence[str]], mode: Mode) -> List[Tuple[str, L
                     values.append(_parse_cli_scalar(piece, f"grid {name}"))
         if not values:
             raise InputError(f"grid axis {spec!r}: no values")
-        if not mode.is_exact:
-            values = [float(v) for v in values]
+        if name != "eta":  # eta stays exact, so `cmd_scan` sees a fraction
+            values = [_mode_scalar(v, f"grid {name}", mode) for v in values]
         axes.append((name, values))
     return axes
 

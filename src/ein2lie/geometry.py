@@ -49,7 +49,7 @@ from functools import cache, cached_property
 from math import lcm
 from typing import Optional, Tuple
 
-from .liealg import EPS, NotLieAlgebra, StructureConstants, _from_brackets, _jacobi_base, jacobi_ok
+from .liealg import EPS, NotLieAlgebra, StructureConstants, _jacobi_base, jacobi_ok
 from .scalars import Mode, Scalar
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
@@ -60,15 +60,15 @@ Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 class RicciData:
     """Connection, Ricci tensor, Ricci operator (row convention) and rho^2.
 
-    Holds the table `ricci` read, the contraction n = 4 L^2 rho and its
-    scale L (see `ricci`); the connection, rho, rho_op and rho_sq are
-    built from them on first read.  rho is symmetric; rho_op satisfies
-    rho[i][j] = eps_j * rho_op[i][j] and is g-self-adjoint (eps_j
-    rho_op[i][j] = eps_i rho_op[j][i]); in Lorentzian signature it need
-    not be diagonalizable.
+    Holds the structure constants `ricci` read, the contraction
+    n = 4 L^2 rho and its scale L (see `ricci`); the connection, rho,
+    rho_op and rho_sq are built from them on first read.  rho is
+    symmetric; rho_op satisfies rho[i][j] = eps_j * rho_op[i][j] and is
+    g-self-adjoint (eps_j rho_op[i][j] = eps_i rho_op[j][i]); in
+    Lorentzian signature it need not be diagonalizable.
     """
 
-    table: Tensor3
+    sc: StructureConstants
     n: Matrix
     scale: int
 
@@ -82,12 +82,12 @@ class RicciData:
 
     @cached_property
     def connection(self) -> Tensor3:
-        """The Levi-Civita connection Gamma = `_koszul(table)` / 2.
+        """The Levi-Civita connection Gamma = `_koszul(sc.c)` / 2.
 
         Torsion-freeness (Gamma^k_ij - Gamma^k_ji = c^k_ij) and metric
         compatibility (eps_k Gamma^k_ij + eps_j Gamma^j_ik = 0) hold by construction.
         """
-        return tuple(_divide(plane, 2) for plane in _koszul(self.table))
+        return tuple(_divide(plane, 2) for plane in _koszul(self.sc.c))
 
     @cached_property
     def rho(self) -> Matrix:
@@ -211,13 +211,13 @@ def _form() -> tuple:
 
     The twelve outputs, the nine entries of `_contract` and the three of
     `_jacobi_base`, are quadratic forms f in the nine brackets x.  By
-    polarisation on integer unit tables e_p, k is f(e_p) for p = q and
+    polarisation on integer unit brackets e_p, k is f(e_p) for p = q and
     f(e_p + e_q) - f(e_p) - f(e_q) otherwise.
     """
 
     def f(*units):
         x = [sum(column) for column in zip(*units)]
-        c = _from_brackets(x[:3], x[3:6], x[6:]).c
+        c = StructureConstants((tuple(x[:3]), tuple(x[3:6]), tuple(x[6:]))).c
         return [v for row in _contract(c) for v in row] + list(_jacobi_base(c))
 
     e = [[int(p == q) for q in range(9)] for p in range(9)]
@@ -249,23 +249,22 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
       rho[i][j] = N_ij / (4 L^2),
       rho_sq[i][j] = sum_k eps_k N_ik N_jk / (16 L^4).
 
-    Exact route: the table must be antisymmetric with a zero diagonal, as
-    every constructor stores it; the nine brackets x_p = c^k_ij (i < j),
-    the only entries read, become the ints X = L x, and for each pair
-    p <= q of nonzero X the coefficients k of `_form` add k X_p X_q into
-    the nine entries of N and the three of the Jacobi vector
-    J(X) = L^2 J(c), which must vanish exactly, or NotLieAlgebra is
-    raised.  Float route: `jacobi_ok` tests the table
-    within the tolerance of `mode`, then `_contract` runs on it with
-    L = 1, adding the terms in the order `curvature` adds them, so floats
-    come out bit for bit as through the full tensor.
+    Exact route: the nine bracket entries x_p = c^k_ij (i < j) of
+    `sc.values()`, the only ones read, become the ints X = L x, and for
+    each pair p <= q of nonzero X the coefficients k of `_form` add
+    k X_p X_q into the nine entries of N and the three of the Jacobi
+    vector J(X) = L^2 J(c), which must vanish exactly, or NotLieAlgebra
+    is raised; the full table `sc.c` is never built.  Float route:
+    `jacobi_ok` tests `sc.c` within the tolerance of `mode`, then
+    `_contract` runs on it with L = 1, adding the terms in the order
+    `curvature` adds them, so floats come out bit for bit as through
+    the full tensor.
     """
-    c = sc.c
     if not sc.is_exact():
         if not jacobi_ok(sc, mode):
             raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
-        return RicciData(c, _contract(c), 1)
-    brackets = c[0][1] + c[0][2] + c[1][2]
+        return RicciData(sc, _contract(sc.c), 1)
+    brackets = sc.values()
     scale = lcm(*[x.denominator for x in brackets])
     x = [v.numerator * (scale // v.denominator) for v in brackets]
     live = [p for p in range(9) if x[p]]
@@ -278,4 +277,4 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
                 out[o] += k * xpq
     if out[9] or out[10] or out[11]:
         raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
-    return RicciData(c, (tuple(out[:3]), tuple(out[3:6]), tuple(out[6:9])), scale)
+    return RicciData(sc, (tuple(out[:3]), tuple(out[3:6]), tuple(out[6:9])), scale)

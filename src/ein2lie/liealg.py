@@ -5,7 +5,8 @@ signature (+, +, -): g(e_i, e_j) = eps_i * delta_ij with
 eps = (1, 1, -1), so e3 is timelike.  The frame is frozen; no basis
 change is supported anywhere in the package, and an algebra is fully
 described by its structure constants c^k_ij where
-[e_i, e_j] = sum_k c^k_ij e_k.
+[e_i, e_j] = sum_k c^k_ij e_k, stored as the three brackets
+[e1,e2], [e1,e3], [e2,e3] (`StructureConstants`).
 
 Seven parameterized families G1..G7 cover the classification this
 package verifies.  G1-G4 are the unimodular ones, G5-G7 the
@@ -77,40 +78,30 @@ Vector = Tuple[Scalar, Scalar, Scalar]
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Structure constants c[i][j][k] = c^k_ij (e_k coefficient of [e_i, e_j]).
+    """The brackets ([e1,e2], [e1,e3], [e2,e3]) of an algebra, each as its e_k coefficients.
 
-    Indices are 0-based internally; reports translate to the 1-based
-    labels e1, e2, e3.  The constructors store an antisymmetric table
-    with a zero diagonal; a table built directly must be one too, since
-    `geometry.ricci` reads only c[0][1], c[0][2] and c[1][2] of an
-    exact table.
+    brackets[p][k] = c^k_ij for the p-th pair (i, j) of (0, 1), (0, 2),
+    (1, 2); indices are 0-based internally, and reports translate to the
+    1-based labels e1, e2, e3.  The full table c[i][j][k] = c^k_ij
+    follows from the nine, with a zero diagonal and c^k_ji = -c^k_ij;
+    `c` builds it on first read.
     """
 
-    c: Tuple[Tuple[Vector, Vector, Vector], ...]
+    brackets: Tuple[Vector, Vector, Vector]
 
-    def values(self):
-        for plane in self.c:
-            for row in plane:
-                yield from row
+    @functools.cached_property
+    def c(self) -> Tuple[Tuple[Vector, Vector, Vector], ...]:
+        b12, b13, b23 = self.brackets
+        z = (0, 0, 0)
+        neg = lambda v: tuple(-x for x in v)
+        return ((z, b12, b13), (neg(b12), z, b23), (neg(b13), neg(b23), z))
+
+    def values(self) -> tuple:
+        """The nine bracket entries, in the order of `brackets`."""
+        return sum(self.brackets, ())
 
     def is_exact(self) -> bool:
-        return all(is_exact(v) for v in self.values())
-
-
-def _freeze(table) -> Tuple[Tuple[Vector, Vector, Vector], ...]:
-    """The table as nested tuples; its entries are scalars or int literals already."""
-    return tuple(tuple(tuple(row) for row in plane) for plane in table)
-
-
-def _from_brackets(b12: Sequence, b13: Sequence, b23: Sequence) -> StructureConstants:
-    z = (0, 0, 0)
-    neg = lambda v: tuple(-x for x in v)
-    table = [
-        [z, tuple(b12), tuple(b13)],
-        [neg(b12), z, tuple(b23)],
-        [neg(b13), neg(b23), z],
-    ]
-    return StructureConstants(_freeze(table))
+        return all(map(is_exact, self.values()))
 
 
 @dataclass(frozen=True)
@@ -480,15 +471,15 @@ def validate_params(params: FamilyParams, mode: Optional[Mode] = None) -> None:
 
 
 def build_family(params: FamilyParams, mode: Optional[Mode] = None) -> StructureConstants:
-    """Validate a parameter point, then construct its bracket table (`family_table`)."""
+    """Validate a parameter point, then construct its brackets (`family_table`)."""
     validate_params(params, mode)
     return family_table(params)
 
 
 def family_table(params: FamilyParams) -> StructureConstants:
-    """The bracket table of a parameter point, which the caller has validated.
+    """The brackets of a parameter point, which the caller has validated.
 
-    All brackets not listed below are zero up to antisymmetry:
+    Brackets not listed below are zero:
 
       G1: [e1,e2] = a e1 - b e3, [e1,e3] = -a e1 - b e2, [e2,e3] = b e1 + a e2 + a e3
       G2: [e1,e2] = g e2 - b e3, [e1,e3] = -b e2 - g e3, [e2,e3] = a e1
@@ -502,20 +493,20 @@ def family_table(params: FamilyParams) -> StructureConstants:
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     family = params.family
     if family == "G1":
-        return _from_brackets((a, 0, -b), (-a, -b, 0), (b, a, a))
+        return StructureConstants(((a, 0, -b), (-a, -b, 0), (b, a, a)))
     if family == "G2":
-        return _from_brackets((0, g, -b), (0, -b, -g), (a, 0, 0))
+        return StructureConstants(((0, g, -b), (0, -b, -g), (a, 0, 0)))
     if family == "G3":
-        return _from_brackets((0, 0, -g), (0, -b, 0), (a, 0, 0))
+        return StructureConstants(((0, 0, -g), (0, -b, 0), (a, 0, 0)))
     if family == "G4":
         eta = params.eta
-        return _from_brackets((0, -1, 2 * eta - b), (0, -b, 1), (a, 0, 0))
+        return StructureConstants(((0, -1, 2 * eta - b), (0, -b, 1), (a, 0, 0)))
     if family == "G5":
-        return _from_brackets((0, 0, 0), (a, b, 0), (g, d, 0))
+        return StructureConstants(((0, 0, 0), (a, b, 0), (g, d, 0)))
     if family == "G6":
-        return _from_brackets((0, a, b), (0, g, d), (0, 0, 0))
+        return StructureConstants(((0, a, b), (0, g, d), (0, 0, 0)))
     if family == "G7":
-        return _from_brackets((-a, -b, -b), (a, b, b), (g, d, d))
+        return StructureConstants(((-a, -b, -b), (a, b, b), (g, d, d)))
     raise UnknownFamily(family)  # pragma: no cover
 
 
@@ -523,8 +514,9 @@ def from_raw(c, mode: Optional[Mode] = None) -> StructureConstants:
     """Build structure constants from a raw 3x3x3 array c[i][j][k] = c^k_ij.
 
     Rejects entries with c^k_ij != -c^k_ji beyond tolerance, then stores
-    the antisymmetrized table (exact inputs are stored as given).  The
-    Jacobi identity is deliberately not enforced here.
+    the brackets of the antisymmetrized table, (c^k_ij - c^k_ji) / 2 for
+    i < j (exact inputs as given).  The Jacobi identity is deliberately
+    not enforced here.
     """
     table = [[[as_scalar(c[i][j][k]) for k in range(3)] for j in range(3)] for i in range(3)]
     if mode is None:
@@ -535,11 +527,10 @@ def from_raw(c, mode: Optional[Mode] = None) -> StructureConstants:
                 if not mode.is_zero(table[i][j][k] + table[j][i][k]):
                     raise AntisymmetryViolation(i + 1, j + 1, k + 1)
     half = Fraction(1, 2)
-    sym = [
-        [[(table[i][j][k] - table[j][i][k]) * half for k in range(3)] for j in range(3)]
-        for i in range(3)
-    ]
-    return StructureConstants(_freeze(sym))
+    return StructureConstants(tuple(
+        tuple((table[i][j][k] - table[j][i][k]) * half for k in range(3))
+        for i, j in ((0, 1), (0, 2), (1, 2))
+    ))
 
 
 def _jacobi_base(c) -> Vector:

@@ -66,8 +66,8 @@ def test_derive_invalid_params_exit_2():
 # derive's text and JSON bytes, pinned by sha256: one branch point per
 # family, a point that is not Ein(2), a line, approx mode at the 3.2(iv)
 # anchor, the metric convention on a point with lambda2 != 0 and on the
-# approx input, and a raw table (read from the working directory, so that
-# the path it echoes is fixed).
+# approx input, and a raw table, exact and approx (read from the working
+# directory, so that the path it echoes is fixed).
 DERIVE_INPUTS = {
     "G1": ("--family", "G1", "--alpha", "2", "--beta", "0"),
     "G2": ("--family", "G2", "--alpha", "2", "--beta", "1", "--gamma=-1/2"),
@@ -88,6 +88,7 @@ DERIVE_INPUTS = {
         "--beta=-1", "--gamma", "2", "--delta", "1.1499339065102854", "--convention", "metric",
     ),
     "raw": ("--raw", "raw.json"),
+    "raw_approx": ("--raw", "raw.json", "--mode", "approx"),
 }
 RAW_TABLE = {
     "c": [
@@ -148,6 +149,10 @@ DERIVE_SHA256 = {
     "raw": (
         "c5727b5a3c2f5c3171cb229f5ec4281f868a1b130c70efbb442fd89f28861259",
         "a4b6d30a27586f5af97d38bc97ffc7fb6f85e0a569ffa4639c4d5bc76d17208b",
+    ),
+    "raw_approx": (
+        "90e71de22d9a99595f7d9d36520317d78a66d45611d24315620ec518650019b2",
+        "719dc04368230b2c6d24cb72ad5a176f7e20526c166a4f64c3510737575ed942",
     ),
 }
 
@@ -673,6 +678,29 @@ def test_scan_g5_degenerate_diagonal_rows_invalid():
         assert (row["kind"] == "invalid") == on_diagonal
         if on_diagonal:
             assert row["branches"] == "constraint violated: alpha + delta != 0"
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+@pytest.mark.parametrize("grid, value", [("eta=3/2,-1", "3/2"), ("eta=1/2", "1/2")])
+def test_scan_non_integer_eta_exit_2(grid, value, mode):
+    code, out, err = run_cli(
+        "scan", "--family", "G4", "--alpha", "1", "--beta", "1", "--grid", grid, "--mode", mode
+    )
+    assert (code, out, err) == (2, "", f"error: grid eta: expected an integer, got {value}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("check", "--family", "G1", "--alpha", "1e400", "--beta", "1"), "alpha"),
+        (("scan", "--family", "G1", "--alpha", "1", "--grid", "beta=0,1e400"), "grid beta"),
+        (("scan", "--family", "G1", "--alpha", "1", "--grid", "beta=0:1e400:1e399"), "grid beta"),
+    ],
+)
+def test_approx_value_too_large_for_a_float_exit_2(argv, field):
+    code, out, err = run_cli(*argv, "--mode", "approx")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: field {field}: ") and err.count("\n") == 1, err
 
 
 def test_scan_without_grid_exit_2():

@@ -212,6 +212,23 @@ def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family
     assert integer_runs == [ein2.PRINTED_SYSTEMS[params.family] for params in points]
 
 
+def test_exact_verdicts_and_fidelity_build_no_full_table(monkeypatch, family_samples_100):
+    """Exact is_ein2 and match_printed_system read the nine brackets, never `c`."""
+    built = []
+
+    def build(params, mode=None):
+        built.append(build_family(params, mode))
+        return built[-1]
+
+    monkeypatch.setattr(ein2, "build_family", build)
+    for samples in family_samples_100.values():
+        for params in samples:
+            sc = build_family(params)
+            is_ein2(sc)
+            assert match_printed_system(params), params
+            assert "c" not in vars(sc) and "c" not in vars(built[-1]), params
+
+
 def _distinct_nonzero(rows):
     """Tabulated rows that are nonzero and pairwise distinct up to sign."""
     keys = {max(tuple(row), tuple(-x for x in row)) for row in rows}

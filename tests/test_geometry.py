@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from ein2lie import (
     FamilyParams,
     Mode,
     NotLieAlgebra,
+    StructureConstants,
     build_family,
     curvature,
     from_raw,
@@ -428,6 +430,12 @@ def test_family_tables_are_antisymmetric_with_zero_diagonal(family_samples_100):
             _assert_antisymmetric_with_zero_diagonal(family_table(params))
     for anchor in ANCHORS:
         _assert_antisymmetric_with_zero_diagonal(family_table(anchor.params))
+    rng = random.Random(7)
+    for _ in range(100):
+        x = [rng.choice((0, F(rng.randint(-9, 9), rng.randint(1, 9)), rng.uniform(-9, 9)))
+             for _ in range(9)]
+        sc = StructureConstants((tuple(x[:3]), tuple(x[3:6]), tuple(x[6:])))
+        _assert_antisymmetric_with_zero_diagonal(sc)
 
 
 def test_importing_the_package_derives_no_form():

@@ -13,6 +13,7 @@ from ein2lie import (
     ConstraintViolation,
     FamilyParams,
     Mode,
+    StructureConstants,
     UnknownFamily,
     build_family,
     from_raw,
@@ -82,6 +83,26 @@ def test_from_raw_matches_build_family():
     built = build_family(FamilyParams("G1", alpha=1, beta=0))
     raw = from_raw([[list(built.c[i][j]) for j in range(3)] for i in range(3)])
     assert raw == built
+
+
+def test_from_raw_of_a_family_table_gives_back_its_brackets(family_samples_100):
+    """On exact family tables and their all-float copies (as an approx raw table
+    is read), `from_raw` gives back the brackets, and `c` entry for entry with
+    a float exactly where the reference has one, zeros included."""
+    for samples in family_samples_100.values():
+        for params in samples:
+            exact = family_table(params)
+            floats = StructureConstants(tuple(tuple(map(float, v)) for v in exact.brackets))
+            float_table = [[[float(x) for x in row] for row in plane] for plane in exact.c]
+            for sc, raw in ((exact, exact.c), (floats, float_table)):
+                got = from_raw(raw)
+                assert got.brackets == sc.brackets, params
+                for got_plane, plane in zip(got.c, sc.c):
+                    for got_row, row in zip(got_plane, plane):
+                        assert got_row == row, params
+                        assert [type(x) is float for x in got_row] == [
+                            type(x) is float for x in row
+                        ], params
 
 
 def test_from_raw_rejects_antisymmetry_violation():
