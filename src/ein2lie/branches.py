@@ -66,24 +66,23 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, List, Optional, Tuple
 
 from .ein2 import DELTA, NONE, Ein2Solution, is_ein2
 from .liealg import (
-    _FAMILY_RELATIONS,
     FAMILY_PIECES,
     FamilyParams,
     LieAlgebraError,
     _compile_clauses,
     _evaluate,
+    _family_relations,
     _next_step,
     build_family,
     family_table,
 )
-from .scalars import Mode, Scalar
+from .scalars import Mode, Scalar, _Value
 
 #: Published default seed: default runs are reproducible.
 DEFAULT_SEED = 7
@@ -108,14 +107,14 @@ POINT_SPEC = "point"
 LAMBDA1_FREE = "lambda1_free"
 
 
-@dataclass(frozen=True)
-class ExpectedLambdas:
+class ExpectedLambdas(_Value):
     """Stated solution of a branch: an explicit point, or lambda2 = 0 with
     lambda1 unconstrained (accepted only as a full solver line)."""
 
-    kind: str
-    lambda1: Optional[Scalar] = None
-    lambda2: Optional[Scalar] = None
+    _fields = ("kind", "lambda1", "lambda2")
+
+    def __init__(self, kind: str, lambda1=None, lambda2=None):
+        self.kind, self.lambda1, self.lambda2 = kind, lambda1, lambda2
 
     @classmethod
     def point(cls, lambda1, lambda2) -> "ExpectedLambdas":
@@ -126,8 +125,7 @@ class ExpectedLambdas:
         return cls(LAMBDA1_FREE, None, Fraction(0))
 
 
-@dataclass(frozen=True)
-class BranchSpec:
+class BranchSpec(_Value):
     """One classification branch, stated once as text.
 
     `free` lists the parameters its sampler draws, `lambdas` is the
@@ -136,12 +134,11 @@ class BranchSpec:
     its quartic clause names.  The family is read off the label.
     """
 
-    label: str
-    constraints: str
-    free: str
-    lambdas: str
-    note: str = ""
-    quartic: str = ""
+    _fields = ("label", "constraints", "free", "lambdas", "note", "quartic")
+
+    def __init__(self, label: str, constraints: str, free: str, lambdas: str, note="", quartic=""):
+        self.label, self.constraints, self.free = label, constraints, free
+        self.lambdas, self.note, self.quartic = lambdas, note, quartic
 
     @property
     def theorem(self) -> str:
@@ -162,7 +159,7 @@ class BranchSpec:
     def draw(self) -> Callable[[random.Random], Optional[FamilyParams]]:
         """The sampler: one draw of the branch's relations and then its family's, or None."""
         return _rational_draw(
-            self.family, self.free, self.relations + _FAMILY_RELATIONS.get(self.family, ())
+            self.family, self.free, self.relations + _family_relations(self.family)
         )
 
     def member(self, params: FamilyParams, mode: Mode) -> bool:
@@ -194,30 +191,28 @@ class BranchSpec:
         return self.note + _ERRATA_NOTES[self.family].format(*formulas)
 
 
-@dataclass
 class BranchFailure:
     """One sample whose stated lambdas are not in the solution set."""
 
-    params: FamilyParams
-    expected: ExpectedLambdas
-    solution_kind: str
-    residual_at_expected: Optional[Scalar]
-    recomputed: Optional[ExpectedLambdas] = None
-    recomputed_ok: bool = False
+    def __init__(
+        self, params: FamilyParams, expected: ExpectedLambdas, solution_kind: str,
+        residual_at_expected: Optional[Scalar], recomputed: Optional[ExpectedLambdas] = None,
+        recomputed_ok: bool = False,
+    ):
+        self.params, self.expected, self.solution_kind = params, expected, solution_kind
+        self.residual_at_expected = residual_at_expected
+        self.recomputed, self.recomputed_ok = recomputed, recomputed_ok
 
 
-@dataclass
 class BranchReport:
     """Outcome of replaying one branch at sampled parameter points."""
 
-    label: str
-    family: str
-    constraints: str
-    attempted: int
-    passed: int
-    failures: List[BranchFailure] = field(default_factory=list)
-    verdict: str = "verified"  # verified | errata | inconclusive
-    correction: str = ""
+    def __init__(self, label: str, family: str, constraints: str, attempted: int, passed: int):
+        self.label, self.family, self.constraints = label, family, constraints
+        self.attempted, self.passed = attempted, passed
+        self.failures: List[BranchFailure] = []
+        self.verdict = "verified"  # verified | errata | inconclusive
+        self.correction = ""
 
     @property
     def ok(self) -> bool:
@@ -707,7 +702,6 @@ NOT_EIN2 = "not_ein2"
 INCONSISTENT = "inconsistent"
 
 
-@dataclass
 class ClassificationResult:
     """Branch matches plus solver verdict for one parameter point.
 
@@ -717,10 +711,8 @@ class ClassificationResult:
     reported, never silently resolved.
     """
 
-    params: FamilyParams
-    branches: Tuple[str, ...]
-    solution: Ein2Solution
-    status: str
+    def __init__(self, params: FamilyParams, branches: tuple, solution: Ein2Solution, status: str):
+        self.params, self.branches, self.solution, self.status = params, branches, solution, status
 
 
 def classify(
@@ -750,19 +742,16 @@ def classify(
 # Generic valid-point sampling (fidelity and negative sampling)
 # ---------------------------------------------------------------------------
 
-#: The samplers of each family's pieces (`FAMILY_PIECES`), which also
-#: check the family constraints.
-_FAMILY_DRAWS = {
-    family: tuple(
+@cache
+def _family_draws(family: str) -> tuple:
+    """The samplers of the family's pieces (`FAMILY_PIECES`), which also
+    check the family constraints; compiled on the family's first use."""
+    return tuple(
         _rational_draw(
-            family,
-            free,
-            _FAMILY_RELATIONS.get(family, ()) + (_compile_clauses(text) if text else ()),
+            family, free, _family_relations(family) + (_compile_clauses(text) if text else ())
         )
-        for free, text in pieces
+        for free, text in FAMILY_PIECES[family]
     )
-    for family, pieces in FAMILY_PIECES.items()
-}
 
 
 def sample_family_point(family: str, rng: random.Random) -> FamilyParams:
@@ -771,9 +760,9 @@ def sample_family_point(family: str, rng: random.Random) -> FamilyParams:
     Each try picks a piece with equal weight (no draw for a family of
     one piece); the first try whose family constraints hold is the point.
     """
-    if family not in _FAMILY_DRAWS:
+    if family not in FAMILY_PIECES:
         raise ValueError(f"unknown family {family!r}")
-    draws = _FAMILY_DRAWS[family]
+    draws = _family_draws(family)
 
     def draw() -> Optional[FamilyParams]:
         return (draws[rng.randrange(len(draws))] if len(draws) > 1 else draws[0])(rng)
@@ -801,15 +790,14 @@ def sample_off_branch(family: str, count: int, seed: int = DEFAULT_SEED) -> List
 # Irrational spot-check anchors (explicit closed forms with square roots)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnchorSpec:
+class AnchorSpec(_Value):
     """A fully worked irrational branch point with closed-form lambdas."""
 
-    label: str
-    params: FamilyParams
-    lambda1: float
-    lambda2: float
-    tolerance: float = 1e-12
+    _fields = ("label", "params", "lambda1", "lambda2", "tolerance")
+
+    def __init__(self, label: str, params: FamilyParams, lambda1, lambda2, tolerance=1e-12):
+        self.label, self.params, self.tolerance = label, params, tolerance
+        self.lambda1, self.lambda2 = lambda1, lambda2
 
     @property
     def theorem(self) -> str:
@@ -841,12 +829,10 @@ def _anchor_g6() -> AnchorSpec:
 ANCHORS: Tuple[AnchorSpec, ...] = (_anchor_g5(), _anchor_g6())
 
 
-@dataclass
 class AnchorResult:
-    anchor: AnchorSpec
-    solution: Ein2Solution
-    lambda1_error: float
-    lambda2_error: float
+    def __init__(self, anchor: AnchorSpec, solution: Ein2Solution, lambda1_error, lambda2_error):
+        self.anchor, self.solution = anchor, solution
+        self.lambda1_error, self.lambda2_error = lambda1_error, lambda2_error
 
     @property
     def ok(self) -> bool:

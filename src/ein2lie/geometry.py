@@ -43,21 +43,19 @@ ints and builds no Ricci Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
 from typing import Optional, Tuple
 
 from .liealg import EPS, NotLieAlgebra, StructureConstants, _jacobi_base, jacobi_ok
-from .scalars import Mode, Scalar
+from .scalars import Mode, Scalar, _Value
 
 Matrix = Tuple[Tuple[Scalar, ...], ...]
 Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
 
 
-@dataclass(frozen=True)
-class RicciData:
+class RicciData(_Value):
     """Connection, Ricci tensor, Ricci operator (row convention) and rho^2.
 
     Holds the structure constants `ricci` read, the contraction
@@ -68,9 +66,10 @@ class RicciData:
     Lorentzian signature it need not be diagonalizable.
     """
 
-    sc: StructureConstants
-    n: Matrix
-    scale: int
+    _fields = ("sc", "n", "scale")
+
+    def __init__(self, sc: StructureConstants, n: Matrix, scale: int):
+        self.sc, self.n, self.scale = sc, n, scale
 
     def squares(self) -> Matrix:
         """sum_k eps_k n[i][k] n[j][k], which is 16 L^4 rho_sq[i][j]."""

@@ -28,11 +28,10 @@ from __future__ import annotations
 import ast
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Tuple
 
-from .scalars import Mode, Scalar, as_scalar, is_exact
+from .scalars import Mode, Scalar, _Value, as_scalar, is_exact
 
 FAMILIES = ("G1", "G2", "G3", "G4", "G5", "G6", "G7")
 
@@ -76,8 +75,7 @@ EPS = (1, 1, -1)
 Vector = Tuple[Scalar, Scalar, Scalar]
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(_Value):
     """The brackets ([e1,e2], [e1,e3], [e2,e3]) of an algebra, each as its e_k coefficients.
 
     brackets[p][k] = c^k_ij for the p-th pair (i, j) of (0, 1), (0, 2),
@@ -87,7 +85,10 @@ class StructureConstants:
     `c` builds it on first read.
     """
 
-    brackets: Tuple[Vector, Vector, Vector]
+    _fields = ("brackets",)
+
+    def __init__(self, brackets: Tuple[Vector, Vector, Vector]):
+        self.brackets = brackets
 
     @functools.cached_property
     def c(self) -> Tuple[Tuple[Vector, Vector, Vector], ...]:
@@ -104,30 +105,25 @@ class StructureConstants:
         return all(map(is_exact, self.values()))
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class FamilyParams(_Value):
     """A point in the parameter space of one family.
 
     Fields not listed in PARAMS_USED[family] are ignored; eta is only
     meaningful for G4 and must be +1 or -1 there.
     """
 
-    family: str
-    alpha: Scalar = Fraction(0)
-    beta: Scalar = Fraction(0)
-    gamma: Scalar = Fraction(0)
-    delta: Scalar = Fraction(0)
-    eta: Optional[int] = None
+    _fields = ("family", "alpha", "beta", "gamma", "delta", "eta")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise UnknownFamily(self.family)
-        for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, as_scalar(getattr(self, name)))
-        if self.eta is not None and type(self.eta) is not int:
-            raise TypeError(f"eta must be an int, got {self.eta!r}")
-        if self.eta is not None and self.eta not in (1, -1):
-            raise ConstraintViolation("eta = 1 or -1", f"got eta = {self.eta}")
+    def __init__(self, family: str, alpha=0, beta=0, gamma=0, delta=0, eta: Optional[int] = None):
+        if family not in FAMILIES:
+            raise UnknownFamily(family)
+        self.family, self.alpha, self.beta = family, as_scalar(alpha), as_scalar(beta)
+        self.gamma, self.delta = as_scalar(gamma), as_scalar(delta)
+        if eta is not None and type(eta) is not int:
+            raise TypeError(f"eta must be an int, got {eta!r}")
+        if eta is not None and eta not in (1, -1):
+            raise ConstraintViolation("eta = 1 or -1", f"got eta = {eta}")
+        self.eta = eta
 
     def mode(self) -> Mode:
         """Exact unless a parameter the family reads is a float."""
@@ -443,12 +439,12 @@ PARAMS_USED = {
     for family, pieces in FAMILY_PIECES.items()
 }
 
+
 # G3 is unconstrained and G4's eta is an integer sign, checked in code.
-_FAMILY_RELATIONS = {
-    family: _compile_clauses(text)
-    for family, text in FAMILY_CONSTRAINTS.items()
-    if family not in ("G3", "G4")
-}
+@functools.lru_cache(maxsize=None)
+def _family_relations(family: str) -> Tuple[_Relation, ...]:
+    """The family's constraint relations, compiled on the family's first use."""
+    return () if family in ("G3", "G4") else _compile_clauses(FAMILY_CONSTRAINTS[family])
 
 
 def validate_params(params: FamilyParams, mode: Optional[Mode] = None) -> None:
@@ -462,7 +458,7 @@ def validate_params(params: FamilyParams, mode: Optional[Mode] = None) -> None:
     if mode is None:
         mode = params.mode()
     values = vars(params)
-    for relation in _FAMILY_RELATIONS.get(params.family, ()):
+    for relation in _family_relations(params.family):
         if not relation.holds(values, mode):
             # Family clauses are single relations; an equality shows its left side.
             left = relation.clause.partition(" = ")[0]

@@ -14,10 +14,9 @@ operation can accept an explicit mode or infer one from its inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Union
+from typing import Iterable, Tuple, Union
 
 Scalar = Union[Fraction, float]
 
@@ -81,20 +80,43 @@ def format_scalar(value: Scalar) -> str:
     return format(float(value), ".17g")
 
 
-@dataclass(frozen=True)
-class Mode:
+class _Value:
+    """Equality, hash and repr of the fields named in `_fields`, as a frozen dataclass has them.
+
+    Cached properties and other attributes take no part.
+    """
+
+    _fields: Tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Mode(_Value):
     """Equality context: exact rational tests, or |x| <= tolerance tests."""
 
-    kind: str = EXACT
-    tolerance: float = 0.0
+    _fields = ("kind", "tolerance")
 
-    def __post_init__(self):
-        if self.kind not in (EXACT, APPROX):
-            raise ValueError(f"unknown mode {self.kind!r}")
-        if self.kind == APPROX and not self.tolerance > 0:
+    def __init__(self, kind: str = EXACT, tolerance: float = 0.0):
+        if kind not in (EXACT, APPROX):
+            raise ValueError(f"unknown mode {kind!r}")
+        if kind == APPROX and not tolerance > 0:
             raise ValueError("approx mode requires tolerance > 0")
-        if self.kind == EXACT and self.tolerance != 0:
+        if kind == EXACT and tolerance != 0:
             raise ValueError("exact mode admits no tolerance")
+        self.kind, self.tolerance = kind, tolerance
 
     @classmethod
     def exact(cls) -> "Mode":

@@ -16,8 +16,7 @@ under delta and listed instead of failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .branches import (
     ANCHORS,
@@ -36,32 +35,28 @@ from .liealg import FAMILIES, build_family
 CONVENTION_DIVERGENCE = "convention_divergence"
 
 
-@dataclass
 class SampledCheck:
     """The sampled points of one family that fail a check.
 
     Fidelity counts mismatches, negative sampling counts violations.
     """
 
-    family: str
-    samples: int
-    failures: int = 0
+    def __init__(self, family: str, samples: int, failures: int = 0):
+        self.family, self.samples, self.failures = family, samples, failures
 
     @property
     def ok(self) -> bool:
         return self.failures == 0
 
 
-@dataclass
 class SuiteReport:
-    seed: int
-    samples: int
-    convention: str
-    theorems: Optional[Tuple[str, ...]]
-    fidelity: List[SampledCheck] = field(default_factory=list)
-    branches: List[BranchReport] = field(default_factory=list)
-    anchors: List[AnchorResult] = field(default_factory=list)
-    negative: List[SampledCheck] = field(default_factory=list)
+    def __init__(self, seed: int, samples: int, convention: str, theorems: Optional[tuple]):
+        self.seed, self.samples, self.convention = seed, samples, convention
+        self.theorems = theorems
+        self.fidelity: List[SampledCheck] = []
+        self.branches: List[BranchReport] = []
+        self.anchors: List[AnchorResult] = []
+        self.negative: List[SampledCheck] = []
 
     @property
     def errata(self) -> List[BranchReport]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -35,10 +34,10 @@ from ein2lie import (
 )
 from ein2lie.branches import (
     _CASES,
-    _FAMILY_DRAWS,
     _QUARTIC_CLAUSE,
     BranchSpec,
     _QuarticRoot,
+    _family_draws,
     _positive_quadratic_roots,
     _rational_draw,
     sample_family_point,
@@ -161,10 +160,11 @@ def test_branch_sampler_checks_the_family_constraints():
 
 def test_family_samplers_are_bounded(monkeypatch):
     """Every sampler gives up after MAX_DRAWS draws, with its own message."""
-    monkeypatch.setitem(_FAMILY_DRAWS, "G1", (lambda rng: None,))
+    monkeypatch.setattr("ein2lie.branches._family_draws", lambda family: (lambda rng: None,))
     with pytest.raises(EmptyBranch, match=r"^G1: no valid point in 10000 draws$"):
         sample_family_point("G1", random.Random(0))
-    monkeypatch.setitem(_FAMILY_DRAWS, "G1", (lambda rng: FamilyParams("G1", alpha=1, beta=0),))
+    on_branch = (lambda rng: FamilyParams("G1", alpha=1, beta=0),)
+    monkeypatch.setattr("ein2lie.branches._family_draws", lambda family: on_branch)
     with pytest.raises(EmptyBranch, match=r"^G1: no off-branch sample in 10000 draws$"):
         sample_off_branch("G1", 1)
 
@@ -526,7 +526,8 @@ def test_stated_and_recomputed_lambdas_are_pinned():
 
 
 def test_every_piece_draw_is_a_valid_point():
-    for family, draws in _FAMILY_DRAWS.items():
+    for family in FAMILY_PIECES:
+        draws = _family_draws(family)
         assert len(draws) == len(FAMILY_PIECES[family])
         for index, draw in enumerate(draws):
             rng = random.Random(f"{family}|{index}")
@@ -740,7 +741,11 @@ def test_product_nonzero_reads_factor_by_factor_in_approx_mode():
 
 
 def test_errata_note_is_the_family_case_note():
-    spec = dataclasses.replace(BRANCHES_BY_LABEL["3.2(ii)"], lambdas="lambda1 = 1, lambda2 = 0")
+    stated = BRANCHES_BY_LABEL["3.2(ii)"]
+    spec = BranchSpec(
+        stated.label, stated.constraints, stated.free, "lambda1 = 1, lambda2 = 0", stated.note,
+        stated.quartic,
+    )
     report = verify_branch(spec, count=5, seed=7)
     assert report.verdict == "errata"
     assert report.correction.startswith("recomputed from the G5 case identities")

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ein2lie
 from ein2lie import (
     AntisymmetryViolation,
     ConstraintViolation,
@@ -251,3 +255,19 @@ def test_family_table_reads_exactly_the_params_used():
         for name, value in perturbed.items():
             moved = family_table(FamilyParams(family, **{**base, name: value})).c
             assert (moved != table) == (name in used), (family, name)
+
+
+def test_importing_the_package_loads_no_dataclasses_and_compiles_no_formula():
+    """A stdlib-only import (-S) leaves dataclasses and inspect unloaded and every
+    formula cache empty: the families' constraints and samplers compile on first use."""
+    src = os.path.dirname(os.path.dirname(ein2lie.__file__))
+    code = (
+        "import sys; import ein2lie; from ein2lie.liealg import _compile_clause, _formula; "
+        "print(ein2lie.__file__.startswith(sys.argv[1]), 'dataclasses' in sys.modules, "
+        "'inspect' in sys.modules, _compile_clause.cache_info().currsize, "
+        "_formula.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.split() == ["True", "False", "False", "0", "0"]

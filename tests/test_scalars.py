@@ -7,7 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from ein2lie import FamilyParams, Mode, as_scalar, format_scalar, from_raw, parse_scalar
+from ein2lie import (
+    BRANCHES_BY_LABEL,
+    BranchSpec,
+    ExpectedLambdas,
+    FamilyParams,
+    Mode,
+    StructureConstants,
+    as_scalar,
+    format_scalar,
+    from_raw,
+    parse_scalar,
+)
 
 F = Fraction
 
@@ -66,3 +77,37 @@ def test_mode_inference():
     assert Mode.for_values([F(1), F(2)]).is_exact
     assert not Mode.for_values([F(1), 2.0]).is_exact
     assert Mode.for_values([F(1), 2.0]).tolerance == 1e-9
+
+
+def test_value_types_compare_and_hash_by_their_fields():
+    stated = BRANCHES_BY_LABEL["2.5"]
+    brackets = ((1, 0, 0), (0, F(1, 2), 0), (0, 0, 0))
+    cases = [
+        (Mode.approx(), Mode("approx", 1e-9), ("approx", 1e-9)),
+        (Mode.exact(), Mode(), ("exact", 0.0)),
+        (
+            StructureConstants(brackets),
+            StructureConstants(((F(1), 0, 0), (0, F(1, 2), 0), (0, 0, 0))),
+            (brackets,),
+        ),
+        (ExpectedLambdas.point(F(1), 0), ExpectedLambdas("point", 1, F(0)), ("point", 1, 0)),
+        (
+            stated,
+            BranchSpec(stated.label, stated.constraints, stated.free, stated.lambdas),
+            (stated.label, stated.constraints, stated.free, stated.lambdas, "", ""),
+        ),
+    ]
+    for value, equal, fields in cases:
+        assert value is not equal
+        assert value == equal and not value != equal
+        assert hash(value) == hash(equal)
+        # the tuple of its fields is another value
+        assert value != fields and fields != value
+    assert Mode.approx() != Mode.approx(1e-6)
+    assert ExpectedLambdas.point(1, 0) != ExpectedLambdas.point(0, 1)
+    assert len({Mode.exact(), Mode(), Mode.approx()}) == 2
+
+
+def test_mode_repr_is_the_field_text():
+    assert repr(Mode.approx()) == "Mode(kind='approx', tolerance=1e-09)"
+    assert repr(Mode.exact()) == "Mode(kind='exact', tolerance=0.0)"
