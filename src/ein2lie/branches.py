@@ -46,9 +46,9 @@ pass gives the recomputed lambdas, and none passing gives None.  The
 last is the family's generic case, the stated formula of its float
 branch, and each errata note quotes the formula text it evaluates.
 One evaluator, `liealg._evaluate`, runs every formula text: the stated
-lambdas, the case identities, the quartics and, on floats, the tabulated
-systems of `ein2.PRINTED_SYSTEMS`, which exact fidelity checks run as
-integer plans of the same compiler (`liealg._evaluate_integer`).
+lambdas, the case identities, the quartics and the tabulated systems of
+`ein2.PRINTED_SYSTEMS`, on exact values as the text's exact plan on int
+pairs (`liealg._run`).
 
 `verify_branch` replays a branch against the solver: every sample must
 be Ein(2) and the stated lambdas must lie in the computed solution set
@@ -66,19 +66,23 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from typing import Callable, List, Optional, Tuple
 
 from .ein2 import DELTA, NONE, Ein2Solution, is_ein2
 from .liealg import (
     FAMILY_PIECES,
     FamilyParams,
     LieAlgebraError,
+    _Relation,
     _compile_clauses,
     _evaluate,
     _family_relations,
+    _first_failure,
     _next_step,
+    _numbers,
+    _run,
     build_family,
     family_table,
 )
@@ -156,7 +160,7 @@ class BranchSpec(_Value):
         return _compile_clauses(text) + quartic
 
     @cached_property
-    def draw(self) -> Callable[[random.Random], Optional[FamilyParams]]:
+    def draw(self) -> Callable[[random.Random], FamilyParams | None]:
         """The sampler: one draw of the branch's relations and then its family's, or None."""
         return _rational_draw(
             self.family, self.free, self.relations + _family_relations(self.family)
@@ -164,14 +168,10 @@ class BranchSpec(_Value):
 
     def member(self, params: FamilyParams, mode: Mode) -> bool:
         """Membership test: every relation holds, evaluated in order."""
-        values = vars(params)
-        for relation in self.relations:
-            if not relation.holds(values, mode):
-                return False
-        return True
+        return _first_failure(self.relations, vars(params), mode) is None
 
-    def expected(self, params: FamilyParams) -> ExpectedLambdas:
-        return _lambdas((self.lambdas,), params)
+    def expected(self, params: FamilyParams, mode: Mode | None = None) -> ExpectedLambdas:
+        return _lambdas((self.lambdas,), params, mode)
 
     @property
     def _recomputed(self) -> bool:
@@ -179,7 +179,7 @@ class BranchSpec(_Value):
         # from the case identities of its family, if it has them.
         return self.family in _CASES and "lambda1" in self.lambdas
 
-    def recompute(self, params: FamilyParams, mode: Mode) -> Optional[ExpectedLambdas]:
+    def recompute(self, params: FamilyParams, mode: Mode) -> ExpectedLambdas | None:
         """The family's case identities at `params`; None if none applies or lambda1 is free."""
         return _lambdas(_CASE_TEXTS[self.family], params, mode) if self._recomputed else None
 
@@ -196,7 +196,7 @@ class BranchFailure:
 
     def __init__(
         self, params: FamilyParams, expected: ExpectedLambdas, solution_kind: str,
-        residual_at_expected: Optional[Scalar], recomputed: Optional[ExpectedLambdas] = None,
+        residual_at_expected: Scalar | None, recomputed: ExpectedLambdas | None = None,
         recomputed_ok: bool = False,
     ):
         self.params, self.expected, self.solution_kind = params, expected, solution_kind
@@ -210,7 +210,7 @@ class BranchReport:
     def __init__(self, label: str, family: str, constraints: str, attempted: int, passed: int):
         self.label, self.family, self.constraints = label, family, constraints
         self.attempted, self.passed = attempted, passed
-        self.failures: List[BranchFailure] = []
+        self.failures: list[BranchFailure] = []
         self.verdict = "verified"  # verified | errata | inconclusive
         self.correction = ""
 
@@ -232,19 +232,19 @@ def _rng_for(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}|{label}")
 
 
-def _frac(rng: random.Random, nonzero: bool = False) -> Fraction:
+def _draw(rng: random.Random, nonzero: bool = False) -> tuple[int, int]:
+    """A grid value n/d as its int pair (n, d)."""
     while True:
-        value = Fraction(rng.randrange(-6, 7), rng.choice(_DENOMINATORS))
-        if nonzero and value == 0:
-            continue
-        return value
+        n, d = rng.randrange(-6, 7), rng.choice(_DENOMINATORS)
+        if n or not nonzero:
+            return n, d
 
 
 def _sign(rng: random.Random) -> int:
     return rng.choice((1, -1))
 
 
-def _positive_quadratic_roots(qa, qb, qc) -> List[float]:
+def _positive_quadratic_roots(qa, qb, qc) -> list[float]:
     """Real positive roots of qa*x^2 + qb*x + qc = 0 (exact coefficients)."""
     if qa == 0:
         if qb == 0:
@@ -268,7 +268,7 @@ def _first_draw(draw, empty: str, accept=None) -> FamilyParams:
     raise EmptyBranch(f"{empty} in {MAX_DRAWS} draws")
 
 
-def sample_branch(spec: BranchSpec, count: int, seed: int = DEFAULT_SEED) -> List[FamilyParams]:
+def sample_branch(spec: BranchSpec, count: int, seed: int = DEFAULT_SEED) -> list[FamilyParams]:
     """Deterministic parameter samples satisfying the branch constraints.
 
     Free parameters come from a fixed rational grid; equality
@@ -301,19 +301,22 @@ class _QuarticRoot:
 
     clause, equal, bare, squared = _QUARTIC_CLAUSE, True, (None, None), ("alpha", None)
     names = (frozenset({"alpha"}), frozenset({"beta", "gamma"}))
+    holds = _Relation.holds
 
     def __init__(self, text: str):
-        self.text = text
+        self.text, self.test = text, f"{text}, qa*alpha^4 + qb*alpha^2 + qc = 0"
 
-    def coefficients(self, values) -> Tuple[Scalar, Scalar, Scalar]:
+    def coefficients(self, values) -> tuple[Scalar, Scalar, Scalar]:
         bound = _evaluate(self.text, values, None)
         return bound["qa"], bound["qb"], bound["qc"]
 
-    def holds(self, values, mode: Mode) -> bool:
-        qa, qb, qc = self.coefficients(values)
-        return mode.is_zero(qa * values["alpha"] ** 4 + qb * values["alpha"] ** 2 + qc)
+    def within(self, values, mode: Mode) -> bool:
+        return _evaluate(self.test, values, mode) is not None
 
-    def root(self, values, rng: random.Random) -> Optional[float]:
+    def decide(self, pairs) -> bool:
+        return _run(self.test, dict(pairs)) is not None
+
+    def root(self, values, rng: random.Random) -> float | None:
         """A random sign times the square root of a random positive root; None if none."""
         roots = _positive_quadratic_roots(*self.coefficients(values))
         return _sign(rng) * math.sqrt(rng.choice(roots)) if roots else None
@@ -333,12 +336,13 @@ def _root(relation, name: str):
 
 def _rational_draw(
     family: str, free: str, relations
-) -> Callable[[random.Random], Optional[FamilyParams]]:
+) -> Callable[[random.Random], FamilyParams | None]:
     """Compile a sampler from its free parameters and relations.
 
     The plan draws each free parameter in turn, then binds or checks
     every relation that has become decidable, as the module docstring
-    describes.
+    describes: on the int pairs it draws, in exact forms, up to a root
+    step, which turns them into numbers for the scalar forms in approx mode.
     """
     mode = Mode.exact()
     plan, bound, pending = [], set(), list(relations)
@@ -347,27 +351,28 @@ def _rational_draw(
         name = token.rstrip("*")
         plan.append(("draw", name, token.endswith("*")))
         bound.add(name)
-        while (step := _next_step(pending, bound, free_names, mode)) is not None:
+        while (step := _next_step(pending, bound, free_names, mode, mode.is_exact)) is not None:
             if step[0] == "root":
                 step, mode = ("root", step[1], _root(step[2], step[1])), Mode.approx()
             plan.append(step)
     if pending:
         raise ValueError(f"{family}: {pending[0].clause!r} is not fixed by {free!r}")
 
-    def draw(rng: random.Random) -> Optional[FamilyParams]:
+    def draw(rng: random.Random) -> FamilyParams | None:
         values = {}
         for kind, name, arg in plan:
             if kind == "draw":
-                values[name] = _sign(rng) if name == "eta" else _frac(rng, nonzero=arg)
+                values[name] = (_sign(rng), 1) if name == "eta" else _draw(rng, nonzero=arg)
             elif kind == "set":
                 values[name] = arg(values)
             elif kind == "root":
+                values = _numbers(values)
                 if (value := arg(values, rng)) is None:
                     return None
                 values[name] = value
-            elif not arg.holds(values, name):
+            elif not (arg.decide(values) if name.is_exact else arg.within(values, name)):
                 return None
-        return FamilyParams(family, **values)
+        return FamilyParams(family, **_numbers(values))
 
     return draw
 
@@ -438,8 +443,8 @@ _CASE_TEXTS = {
 
 
 def _lambdas(
-    texts, params: FamilyParams, mode: Optional[Mode] = None
-) -> Optional[ExpectedLambdas]:
+    texts, params: FamilyParams, mode: Mode | None = None
+) -> ExpectedLambdas | None:
     """The lambdas of the first formula text whose checks pass at `params`; None if none does.
 
     Checks run in `mode`, by default the point's own.  A formula that
@@ -460,7 +465,7 @@ def _lambdas(
 # Branch catalog
 # ---------------------------------------------------------------------------
 
-BRANCHES: Tuple[BranchSpec, ...] = (
+BRANCHES: tuple[BranchSpec, ...] = (
     # --- G1 ---------------------------------------------------------------
     BranchSpec("2.3", "beta = 0, alpha != 0", "alpha*", "lambda1 = 0, lambda2 = 0"),
     # --- G2 ---------------------------------------------------------------
@@ -622,7 +627,7 @@ BRANCHES: Tuple[BranchSpec, ...] = (
 BRANCHES_BY_LABEL = {spec.label: spec for spec in BRANCHES}
 
 
-def branches_for(family: str) -> Tuple[BranchSpec, ...]:
+def branches_for(family: str) -> tuple[BranchSpec, ...]:
     return tuple(spec for spec in BRANCHES if spec.family == family)
 
 
@@ -664,7 +669,7 @@ def verify_branch(
         mode = params.mode()
         # sample_branch has validated the point
         solution = is_ein2(family_table(params), convention, mode)
-        expected = spec.expected(params)
+        expected = spec.expected(params, mode)
         if solution.kind != NONE and _expected_holds(solution, expected):
             report.passed += 1
             continue
@@ -716,7 +721,7 @@ class ClassificationResult:
 
 
 def classify(
-    params: FamilyParams, convention: str = DELTA, mode: Optional[Mode] = None
+    params: FamilyParams, convention: str = DELTA, mode: Mode | None = None
 ) -> ClassificationResult:
     """Match a parameter point against every branch of its family.
 
@@ -764,18 +769,18 @@ def sample_family_point(family: str, rng: random.Random) -> FamilyParams:
         raise ValueError(f"unknown family {family!r}")
     draws = _family_draws(family)
 
-    def draw() -> Optional[FamilyParams]:
+    def draw() -> FamilyParams | None:
         return (draws[rng.randrange(len(draws))] if len(draws) > 1 else draws[0])(rng)
 
     return _first_draw(draw, f"{family}: no valid point")
 
 
-def sample_valid_points(family: str, count: int, seed: int = DEFAULT_SEED) -> List[FamilyParams]:
+def sample_valid_points(family: str, count: int, seed: int = DEFAULT_SEED) -> list[FamilyParams]:
     rng = _rng_for(seed, f"valid|{family}")
     return [sample_family_point(family, rng) for _ in range(count)]
 
 
-def sample_off_branch(family: str, count: int, seed: int = DEFAULT_SEED) -> List[FamilyParams]:
+def sample_off_branch(family: str, count: int, seed: int = DEFAULT_SEED) -> list[FamilyParams]:
     """Valid parameter points of the family matching no branch constraints."""
     draw = partial(sample_family_point, family, _rng_for(seed, f"offbranch|{family}"))
     specs, mode = branches_for(family), Mode.exact()
@@ -826,7 +831,7 @@ def _anchor_g6() -> AnchorSpec:
     return AnchorSpec("3.4(vii) @ beta=1, gamma=2", params, lam1, lam2)
 
 
-ANCHORS: Tuple[AnchorSpec, ...] = (_anchor_g5(), _anchor_g6())
+ANCHORS: tuple[AnchorSpec, ...] = (_anchor_g5(), _anchor_g6())
 
 
 class AnchorResult:

@@ -45,7 +45,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from collections.abc import Callable, Sequence
 
 from . import reporting
 from .branches import DEFAULT_SEED, classify
@@ -82,13 +82,13 @@ _CHOICES = {"convention": CONVENTIONS, "mode": (EXACT, APPROX)}
 _COUNTS = {"samples": 1, "fidelity_samples": 0, "neg_samples": 0}  # and their least values
 
 
-def _formats(command: str) -> Tuple[str, ...]:
+def _formats(command: str) -> tuple[str, ...]:
     """The output formats of a command; the first is its default."""
     return ("csv",) if command == "scan" else ("text", "json")
 
 
-def _read_config_file(path: str, keys: Set[str]) -> Dict[str, str]:
-    values: Dict[str, str] = {}
+def _read_config_file(path: str, keys: set[str]) -> dict[str, str]:
+    values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
             for lineno, raw_line in enumerate(handle, start=1):
@@ -223,18 +223,18 @@ def _input_algebra(job: argparse.Namespace):
     return build_family(params, job.mode), params
 
 
-def _input_json(job: argparse.Namespace, params: Optional[FamilyParams]) -> Dict:
+def _input_json(job: argparse.Namespace, params: FamilyParams | None) -> dict:
     if params is None:
         return {"kind": "raw", "path": job.raw}
     return {"kind": "family", **reporting.params_json(params)}
 
 
-def _mode_json(job: argparse.Namespace) -> Dict:
+def _mode_json(job: argparse.Namespace) -> dict:
     return {"kind": job.mode.kind, "tolerance": job.mode.tolerance}
 
 
-def _verdict_json(job: argparse.Namespace, command: str, params: Optional[FamilyParams],
-                  ein2: bool, **fields) -> Dict:
+def _verdict_json(job: argparse.Namespace, command: str, params: FamilyParams | None,
+                  ein2: bool, **fields) -> dict:
     """A verdict document: the header check and classify share, then `fields`."""
     return {
         "schema": reporting.SCHEMA_VERDICT,
@@ -316,10 +316,10 @@ def cmd_verify(job: argparse.Namespace) -> int:
     return EXIT_OK if report.ok else EXIT_NEGATIVE
 
 
-def _parse_grid(specs: Optional[Sequence[str]], mode: Mode) -> List[Tuple[str, List[Scalar]]]:
+def _parse_grid(specs: Sequence[str] | None, mode: Mode) -> list[tuple[str, list[Scalar]]]:
     if not specs:
         raise InputError("scan needs at least one --grid axis (name=start:stop:step or name=v1,v2,...)")
-    axes: List[Tuple[str, List[Scalar]]] = []
+    axes: list[tuple[str, list[Scalar]]] = []
     for spec in specs:
         if "=" not in spec:
             raise InputError(f"grid axis {spec!r}: expected name=start:stop:step or name=v1,v2,...")
@@ -330,7 +330,7 @@ def _parse_grid(specs: Optional[Sequence[str]], mode: Mode) -> List[Tuple[str, L
         if name in dict(axes):
             raise InputError(f"grid axis {name!r} given twice")
         rhs = rhs.strip()
-        values: List[Scalar] = []
+        values: list[Scalar] = []
         if ":" in rhs:
             pieces = rhs.split(":")
             if len(pieces) != 3:
@@ -402,7 +402,7 @@ def _add_input_flags(parser: argparse.ArgumentParser, with_raw: bool = True) -> 
     )
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, formats: Tuple[str, ...]) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
     parser.add_argument(
         "--convention", choices=CONVENTIONS, default=DELTA,
         help="component-system convention (default %(default)s)",
@@ -414,7 +414,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, formats: Tuple[str, ...])
     parser.add_argument("--config", help="flat key-value config file (key = value per line)")
 
 
-def build_parser(config: Optional[Dict[str, str]] = None) -> argparse.ArgumentParser:
+def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParser:
     """The argument parser; `config` values replace the defaults of the flags they name."""
     parser = argparse.ArgumentParser(
         prog="ein2lie",
@@ -466,7 +466,7 @@ _DISPATCH = {
 }
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     # argparse reads -1/2 and -inf, unlike -1, as options: `--alpha -1/2`
     # becomes `--alpha=-1/2`, `--tol -inf` becomes `--tol=-inf`
     argv = list(sys.argv[1:] if argv is None else argv)

@@ -26,12 +26,12 @@ Ricci contraction for exact data.  `solve` solves them for one
 systems, so the fidelity check reads the rows every verdict is decided
 on.  The tabulated systems are formula texts (`PRINTED_SYSTEMS`),
 compiled by the compiler of every other formula of the package.  For
-exact data each text runs once per point as its homogenized integer
-plan, which gives its rows as ints on the scale of `_rows`, and the two
-sides compare as sets of sign-canonical rows; float rows are compared
-within tolerance with the text evaluated on floats.  `_solve`
-computes the affine solution set from 2x2 minors, on integers for exact
-rows and with tolerance tests for float ones.  For unsolvable systems
+exact data each text runs once per point as its exact plan on int pairs,
+whose entries an exact int division puts on the scale of `_rows`, and
+the two sides compare as sets of sign-canonical int rows; float rows are
+compared within tolerance with the text evaluated on floats.  `_solve`
+computes the affine solution set from 2x2 minors, in plain int loops for
+exact rows and with tolerance tests for float ones.  For unsolvable systems
 the reported residual is the minimal achievable sup-norm over all
 (lambda1, lambda2).  It is read off the dual of that Chebyshev problem
 in closed form: the largest |sum w_r a_r| / sum |w_r| over the
@@ -41,24 +41,14 @@ rows with b = c = 0), on integers for exact rows.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
 
 from .geometry import RicciData, ricci
-from .liealg import (
-    EPS,
-    PARAMS_USED,
-    FamilyParams,
-    StructureConstants,
-    _UNIT,
-    _evaluate,
-    _evaluate_integer,
-    _exact_quotient,
-    build_family,
-)
-from .scalars import Mode, Scalar
+from .liealg import EPS, FamilyParams, StructureConstants, _evaluate, _pairs, _run, build_family
+from .scalars import Mode, Scalar, is_exact
 
 DELTA = "delta"
 METRIC = "metric"
@@ -72,7 +62,7 @@ PLANE = "plane"
 PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def _constants(convention: str) -> Tuple[int, ...]:
+def _constants(convention: str) -> tuple[int, ...]:
     """The constant column c on PAIRS, as plain ints."""
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
@@ -91,7 +81,8 @@ class Ein2Solution:
     references (on integers for exact rows, see its docstring).  `rows`
     are the six (a, b, c) on PAIRS it was solved from; it keeps them as
     scale * (a, b, c), ints in exact mode, and builds their Fractions
-    only when a residual or a report reads them.
+    only when a report reads them: exact residuals and membership read
+    the ints by cross-multiplication and build one Fraction at the end.
     """
 
     def __init__(self, kind, rows, mode, scale=1, point=None, line_base=None, line_direction=None):
@@ -104,7 +95,7 @@ class Ein2Solution:
         self._scale = scale
 
     @cached_property
-    def rows(self) -> Tuple[Tuple[Scalar, Scalar, Scalar], ...]:
+    def rows(self) -> tuple[tuple[Scalar, Scalar, Scalar], ...]:
         if not self.mode.is_exact:
             return self._rows
         return tuple(tuple(Fraction(x, self._scale) for x in row) for row in self._rows)
@@ -112,19 +103,23 @@ class Ein2Solution:
     @cached_property
     def residual(self) -> Scalar:
         if self.kind == POINT:
-            return _sup_residual(self.rows, *self.point)
+            return self.residual_of(*self.point)
         if self.kind == LINE:
-            return _sup_residual(self.rows, *self.line_base)
+            return self.residual_of(*self.line_base)
         if self.kind == PLANE:
-            return max(abs(row[0]) for row in self.rows)
+            return self.residual_of(0, 0)
         return _min_sup_residual(self._rows, self._scale, self.mode)
 
     def is_ein2(self) -> bool:
         return self.kind != NONE
 
     def residual_of(self, lam1: Scalar, lam2: Scalar) -> Scalar:
-        """Sup-norm of the underlying system at an arbitrary candidate pair."""
-        return _sup_residual(self.rows, lam1, lam2)
+        """Sup-norm of the system at a candidate pair; exactly, of the ints a q1 q2 + p1 q2 b + p2 q1 c."""
+        if not (self.mode.is_exact and is_exact(lam1) and is_exact(lam2)):
+            return _sup_residual(self.rows, lam1, lam2)
+        (p1, q1), (p2, q2) = (lam1.numerator, lam1.denominator), (lam2.numerator, lam2.denominator)
+        q, u, v = q1 * q2, p1 * q2, p2 * q1
+        return Fraction(max(abs(a * q + u * b + v * c) for a, b, c in self._rows), q * self._scale)
 
     def contains(self, lam1: Scalar, lam2: Scalar) -> bool:
         """Membership of a candidate pair in the solution set."""
@@ -132,7 +127,7 @@ class Ein2Solution:
             return False
         if self.kind == POINT and self.mode.is_exact:
             return (lam1, lam2) == self.point
-        return self.mode.is_zero(_sup_residual(self.rows, lam1, lam2))
+        return self.mode.is_zero(self.residual_of(lam1, lam2))
 
     def lambda2_zero_line(self) -> bool:
         """True when the solution set is exactly {lambda2 = 0, lambda1 free}."""
@@ -157,11 +152,6 @@ def _sup_residual(rows, lam1, lam2):
     return max(abs(a + lam1 * b + lam2 * c) for a, b, c in rows)
 
 
-def _minor(u, v, j, k):
-    """The 2x2 minor u[j] v[k] - v[j] u[k] of two rows (a, b, c)."""
-    return u[j] * v[k] - v[j] * u[k]
-
-
 def _min_sup_residual(rows, scale, mode):
     """Minimal achievable sup-norm min_{lambda} max_r |a + lambda1 b + lambda2 c|.
 
@@ -177,7 +167,8 @@ def _min_sup_residual(rows, scale, mode):
     zero = mode.is_zero
     a = [row[0] for row in rows]
     cross = {
-        (i, j): _minor(rows[i], rows[j], 1, 2) for i, j in combinations(range(len(rows)), 2)
+        (i, j): rows[i][1] * rows[j][2] - rows[j][1] * rows[i][2]
+        for i, j in combinations(range(len(rows)), 2)
     }
     # Each candidate is (|sum w_r a_r|, sum |w_r|) for one reference w.
     candidates = [(abs(a[r]), 1) for r, (_, b, c) in enumerate(rows) if zero(b) and zero(c)]
@@ -205,28 +196,27 @@ def _min_sup_residual(rows, scale, mode):
 def _solve(rows, scale, mode: Mode) -> Ein2Solution:
     """Affine solution set of the rows scale * (a, b, c), decided by 2x2 minors.
 
-    The pivot is the largest |b| or |c|, the first on ties.  A row's minors
-    against the pivot row are its other coefficient and its constant after
-    elimination, times the pivot: ints for exact rows, read as minor / pivot
-    against the tolerance otherwise, where a point is refined by least squares.
+    The pivot is the largest |b| or |c|, and the second row the one whose
+    minor b_p c - b c_p against the pivot row is largest, each the first on
+    ties.  Exact rows have int minors, tested in plain loops; float ones
+    read as minor / pivot against the tolerance, and a point is refined by
+    least squares.
     """
     exact, zero = mode.is_exact, mode.is_zero
-    entries = [(r, col) for r, row in enumerate(rows) for col in (1, 2) if not zero(row[col])]
-    if not entries:
+    entries = [abs(x) for _, b, c in rows for x in (b, c)]
+    entry = max(range(len(entries)), key=entries.__getitem__, default=None)
+    if entry is None or entries[entry] <= mode.tolerance:
         kind = PLANE if all(zero(row[0]) for row in rows) else NONE
         return Ein2Solution(kind, rows, mode, scale)
-    p, col = max(entries, key=lambda entry: abs(rows[entry[0]][entry[1]]))
-    prow = rows[p]
+    p, col = entry // 2, entry % 2 + 1
+    prow = pa, pb, pc = rows[p]
     pivot = prow[col]
-
-    def reduced_zero(minor):
-        return minor == 0 if exact else zero(minor / pivot)
-
-    others = [row for row in rows if not reduced_zero(_minor(prow, row, 1, 2))]
-    if others:
-        qrow = max(others, key=lambda row: abs(_minor(prow, row, 1, 2)))
-        det = _minor(prow, qrow, 1, 2)
-        num1, num2 = _minor(qrow, prow, 0, 2), _minor(prow, qrow, 0, 1)
+    minors = [pb * c - b * pc for _, b, c in rows]
+    sizes = [abs(u) for u in minors] if exact else [0 if zero(u / pivot) else abs(u) for u in minors]
+    q = max(range(len(rows)), key=sizes.__getitem__)
+    if sizes[q]:
+        qa, qb, qc = rows[q]
+        det, num1, num2 = minors[q], qa * pc - pa * qc, pa * qb - qa * pb
         if exact:
             if any(a * det + num1 * b + num2 * c for a, b, c in rows):
                 return Ein2Solution(NONE, rows, mode, scale)
@@ -238,19 +228,21 @@ def _solve(rows, scale, mode: Mode) -> Ein2Solution:
         return Ein2Solution(POINT, rows, mode, scale, point=point)
 
     # Rank one: consistent iff every row's constant reduces to zero.
-    if not all(reduced_zero(_minor(prow, row, col, 0)) for row in rows):
+    reduced = [pivot * row[0] - row[col] * pa for row in rows]
+    if any(reduced) if exact else not all(zero(u / pivot) for u in reduced):
         return Ein2Solution(NONE, rows, mode, scale)
-    number = Fraction if exact else float
-    base = [number(0), number(0)]
-    base[col - 1] = Fraction(-prow[0], pivot) if exact else -prow[0] / pivot
-    # the direction (-c, b) with first nonzero entry +1
-    d1, d2 = number(-prow[2]), number(prow[1])
-    lead = abs(d2 if zero(d1) else d1)
-    d1, d2 = d1 / lead, d2 / lead
+    divide = Fraction if exact else operator.truediv
+    base = [divide(0, 1), divide(0, 1)]
+    base[col - 1] = divide(-pa, pivot)
+    # the direction (-c, b) with first nonzero entry +1, the sign folded into its divisor
+    lead = abs(pb if zero(pc) else pc)
+    d1, d2 = divide(-pc, lead), divide(pb, lead)
     if d1 < 0 or (zero(d1) and d2 < 0):
-        d1, d2 = -d1, -d2
-    base, direction = _unsigned(base), _unsigned((d1, d2))
-    return Ein2Solution(LINE, rows, mode, scale, line_base=base, line_direction=direction)
+        lead = -lead
+    direction = (divide(-pc, lead), divide(pb, lead))
+    if not exact:
+        base, direction = _unsigned(base), _unsigned(direction)
+    return Ein2Solution(LINE, rows, mode, scale, line_base=tuple(base), line_direction=direction)
 
 
 def _unsigned(values) -> tuple:
@@ -298,7 +290,7 @@ def solve(rd: RicciData, convention: str, mode: Mode) -> Ein2Solution:
 
 
 def is_ein2(
-    sc: StructureConstants, convention: str = DELTA, mode: Optional[Mode] = None
+    sc: StructureConstants, convention: str = DELTA, mode: Mode | None = None
 ) -> Ein2Solution:
     """Decide the Ein(2) condition: one `ricci` call, then `solve`."""
     if mode is None:
@@ -316,8 +308,8 @@ def is_ein2(
 #: The rows may differ from the nonzero rows of `_rows` by an overall
 #: sign, by ordering and by repetition; never by more (`_canonical`,
 #: `_covers`).  Every entry is a polynomial of degree at most 4 that
-#: divides by integer constants only, so it has an integer plan.
-PRINTED_SYSTEMS: Dict[str, str] = {
+#: divides by integer constants only, so 16 L^4 times it is an int.
+PRINTED_SYSTEMS: dict[str, str] = {
     "G1": (
         "A1 = beta^4/4, B1 = -beta^2/2, C1 = 1, "
         "A2 = 3*alpha^2*beta^2 + beta^4/4, B2 = -(2*alpha^2 + beta^2/2), C2 = 1, "
@@ -368,33 +360,29 @@ PRINTED_SYSTEMS: Dict[str, str] = {
 }
 
 
-def _printed_rows(params: FamilyParams, mode: Mode, scale: int) -> List[Tuple[Scalar, ...]]:
+def _printed_rows(params: FamilyParams, mode: Mode, scale: int) -> list[tuple[Scalar, ...]]:
     """The family's tabulated rows (A_i, B_i, C_i) at `params`, on the scale of `_rows`.
 
     Exact, they are the ints 16 L^4 (A_i, B_i, C_i), L = `scale`, the
-    `RicciData.scale` of the point: the family's text runs as its
-    homogenized integer plan at X = s*p, s = 2L (`liealg._evaluate_integer`),
-    with each entry lifted to degree 4.  Every parameter the family reads
-    is a bracket, so L*p is an int.  Approx, they are the floats
-    `_evaluate` gives, the scale of float rows being 1.
+    `RicciData.scale` of the point: the family's text runs as its exact
+    plan on int pairs (`liealg._run`), and each entry n/d becomes
+    16 L^4 n / d by an exact int division, whose remainder raises and
+    never floors.  Every parameter the family reads is a bracket, so L*p
+    is an int, and every entry is of degree at most 4.  Approx, they are
+    the floats `_evaluate` gives, the scale of float rows being 1.
     """
-    text = PRINTED_SYSTEMS[params.family]
-    if mode.is_exact:
-        unit = 2 * scale
-        values = {_UNIT: unit}
-        for name in PARAMS_USED[params.family]:
-            x = getattr(params, name)
-            if name != "eta":
-                x = _exact_quotient(unit * x.numerator, x.denominator)
-            values[name] = x
-        values = _evaluate_integer(text, values, 4)
-    else:
-        values = _evaluate(text, vars(params), mode)
-    return [
-        (values[f"A{i}"], values[f"B{i}"], values[f"C{i}"])
-        for i in range(1, len(PAIRS) + 1)
-        if f"A{i}" in values
-    ]
+    text, unit = PRINTED_SYSTEMS[params.family], 16 * scale**4
+    values = _run(text, _pairs(vars(params))) if mode.is_exact else _evaluate(text, vars(params), mode)
+
+    def entry(name):
+        if not mode.is_exact:
+            return values[name]
+        quotient, remainder = divmod(unit * values[name][0], values[name][1])
+        if remainder:
+            raise ArithmeticError(f"{name} = {Fraction(*values[name])} is no int on the scale 16 L^4 = {unit}")
+        return quotient
+
+    return [tuple(map(entry, (f"A{i}", f"B{i}", f"C{i}"))) for i in range(1, 7) if f"A{i}" in values]
 
 
 def _covers(rows, others, mode: Mode) -> bool:
@@ -422,14 +410,14 @@ def _canonical(rows) -> set:
     return signed
 
 
-def match_printed_system(params: FamilyParams, mode: Optional[Mode] = None) -> bool:
+def match_printed_system(params: FamilyParams, mode: Mode | None = None) -> bool:
     """Compare the rows `is_ein2` solves against the tabulated system.
 
     The rows of `_rows` (delta convention, zero rows dropped) must equal
     the family's tabulated equations on the same scale (`_printed_rows`),
     up to row sign, ordering and repetition: every nonzero row on either
     side is a row of the other.  Exact mode compares ints, the tabulated
-    ones from the text's integer plan, as sets of sign-canonical rows
+    ones from the text's exact plan, as sets of sign-canonical rows
     (`_canonical`), so neither side builds a Fraction; approx mode tests
     each row against the other side within tolerance (`_covers`).
     """

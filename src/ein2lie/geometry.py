@@ -46,13 +46,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from math import lcm
-from typing import Optional, Tuple
 
 from .liealg import EPS, NotLieAlgebra, StructureConstants, _jacobi_base, jacobi_ok
 from .scalars import Mode, Scalar, _Value
 
-Matrix = Tuple[Tuple[Scalar, ...], ...]
-Tensor3 = Tuple[Tuple[Tuple[Scalar, ...], ...], ...]
+Matrix = tuple[tuple[Scalar, ...], ...]
+Tensor3 = tuple[tuple[tuple[Scalar, ...], ...], ...]
 
 
 class RicciData(_Value):
@@ -72,12 +71,14 @@ class RicciData(_Value):
         self.sc, self.n, self.scale = sc, n, scale
 
     def squares(self) -> Matrix:
-        """sum_k eps_k n[i][k] n[j][k], which is 16 L^4 rho_sq[i][j]."""
-        (e0, e1, e2), n = EPS, self.n
+        """sum_k eps_k n[i][k] n[j][k], which is 16 L^4 rho_sq[i][j]; the upper triangle, mirrored."""
+        (e0, e1, e2), (n0, n1, n2) = EPS, self.n
         # summed from 0 in the order of `sum`, so float bits do not move
-        return tuple(
-            tuple(0 + e0 * u[0] * v[0] + e1 * u[1] * v[1] + e2 * u[2] * v[2] for v in n) for u in n
+        s00, s01, s02, s11, s12, s22 = (
+            0 + e0 * u[0] * v[0] + e1 * u[1] * v[1] + e2 * u[2] * v[2]
+            for u, v in ((n0, n0), (n0, n1), (n0, n2), (n1, n1), (n1, n2), (n2, n2))
         )
+        return (s00, s01, s02), (s01, s11, s12), (s02, s12, s22)
 
     @cached_property
     def connection(self) -> Tensor3:
@@ -229,7 +230,7 @@ def _form() -> tuple:
     return tuple(tuple(terms(p, q) if p <= q else () for q in range(9)) for p in range(9))
 
 
-def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
+def ricci(sc: StructureConstants, mode: Mode | None = None) -> RicciData:
     """Ricci tensor, operator and rho^2 of the table, with its Jacobi check.
 
     rho(e_i, e_j) = -sum_a R^a_{i a j} (the eps weights of the trace and
@@ -263,9 +264,9 @@ def ricci(sc: StructureConstants, mode: Optional[Mode] = None) -> RicciData:
         if not jacobi_ok(sc, mode):
             raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
         return RicciData(sc, _contract(sc.c), 1)
-    brackets = sc.values()
-    scale = lcm(*[x.denominator for x in brackets])
-    x = [v.numerator * (scale // v.denominator) for v in brackets]
+    ratios = [x.as_integer_ratio() for x in sc.values()]
+    scale = lcm(*[d for _, d in ratios])
+    x = [n * (scale // d) for n, d in ratios]
     live = [p for p in range(9) if x[p]]
     form, out = _form(), [0] * 12
     for i, p in enumerate(live):

@@ -15,9 +15,8 @@ listed in `FAMILY_CONSTRAINTS`, which `validate_params` compiles and
 checks, and the pieces of its parameter variety listed in
 `FAMILY_PIECES`, from which its points are sampled.  The same clause
 compiler reads the package's formula texts, which bind names in turn
-(`_formula`); `_evaluate` runs them.  A text that only binds
-polynomials also compiles, on first use, to a homogenized integer plan,
-which `_evaluate_integer` runs on ints.  Arbitrary tables enter through
+(`_formula`); `_evaluate` runs them, exact values on int pairs with no
+Fraction arithmetic (`_term`).  Arbitrary tables enter through
 `from_raw`, which enforces antisymmetry but deliberately not the Jacobi
 identity: `jacobi_ok` decides it, and `geometry.ricci` raises
 NotLieAlgebra where it fails.
@@ -25,11 +24,10 @@ NotLieAlgebra where it fails.
 
 from __future__ import annotations
 
-import ast
 import functools
 import operator
+from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 from .scalars import Mode, Scalar, _Value, as_scalar, is_exact
 
@@ -72,7 +70,7 @@ class NotLieAlgebra(LieAlgebraError):
 #: The fixed frame metric g(e_i, e_j) = eps_i * delta_ij, e3 timelike.
 EPS = (1, 1, -1)
 
-Vector = Tuple[Scalar, Scalar, Scalar]
+Vector = tuple[Scalar, Scalar, Scalar]
 
 
 class StructureConstants(_Value):
@@ -87,11 +85,11 @@ class StructureConstants(_Value):
 
     _fields = ("brackets",)
 
-    def __init__(self, brackets: Tuple[Vector, Vector, Vector]):
+    def __init__(self, brackets: tuple[Vector, Vector, Vector]):
         self.brackets = brackets
 
     @functools.cached_property
-    def c(self) -> Tuple[Tuple[Vector, Vector, Vector], ...]:
+    def c(self) -> tuple[tuple[Vector, Vector, Vector], ...]:
         b12, b13, b23 = self.brackets
         z = (0, 0, 0)
         neg = lambda v: tuple(-x for x in v)
@@ -114,7 +112,7 @@ class FamilyParams(_Value):
 
     _fields = ("family", "alpha", "beta", "gamma", "delta", "eta")
 
-    def __init__(self, family: str, alpha=0, beta=0, gamma=0, delta=0, eta: Optional[int] = None):
+    def __init__(self, family: str, alpha=0, beta=0, gamma=0, delta=0, eta: int | None = None):
         if family not in FAMILIES:
             raise UnknownFamily(family)
         self.family, self.alpha, self.beta = family, as_scalar(alpha), as_scalar(beta)
@@ -137,91 +135,139 @@ class FamilyParams(_Value):
 # ---------------------------------------------------------------------------
 
 _PARAM_NAMES = ("alpha", "beta", "gamma", "delta", "eta")
-_OPERATORS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.Pow: operator.pow,
-}
 
 
-#: The degree of each parameter in a homogenized integer plan (`_term`).
-_DEGREES = {"alpha": 1, "beta": 1, "gamma": 1, "delta": 1, "eta": 0}
-#: The key of the unit s in the values a homogenized plan reads: s stands
-#: for the constant 1 of the text, and no name of a text can be "1".
-_UNIT = "1"
+def _pair_form(op, left, right):
+    """The exact form of `left op right`: values are unnormalised int pairs (n, d) for n/d."""
+    if op is operator.add:
+        def term(values):
+            (a, b), (c, d) = left(values), right(values)
+            return a * d + c * b, b * d
+    elif op is operator.sub:
+        def term(values):
+            (a, b), (c, d) = left(values), right(values)
+            return a * d - c * b, b * d
+    elif op is operator.mul:
+        def term(values):
+            (a, b), (c, d) = left(values), right(values)
+            return a * c, b * d
+    elif op is operator.truediv:
+        def term(values):
+            (a, b), (c, d) = left(values), right(values)
+            if not c:
+                raise ZeroDivisionError(f"{a}/{b} divided by zero")
+            return a * d, b * c
+    else:
+        k = right(None)[0]  # a power's constant exponent, as the grammar requires
+
+        def term(values):
+            a, b = left(values)
+            return a**k, b**k
+    return term
 
 
-def _term(
-    node: ast.expr, degrees: Optional[Mapping[str, int]] = None
-) -> Tuple[Callable[[Mapping[str, Scalar]], Scalar], frozenset, int]:
-    """Compile one side of a relation to a function of the parameter values.
+@functools.cache
+def _operators() -> dict:
+    """The binary operators by syntax node type, built on first compile."""
+    import ast
+    return {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+            ast.Div: operator.truediv, ast.Pow: operator.pow}
 
-    Returns the function, the names it reads and its degree.  Integer
-    constants stay ints, so a quotient's numerator must read a name:
-    `alpha/2` is exact, `1/2` would be a float.
 
-    Given the `degrees` of the names it may read, the function is the
-    side's homogenized integer form instead, of the returned degree d:
-    it reads each name as an int and the unit s as values[_UNIT], a sum
-    lifts its lower-degree side by a power of s, a power takes an integer
-    constant exponent, and a quotient divides by an integer constant
-    only and exactly (`_exact_quotient`).  At the values X = s*p of the
-    parameters p (eta as itself) it returns s^d times the side at p.
-    Without `degrees` every degree reads 0.
-    """
-    homogeneous = degrees is not None
+def _binary(op, left, right, exact: bool):
+    return _pair_form(op, left, right) if exact else lambda values: op(left(values), right(values))
+
+
+def _names(node) -> frozenset:
+    """The names a side reads, once it is checked against the grammar, else ValueError: names,
+    integer constants, unary minus and + - * / ^, where a quotient's numerator reads a name
+    (`1/2` would be a float) and `^` takes a non-negative integer constant only."""
+    import ast
     if isinstance(node, ast.Name):
-        degree = degrees[node.id] if homogeneous else 0
-        return operator.itemgetter(node.id), frozenset((node.id,)), degree
+        return frozenset((node.id,))
     if isinstance(node, ast.Constant) and type(node.value) is int:
-        value = node.value
-        return (lambda values: value), frozenset(), 0
+        return frozenset()
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        operand, names, degree = _term(node.operand, degrees)
-        return (lambda values: -operand(values)), names, degree
-    if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
-        op = _OPERATORS[type(node.op)]
-        left, left_names, left_degree = _term(node.left, degrees)
-        right, right_names, right_degree = _term(node.right, degrees)
-        degree = left_degree + right_degree
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            degree = max(left_degree, right_degree)
-            left, right = _lift(left, degree - left_degree), _lift(right, degree - right_degree)
-        elif isinstance(node.op, ast.Pow) and homogeneous:
-            if not (isinstance(node.right, ast.Constant) and type(node.right.value) is int):
-                raise ValueError(f"{ast.unparse(node)!r} has no integer constant exponent")
-            degree = left_degree * node.right.value
-        elif isinstance(node.op, ast.Div) and homogeneous and right_names:
-            raise ValueError(f"{ast.unparse(node)!r} divides by a name")
-        elif isinstance(node.op, ast.Div) and homogeneous:
-            op = _exact_quotient
-        if left_names or not isinstance(node.op, ast.Div):
-            names = left_names | right_names
-            return (lambda values: op(left(values), right(values))), names, degree
+        return _names(node.operand)
+    if isinstance(node, ast.BinOp) and type(node.op) in _operators():
+        exponent = getattr(node.right, "value", None)
+        if isinstance(node.op, ast.Pow) and not (type(exponent) is int and exponent >= 0):
+            raise ValueError(f"{ast.unparse(node)!r} has no non-negative integer constant exponent")
+        left = _names(node.left)
+        if left or not isinstance(node.op, ast.Div):
+            return left | _names(node.right)
     raise ValueError(f"unsupported term {ast.unparse(node)!r}")
 
 
-def _lift(term, power: int):
-    """The term times s^power, s the unit of a homogenized plan; the term itself for power 0."""
-    if not power:
-        return term
-    return lambda values: term(values) * values[_UNIT] ** power
+def _term(node, exact: bool = False) -> Callable:
+    """Compile a side that keeps to the grammar (`_names`) to a function of the parameter values.
+
+    The scalar form computes on the numbers it reads, its integer constants
+    staying ints.  The `exact` form runs on int pairs (`_pair_form`), a
+    quotient by zero raising ZeroDivisionError as Fraction does.
+    """
+    import ast
+    if isinstance(node, ast.Name):
+        return operator.itemgetter(node.id)
+    if isinstance(node, ast.Constant):
+        value = (node.value, 1) if exact else node.value
+        return lambda values: value
+    if isinstance(node, ast.UnaryOp):
+        operand = _term(node.operand, exact)
+        if exact:
+            return _pair_form(operator.sub, lambda values: (0, 1), operand)
+        return lambda values: -operand(values)
+    return _binary(_operators()[type(node.op)], _term(node.left, exact), _term(node.right, exact), exact)
 
 
-def _exact_quotient(numerator: int, denominator: int) -> int:
-    """numerator / denominator, which must be an int: a remainder raises and never floors."""
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise ArithmeticError(f"{numerator} / {denominator} is not an integer")
-    return quotient
+def _forms(left, right, equal: bool, exact: bool) -> tuple:
+    """The compiled sides of a relation and the terms whose zero tests decide it."""
+    import ast
+    sides = _term(left, exact), _term(right, exact)
+    if not (isinstance(right, ast.Constant) and right.value == 0):
+        return sides, (_binary(operator.sub, *sides, exact),)
+    if equal or len(_factors(left)) == 1:
+        return sides, sides[:1]
+    # A product compared != 0 reads factor by factor: the same test in
+    # exact mode, while in approx mode each factor must clear the
+    # tolerance, not their far smaller product.
+    return sides, tuple(_term(factor, exact) for factor in _factors(left))
 
 
-def _factors(node: ast.expr) -> list:
+def _factors(node) -> list:
+    import ast
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
         return _factors(node.left) + _factors(node.right)
     return [node]
+
+
+def _pairs(values: Mapping) -> dict | None:
+    """The exact numbers among `values` as int pairs (n, d); None if a float is among them."""
+    pairs = {}
+    for name, x in values.items():
+        kind = type(x)
+        if kind is Fraction or kind is int:
+            pairs[name] = x.as_integer_ratio()
+        elif kind is float:
+            return None
+    return pairs
+
+
+def _numbers(pairs: dict) -> dict:
+    """The values with each int pair (n, d) as the Fraction n/d, and eta's as the int n."""
+    return {
+        name: x if type(x) is not tuple else x[0] if name == "eta" else Fraction(*x)
+        for name, x in pairs.items()
+    }
+
+
+def _first_failure(relations, values: Mapping[str, Scalar], mode: Mode):
+    """The first relation that fails at `values` in `mode`, in exact form on exact values in exact mode."""
+    pairs = _pairs(values) if mode.is_exact else None
+    for relation in relations:
+        if not (relation.within(values, mode) if pairs is None else relation.decide(pairs)):
+            return relation
+    return None
 
 
 class _Relation:
@@ -231,10 +277,11 @@ class _Relation:
     vars(params).  `bare[i]` is side i's name if it is a bare parameter,
     `squared[i]` its name if it is a bare parameter squared (`gamma^2`),
     `names[i]` the parameters it reads.  The relation is link `index` of
-    its clause.
+    its clause.  Its scalar and exact (sides, terms) compile on first use.
     """
 
-    def __init__(self, clause: str, index: int, equal: bool, left: ast.expr, right: ast.expr):
+    def __init__(self, clause: str, index: int, equal: bool, left, right):
+        import ast
         self.clause, self.index, self.equal = clause, index, equal
         self.bare = tuple(getattr(side, "id", None) for side in (left, right))
         self.squared = tuple(
@@ -243,29 +290,41 @@ class _Relation:
             and getattr(side.right, "value", None) == 2 else None
             for side in (left, right)
         )
-        (first, left_names, _), (second, right_names, _) = _term(left), _term(right)
-        self.sides, self.names = (first, second), (left_names, right_names)
-        if not (isinstance(right, ast.Constant) and right.value == 0):
-            self.terms = (lambda values: first(values) - second(values),)
-        elif equal or len(_factors(left)) == 1:
-            self.terms = (first,)
-        else:
-            # A product compared != 0 reads factor by factor: the same test
-            # in exact mode, while in approx mode each factor must clear
-            # the tolerance, not their far smaller product.
-            self.terms = tuple(_term(factor)[0] for factor in _factors(left))
+        self.names = (_names(left), _names(right))
+
+    def _compiled(self, exact: bool) -> tuple:
+        left, right = _parse_clause(self.clause)[1][self.index:self.index + 2]
+        return _forms(left, right, self.equal, exact)
+
+    scalar = functools.cached_property(lambda self: self._compiled(False))
+    exact = functools.cached_property(lambda self: self._compiled(True))
+    sides = property(lambda self: self.scalar[0])
 
     def holds(self, values: Mapping[str, Scalar], mode: Mode) -> bool:
+        return _first_failure((self,), values, mode) is None
+
+    def within(self, values: Mapping[str, Scalar], mode: Mode) -> bool:
+        """The scalar form's test in `mode`."""
         test = mode.is_zero if self.equal else mode.is_nonzero
-        for term in self.terms:
+        for term in self.scalar[1]:
             if not test(term(values)):
+                return False
+        return True
+
+    def decide(self, pairs: Mapping[str, tuple]) -> bool:
+        """The exact form's test at int pairs: a zero numerator, or for != each nonzero."""
+        terms = self.exact[1]
+        if self.equal:
+            return not terms[0](pairs)[0]
+        for term in terms:
+            if not term(pairs)[0]:
                 return False
         return True
 
 
 def _compile_clauses(
-    text: str, names: Optional[Sequence[str]] = _PARAM_NAMES
-) -> Tuple[_Relation, ...]:
+    text: str, names: Sequence[str] | None = _PARAM_NAMES
+) -> tuple[_Relation, ...]:
     """Compile a constraint text into its relations, in reading order.
 
     Clauses are separated by ", " and read as Python comparisons, with
@@ -286,7 +345,8 @@ def _compile_clauses(
 # The catalog repeats many clauses; relations are never mutated, so
 # branches share them and each clause is compiled once.
 @functools.lru_cache(maxsize=None)
-def _compile_clause(clause: str) -> Tuple[_Relation, ...]:
+def _compile_clause(clause: str) -> tuple[_Relation, ...]:
+    import ast
     ops, sides = _parse_clause(clause)
     return tuple(
         _Relation(clause, index, isinstance(op, ast.Eq), left, right)
@@ -294,8 +354,9 @@ def _compile_clause(clause: str) -> Tuple[_Relation, ...]:
     )
 
 
-def _parse_clause(clause: str) -> Tuple[list, list]:
+def _parse_clause(clause: str) -> tuple[list, list]:
     """The comparison operators of a clause and the syntax trees of its sides."""
+    import ast
     tree = ast.parse(clause.replace("^", "**").replace(" = ", " == "), mode="eval").body
     if not isinstance(tree, ast.Compare) or not all(
         isinstance(op, (ast.Eq, ast.NotEq)) for op in tree.ops
@@ -304,15 +365,13 @@ def _parse_clause(clause: str) -> Tuple[list, list]:
     return tree.ops, [tree.left, *tree.comparators]
 
 
-def _next_step(pending, bound, free, mode: Optional[Mode], degrees=None):
+def _next_step(pending, bound, free, mode: Mode | None, exact: bool = False):
     """Take the first pending relation that the `bound` names decide; return its step.
 
     An equality binds a bare name, or the square root of a squared one,
     only if that name is neither bound nor free: ("set", name, the other
-    side) or ("root", name, the relation).  Any other decided relation is
-    a check, ("check", mode, relation).  Given the `degrees` of the bound
-    names, a "set" step carries the other side's homogenized integer form
-    (`_term`) and enters the name's degree into `degrees`.
+    side, in exact form if `exact`) or ("root", name, the relation).  Any
+    other decided relation is a check, ("check", mode, relation).
     """
     for relation in pending:
         for side in (0, 1) if relation.equal else ():
@@ -320,13 +379,8 @@ def _next_step(pending, bound, free, mode: Optional[Mode], degrees=None):
             if name not in bound | free | {None} and relation.names[1 - side] <= bound:
                 pending.remove(relation)
                 bound.add(name)
-                if relation.bare[side] and degrees is not None:
-                    # parsed again: the cached relations keep no syntax tree
-                    node = _parse_clause(relation.clause)[1][relation.index + 1 - side]
-                    term, _, degrees[name] = _term(node, degrees)
-                    return "set", name, term
                 if relation.bare[side]:
-                    return "set", name, relation.sides[1 - side]
+                    return "set", name, (relation.exact if exact else relation.scalar)[0][1 - side]
                 return "root", name, relation
         if relation.names[0] | relation.names[1] <= bound:
             pending.remove(relation)
@@ -336,59 +390,45 @@ def _next_step(pending, bound, free, mode: Optional[Mode], degrees=None):
 
 # Compiled on first use, once, so that importing the package compiles no formula.
 @functools.lru_cache(maxsize=None)
-def _formula(text: str, homogeneous: bool = False) -> tuple:
-    """Compile a formula text to its plan of "set" and "check" steps (`_next_step`).
-
-    The homogeneous plan, which `_evaluate_integer` runs, is of
-    (name, term, degree) steps instead: each term is the homogenized
-    integer form of the name's definition, whose degree the name takes.
-    A text with a check has none.
-    """
-    degrees = dict(_DEGREES) if homogeneous else None
-    # A homogeneous plan keeps only its integer terms, so the relations it
-    # is read from stay out of the clause cache.
-    compile_clause = _compile_clause.__wrapped__ if homogeneous else _compile_clause
-    pending = [relation for clause in text.split(", ") for relation in compile_clause(clause)]
+def _formula(text: str, exact: bool = False) -> tuple:
+    """Compile a formula text to its plan of "set" and "check" steps (`_next_step`), exact ones for `_run`."""
+    pending = [relation for clause in text.split(", ") for relation in _compile_clause(clause)]
     plan, bound = [], set(_PARAM_NAMES)
-    while (step := _next_step(pending, bound, set(), None, degrees)) is not None:
+    while (step := _next_step(pending, bound, set(), None, exact)) is not None:
         plan.append(step)
     if pending or any(kind == "root" for kind, _, _ in plan):
         raise ValueError(f"formula {text!r} does not bind each name it reads by a bare equality")
-    if not homogeneous:
-        return tuple(plan)
-    if any(kind == "check" for kind, _, _ in plan):
-        raise ValueError(f"formula {text!r} has a check; a homogenized plan only binds")
-    return tuple((name, term, degrees[name]) for _, name, term in plan)
+    return tuple(plan)
 
 
-def _evaluate(text: str, values: Mapping[str, Scalar], mode: Optional[Mode]) -> Optional[dict]:
+def _run(text: str, pairs: dict) -> dict | None:
+    """The int pairs the formula text's exact plan binds, also entered into `pairs`; None once a check fails."""
+    bound = {}
+    for kind, name, arg in _formula(text, True):
+        if kind == "set":
+            pairs[name] = bound[name] = arg(pairs)
+        elif not arg.decide(pairs):
+            return None
+    return bound
+
+
+def _evaluate(text: str, values: Mapping[str, Scalar], mode: Mode | None) -> dict | None:
     """The `values` and every name the formula text binds; None once one of its checks fails.
 
-    The checks run in `mode`; a text without checks needs none.
+    The checks run in `mode`; a text without checks needs none.  Exact
+    values, unless `mode` is approx, run the exact plan (`_run`).
     """
+    pairs = _pairs(values) if mode is None or mode.is_exact else None
+    if pairs is not None:
+        bound = _run(text, pairs)
+        return None if bound is None else {**values, **_numbers(bound)}
     values = dict(values)
     for kind, name, arg in _formula(text):
         if kind == "set":
             values[name] = arg(values)
-        elif not arg.holds(values, mode):
+        elif not arg.within(values, mode):
             return None
     return values
-
-
-def _evaluate_integer(text: str, values: Mapping[str, int], degree: int) -> dict:
-    """Every name the formula text binds, as the int s^degree times its value at p.
-
-    `values` holds the unit s under _UNIT and each parameter p the text
-    reads as the int s*p, eta as itself.  The text runs as its
-    homogenized plan (`_formula`), so a name of degree d comes out as
-    s^d times its value at p; it is lifted by s^(degree - d), so no name
-    may have a degree above `degree`.
-    """
-    values, lifted, unit = dict(values), {}, values[_UNIT]
-    for name, term, own in _formula(text, homogeneous=True):
-        values[name] = term(values)
-        lifted[name] = values[name] * unit ** (degree - own)
-    return lifted
 
 
 FAMILY_CONSTRAINTS = {
@@ -442,12 +482,12 @@ PARAMS_USED = {
 
 # G3 is unconstrained and G4's eta is an integer sign, checked in code.
 @functools.lru_cache(maxsize=None)
-def _family_relations(family: str) -> Tuple[_Relation, ...]:
+def _family_relations(family: str) -> tuple[_Relation, ...]:
     """The family's constraint relations, compiled on the family's first use."""
     return () if family in ("G3", "G4") else _compile_clauses(FAMILY_CONSTRAINTS[family])
 
 
-def validate_params(params: FamilyParams, mode: Optional[Mode] = None) -> None:
+def validate_params(params: FamilyParams, mode: Mode | None = None) -> None:
     """Check the family's parameter (in)equalities; raise ConstraintViolation.
 
     Equalities test exactly in exact mode and within tolerance in approx
@@ -458,15 +498,15 @@ def validate_params(params: FamilyParams, mode: Optional[Mode] = None) -> None:
     if mode is None:
         mode = params.mode()
     values = vars(params)
-    for relation in _family_relations(params.family):
-        if not relation.holds(values, mode):
-            # Family clauses are single relations; an equality shows its left side.
-            left = relation.clause.partition(" = ")[0]
-            detail = f"{left} = {relation.sides[0](values)}" if relation.equal else ""
-            raise ConstraintViolation(relation.clause, detail)
+    relation = _first_failure(_family_relations(params.family), values, mode)
+    if relation is not None:
+        # Family clauses are single relations; an equality shows its left side.
+        left = relation.clause.partition(" = ")[0]
+        detail = f"{left} = {relation.sides[0](values)}" if relation.equal else ""
+        raise ConstraintViolation(relation.clause, detail)
 
 
-def build_family(params: FamilyParams, mode: Optional[Mode] = None) -> StructureConstants:
+def build_family(params: FamilyParams, mode: Mode | None = None) -> StructureConstants:
     """Validate a parameter point, then construct its brackets (`family_table`)."""
     validate_params(params, mode)
     return family_table(params)
@@ -489,24 +529,30 @@ def family_table(params: FamilyParams) -> StructureConstants:
     a, b, g, d = params.alpha, params.beta, params.gamma, params.delta
     family = params.family
     if family == "G1":
-        return StructureConstants(((a, 0, -b), (-a, -b, 0), (b, a, a)))
+        return StructureConstants(((a, 0, _minus(b)), (_minus(a), _minus(b), 0), (b, a, a)))
     if family == "G2":
-        return StructureConstants(((0, g, -b), (0, -b, -g), (a, 0, 0)))
+        return StructureConstants(((0, g, _minus(b)), (0, _minus(b), _minus(g)), (a, 0, 0)))
     if family == "G3":
-        return StructureConstants(((0, 0, -g), (0, -b, 0), (a, 0, 0)))
+        return StructureConstants(((0, 0, _minus(g)), (0, _minus(b), 0), (a, 0, 0)))
     if family == "G4":
-        eta = params.eta
-        return StructureConstants(((0, -1, 2 * eta - b), (0, -b, 1), (a, 0, 0)))
+        return StructureConstants(((0, -1, _minus(b, 2 * params.eta)), (0, _minus(b), 1), (a, 0, 0)))
     if family == "G5":
         return StructureConstants(((0, 0, 0), (a, b, 0), (g, d, 0)))
     if family == "G6":
         return StructureConstants(((0, a, b), (0, g, d), (0, 0, 0)))
     if family == "G7":
-        return StructureConstants(((-a, -b, -b), (a, b, b), (g, d, d)))
+        return StructureConstants(((_minus(a), _minus(b), _minus(b)), (a, b, b), (g, d, d)))
     raise UnknownFamily(family)  # pragma: no cover
 
 
-def from_raw(c, mode: Optional[Mode] = None) -> StructureConstants:
+def _minus(x, y: int = 0):
+    """y - x; a Fraction x is built from its int pair, so no Fraction arithmetic runs."""
+    if type(x) is Fraction:
+        return Fraction(y * x.denominator - x.numerator, x.denominator)
+    return y - x if y else -x
+
+
+def from_raw(c, mode: Mode | None = None) -> StructureConstants:
     """Build structure constants from a raw 3x3x3 array c[i][j][k] = c^k_ij.
 
     Rejects entries with c^k_ij != -c^k_ji beyond tolerance, then stores
@@ -544,13 +590,13 @@ def _jacobi_base(c) -> Vector:
     return tuple(out)
 
 
-def jacobi_ok(sc: StructureConstants, mode: Optional[Mode] = None) -> bool:
+def jacobi_ok(sc: StructureConstants, mode: Mode | None = None) -> bool:
     if mode is None:
         mode = Mode.for_values(sc.values())
     return all(mode.is_zero(x) for x in _jacobi_base(sc.c))
 
 
-def unimodular(sc: StructureConstants, mode: Optional[Mode] = None) -> bool:
+def unimodular(sc: StructureConstants, mode: Mode | None = None) -> bool:
     """True iff trace(ad_{e_i}) = 0 for i = 1, 2, 3, summed left to right."""
     if mode is None:
         mode = Mode.for_values(sc.values())

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, List, Optional, Sequence
+from collections.abc import Sequence
 
 from .branches import (
     AnchorResult,
@@ -36,7 +36,7 @@ SCHEMA_VERIFY = "ein2lie/verify/v1"
 BASIS = ("e1", "e2", "e3")
 
 
-def scalar_json(value: Optional[Scalar]):
+def scalar_json(value: Scalar | None):
     """Exact values as "p/q" strings; floats as JSON numbers; None as null."""
     if value is None:
         return None
@@ -45,16 +45,16 @@ def scalar_json(value: Optional[Scalar]):
     return float(value)
 
 
-def matrix_json(matrix) -> List[List]:
+def matrix_json(matrix) -> list[list]:
     return [[scalar_json(x) for x in row] for row in matrix]
 
 
-def tensor3_json(tensor) -> List[List[List]]:
+def tensor3_json(tensor) -> list[list[list]]:
     return [[[scalar_json(x) for x in row] for row in plane] for plane in tensor]
 
 
-def params_json(params: FamilyParams) -> Dict:
-    doc: Dict = {"family": params.family}
+def params_json(params: FamilyParams) -> dict:
+    doc: dict = {"family": params.family}
     for name in PARAMS_USED[params.family]:
         if name == "eta":
             doc["eta"] = params.eta
@@ -63,8 +63,8 @@ def params_json(params: FamilyParams) -> Dict:
     return doc
 
 
-def solution_json(solution: Ein2Solution) -> Dict:
-    doc: Dict = {"kind": solution.kind, "residual": scalar_json(solution.residual)}
+def solution_json(solution: Ein2Solution) -> dict:
+    doc: dict = {"kind": solution.kind, "residual": scalar_json(solution.residual)}
     if solution.kind == POINT:
         doc["lambda1"] = scalar_json(solution.point[0])
         doc["lambda2"] = scalar_json(solution.point[1])
@@ -79,7 +79,7 @@ def solution_json(solution: Ein2Solution) -> Dict:
     return doc
 
 
-def system_json(solution: Ein2Solution, convention: str) -> Dict:
+def system_json(solution: Ein2Solution, convention: str) -> dict:
     return {
         "convention": convention,
         "rows": [
@@ -89,7 +89,7 @@ def system_json(solution: Ein2Solution, convention: str) -> Dict:
     }
 
 
-def expected_json(expected: Optional[ExpectedLambdas]) -> Optional[Dict]:
+def expected_json(expected: ExpectedLambdas | None) -> dict | None:
     if expected is None:
         return None
     if expected.kind == LAMBDA1_FREE:
@@ -101,7 +101,7 @@ def expected_json(expected: Optional[ExpectedLambdas]) -> Optional[Dict]:
     }
 
 
-def branch_report_json(report: BranchReport) -> Dict:
+def branch_report_json(report: BranchReport) -> dict:
     return {
         "label": report.label,
         "family": report.family,
@@ -124,7 +124,7 @@ def branch_report_json(report: BranchReport) -> Dict:
     }
 
 
-def anchor_result_json(result: AnchorResult) -> Dict:
+def anchor_result_json(result: AnchorResult) -> dict:
     return {
         "label": result.anchor.label,
         "theorem": result.anchor.theorem,
@@ -139,7 +139,7 @@ def anchor_result_json(result: AnchorResult) -> Dict:
     }
 
 
-def classification_json(result: ClassificationResult) -> Dict:
+def classification_json(result: ClassificationResult) -> dict:
     return {
         "branches": list(result.branches),
         "status": result.status,
@@ -147,7 +147,7 @@ def classification_json(result: ClassificationResult) -> Dict:
     }
 
 
-def _erratum_json(branch: Dict) -> Dict:
+def _erratum_json(branch: dict) -> dict:
     """An errata entry, read off its branch entry; the first failure is the counterexample."""
     failure = branch["failures"][0] if branch["failures"] else None
     return {
@@ -164,7 +164,7 @@ def _erratum_json(branch: Dict) -> Dict:
     }
 
 
-def suite_json(report) -> Dict:
+def suite_json(report) -> dict:
     branches = [branch_report_json(b) for b in report.branches]
     return {
         "schema": SCHEMA_VERIFY,
@@ -187,7 +187,7 @@ def suite_json(report) -> Dict:
     }
 
 
-def dumps(doc: Dict) -> str:
+def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -202,7 +202,7 @@ def _text(value) -> str:
 
 def format_vector(coeffs: Sequence) -> str:
     """Render a coefficient triple as a frame combination like "2 e1 - e3"."""
-    parts: List[str] = []
+    parts: list[str] = []
     for coeff, name in zip(coeffs, BASIS):
         rendered = _text(coeff)
         if rendered in ("0", "-0"):
@@ -228,22 +228,22 @@ def format_matrix(matrix, indent: str = "  ") -> str:
     return "\n".join(indent + "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells)
 
 
-def render_params(params: Dict) -> str:
+def render_params(params: dict) -> str:
     """A parameter document (`params_json`, or a family input) as "G1 alpha=1 beta=0"."""
     values = (f"{name}={_text(value)}" for name, value in params.items()
               if name not in ("kind", "family"))
     return " ".join([params["family"], *values])
 
 
-def _render_input(doc: Dict) -> str:
+def _render_input(doc: dict) -> str:
     return f"raw {doc['path']}" if doc["kind"] == "raw" else render_params(doc)
 
 
-def _lambdas(doc: Dict) -> str:
+def _lambdas(doc: dict) -> str:
     return f"lambda1 = {_text(doc['lambda1'])}, lambda2 = {_text(doc['lambda2'])}"
 
 
-def render_solution(solution: Dict) -> str:
+def render_solution(solution: dict) -> str:
     kind = solution["kind"]
     if kind == POINT:
         return f"point: {_lambdas(solution)} (residual {_text(solution['residual'])})"
@@ -258,7 +258,7 @@ def render_solution(solution: Dict) -> str:
     return f"none (minimal residual {_text(solution['residual'])})"
 
 
-def render_derive_text(doc: Dict) -> str:
+def render_derive_text(doc: dict) -> str:
     c, gamma, ricci = doc["structure_constants"]["c"], doc["connection"], doc["ricci"]
     lines = [f"input: {_render_input(doc['input'])}", "", "brackets:"]
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -284,7 +284,7 @@ def render_derive_text(doc: Dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_verdict_text(doc: Dict) -> str:
+def render_verdict_text(doc: dict) -> str:
     lines = [f"input: {_render_input(doc['input'])}"]
     if "branches" in doc:  # classify
         lines.append(f"branches: {', '.join(doc['branches']) or '(no branch)'}")
@@ -294,7 +294,7 @@ def render_verdict_text(doc: Dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sampled_lines(title: str, checks: List[Dict], failures: str) -> List[str]:
+def _sampled_lines(title: str, checks: list[dict], failures: str) -> list[str]:
     """A sampled section: one "family: n points, status" line per check."""
     if not checks:
         return []
@@ -305,7 +305,7 @@ def _sampled_lines(title: str, checks: List[Dict], failures: str) -> List[str]:
     return lines + [""]
 
 
-def render_suite_text(doc: Dict) -> str:
+def render_suite_text(doc: dict) -> str:
     lines = [
         "verification suite"
         f" (seed {doc['seed']}, samples {doc['samples']}, convention {doc['convention']})"
@@ -381,8 +381,8 @@ SCAN_COLUMNS = (
 )
 
 
-def scan_row(params: FamilyParams, result: Optional[ClassificationResult],
-             error: str = "") -> Dict[str, str]:
+def scan_row(params: FamilyParams, result: ClassificationResult | None,
+             error: str = "") -> dict[str, str]:
     """One CSV row; its solution columns are read off `solution_json`."""
     row = dict.fromkeys(SCAN_COLUMNS, "")
     row.update(family=params.family, kind="invalid", branches=error)
@@ -402,7 +402,7 @@ def scan_row(params: FamilyParams, result: Optional[ClassificationResult],
     return row
 
 
-def render_scan_csv(rows: List[Dict[str, str]]) -> str:
+def render_scan_csv(rows: list[dict[str, str]]) -> str:
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=SCAN_COLUMNS, lineterminator="\n")
     writer.writeheader()

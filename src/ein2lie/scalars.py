@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Tuple, Union
+from collections.abc import Iterable
 
-Scalar = Union[Fraction, float]
+Scalar = Fraction | float
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -86,7 +86,7 @@ class _Value:
     Cached properties and other attributes take no part.
     """
 
-    _fields: Tuple[str, ...] = ()
+    _fields: tuple[str, ...] = ()
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -16,7 +16,7 @@ under delta and listed instead of failed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from collections.abc import Sequence
 
 from .branches import (
     ANCHORS,
@@ -50,16 +50,16 @@ class SampledCheck:
 
 
 class SuiteReport:
-    def __init__(self, seed: int, samples: int, convention: str, theorems: Optional[tuple]):
+    def __init__(self, seed: int, samples: int, convention: str, theorems: tuple | None):
         self.seed, self.samples, self.convention = seed, samples, convention
         self.theorems = theorems
-        self.fidelity: List[SampledCheck] = []
-        self.branches: List[BranchReport] = []
-        self.anchors: List[AnchorResult] = []
-        self.negative: List[SampledCheck] = []
+        self.fidelity: list[SampledCheck] = []
+        self.branches: list[BranchReport] = []
+        self.anchors: list[AnchorResult] = []
+        self.negative: list[SampledCheck] = []
 
     @property
-    def errata(self) -> List[BranchReport]:
+    def errata(self) -> list[BranchReport]:
         return [report for report in self.branches if report.verdict == "errata"]
 
     @property
@@ -82,7 +82,7 @@ def run_suite(
     convention: str = DELTA,
     fidelity_samples: int = 100,
     negative_samples: int = 100,
-    theorems: Optional[Sequence[str]] = None,
+    theorems: Sequence[str] | None = None,
 ) -> SuiteReport:
     """Run the complete verification suite deterministically.
 

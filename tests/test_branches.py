@@ -42,14 +42,16 @@ from ein2lie.branches import (
     _rational_draw,
     sample_family_point,
 )
+from ein2lie import ein2
 from ein2lie.ein2 import PRINTED_SYSTEMS
 from ein2lie.liealg import (
     FAMILY_CONSTRAINTS,
     FAMILY_PIECES,
     PARAMS_USED,
-    _UNIT,
     _compile_clauses,
+    _evaluate,
     _formula,
+    _run,
     family_table,
 )
 from ein2lie.reporting import expected_json
@@ -611,33 +613,46 @@ def test_every_formula_text_compiles():
 
 
 def test_every_tabulated_system_compiles_to_an_integer_plan():
-    # Every name of degree at most 4, so the rows lift to the scale of `_rows`.
-    for text in PRINTED_SYSTEMS.values():
-        plan = _formula(text, homogeneous=True)
-        assert [name for name, _, _ in plan] == [name for _, name, _ in _formula(text)], text
-        assert all(degree <= 4 for _, _, degree in plan), text
+    """The exact plan of each tabulated text sets the names its scalar plan sets, in
+    order.  Every entry is of degree at most 4, so the rows lift to the scale of
+    `_rows`: at p/7, of scale L = 7, each is an int times 1/(16 L^4)."""
+    for family, text in PRINTED_SYSTEMS.items():
+        plan = _formula(text, True)
+        assert [(kind, name) for kind, name, _ in plan] == [(k, n) for k, n, _ in _formula(text)]
+        assert all(kind == "set" for kind, _, _ in plan), text
+        params = FamilyParams(family, F(1, 7), F(2, 7), F(3, 7), F(5, 7), eta=-1 if family == "G4" else None)
+        rows = ein2._printed_rows(params, Mode.exact(), 7)
+        assert rows and all(type(x) is int for row in rows for x in row), (family, rows)
 
 
-def test_integer_plan_is_homogeneous_and_divides_exactly():
-    # degrees: beta^2/2 is 2, m*eta - 3 lifts 3 by s; at X = s*p it is s^d times the value
-    (_, m, dm), (_, a, da) = _formula("m = beta^2/2, A = m*eta - 3", homogeneous=True)
-    assert (dm, da) == (2, 2)
-    values = {_UNIT: 4, "beta": 4 * 3, "eta": -1}
-    values["m"] = m(values)
-    assert (values["m"], a(values)) == (4**2 * F(9, 2), 4**2 * (-F(9, 2) - 3))
-    # a remainder raises and never floors: beta/4 at X = 2*(1/2) = 1 is not an int
-    (_, q, _), = _formula("q = beta/4", homogeneous=True)
+def test_integer_plan_runs_on_int_pairs_and_divides_exactly(monkeypatch):
+    # The exact plan reads and binds int pairs (n, d) for n/d, which need not be in lowest terms.
+    bound = _run("m = beta^2/2, A = m*eta - 3", {"beta": (6, 2), "eta": (-1, 1)})
+    assert all(type(x) is int for pair in bound.values() for x in pair), bound
+    assert (F(*bound["m"]), F(*bound["A"])) == (F(9, 2), -F(9, 2) - 3)
+    # a remainder raises and never floors: 16 * alpha/3 at alpha = 1 (L = 1) is not an int
+    monkeypatch.setitem(PRINTED_SYSTEMS, "G1", "A1 = alpha/3, B1 = beta, C1 = 1")
     with pytest.raises(ArithmeticError):
-        q({_UNIT: 2, "beta": 1})
+        match_printed_system(FamilyParams("G1", alpha=1, beta=1))
 
 
-def test_integer_plan_refuses_what_it_cannot_state_on_ints():
-    for text in ("q = alpha/beta", "q = alpha/(2*beta)", "q = alpha^eta", "m = alpha, q = beta/m"):
-        with pytest.raises(ValueError):
-            _formula(text, homogeneous=True)
-        assert _formula(text), text
-    with pytest.raises(ValueError):
-        _formula("q = alpha, alpha != 0", homogeneous=True)
+def test_integer_plan_divides_by_names_runs_checks_and_refuses_a_power_by_a_name():
+    """Both forms state a quotient by a name, raising ZeroDivisionError where it
+    is zero, and a check; a `^` by a name is refused at compile, in either form."""
+    for text in ("q = alpha/beta", "q = alpha/(2*beta)", "m = alpha, q = beta/m"):
+        for exact in (False, True):
+            assert _formula(text, exact), text
+        values = {"alpha": F(3, 2), "beta": F(-5, 7)}
+        assert _evaluate(text, values, Mode.exact())["q"] == _evaluate(text, values, Mode.approx())["q"]
+        for mode in (Mode.exact(), Mode.approx()):
+            with pytest.raises(ZeroDivisionError):
+                _evaluate(text, {"alpha": F(0), "beta": F(0)}, mode)
+    assert _run("q = alpha, alpha != 0", {"alpha": (0, 3)}) is None
+    assert _run("q = alpha, alpha != 0", {"alpha": (2, 3)}) == {"q": (2, 3)}
+    for text in ("q = alpha^eta", "q = alpha^(-1)", "q = alpha^beta, beta = 2"):
+        for exact in (False, True):
+            with pytest.raises(ValueError):
+                _formula(text, exact)
 
 
 def test_formula_must_bind_every_name_it_reads():

@@ -183,7 +183,7 @@ def test_match_printed_system_approx_mode():
 def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family_samples_100):
     """Exact is_ein2 and match_printed_system read only the integer contraction,
     and exact fidelity evaluates the tabulated texts on ints only: it runs
-    their integer plans and calls `_evaluate` on no Fraction."""
+    their exact plans on int pairs and calls `_evaluate` on no Fraction."""
     points = [params for samples in family_samples_100.values() for params in samples[:10]]
     references = [ricci_rows(ricci(build_family(p)), DELTA) for p in points]
 
@@ -192,20 +192,21 @@ def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family
 
     for name in ("rho", "rho_op", "rho_sq"):
         monkeypatch.setattr(RicciData, name, property(refuse))
-    evaluate, evaluate_integer, integer_runs = ein2._evaluate, ein2._evaluate_integer, []
+    evaluate, run, integer_runs = ein2._evaluate, ein2._run, []
 
     def no_fraction(text, values, mode):
         assert not any(isinstance(x, Fraction) for x in values.values()), values
         return evaluate(text, values, mode)
 
-    def ints_only(text, values, degree):
-        out = evaluate_integer(text, values, degree)
-        assert all(type(x) is int for x in [*values.values(), *out.values()]), (values, out)
+    def ints_only(text, pairs):
+        out = run(text, pairs)
+        pairs = [*pairs.values(), *out.values()]
+        assert all(type(x) is int for pair in pairs for x in pair), (pairs, out)
         integer_runs.append(text)
         return out
 
     monkeypatch.setattr(ein2, "_evaluate", no_fraction)
-    monkeypatch.setattr(ein2, "_evaluate_integer", ints_only)
+    monkeypatch.setattr(ein2, "_run", ints_only)
     for params, rows in zip(points, references):
         assert_matches_elimination(is_ein2(build_family(params)), rows, Mode.exact())
         assert match_printed_system(params), params
@@ -277,7 +278,7 @@ def test_match_printed_system_rejects_a_changed_table(monkeypatch, family_sample
 
 def test_importing_the_package_compiles_no_integer_plan():
     """Import compiles no formula; an exact fidelity check then compiles its
-    family's integer plan, and only that."""
+    family's exact plan on int pairs, and only that."""
     src = os.path.dirname(os.path.dirname(ein2lie.__file__))
     code = (
         "import ein2lie; size = ein2lie.liealg._formula.cache_info().currsize; "

@@ -1,0 +1,187 @@
+"""The exact form of every formula text and relation against its scalar form, and
+the exact hot path's freedom from Fraction arithmetic."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ein2lie import (
+    BRANCHES,
+    FAMILIES,
+    Mode,
+    build_family,
+    is_ein2,
+    match_printed_system,
+    sample_branch,
+    sample_off_branch,
+    sample_valid_points,
+    validate_params,
+    verify_branch,
+)
+from ein2lie.branches import _CASE_TEXTS
+from ein2lie.ein2 import PRINTED_SYSTEMS
+from ein2lie.liealg import (
+    FAMILY_PIECES,
+    _compile_clauses,
+    _evaluate,
+    _family_relations,
+    _formula,
+    _pairs,
+)
+
+F = Fraction
+EXACT, APPROX = Mode.exact(), Mode.approx()
+
+_TEXTS = sorted(
+    {spec.lambdas for spec in BRANCHES}
+    | {text for texts in _CASE_TEXTS.values() for text in texts}
+    | {spec.quartic for spec in BRANCHES if spec.quartic}
+    | set(PRINTED_SYSTEMS.values())
+)
+#: Every relation of every branch, family constraint and family piece, by family.
+_FAMILY_RELATIONS = {
+    family: [
+        *(relation for spec in BRANCHES if spec.family == family for relation in spec.relations),
+        *_family_relations(family),
+        *(relation for _, text in FAMILY_PIECES[family] if text for relation in _compile_clauses(text)),
+    ]
+    for family in FAMILIES
+}
+_RELATIONS = [relation for relations in _FAMILY_RELATIONS.values() for relation in relations]
+
+# Zero and small values make equalities hold and quotients divide by zero;
+# large denominators make the unnormalised pairs grow.
+_VALUES = st.one_of(
+    st.just(F(0)),
+    st.sampled_from([F(n, d) for n in range(-3, 4) for d in (1, 2)]),
+    st.fractions(min_value=-10, max_value=10, max_denominator=10**6),
+)
+_POINTS = st.fixed_dictionaries(
+    {"alpha": _VALUES, "beta": _VALUES, "gamma": _VALUES, "delta": _VALUES, "eta": st.sampled_from((1, -1))}
+)
+
+
+def _outcome(run):
+    """What `run()` gives, or the type of the error it raises."""
+    try:
+        return run()
+    except ZeroDivisionError as error:
+        return type(error)
+
+
+def _scalar_evaluate(text, values, mode):
+    """`_evaluate` by the text's scalar plan, as it runs on floats."""
+    values = dict(values)
+    for kind, name, arg in _formula(text):
+        if kind == "set":
+            values[name] = arg(values)
+        elif not arg.within(values, mode):
+            return None
+    return values
+
+
+@pytest.mark.parametrize("text", _TEXTS)
+@given(values=_POINTS)
+@settings(max_examples=40, deadline=None)
+def test_exact_plan_of_every_formula_text_equals_its_scalar_plan(text, values):
+    """Each bound value is the same Fraction; a failed check and a ZeroDivisionError
+    come at the same points; in approx mode the scalar plan runs unchanged."""
+    scalar = _outcome(lambda: _scalar_evaluate(text, values, EXACT))
+    exact = _outcome(lambda: _evaluate(text, values, EXACT))
+    if not isinstance(scalar, dict):
+        assert exact == scalar
+        return
+    assert exact.keys() == scalar.keys()
+    bound = exact.keys() - values.keys()
+    assert all(type(exact[name]) is Fraction and exact[name] == F(scalar[name]) for name in bound)
+    assert _outcome(lambda: _evaluate(text, values, APPROX)) == _outcome(
+        lambda: _scalar_evaluate(text, values, APPROX)
+    )
+
+
+@given(values=_POINTS, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_exact_form_of_every_relation_decides_as_its_scalar_form(values, data):
+    """Every relation of every branch, family constraint and family piece: its
+    exact test at int pairs is the scalar test in exact mode, `holds` runs it in
+    exact mode and the scalar test in approx mode, and both forms raise
+    ZeroDivisionError at the same points."""
+    relation = data.draw(st.sampled_from(_RELATIONS))
+    pairs = _pairs(values)
+    scalar = _outcome(lambda: relation.within(values, EXACT))
+    assert _outcome(lambda: relation.decide(dict(pairs))) == scalar
+    assert _outcome(lambda: relation.holds(values, EXACT)) == scalar
+    assert _outcome(lambda: relation.holds(values, APPROX)) == _outcome(
+        lambda: relation.within(values, APPROX)
+    )
+    for side in range(2) if hasattr(relation, "sides") else ():
+        bound = _outcome(lambda: relation.sides[side](values))
+        pair = _outcome(lambda: relation.exact[0][side](dict(pairs)))
+        assert (F(*pair) if isinstance(pair, tuple) else pair) == bound
+
+
+def test_exact_forms_agree_on_the_seed_7_samples():
+    """At the branch samples, where equalities hold by construction, each relation
+    of their family decides alike in both forms."""
+    for spec in BRANCHES:
+        for params in sample_branch(spec, 10, seed=7):
+            if params.mode().is_exact:
+                values = vars(params)
+                for relation in _FAMILY_RELATIONS[spec.family]:
+                    exact = _outcome(lambda: relation.decide(_pairs(values)))
+                    assert exact == _outcome(lambda: relation.within(values, EXACT))
+
+
+@pytest.mark.parametrize("power", ["alpha^beta", "alpha^eta", "alpha^(-1)", "alpha^2.0"])
+def test_a_power_by_anything_but_a_non_negative_integer_constant_is_refused_at_compile(power):
+    with pytest.raises(ValueError):
+        _compile_clauses(f"{power} != 0")
+    for exact in (False, True):
+        with pytest.raises(ValueError):
+            _formula(f"q = {power}", exact)
+
+
+_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+    "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__", "__rmod__", "__divmod__",
+    "__rdivmod__", "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__",
+)
+
+
+def test_the_exact_hot_path_does_no_fraction_arithmetic(monkeypatch):
+    """With every arithmetic dunder of Fraction raising, the exact samplers,
+    membership tests, validation, stated lambdas, branch replays without a root
+    step, verdicts and fidelity checks of the seed-7 run still complete."""
+    exact_branches = [
+        spec for spec in BRANCHES if all(p.mode().is_exact for p in sample_branch(spec, 50, seed=7))
+    ]
+    expected = {spec.label: verify_branch(spec, 50, seed=7).verdict for spec in exact_branches}
+    assert len(exact_branches) == 26
+    valid = {family: sample_valid_points(family, 100, seed=7) for family in FAMILIES}
+    kinds = {family: [is_ein2(build_family(p)).kind for p in valid[family]] for family in FAMILIES}
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic on the exact path")
+
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refuse)
+    with pytest.raises(AssertionError):
+        F(1, 2) + 1
+    for spec in exact_branches:
+        samples = sample_branch(spec, 50, seed=7)
+        for params in samples:
+            validate_params(params)
+            assert spec.member(params, EXACT), (spec.label, params)
+            spec.expected(params, EXACT)
+        assert verify_branch(spec, 50, seed=7).verdict == expected[spec.label]
+    for family in FAMILIES:
+        assert sample_valid_points(family, 100, seed=7) == valid[family]
+        assert [is_ein2(build_family(p)).kind for p in valid[family]] == kinds[family]
+        for params in valid[family]:
+            assert match_printed_system(params), params
+        for params in sample_off_branch(family, 100, seed=7):
+            assert is_ein2(build_family(params)).kind == "none", params

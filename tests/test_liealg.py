@@ -258,16 +258,17 @@ def test_family_table_reads_exactly_the_params_used():
 
 
 def test_importing_the_package_loads_no_dataclasses_and_compiles_no_formula():
-    """A stdlib-only import (-S) leaves dataclasses and inspect unloaded and every
-    formula cache empty: the families' constraints and samplers compile on first use."""
+    """A stdlib-only import (-S) leaves dataclasses, inspect, typing and ast unloaded
+    and every formula cache empty: the families' constraints and samplers compile on
+    first use, and the clause compiler loads ast on its first compile."""
     src = os.path.dirname(os.path.dirname(ein2lie.__file__))
     code = (
         "import sys; import ein2lie; from ein2lie.liealg import _compile_clause, _formula; "
         "print(ein2lie.__file__.startswith(sys.argv[1]), 'dataclasses' in sys.modules, "
-        "'inspect' in sys.modules, _compile_clause.cache_info().currsize, "
-        "_formula.cache_info().currsize)"
+        "'inspect' in sys.modules, 'typing' in sys.modules, 'ast' in sys.modules, "
+        "_compile_clause.cache_info().currsize, _formula.cache_info().currsize)"
     )
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True,
                          env=env, check=True)
-    assert run.stdout.split() == ["True", "False", "False", "0", "0"]
+    assert run.stdout.split() == ["True", "False", "False", "False", "False", "0", "0"]
