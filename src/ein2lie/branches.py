@@ -45,10 +45,9 @@ texts, each its checks followed by its formula: the first whose checks
 pass gives the recomputed lambdas, and none passing gives None.  The
 last is the family's generic case, the stated formula of its float
 branch, and each errata note quotes the formula text it evaluates.
-One evaluator, `liealg._evaluate`, runs every formula text: the stated
-lambdas, the case identities, the quartics and the tabulated systems of
-`ein2.PRINTED_SYSTEMS`, on exact values as the text's exact plan on int
-pairs (`liealg._run`).
+Each sampler (`BranchSpec.plan`, `_piece_plans`) and each formula text,
+`ein2.PRINTED_SYSTEMS` too, is a plan of steps from one builder, run by
+one runner on int pairs for exact values (`liealg._plan`, `_execute`).
 
 `verify_branch` replays a branch against the solver: every sample must
 be Ein(2) and the stated lambdas must lie in the computed solution set
@@ -66,7 +65,6 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
 from fractions import Fraction
 from functools import cache, cached_property, partial
 
@@ -75,14 +73,17 @@ from .liealg import (
     FAMILY_PIECES,
     FamilyParams,
     LieAlgebraError,
+    _PARAM_NAMES,
     _Relation,
     _compile_clauses,
     _evaluate,
+    _execute,
     _family_relations,
     _first_failure,
-    _next_step,
+    _formula,
     _numbers,
-    _run,
+    _pairs,
+    _plan,
     build_family,
     family_table,
 )
@@ -160,11 +161,13 @@ class BranchSpec(_Value):
         return _compile_clauses(text) + quartic
 
     @cached_property
-    def draw(self) -> Callable[[random.Random], FamilyParams | None]:
-        """The sampler: one draw of the branch's relations and then its family's, or None."""
-        return _rational_draw(
-            self.family, self.free, self.relations + _family_relations(self.family)
-        )
+    def plan(self) -> tuple:
+        """The sampler's plan (`liealg._plan`): its draws, the branch's relations, then its family's."""
+        return _plan(self.relations + _family_relations(self.family), self.free)
+
+    def draw(self, rng: random.Random) -> FamilyParams | None:
+        """One run of the sampler's plan (`_sample`): a point of the branch, or None."""
+        return _sample(self.family, self.plan, rng)
 
     def member(self, params: FamilyParams, mode: Mode) -> bool:
         """Membership test: every relation holds, evaluated in order."""
@@ -232,8 +235,10 @@ def _rng_for(seed: int, label: str) -> random.Random:
     return random.Random(f"{seed}|{label}")
 
 
-def _draw(rng: random.Random, nonzero: bool = False) -> tuple[int, int]:
-    """A grid value n/d as its int pair (n, d)."""
+def _draw(rng: random.Random, name: str, nonzero: bool) -> tuple[int, int]:
+    """A grid value n/d as its int pair (n, d); eta's is a random sign."""
+    if name == "eta":
+        return _sign(rng), 1
     while True:
         n, d = rng.randrange(-6, 7), rng.choice(_DENOMINATORS)
         if n or not nonzero:
@@ -297,14 +302,15 @@ _THEOREM_FAMILY = {
 
 class _QuarticRoot:
     """The relation `alpha^2 = a root of the quartic`, whose formula text binds its
-    coefficients (qa, qb, qc) in alpha^2 from (beta, gamma); `root` binds alpha."""
+    coefficients (qa, qb, qc) in alpha^2 from the parameters it reads; `_root` binds alpha."""
 
     clause, equal, bare, squared = _QUARTIC_CLAUSE, True, (None, None), ("alpha", None)
-    names = (frozenset({"alpha"}), frozenset({"beta", "gamma"}))
     holds = _Relation.holds
 
     def __init__(self, text: str):
         self.text, self.test = text, f"{text}, qa*alpha^4 + qb*alpha^2 + qc = 0"
+        read = frozenset().union(*(r.names[0] | r.names[1] for r in _compile_clauses(text, names=None)))
+        self.names = (frozenset({"alpha"}), read.intersection(_PARAM_NAMES))
 
     def coefficients(self, values) -> tuple[Scalar, Scalar, Scalar]:
         bound = _evaluate(self.text, values, None)
@@ -314,67 +320,23 @@ class _QuarticRoot:
         return _evaluate(self.test, values, mode) is not None
 
     def decide(self, pairs) -> bool:
-        return _run(self.test, dict(pairs)) is not None
-
-    def root(self, values, rng: random.Random) -> float | None:
-        """A random sign times the square root of a random positive root; None if none."""
-        roots = _positive_quadratic_roots(*self.coefficients(values))
-        return _sign(rng) * math.sqrt(rng.choice(roots)) if roots else None
+        return _execute(_formula(self.test), dict(pairs), True) is not None
 
 
-def _signed_root(square, values, rng: random.Random) -> float:
-    """A random sign times the square root of `square(values)`."""
-    return _sign(rng) * math.sqrt(float(square(values)))
+def _root(rng: random.Random, relation, name: str, values) -> float | None:
+    """The value a root step of `relation` binds to `name`: a random sign times the square root
+    of the other side, or of a random positive root of the quartic; None if it has none."""
+    if not isinstance(relation, _QuarticRoot):
+        return _sign(rng) * math.sqrt(float(relation.sides[1 - relation.squared.index(name)](values)))
+    roots = _positive_quadratic_roots(*relation.coefficients(values))
+    return _sign(rng) * math.sqrt(rng.choice(roots)) if roots else None
 
 
-def _root(relation, name: str):
-    """The draw binding `name` by the root step of `relation` (`_next_step`)."""
-    if isinstance(relation, _QuarticRoot):
-        return relation.root
-    return partial(_signed_root, relation.sides[1 - relation.squared.index(name)])
-
-
-def _rational_draw(
-    family: str, free: str, relations
-) -> Callable[[random.Random], FamilyParams | None]:
-    """Compile a sampler from its free parameters and relations.
-
-    The plan draws each free parameter in turn, then binds or checks
-    every relation that has become decidable, as the module docstring
-    describes: on the int pairs it draws, in exact forms, up to a root
-    step, which turns them into numbers for the scalar forms in approx mode.
-    """
-    mode = Mode.exact()
-    plan, bound, pending = [], set(), list(relations)
-    free_names = {token.rstrip("*") for token in free.split()}
-    for token in free.split():
-        name = token.rstrip("*")
-        plan.append(("draw", name, token.endswith("*")))
-        bound.add(name)
-        while (step := _next_step(pending, bound, free_names, mode, mode.is_exact)) is not None:
-            if step[0] == "root":
-                step, mode = ("root", step[1], _root(step[2], step[1])), Mode.approx()
-            plan.append(step)
-    if pending:
-        raise ValueError(f"{family}: {pending[0].clause!r} is not fixed by {free!r}")
-
-    def draw(rng: random.Random) -> FamilyParams | None:
-        values = {}
-        for kind, name, arg in plan:
-            if kind == "draw":
-                values[name] = (_sign(rng), 1) if name == "eta" else _draw(rng, nonzero=arg)
-            elif kind == "set":
-                values[name] = arg(values)
-            elif kind == "root":
-                values = _numbers(values)
-                if (value := arg(values, rng)) is None:
-                    return None
-                values[name] = value
-            elif not (arg.decide(values) if name.is_exact else arg.within(values, name)):
-                return None
-        return FamilyParams(family, **_numbers(values))
-
-    return draw
+def _sample(family: str, plan: tuple, rng: random.Random) -> FamilyParams | None:
+    """One run of a sampler plan, with grid draws (`_draw`) and random roots (`_root`):
+    its point, or None once a check rejects it or a root step finds no root."""
+    values = _execute(plan, {}, True, None, _draw, _root, rng)
+    return None if values is None else FamilyParams(family, **_numbers(values))
 
 
 # ---------------------------------------------------------------------------
@@ -748,13 +710,11 @@ def classify(
 # ---------------------------------------------------------------------------
 
 @cache
-def _family_draws(family: str) -> tuple:
-    """The samplers of the family's pieces (`FAMILY_PIECES`), which also
-    check the family constraints; compiled on the family's first use."""
+def _piece_plans(family: str) -> tuple:
+    """The sampler plans of the family's pieces (`FAMILY_PIECES`), which
+    check the family constraints first; compiled on the family's first use."""
     return tuple(
-        _rational_draw(
-            family, free, _family_relations(family) + (_compile_clauses(text) if text else ())
-        )
+        _plan(_family_relations(family) + (_compile_clauses(text) if text else ()), free)
         for free, text in FAMILY_PIECES[family]
     )
 
@@ -767,10 +727,10 @@ def sample_family_point(family: str, rng: random.Random) -> FamilyParams:
     """
     if family not in FAMILY_PIECES:
         raise ValueError(f"unknown family {family!r}")
-    draws = _family_draws(family)
+    plans = _piece_plans(family)
 
     def draw() -> FamilyParams | None:
-        return (draws[rng.randrange(len(draws))] if len(draws) > 1 else draws[0])(rng)
+        return _sample(family, plans[rng.randrange(len(plans))] if len(plans) > 1 else plans[0], rng)
 
     return _first_draw(draw, f"{family}: no valid point")
 
@@ -783,10 +743,12 @@ def sample_valid_points(family: str, count: int, seed: int = DEFAULT_SEED) -> li
 def sample_off_branch(family: str, count: int, seed: int = DEFAULT_SEED) -> list[FamilyParams]:
     """Valid parameter points of the family matching no branch constraints."""
     draw = partial(sample_family_point, family, _rng_for(seed, f"offbranch|{family}"))
-    specs, mode = branches_for(family), Mode.exact()
+    branches = [spec.relations for spec in branches_for(family)]
 
     def off_branch(params: FamilyParams) -> bool:
-        return not any(spec.member(params, mode) for spec in specs)
+        # The points are exact: one conversion to int pairs serves every branch's membership test.
+        pairs = _pairs(vars(params))
+        return not any(all(relation.decide(pairs) for relation in relations) for relations in branches)
 
     return [_first_draw(draw, f"{family}: no off-branch sample", off_branch) for _ in range(count)]
 

@@ -187,16 +187,22 @@ def _load_raw(path: str, mode: Mode) -> StructureConstants:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}: invalid JSON ({exc.msg})") from exc
     table = doc.get("c") if isinstance(doc, dict) else None
-    if table is None and isinstance(doc, dict):
-        table = doc.get("structure_constants", {}).get("c")
+    if table is None and isinstance(doc, dict) and isinstance(doc.get("structure_constants"), dict):
+        table = doc["structure_constants"].get("c")
     if table is None:
         raise InputError(f"{path}: field 'c' (or 'structure_constants.c') missing")
-    try:
-        entries = [[[_raw_entry(path, table, i, j, k, mode) for k in range(3)] for j in range(3)]
-                   for i in range(3)]
-    except (IndexError, TypeError) as exc:
-        raise InputError(f"{path}: field 'c' must be a 3x3x3 array") from exc
+    if not _is_cube(table):
+        raise InputError(f"{path}: field 'c' must be a 3x3x3 array")
+    entries = [[[_raw_entry(path, table, i, j, k, mode) for k in range(3)] for j in range(3)]
+               for i in range(3)]
     return from_raw(entries, mode)
+
+
+def _is_cube(table, depth: int = 3) -> bool:
+    """`table` is a list of three entries, each such a list down to `depth` levels."""
+    return type(table) is list and len(table) == 3 and (
+        depth == 1 or all(_is_cube(plane, depth - 1) for plane in table)
+    )
 
 
 def _raw_entry(path: str, table, i, j, k, mode: Mode) -> Scalar:

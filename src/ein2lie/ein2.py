@@ -25,11 +25,12 @@ Ricci contraction for exact data.  `solve` solves them for one
 `match_printed_system` compares the same rows with the tabulated
 systems, so the fidelity check reads the rows every verdict is decided
 on.  The tabulated systems are formula texts (`PRINTED_SYSTEMS`),
-compiled by the compiler of every other formula of the package.  For
-exact data each text runs once per point as its exact plan on int pairs,
-whose entries an exact int division puts on the scale of `_rows`, and
-the two sides compare as sets of sign-canonical int rows; float rows are
-compared within tolerance with the text evaluated on floats.  `_solve`
+compiled by the compiler of every other formula of the package and run
+by its one plan runner (`liealg._execute`).  For exact data each text's
+plan runs once per point on int pairs, whose entries an exact int
+division puts on the scale of `_rows`, and the two sides compare as sets
+of sign-canonical int rows; float rows are compared within tolerance
+with the text evaluated on floats.  `_solve`
 computes the affine solution set from 2x2 minors, in plain int loops for
 exact rows and with tolerance tests for float ones.  For unsolvable systems
 the reported residual is the minimal achievable sup-norm over all
@@ -47,7 +48,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .geometry import RicciData, ricci
-from .liealg import EPS, FamilyParams, StructureConstants, _evaluate, _pairs, _run, build_family
+from .liealg import EPS, FamilyParams, StructureConstants, _evaluate, _execute, _formula, _pairs, build_family
 from .scalars import Mode, Scalar, is_exact
 
 DELTA = "delta"
@@ -364,15 +365,16 @@ def _printed_rows(params: FamilyParams, mode: Mode, scale: int) -> list[tuple[Sc
     """The family's tabulated rows (A_i, B_i, C_i) at `params`, on the scale of `_rows`.
 
     Exact, they are the ints 16 L^4 (A_i, B_i, C_i), L = `scale`, the
-    `RicciData.scale` of the point: the family's text runs as its exact
-    plan on int pairs (`liealg._run`), and each entry n/d becomes
+    `RicciData.scale` of the point: the plan of the family's text runs on
+    int pairs in exact forms (`liealg._execute`), and each entry n/d becomes
     16 L^4 n / d by an exact int division, whose remainder raises and
     never floors.  Every parameter the family reads is a bracket, so L*p
     is an int, and every entry is of degree at most 4.  Approx, they are
     the floats `_evaluate` gives, the scale of float rows being 1.
     """
     text, unit = PRINTED_SYSTEMS[params.family], 16 * scale**4
-    values = _run(text, _pairs(vars(params))) if mode.is_exact else _evaluate(text, vars(params), mode)
+    values = (_execute(_formula(text), _pairs(vars(params)), True) if mode.is_exact
+              else _evaluate(text, vars(params), mode))
 
     def entry(name):
         if not mode.is_exact:
@@ -417,7 +419,7 @@ def match_printed_system(params: FamilyParams, mode: Mode | None = None) -> bool
     the family's tabulated equations on the same scale (`_printed_rows`),
     up to row sign, ordering and repetition: every nonzero row on either
     side is a row of the other.  Exact mode compares ints, the tabulated
-    ones from the text's exact plan, as sets of sign-canonical rows
+    ones from the text's plan on int pairs, as sets of sign-canonical rows
     (`_canonical`), so neither side builds a Fraction; approx mode tests
     each row against the other side within tolerance (`_covers`).
     """

@@ -14,9 +14,10 @@ non-unimodular ones.  Each family carries the parameter constraints
 listed in `FAMILY_CONSTRAINTS`, which `validate_params` compiles and
 checks, and the pieces of its parameter variety listed in
 `FAMILY_PIECES`, from which its points are sampled.  The same clause
-compiler reads the package's formula texts, which bind names in turn
-(`_formula`); `_evaluate` runs them, exact values on int pairs with no
-Fraction arithmetic (`_term`).  Arbitrary tables enter through
+compiler reads the package's formula texts, which bind names in turn.
+One builder makes the plan of a text or a sampler (`_plan`) and one
+runner executes every plan (`_execute`), exact values on int pairs with
+no Fraction arithmetic (`_term`).  Arbitrary tables enter through
 `from_raw`, which enforces antisymmetry but deliberately not the Jacobi
 identity: `jacobi_ok` decides it, and `geometry.ricci` raises
 NotLieAlgebra where it fails.
@@ -120,7 +121,7 @@ class FamilyParams(_Value):
         if eta is not None and type(eta) is not int:
             raise TypeError(f"eta must be an int, got {eta!r}")
         if eta is not None and eta not in (1, -1):
-            raise ConstraintViolation("eta = 1 or -1", f"got eta = {eta}")
+            raise ConstraintViolation(FAMILY_CONSTRAINTS["G4"], f"got eta = {eta}")
         self.eta = eta
 
     def mode(self) -> Mode:
@@ -365,13 +366,13 @@ def _parse_clause(clause: str) -> tuple[list, list]:
     return tree.ops, [tree.left, *tree.comparators]
 
 
-def _next_step(pending, bound, free, mode: Mode | None, exact: bool = False):
+def _next_step(pending, bound, free):
     """Take the first pending relation that the `bound` names decide; return its step.
 
     An equality binds a bare name, or the square root of a squared one,
-    only if that name is neither bound nor free: ("set", name, the other
-    side, in exact form if `exact`) or ("root", name, the relation).  Any
-    other decided relation is a check, ("check", mode, relation).
+    only if that name is neither bound nor free: ("set", name, (relation,
+    the side that gives its value)) or ("root", name, relation).  Any
+    other decided relation is a check, ("check", None, relation).
     """
     for relation in pending:
         for side in (0, 1) if relation.equal else ():
@@ -379,56 +380,84 @@ def _next_step(pending, bound, free, mode: Mode | None, exact: bool = False):
             if name not in bound | free | {None} and relation.names[1 - side] <= bound:
                 pending.remove(relation)
                 bound.add(name)
-                if relation.bare[side]:
-                    return "set", name, (relation.exact if exact else relation.scalar)[0][1 - side]
-                return "root", name, relation
+                return ("set", name, (relation, 1 - side)) if relation.bare[side] else ("root", name, relation)
         if relation.names[0] | relation.names[1] <= bound:
             pending.remove(relation)
-            return "check", mode, relation
+            return "check", None, relation
     return None
+
+
+def _plan(relations, free: str = "", bound=()) -> tuple:
+    """The steps, as data, that draw the `free` names and bind or check each relation.
+
+    `free` lists names in draw order, "*" marking a nonzero draw: a step
+    ("draw", name, nonzero) each.  After each draw, or once if there is
+    none, every relation the bound names decide is a step (`_next_step`).
+    """
+    plan, bound, pending = [], set(bound), list(relations)
+    free_names = {token.rstrip("*") for token in free.split()}
+    for token in free.split() or [""]:
+        if name := token.rstrip("*"):
+            plan.append(("draw", name, token.endswith("*")))
+            bound.add(name)
+        while (step := _next_step(pending, bound, free_names)) is not None:
+            plan.append(step)
+    if pending:
+        raise ValueError(f"{pending[0].clause!r} reads a name that no draw and no equality binds")
+    return tuple(plan)
 
 
 # Compiled on first use, once, so that importing the package compiles no formula.
 @functools.lru_cache(maxsize=None)
-def _formula(text: str, exact: bool = False) -> tuple:
-    """Compile a formula text to its plan of "set" and "check" steps (`_next_step`), exact ones for `_run`."""
-    pending = [relation for clause in text.split(", ") for relation in _compile_clause(clause)]
-    plan, bound = [], set(_PARAM_NAMES)
-    while (step := _next_step(pending, bound, set(), None, exact)) is not None:
-        plan.append(step)
-    if pending or any(kind == "root" for kind, _, _ in plan):
+def _formula(text: str) -> tuple:
+    """The plan of a formula text (`_plan`) with every parameter bound: its "set" and "check" steps."""
+    plan = _plan(_compile_clauses(text, names=None), bound=_PARAM_NAMES)
+    if any(kind == "root" for kind, _, _ in plan):
         raise ValueError(f"formula {text!r} does not bind each name it reads by a bare equality")
-    return tuple(plan)
+    return plan
 
 
-def _run(text: str, pairs: dict) -> dict | None:
-    """The int pairs the formula text's exact plan binds, also entered into `pairs`; None once a check fails."""
-    bound = {}
-    for kind, name, arg in _formula(text, True):
+def _execute(
+    plan, values: dict, exact: bool, mode: Mode | None = None, draw=None, root=None, rng=None
+) -> dict | None:
+    """Run a plan's steps on `values`, which gain every name the plan binds; None once a check fails.
+
+    `exact` values are int pairs, on which the steps run in exact forms
+    until a root step turns them into numbers (`_numbers`); the steps
+    then run in scalar forms, their checks in approx mode.  Checks on
+    numbers from the start run in `mode`.  A draw step binds
+    `draw(rng, name, nonzero)`, an int pair, and a root step `root(rng,
+    relation, name, values)`, a number, or rejects them if that is None.
+    """
+    for kind, name, arg in plan:
         if kind == "set":
-            pairs[name] = bound[name] = arg(pairs)
-        elif not arg.decide(pairs):
-            return None
-    return bound
+            relation, side = arg
+            values[name] = (relation.exact if exact else relation.scalar)[0][side](values)
+        elif kind == "check":
+            if not (arg.decide(values) if exact else arg.within(values, mode)):
+                return None
+        elif kind == "draw":
+            values[name] = draw(rng, name, arg)
+        else:
+            values, exact, mode = _numbers(values), False, Mode.approx()
+            if (value := root(rng, arg, name, values)) is None:
+                return None
+            values[name] = value
+    return values
 
 
 def _evaluate(text: str, values: Mapping[str, Scalar], mode: Mode | None) -> dict | None:
     """The `values` and every name the formula text binds; None once one of its checks fails.
 
     The checks run in `mode`; a text without checks needs none.  Exact
-    values, unless `mode` is approx, run the exact plan (`_run`).
+    values, unless `mode` is approx, run on int pairs (`_execute`), and
+    only the names the text binds become Fractions.
     """
     pairs = _pairs(values) if mode is None or mode.is_exact else None
-    if pairs is not None:
-        bound = _run(text, pairs)
-        return None if bound is None else {**values, **_numbers(bound)}
-    values = dict(values)
-    for kind, name, arg in _formula(text):
-        if kind == "set":
-            values[name] = arg(values)
-        elif not arg.within(values, mode):
-            return None
-    return values
+    if pairs is None:
+        return _execute(_formula(text), dict(values), False, mode)
+    pairs = _execute(_formula(text), pairs, True)
+    return None if pairs is None else {**values, **_numbers({n: x for n, x in pairs.items() if n not in values})}
 
 
 FAMILY_CONSTRAINTS = {
@@ -494,7 +523,7 @@ def validate_params(params: FamilyParams, mode: Mode | None = None) -> None:
     mode; strict inequalities read |expr| > tolerance in approx mode.
     """
     if params.family == "G4" and params.eta not in (1, -1):
-        raise ConstraintViolation("eta = 1 or -1", f"got eta = {params.eta}")
+        raise ConstraintViolation(FAMILY_CONSTRAINTS["G4"], f"got eta = {params.eta}")
     if mode is None:
         mode = params.mode()
     values = vars(params)

@@ -37,9 +37,9 @@ from ein2lie.branches import (
     _QUARTIC_CLAUSE,
     BranchSpec,
     _QuarticRoot,
-    _family_draws,
+    _piece_plans,
     _positive_quadratic_roots,
-    _rational_draw,
+    _sample,
     sample_family_point,
 )
 from ein2lie import ein2
@@ -50,8 +50,10 @@ from ein2lie.liealg import (
     PARAMS_USED,
     _compile_clauses,
     _evaluate,
+    _execute,
     _formula,
-    _run,
+    _pairs,
+    _plan,
     family_table,
 )
 from ein2lie.reporting import expected_json
@@ -162,11 +164,11 @@ def test_branch_sampler_checks_the_family_constraints():
 
 def test_family_samplers_are_bounded(monkeypatch):
     """Every sampler gives up after MAX_DRAWS draws, with its own message."""
-    monkeypatch.setattr("ein2lie.branches._family_draws", lambda family: (lambda rng: None,))
+    monkeypatch.setattr("ein2lie.branches._sample", lambda family, plan, rng: None)
     with pytest.raises(EmptyBranch, match=r"^G1: no valid point in 10000 draws$"):
         sample_family_point("G1", random.Random(0))
-    on_branch = (lambda rng: FamilyParams("G1", alpha=1, beta=0),)
-    monkeypatch.setattr("ein2lie.branches._family_draws", lambda family: on_branch)
+    on_branch = lambda family, plan, rng: FamilyParams("G1", alpha=1, beta=0)
+    monkeypatch.setattr("ein2lie.branches._sample", on_branch)
     with pytest.raises(EmptyBranch, match=r"^G1: no off-branch sample in 10000 draws$"):
         sample_off_branch("G1", 1)
 
@@ -290,6 +292,83 @@ def test_off_branch_points_are_not_ein2():
     for family in ("G1", "G3", "G6", "G7"):
         for params in sample_off_branch(family, 25, seed=7):
             assert is_ein2(build_family(params)).kind == "none", params
+
+
+def test_off_branch_sampling_converts_each_drawn_point_to_int_pairs_once(monkeypatch):
+    """Every branch of the family tests an off-branch candidate on one set of int pairs."""
+    from ein2lie import branches, liealg
+
+    counts = collections.Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+        return counted
+
+    for module in (branches, liealg):
+        monkeypatch.setattr(module, "_pairs", counting("conversions", module._pairs))
+    monkeypatch.setattr(branches, "_sample", counting("draws", branches._sample))
+    assert len(sample_off_branch("G3", 20, 7)) == 20
+    assert len(branches.branches_for("G3")) == 8
+    assert 20 <= counts["conversions"] <= counts["draws"], counts
+
+
+#: The branches whose sampler binds a parameter by a square root.
+_ROOT_BRANCHES = {"2.7(viii)", "3.2(iv)", "3.4(vii)", "3.4(viiii)"}
+
+
+def test_every_sampler_plan_is_data():
+    """Read as it stands, each branch's and family piece's sampler plan is a tuple of
+    draw, set, root and check steps: draws of the free text in order, with its
+    nonzero flags, then relations; exactly the four float branches have a root step."""
+    plans = [(spec.label, spec.free, spec.plan) for spec in BRANCHES] + [
+        (f"{family} {free}", free, plan)
+        for family, pieces in FAMILY_PIECES.items()
+        for (free, _), plan in zip(pieces, _piece_plans(family))
+    ]
+    assert len(plans) == 30 + 12
+    roots = {}
+    for label, free, plan in plans:
+        assert type(plan) is tuple and all(len(step) == 3 for step in plan), label
+        draws = [(name, arg) for kind, name, arg in plan if kind == "draw"]
+        assert draws == [(token.rstrip("*"), token.endswith("*")) for token in free.split()], label
+        for kind, name, arg in plan:
+            assert kind in ("draw", "set", "root", "check"), (label, kind)
+            if kind == "set":
+                relation, side = arg
+                assert relation.bare[1 - side] == name and relation.equal, (label, name)
+            elif kind in ("root", "check"):
+                assert hasattr(arg, "clause") and not callable(arg), (label, kind)
+                assert kind == "check" or arg.squared.count(name) == 1, (label, name)
+        roots[label] = [name for kind, name, _ in plan if kind == "root"]
+    assert {label: names for label, names in roots.items() if names} == {
+        "2.7(viii)": ["gamma"], "3.2(iv)": ["alpha"], "3.4(vii)": ["alpha"], "3.4(viiii)": ["delta"],
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_ROOT_BRANCHES))
+def test_no_step_after_a_root_step_runs_in_exact_form(label):
+    """The runner reads the plan's steps on int pairs up to the root step, on
+    numbers after it: the root sees numbers, and every name bound is a number."""
+    from ein2lie.branches import _draw, _root
+
+    spec, rng = BRANCHES_BY_LABEL[label], random.Random(7)
+    steps = [kind for kind, _, _ in spec.plan]
+    assert steps.count("root") == 1 and "draw" not in steps[steps.index("root"):], steps
+    rooted = spec.plan[steps.index("root")][1]
+    seen = []
+
+    def root(rng, relation, name, values):
+        seen.append(dict(values))
+        return _root(rng, relation, name, values)
+
+    points = [_execute(spec.plan, {}, True, None, _draw, root, rng) for _ in range(100)]
+    points = [values for values in points if values is not None]
+    assert len(points) > 10 and len(seen) >= len(points), label
+    for values in [*seen, *points]:
+        assert not any(type(x) is tuple for x in values.values()), (label, values)
+    assert all(type(values[rooted]) is float for values in points), label
 
 
 def _grid_points():
@@ -529,11 +608,11 @@ def test_stated_and_recomputed_lambdas_are_pinned():
 
 def test_every_piece_draw_is_a_valid_point():
     for family in FAMILY_PIECES:
-        draws = _family_draws(family)
-        assert len(draws) == len(FAMILY_PIECES[family])
-        for index, draw in enumerate(draws):
+        plans = _piece_plans(family)
+        assert len(plans) == len(FAMILY_PIECES[family])
+        for index, plan in enumerate(plans):
             rng = random.Random(f"{family}|{index}")
-            points = [p for p in (draw(rng) for _ in range(200)) if p is not None]
+            points = [p for p in (_sample(family, plan, rng) for _ in range(200)) if p is not None]
             assert len(points) > 100, (family, index)
             for params in points:
                 validate_params(params)
@@ -613,21 +692,24 @@ def test_every_formula_text_compiles():
 
 
 def test_every_tabulated_system_compiles_to_an_integer_plan():
-    """The exact plan of each tabulated text sets the names its scalar plan sets, in
-    order.  Every entry is of degree at most 4, so the rows lift to the scale of
-    `_rows`: at p/7, of scale L = 7, each is an int times 1/(16 L^4)."""
+    """The plan of each tabulated text sets, on int pairs, the names it sets on
+    numbers, in order.  Every entry is of degree at most 4, so the rows lift to the
+    scale of `_rows`: at p/7, of scale L = 7, each is an int times 1/(16 L^4)."""
     for family, text in PRINTED_SYSTEMS.items():
-        plan = _formula(text, True)
-        assert [(kind, name) for kind, name, _ in plan] == [(k, n) for k, n, _ in _formula(text)]
-        assert all(kind == "set" for kind, _, _ in plan), text
+        plan = _formula(text)
         params = FamilyParams(family, F(1, 7), F(2, 7), F(3, 7), F(5, 7), eta=-1 if family == "G4" else None)
+        pairs, numbers = _pairs(vars(params)), vars(params)
+        on_pairs = [name for name in _execute(plan, dict(pairs), True) if name not in pairs]
+        on_numbers = [name for name in _execute(plan, dict(numbers), False, Mode.approx()) if name not in numbers]
+        assert on_pairs == on_numbers == [name for _, name, _ in plan], text
+        assert all(kind == "set" for kind, _, _ in plan), text
         rows = ein2._printed_rows(params, Mode.exact(), 7)
         assert rows and all(type(x) is int for row in rows for x in row), (family, rows)
 
 
 def test_integer_plan_runs_on_int_pairs_and_divides_exactly(monkeypatch):
-    # The exact plan reads and binds int pairs (n, d) for n/d, which need not be in lowest terms.
-    bound = _run("m = beta^2/2, A = m*eta - 3", {"beta": (6, 2), "eta": (-1, 1)})
+    # On int pairs the plan reads and binds pairs (n, d) for n/d, which need not be in lowest terms.
+    bound = _execute(_formula("m = beta^2/2, A = m*eta - 3"), {"beta": (6, 2), "eta": (-1, 1)}, True)
     assert all(type(x) is int for pair in bound.values() for x in pair), bound
     assert (F(*bound["m"]), F(*bound["A"])) == (F(9, 2), -F(9, 2) - 3)
     # a remainder raises and never floors: 16 * alpha/3 at alpha = 1 (L = 1) is not an int
@@ -640,19 +722,18 @@ def test_integer_plan_divides_by_names_runs_checks_and_refuses_a_power_by_a_name
     """Both forms state a quotient by a name, raising ZeroDivisionError where it
     is zero, and a check; a `^` by a name is refused at compile, in either form."""
     for text in ("q = alpha/beta", "q = alpha/(2*beta)", "m = alpha, q = beta/m"):
-        for exact in (False, True):
-            assert _formula(text, exact), text
+        assert _formula(text), text
         values = {"alpha": F(3, 2), "beta": F(-5, 7)}
         assert _evaluate(text, values, Mode.exact())["q"] == _evaluate(text, values, Mode.approx())["q"]
         for mode in (Mode.exact(), Mode.approx()):
             with pytest.raises(ZeroDivisionError):
                 _evaluate(text, {"alpha": F(0), "beta": F(0)}, mode)
-    assert _run("q = alpha, alpha != 0", {"alpha": (0, 3)}) is None
-    assert _run("q = alpha, alpha != 0", {"alpha": (2, 3)}) == {"q": (2, 3)}
+    plan = _formula("q = alpha, alpha != 0")
+    assert _execute(plan, {"alpha": (0, 3)}, True) is None
+    assert _execute(plan, {"alpha": (2, 3)}, True) == {"alpha": (2, 3), "q": (2, 3)}
     for text in ("q = alpha^eta", "q = alpha^(-1)", "q = alpha^beta, beta = 2"):
-        for exact in (False, True):
-            with pytest.raises(ValueError):
-                _formula(text, exact)
+        with pytest.raises(ValueError):
+            _formula(text)
 
 
 def test_formula_must_bind_every_name_it_reads():
@@ -701,16 +782,22 @@ def test_compiler_rejects_unknown_terms(text):
         _compile_clauses(text)
 
 
+def _g3_sampler(free, relations):
+    """The sampler of a G3 plan (G3 adds no constraint of its own)."""
+    plan = _plan(relations, free)
+    return lambda rng: _sample("G3", plan, rng)
+
+
 def test_sampler_rejects_relation_left_open():
     # beta = gamma binds neither side when only alpha is drawn.
     with pytest.raises(ValueError):
-        _rational_draw("G3", "alpha", _compile_clauses("beta = gamma"))
+        _g3_sampler("alpha", _compile_clauses("beta = gamma"))
 
 
 def test_sampler_checks_equalities_on_free_parameters():
     # beta is free, so beta = 0 is checked after beta is drawn, not bound
     # before the draw and then overwritten.
-    draw = _rational_draw("G3", "alpha beta", _compile_clauses("beta = 0"))
+    draw = _g3_sampler("alpha beta", _compile_clauses("beta = 0"))
     rng = random.Random(0)
     samples = [p for p in (draw(rng) for _ in range(200)) if p is not None]
     assert samples and all(p.beta == 0 for p in samples)
@@ -718,7 +805,7 @@ def test_sampler_checks_equalities_on_free_parameters():
 
 def test_sampler_binds_a_squared_parameter_to_both_roots():
     relations = _compile_clauses("gamma^2 = alpha^2 + beta^2")
-    draw = _rational_draw("G3", "alpha* beta*", relations)
+    draw = _g3_sampler("alpha* beta*", relations)
     rng = random.Random(0)
     samples = [draw(rng) for _ in range(200)]
     assert {math.copysign(1, p.gamma) for p in samples} == {1, -1}
@@ -728,7 +815,7 @@ def test_sampler_binds_a_squared_parameter_to_both_roots():
 def test_sampler_checks_a_squared_free_parameter():
     # gamma is free, so gamma^2 = alpha^2 + beta^2 is checked on the drawn
     # rational gamma, not bound to a float root.
-    draw = _rational_draw("G3", "alpha beta gamma", _compile_clauses("gamma^2 = alpha^2 + beta^2"))
+    draw = _g3_sampler("alpha beta gamma", _compile_clauses("gamma^2 = alpha^2 + beta^2"))
     rng = random.Random(0)
     samples = [p for p in (draw(rng) for _ in range(2000)) if p is not None]
     assert samples
@@ -741,7 +828,7 @@ def test_checks_after_a_root_binding_run_at_the_approx_tolerance():
     # gamma is a rounded square root, so an exact test of the identity
     # below would reject some of these draws.
     text = "gamma^2 = alpha^2 + beta^2, gamma^2 - alpha^2 - beta^2 = 0"
-    draw = _rational_draw("G3", "alpha* beta*", _compile_clauses(text))
+    draw = _g3_sampler("alpha* beta*", _compile_clauses(text))
     rng = random.Random(0)
     samples = [draw(rng) for _ in range(200)]
     assert None not in samples

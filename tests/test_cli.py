@@ -405,6 +405,38 @@ def test_raw_entry_that_is_no_finite_number_exit_2(entry, message, mode, tmp_pat
     assert (code, out, err) == (2, "", f"error: {raw}: c[1][2][0]: {message}\n")
 
 
+def _zeros():
+    return [[0] * 3 for _ in range(3)]
+
+
+_SHAPE = "field 'c' must be a 3x3x3 array"
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"c": [_zeros(), _zeros(), _zeros(), [[1, 0, 0], [0, 0, 0], [0, 0, 0]]]}, _SHAPE),
+        ({"c": [[[0] * 3] * 4, _zeros(), _zeros()]}, _SHAPE),
+        ({"c": [[[0, 0, 0, 5], [0] * 3, [0] * 3], _zeros(), _zeros()]}, _SHAPE),
+        ({"c": [_zeros(), _zeros()]}, _SHAPE),
+        ({"c": {"0": 1}}, _SHAPE),
+        ({"c": [{"0": 1}, _zeros(), _zeros()]}, _SHAPE),
+        ({"c": "abc"}, _SHAPE),
+        ({"c": ["abc", _zeros(), _zeros()]}, _SHAPE),
+        ({"structure_constants": {"c": 5}}, _SHAPE),
+        ({"structure_constants": 5}, "field 'c' (or 'structure_constants.c') missing"),
+    ],
+    ids=["extra-plane", "extra-row", "extra-entry", "two-planes", "object-table", "object-plane",
+         "string-table", "string-plane", "nested-number", "number-structure-constants"],
+)
+def test_raw_table_of_the_wrong_shape_exit_2(doc, message, tmp_path):
+    """A table that is no 3x3x3 array is an input error: nothing is cut or indexed past."""
+    raw = tmp_path / "shape.json"
+    raw.write_text(json.dumps(doc))
+    code, out, err = run_cli("check", "--raw", str(raw))
+    assert (code, out, err) == (2, "", f"error: {raw}: {message}\n")
+
+
 # argparse alone reads -1e-3, -inf and -NaN as options and fails with a usage error.
 @pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1", "-1e-3", "-inf", "-NaN"])
 def test_tolerance_that_is_not_positive_and_finite_exit_2(tol):

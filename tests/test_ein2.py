@@ -39,7 +39,10 @@ from ein2lie.liealg import (
     ConstraintViolation,
     _compile_clauses,
     _evaluate,
-    _next_step,
+    _execute,
+    _formula,
+    _numbers,
+    _plan,
 )
 from oracles import min_sup_residual_vertices, solve_brute, solve_eliminate
 from test_geometry import _BIG_DENOMINATORS, _valid_table, family_points
@@ -183,7 +186,7 @@ def test_match_printed_system_approx_mode():
 def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family_samples_100):
     """Exact is_ein2 and match_printed_system read only the integer contraction,
     and exact fidelity evaluates the tabulated texts on ints only: it runs
-    their exact plans on int pairs and calls `_evaluate` on no Fraction."""
+    their plans on int pairs and calls `_evaluate` on no Fraction."""
     points = [params for samples in family_samples_100.values() for params in samples[:10]]
     references = [ricci_rows(ricci(build_family(p)), DELTA) for p in points]
 
@@ -192,25 +195,26 @@ def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family
 
     for name in ("rho", "rho_op", "rho_sq"):
         monkeypatch.setattr(RicciData, name, property(refuse))
-    evaluate, run, integer_runs = ein2._evaluate, ein2._run, []
+    evaluate, execute, integer_runs = ein2._evaluate, ein2._execute, []
 
     def no_fraction(text, values, mode):
         assert not any(isinstance(x, Fraction) for x in values.values()), values
         return evaluate(text, values, mode)
 
-    def ints_only(text, pairs):
-        out = run(text, pairs)
-        pairs = [*pairs.values(), *out.values()]
-        assert all(type(x) is int for pair in pairs for x in pair), (pairs, out)
-        integer_runs.append(text)
+    def ints_only(plan, pairs, exact, *args):
+        given = [*pairs.values()]
+        out = execute(plan, pairs, exact, *args)
+        pairs = [*given, *out.values()]
+        assert exact and all(type(x) is int for pair in pairs for x in pair), (pairs, out)
+        integer_runs.append(plan)
         return out
 
     monkeypatch.setattr(ein2, "_evaluate", no_fraction)
-    monkeypatch.setattr(ein2, "_run", ints_only)
+    monkeypatch.setattr(ein2, "_execute", ints_only)
     for params, rows in zip(points, references):
         assert_matches_elimination(is_ein2(build_family(params)), rows, Mode.exact())
         assert match_printed_system(params), params
-    assert integer_runs == [ein2.PRINTED_SYSTEMS[params.family] for params in points]
+    assert integer_runs == [_formula(ein2.PRINTED_SYSTEMS[params.family]) for params in points]
 
 
 def test_exact_verdicts_and_fidelity_build_no_full_table(monkeypatch, family_samples_100):
@@ -278,7 +282,7 @@ def test_match_printed_system_rejects_a_changed_table(monkeypatch, family_sample
 
 def test_importing_the_package_compiles_no_integer_plan():
     """Import compiles no formula; an exact fidelity check then compiles its
-    family's exact plan on int pairs, and only that."""
+    family's plan, which runs on int pairs, and only that."""
     src = os.path.dirname(os.path.dirname(ein2lie.__file__))
     code = (
         "import ein2lie; size = ein2lie.liealg._formula.cache_info().currsize; "
@@ -301,23 +305,17 @@ def test_integer_plan_rows_are_the_scaled_fraction_rows(family, free, text, data
     """At rational points with large denominators on each piece of each
     family, the tabulated rows of the integer plan are ints, and entry by
     entry 16 L^4 times the Fraction rows `_evaluate` gives."""
-    values = {}
-    for token in free.split():
-        name = token.rstrip("*")
+
+    def draw(rng, name, nonzero):
         if name == "eta":
-            values[name] = data.draw(st.sampled_from((1, -1)))
-        else:
-            nonzero = token.endswith("*")
-            values[name] = data.draw(_BIG_DENOMINATORS.filter(bool) if nonzero else _BIG_DENOMINATORS)
+            return data.draw(st.sampled_from((1, -1))), 1
+        return data.draw(_BIG_DENOMINATORS.filter(bool) if nonzero else _BIG_DENOMINATORS).as_integer_ratio()
+
     # the piece's relations fix the other parameters, as its sampler's plan does
-    exact, pending, drawn = Mode.exact(), list(_compile_clauses(text)) if text else [], set(values)
-    while (step := _next_step(pending, set(values), drawn, exact)) is not None:
-        kind, name, arg = step
-        if kind == "set":
-            values[name] = arg(values)
-        else:
-            assume(arg.holds(values, exact))
-    params = FamilyParams(family, **values)
+    exact = Mode.exact()
+    values = _execute(_plan(_compile_clauses(text) if text else (), free), {}, True, draw=draw)
+    assume(values is not None)
+    params = FamilyParams(family, **_numbers(values))
     scale = ricci(_valid_table(params)).scale
     integer = ein2._printed_rows(params, exact, scale)
     bound = _evaluate(ein2.PRINTED_SYSTEMS[family], vars(params), exact)

@@ -28,6 +28,7 @@ from ein2lie.liealg import (
     FAMILY_PIECES,
     _compile_clauses,
     _evaluate,
+    _execute,
     _family_relations,
     _formula,
     _pairs,
@@ -74,14 +75,8 @@ def _outcome(run):
 
 
 def _scalar_evaluate(text, values, mode):
-    """`_evaluate` by the text's scalar plan, as it runs on floats."""
-    values = dict(values)
-    for kind, name, arg in _formula(text):
-        if kind == "set":
-            values[name] = arg(values)
-        elif not arg.within(values, mode):
-            return None
-    return values
+    """`_evaluate` by the text's plan in scalar forms, as it runs on floats."""
+    return _execute(_formula(text), dict(values), False, mode)
 
 
 @pytest.mark.parametrize("text", _TEXTS)
@@ -140,9 +135,8 @@ def test_exact_forms_agree_on_the_seed_7_samples():
 def test_a_power_by_anything_but_a_non_negative_integer_constant_is_refused_at_compile(power):
     with pytest.raises(ValueError):
         _compile_clauses(f"{power} != 0")
-    for exact in (False, True):
-        with pytest.raises(ValueError):
-            _formula(f"q = {power}", exact)
+    with pytest.raises(ValueError):
+        _formula(f"q = {power}")
 
 
 _ARITHMETIC = (
