@@ -37,7 +37,7 @@ from .ein2 import (
     match_printed_system,
     solve,
 )
-from .geometry import RicciData, curvature, ricci
+from .geometry import RicciData, ricci
 from .liealg import (
     EPS,
     FAMILIES,
@@ -91,7 +91,6 @@ __all__ = [
     "as_scalar",
     "build_family",
     "classify",
-    "curvature",
     "format_scalar",
     "from_raw",
     "is_ein2",

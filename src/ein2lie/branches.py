@@ -13,19 +13,19 @@ list of clauses separated by ", ".  A clause is a chain of `=` and `!=`
 over the parameters alpha..eta, integer constants, + - * / ^ and unary
 minus, so `alpha = beta != 0` reads as alpha = beta and beta != 0.  A
 product compared `!= 0` is tested factor by factor.  The clause
-"alpha^2 a root of the branch quartic" reads as alpha^2 = a root of
-qa*alpha^4 + qb*alpha^2 + qc, where the branch's quartic is a formula
-text (below) binding qa, qb and qc from beta and gamma.
+"alpha^2 a root of the branch quartic" reads as the branch's quartic, a
+formula text (below) binding qa, qb and qc (and a helper k) from beta
+and gamma, then the relation qa*alpha^4 + qb*alpha^2 + qc = 0.
 
 A branch lists its free parameters in RNG order, "*" marking a nonzero
 draw ("alpha* delta beta"); eta is always a random sign.  They are
 drawn from a fixed rational grid.  A branch sampler checks the branch
-relations, then the family constraints.  An equality binds a parameter,
+relations, then the family constraints.  An equality binds a name,
 neither free nor yet bound, that is one of its sides: a bare one to the
-other side, a squared one (`gamma^2 = alpha^2 + beta^2`, alpha^2 of the
-quartic clause) to a random sign times the square root of the other
-side, or of a random positive root of the quartic, which rejects the
-draw if it has none.
+other side, a squared one (`gamma^2 = alpha^2 + beta^2`) to a random
+sign times the square root of the other side, and alpha of the quartic
+relation to a random sign times the square root of a random positive
+root of qa*x^2 + qb*x + qc, which rejects the draw if it has none.
 Every other relation is checked once its parameters are bound, in
 approx mode after a square root, and a failed check rejects the draw.
 Parameters neither drawn nor bound are 0.
@@ -45,9 +45,10 @@ texts, each its checks followed by its formula: the first whose checks
 pass gives the recomputed lambdas, and none passing gives None.  The
 last is the family's generic case, the stated formula of its float
 branch, and each errata note quotes the formula text it evaluates.
-Each sampler (`BranchSpec.plan`, `_piece_plans`) and each formula text,
-`ein2.PRINTED_SYSTEMS` too, is a plan of steps from one builder, run by
-one runner on int pairs for exact values (`liealg._plan`, `_execute`).
+Each sampler (`BranchSpec.plan`, `_piece_plans`), each membership test
+(`BranchSpec.membership`) and each formula text, `ein2.PRINTED_SYSTEMS`
+too, is a plan of steps from one builder, run by one runner on int
+pairs for exact values (`liealg._plan`, `_execute`).
 
 `verify_branch` replays a branch against the solver: every sample must
 be Ein(2) and the stated lambdas must lie in the computed solution set
@@ -79,8 +80,6 @@ from .liealg import (
     _evaluate,
     _execute,
     _family_relations,
-    _first_failure,
-    _formula,
     _numbers,
     _pairs,
     _plan,
@@ -155,23 +154,33 @@ class BranchSpec(_Value):
 
     @cached_property
     def relations(self) -> tuple:
-        """The compiled constraint text, in reading order."""
+        """The compiled constraint text, in reading order, its quartic clause as the quartic text."""
         text = self.constraints.removesuffix(", " + _QUARTIC_CLAUSE)
-        quartic = (_QuarticRoot(self.quartic),) if text != self.constraints else ()
-        return _compile_clauses(text) + quartic
+        quartic = f"{self.quartic}, qa*alpha^4 + qb*alpha^2 + qc = 0"
+        return _compile_clauses(text) + (_compile_clauses(quartic, None) if text != self.constraints else ())
 
     @cached_property
     def plan(self) -> tuple:
         """The sampler's plan (`liealg._plan`): its draws, the branch's relations, then its family's."""
         return _plan(self.relations + _family_relations(self.family), self.free)
 
+    @cached_property
+    def membership(self) -> tuple:
+        """The membership test's plan: every relation a check, but the quartic's set steps."""
+        return _plan(self.relations, bound=_PARAM_NAMES)
+
     def draw(self, rng: random.Random) -> FamilyParams | None:
         """One run of the sampler's plan (`_sample`): a point of the branch, or None."""
         return _sample(self.family, self.plan, rng)
 
     def member(self, params: FamilyParams, mode: Mode) -> bool:
-        """Membership test: every relation holds, evaluated in order."""
-        return _first_failure(self.relations, vars(params), mode) is None
+        """Membership test: every check of the membership plan passes, in order, in exact form
+        on exact values in exact mode."""
+        values = vars(params)
+        pairs = _pairs(values) if mode.is_exact else None
+        if pairs is None:
+            return _execute(self.membership, dict(values), False, mode) is not None
+        return _execute(self.membership, pairs, True) is not None
 
     def expected(self, params: FamilyParams, mode: Mode | None = None) -> ExpectedLambdas:
         return _lambdas((self.lambdas,), params, mode)
@@ -300,35 +309,12 @@ _THEOREM_FAMILY = {
 }
 
 
-class _QuarticRoot:
-    """The relation `alpha^2 = a root of the quartic`, whose formula text binds its
-    coefficients (qa, qb, qc) in alpha^2 from the parameters it reads; `_root` binds alpha."""
-
-    clause, equal, bare, squared = _QUARTIC_CLAUSE, True, (None, None), ("alpha", None)
-    holds = _Relation.holds
-
-    def __init__(self, text: str):
-        self.text, self.test = text, f"{text}, qa*alpha^4 + qb*alpha^2 + qc = 0"
-        read = frozenset().union(*(r.names[0] | r.names[1] for r in _compile_clauses(text, names=None)))
-        self.names = (frozenset({"alpha"}), read.intersection(_PARAM_NAMES))
-
-    def coefficients(self, values) -> tuple[Scalar, Scalar, Scalar]:
-        bound = _evaluate(self.text, values, None)
-        return bound["qa"], bound["qb"], bound["qc"]
-
-    def within(self, values, mode: Mode) -> bool:
-        return _evaluate(self.test, values, mode) is not None
-
-    def decide(self, pairs) -> bool:
-        return _execute(_formula(self.test), dict(pairs), True) is not None
-
-
-def _root(rng: random.Random, relation, name: str, values) -> float | None:
+def _root(rng: random.Random, relation: _Relation, name: str, values) -> float | None:
     """The value a root step of `relation` binds to `name`: a random sign times the square root
-    of the other side, or of a random positive root of the quartic; None if it has none."""
-    if not isinstance(relation, _QuarticRoot):
+    of the other side, or of a random positive root of its bound quadratic; None if it has none."""
+    if relation.coefficients is None:
         return _sign(rng) * math.sqrt(float(relation.sides[1 - relation.squared.index(name)](values)))
-    roots = _positive_quadratic_roots(*relation.coefficients(values))
+    roots = _positive_quadratic_roots(*(values[coefficient] for coefficient in relation.coefficients))
     return _sign(rng) * math.sqrt(rng.choice(roots)) if roots else None
 
 
@@ -336,7 +322,10 @@ def _sample(family: str, plan: tuple, rng: random.Random) -> FamilyParams | None
     """One run of a sampler plan, with grid draws (`_draw`) and random roots (`_root`):
     its point, or None once a check rejects it or a root step finds no root."""
     values = _execute(plan, {}, True, None, _draw, _root, rng)
-    return None if values is None else FamilyParams(family, **_numbers(values))
+    if values is None:
+        return None
+    # A quartic's plan binds its coefficients too; only the parameters make the point.
+    return FamilyParams(family, **_numbers({name: values[name] for name in _PARAM_NAMES if name in values}))
 
 
 # ---------------------------------------------------------------------------
@@ -743,12 +732,12 @@ def sample_valid_points(family: str, count: int, seed: int = DEFAULT_SEED) -> li
 def sample_off_branch(family: str, count: int, seed: int = DEFAULT_SEED) -> list[FamilyParams]:
     """Valid parameter points of the family matching no branch constraints."""
     draw = partial(sample_family_point, family, _rng_for(seed, f"offbranch|{family}"))
-    branches = [spec.relations for spec in branches_for(family)]
+    plans = [spec.membership for spec in branches_for(family)]
 
     def off_branch(params: FamilyParams) -> bool:
-        # The points are exact: one conversion to int pairs serves every branch's membership test.
+        # One int-pair conversion serves every membership plan (each sets a name before reading it).
         pairs = _pairs(vars(params))
-        return not any(all(relation.decide(pairs) for relation in relations) for relations in branches)
+        return not any(_execute(plan, pairs, True) is not None for plan in plans)
 
     return [_first_draw(draw, f"{family}: no off-branch sample", off_branch) for _ in range(count)]
 

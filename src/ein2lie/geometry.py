@@ -1,4 +1,4 @@
-"""Connection, curvature and Ricci data of a left-invariant Lorentzian metric.
+"""Connection and Ricci data of a left-invariant Lorentzian metric.
 
 Everything is frame algebra: the metric is constant on the frame, so the
 Levi-Civita connection comes from the Koszul formula specialized to
@@ -17,8 +17,8 @@ Index conventions, fixed once for the whole package:
                      rho0(e_i) = sum_j rho_op[i][j] e_j
   rho_sq[i][j]     : g(rho0 e_i, rho0 e_j)
 
-`RicciData.connection` is Gamma and `curvature` returns R, as plain
-nested tuples indexed this way.
+`RicciData.connection` is Gamma, as plain nested tuples indexed this
+way.
 
 The Ricci sign convention above is taken verbatim from the tabulated
 classification data this package verifies; it is anchored to those
@@ -32,8 +32,7 @@ traced components that rho needs,
                             - Gamma[i][j][m] Gamma[a][m][a]
                             - c[i][a][m] Gamma[m][j][a]).
 
-It does not build the curvature tensor: `curvature`, which does, is the
-reference `ricci` is checked against, not a step on its path.
+It does not build the curvature tensor R.
 `_contract` is the one statement of this sum, and a float table runs
 it.  For an exact table the sum is an integer quadratic form in the
 nine brackets scaled to ints, derived from `_contract` by polarisation
@@ -124,55 +123,6 @@ def _koszul(c) -> list:
     ]
 
 
-def curvature(sc: StructureConstants, g: Tensor3) -> Tensor3:
-    """Curvature tensor R from structure constants and the connection Gamma.
-
-    Frame fields have constant connection coefficients, so
-
-      R^l_ijk = sum_m (Gamma^m_jk Gamma^l_im - Gamma^m_ik Gamma^l_jm)
-                - sum_m c^m_ij Gamma^l_mk.
-    """
-    c = sc.c
-    zero = Fraction(0)
-    r = []
-    for i in range(3):
-        gi = g[i]
-        plane_i = []
-        for j in range(3):
-            gj = g[j]
-            cij = c[i][j]
-            plane_j = []
-            for k in range(3):
-                acc = [zero, zero, zero]
-                gjk = gj[k]
-                gik = gi[k]
-                for m in range(3):
-                    # skip zero factors: the tables are sparse and exact
-                    # rational multiplies dominate the cost
-                    a = gjk[m]
-                    if a:
-                        gim = gi[m]
-                        for l in range(3):
-                            if gim[l]:
-                                acc[l] = acc[l] + a * gim[l]
-                    b = gik[m]
-                    if b:
-                        gjm = gj[m]
-                        for l in range(3):
-                            if gjm[l]:
-                                acc[l] = acc[l] - b * gjm[l]
-                    d = cij[m]
-                    if d:
-                        gmk = g[m][k]
-                        for l in range(3):
-                            if gmk[l]:
-                                acc[l] = acc[l] - d * gmk[l]
-                plane_j.append(tuple(acc))
-            plane_i.append(tuple(plane_j))
-        r.append(tuple(plane_i))
-    return tuple(r)
-
-
 def _contract(c) -> Matrix:
     """The contraction N of `ricci`, term by term, on H = `_koszul(c)`."""
     h = _koszul(c)
@@ -188,8 +138,8 @@ def _contract(c) -> Matrix:
                 haj = ha[j]
                 acc = 0
                 for m in range(3):
-                    # skip zero factors as `curvature` does: a term-free
-                    # entry stays an int 0, which `RicciData` prints exactly
+                    # skip zero factors: a term-free entry stays an int 0,
+                    # which `RicciData` prints exactly
                     x, y = haj[m], hi[m][a]
                     if x and y:
                         acc = acc + x * y
@@ -237,7 +187,7 @@ def ricci(sc: StructureConstants, mode: Mode | None = None) -> RicciData:
     of the frame inner product cancel), rho_op[i][j] = eps_j rho[i][j]
     and rho_sq[i][j] = sum_k eps_k rho_op[i][k] rho_op[j][k].  Only the
     27 traced components are formed, each as the curvature formula
-    gives it, so `curvature` is not on this path:
+    gives it, so the tensor R is never built:
 
       R^a_{i a j} = sum_m (Gamma^m_aj Gamma^a_im - Gamma^m_ij Gamma^a_am
                            - c^m_ia Gamma^a_mj).
@@ -257,8 +207,8 @@ def ricci(sc: StructureConstants, mode: Mode | None = None) -> RicciData:
     is raised; the full table `sc.c` is never built.  Float route:
     `jacobi_ok` tests `sc.c` within the tolerance of `mode`, then
     `_contract` runs on it with L = 1, adding the terms in the order
-    `curvature` adds them, so floats come out bit for bit as through
-    the full tensor.
+    the full tensor R adds them, so floats come out bit for bit as
+    through it.
     """
     if not sc.is_exact():
         if not jacobi_ok(sc, mode):

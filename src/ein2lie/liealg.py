@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 from collections.abc import Callable, Mapping, Sequence
 from fractions import Fraction
 
@@ -277,7 +278,9 @@ class _Relation:
     Sides read the parameters from a mapping of names to values, such as
     vars(params).  `bare[i]` is side i's name if it is a bare parameter,
     `squared[i]` its name if it is a bare parameter squared (`gamma^2`),
-    `names[i]` the parameters it reads.  The relation is link `index` of
+    `names[i]` the parameters it reads.  The clause `a*x^4 + b*x^2 + c = 0`
+    reads as x^2 = a root of a*y^2 + b*y + c, a side that reads its
+    `coefficients` (a, b, c), else None.  The relation is link `index` of
     its clause.  Its scalar and exact (sides, terms) compile on first use.
     """
 
@@ -292,6 +295,11 @@ class _Relation:
             for side in (left, right)
         )
         self.names = (_names(left), _names(right))
+        quadratic = re.fullmatch(r"(\w+)\*(\w+)\^4 \+ (\w+)\*\2\^2 \+ (\w+) = 0", clause)
+        self.coefficients = quadratic and quadratic.group(1, 3, 4)
+        if quadratic:
+            self.squared = quadratic[2], None
+            self.names = frozenset((quadratic[2],)), frozenset(self.coefficients)
 
     def _compiled(self, exact: bool) -> tuple:
         left, right = _parse_clause(self.clause)[1][self.index:self.index + 2]
@@ -300,9 +308,6 @@ class _Relation:
     scalar = functools.cached_property(lambda self: self._compiled(False))
     exact = functools.cached_property(lambda self: self._compiled(True))
     sides = property(lambda self: self.scalar[0])
-
-    def holds(self, values: Mapping[str, Scalar], mode: Mode) -> bool:
-        return _first_failure((self,), values, mode) is None
 
     def within(self, values: Mapping[str, Scalar], mode: Mode) -> bool:
         """The scalar form's test in `mode`."""

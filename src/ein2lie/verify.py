@@ -59,10 +59,6 @@ class SuiteReport:
         self.negative: list[SampledCheck] = []
 
     @property
-    def errata(self) -> list[BranchReport]:
-        return [report for report in self.branches if report.verdict == "errata"]
-
-    @property
     def ok(self) -> bool:
         branch_ok = all(
             report.verdict in ("verified", "errata", CONVENTION_DIVERGENCE)

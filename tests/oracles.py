@@ -9,7 +9,9 @@ Two kinds of oracle live here:
 
 * Brute force: a from-first-principles Ricci computation built on
   explicit vector algebra (bilinear bracket extension, frame inner
-  products, a Koszul right-hand side solved entry by entry), a
+  products, a Koszul right-hand side solved entry by entry), the full
+  curvature tensor from a connection, in the index conventions of
+  `ein2lie.geometry`, whose traced sum `geometry.ricci` follows, a
   minors-based affine solver for the component system, the pivoted
   row elimination the production solver used before its integer route,
   and the minimal sup-norm residual by enumerating the vertices of the
@@ -294,6 +296,60 @@ def jacobi_brute(sc, i, j, k):
     t2 = bracket_vec(sc, bracket_vec(sc, BASIS[j], BASIS[k]), BASIS[i])
     t3 = bracket_vec(sc, bracket_vec(sc, BASIS[k], BASIS[i]), BASIS[j])
     return tuple(t1[l] + t2[l] + t3[l] for l in range(3))
+
+
+# ---------------------------------------------------------------------------
+# Full curvature tensor: the sum the Ricci contraction traces, term by term
+# ---------------------------------------------------------------------------
+
+def curvature(sc, g):
+    """Curvature tensor R from structure constants and the connection Gamma,
+    R[i][j][k][l] the e_l coefficient of R(e_i, e_j) e_k.
+
+    Frame fields have constant connection coefficients, so
+
+      R^l_ijk = sum_m (Gamma^m_jk Gamma^l_im - Gamma^m_ik Gamma^l_jm)
+                - sum_m c^m_ij Gamma^l_mk.
+    """
+    c = sc.c
+    zero = Fraction(0)
+    r = []
+    for i in range(3):
+        gi = g[i]
+        plane_i = []
+        for j in range(3):
+            gj = g[j]
+            cij = c[i][j]
+            plane_j = []
+            for k in range(3):
+                acc = [zero, zero, zero]
+                gjk = gj[k]
+                gik = gi[k]
+                for m in range(3):
+                    # skip zero factors: the tables are sparse and exact
+                    # rational multiplies dominate the cost
+                    a = gjk[m]
+                    if a:
+                        gim = gi[m]
+                        for l in range(3):
+                            if gim[l]:
+                                acc[l] = acc[l] + a * gim[l]
+                    b = gik[m]
+                    if b:
+                        gjm = gj[m]
+                        for l in range(3):
+                            if gjm[l]:
+                                acc[l] = acc[l] - b * gjm[l]
+                    d = cij[m]
+                    if d:
+                        gmk = g[m][k]
+                        for l in range(3):
+                            if gmk[l]:
+                                acc[l] = acc[l] - d * gmk[l]
+                plane_j.append(tuple(acc))
+            plane_i.append(tuple(plane_j))
+        r.append(tuple(plane_i))
+    return tuple(r)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from ein2lie import (
     EPS,
     FamilyParams,
     build_family,
-    curvature,
     is_ein2,
     jacobi_ok,
     match_printed_system,
@@ -35,7 +34,7 @@ from ein2lie import (
 )
 from ein2lie.branches import LAMBDA1_FREE
 from ein2lie.cli import main
-from oracles import CONNECTION_TABLES, RHO_OP_TABLES, ricci_brute
+from oracles import CONNECTION_TABLES, RHO_OP_TABLES, curvature, ricci_brute
 
 F = Fraction
 SEED = 7

@@ -36,7 +36,6 @@ from ein2lie.branches import (
     _CASES,
     _QUARTIC_CLAUSE,
     BranchSpec,
-    _QuarticRoot,
     _piece_plans,
     _positive_quadratic_roots,
     _sample,
@@ -48,9 +47,11 @@ from ein2lie.liealg import (
     FAMILY_CONSTRAINTS,
     FAMILY_PIECES,
     PARAMS_USED,
+    _Relation,
     _compile_clauses,
     _evaluate,
     _execute,
+    _first_failure,
     _formula,
     _pairs,
     _plan,
@@ -110,7 +111,8 @@ def test_sample_branch_quartic_constraint_holds(label, sign):
 
 def _branch_quartic(label, params):
     """The coefficients (qa, qb, qc) that the branch's own quartic text gives at params."""
-    return _QuarticRoot(BRANCHES_BY_LABEL[label].quartic).coefficients(vars(params))
+    bound = _evaluate(BRANCHES_BY_LABEL[label].quartic, vars(params), None)
+    return bound["qa"], bound["qb"], bound["qc"]
 
 
 def test_quartic_root_example_g5():
@@ -294,24 +296,42 @@ def test_off_branch_points_are_not_ein2():
             assert is_ein2(build_family(params)).kind == "none", params
 
 
+def _counting(counts, name, function):
+    """`function`, counting its calls in counts[name]."""
+    def counted(*args):
+        counts[name] += 1
+        return function(*args)
+    return counted
+
+
 def test_off_branch_sampling_converts_each_drawn_point_to_int_pairs_once(monkeypatch):
     """Every branch of the family tests an off-branch candidate on one set of int pairs."""
     from ein2lie import branches, liealg
 
     counts = collections.Counter()
-
-    def counting(name, function):
-        def counted(*args):
-            counts[name] += 1
-            return function(*args)
-        return counted
-
     for module in (branches, liealg):
-        monkeypatch.setattr(module, "_pairs", counting("conversions", module._pairs))
-    monkeypatch.setattr(branches, "_sample", counting("draws", branches._sample))
+        monkeypatch.setattr(module, "_pairs", _counting(counts, "conversions", module._pairs))
+    monkeypatch.setattr(branches, "_sample", _counting(counts, "draws", branches._sample))
     assert len(sample_off_branch("G3", 20, 7)) == 20
     assert len(branches.branches_for("G3")) == 8
     assert 20 <= counts["conversions"] <= counts["draws"], counts
+
+
+def test_quartic_root_steps_convert_each_point_once(monkeypatch):
+    """The quartic's coefficients are set on int pairs before the root step, so
+    sampling 3.2(iv) and 3.4(vii) converts nothing to int pairs, and turns pairs
+    into numbers once per root step and once per accepted point."""
+    from ein2lie import branches, liealg
+
+    counts = collections.Counter()
+    for name in ("_pairs", "_numbers"):
+        for module in (branches, liealg):
+            monkeypatch.setattr(module, name, _counting(counts, name, getattr(liealg, name)))
+    monkeypatch.setattr(branches, "_root", _counting(counts, "roots", branches._root))
+    for label in ("3.2(iv)", "3.4(vii)"):
+        assert len(sample_branch(BRANCHES_BY_LABEL[label], 50, seed=7)) == 50
+    assert counts["_pairs"] == 0, counts
+    assert 0 < counts["_numbers"] <= counts["roots"] + 100, counts
 
 
 #: The branches whose sampler binds a parameter by a square root.
@@ -321,7 +341,9 @@ _ROOT_BRANCHES = {"2.7(viii)", "3.2(iv)", "3.4(vii)", "3.4(viiii)"}
 def test_every_sampler_plan_is_data():
     """Read as it stands, each branch's and family piece's sampler plan is a tuple of
     draw, set, root and check steps: draws of the free text in order, with its
-    nonzero flags, then relations; exactly the four float branches have a root step."""
+    nonzero flags, then plain relations; exactly the four float branches have a root
+    step, and each quartic branch sets its coefficients before it.  No membership
+    plan draws or roots."""
     plans = [(spec.label, spec.free, spec.plan) for spec in BRANCHES] + [
         (f"{family} {free}", free, plan)
         for family, pieces in FAMILY_PIECES.items()
@@ -337,14 +359,21 @@ def test_every_sampler_plan_is_data():
             assert kind in ("draw", "set", "root", "check"), (label, kind)
             if kind == "set":
                 relation, side = arg
+                assert type(relation) is _Relation, (label, name)
                 assert relation.bare[1 - side] == name and relation.equal, (label, name)
             elif kind in ("root", "check"):
-                assert hasattr(arg, "clause") and not callable(arg), (label, kind)
+                assert type(arg) is _Relation, (label, kind)
                 assert kind == "check" or arg.squared.count(name) == 1, (label, name)
         roots[label] = [name for kind, name, _ in plan if kind == "root"]
     assert {label: names for label, names in roots.items() if names} == {
         "2.7(viii)": ["gamma"], "3.2(iv)": ["alpha"], "3.4(vii)": ["alpha"], "3.4(viiii)": ["delta"],
     }
+    for label in ("3.2(iv)", "3.4(vii)"):
+        steps = [(kind, name) for kind, name, _ in BRANCHES_BY_LABEL[label].plan]
+        root = steps.index(("root", "alpha"))
+        assert {("set", "qa"), ("set", "qb"), ("set", "qc")} <= set(steps[:root]), (label, steps)
+    for spec in BRANCHES:
+        assert {kind for kind, _, _ in spec.membership} <= {"set", "check"}, spec.label
 
 
 @pytest.mark.parametrize("label", sorted(_ROOT_BRANCHES))
@@ -635,10 +664,8 @@ def test_pieces_cover_every_valid_grid_point():
                 continue
             valid += 1
             values = vars(params)
-            # all() stops at beta != 0 before the division by beta
-            assert any(
-                all(relation.holds(values, exact) for relation in piece) for piece in pieces
-            ), params
+            # _first_failure stops at beta != 0 before the division by beta
+            assert any(_first_failure(piece, values, exact) is None for piece in pieces), params
         valid_counts[family] = valid
     assert valid_counts == {"G5": 78, "G6": 88, "G7": 190}
 
@@ -809,7 +836,7 @@ def test_sampler_binds_a_squared_parameter_to_both_roots():
     rng = random.Random(0)
     samples = [draw(rng) for _ in range(200)]
     assert {math.copysign(1, p.gamma) for p in samples} == {1, -1}
-    assert all(relations[0].holds(vars(p), Mode.approx()) for p in samples)
+    assert all(relations[0].within(vars(p), Mode.approx()) for p in samples)
 
 
 def test_sampler_checks_a_squared_free_parameter():

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from ein2lie import (
     BRANCHES,
+    BRANCHES_BY_LABEL,
     FAMILIES,
+    FamilyParams,
     Mode,
     build_family,
     is_ein2,
@@ -26,10 +28,12 @@ from ein2lie.branches import _CASE_TEXTS
 from ein2lie.ein2 import PRINTED_SYSTEMS
 from ein2lie.liealg import (
     FAMILY_PIECES,
+    _PARAM_NAMES,
     _compile_clauses,
     _evaluate,
     _execute,
     _family_relations,
+    _first_failure,
     _formula,
     _pairs,
 )
@@ -43,10 +47,16 @@ _TEXTS = sorted(
     | {spec.quartic for spec in BRANCHES if spec.quartic}
     | set(PRINTED_SYSTEMS.values())
 )
-#: Every relation of every branch, family constraint and family piece, by family.
+#: Every relation over the parameters of every branch, family constraint and family
+#: piece, by family: all but those of the branch quartics, whose membership plans
+#: `test_exact_membership_plan_of_every_branch_decides_as_its_scalar_plan` runs.
 _FAMILY_RELATIONS = {
     family: [
-        *(relation for spec in BRANCHES if spec.family == family for relation in spec.relations),
+        *(
+            relation
+            for spec in BRANCHES if spec.family == family
+            for relation in spec.relations if relation.names[0] | relation.names[1] <= set(_PARAM_NAMES)
+        ),
         *_family_relations(family),
         *(relation for _, text in FAMILY_PIECES[family] if text for relation in _compile_clauses(text)),
     ]
@@ -102,21 +112,38 @@ def test_exact_plan_of_every_formula_text_equals_its_scalar_plan(text, values):
 @settings(max_examples=300, deadline=None)
 def test_exact_form_of_every_relation_decides_as_its_scalar_form(values, data):
     """Every relation of every branch, family constraint and family piece: its
-    exact test at int pairs is the scalar test in exact mode, `holds` runs it in
-    exact mode and the scalar test in approx mode, and both forms raise
+    exact test at int pairs is the scalar test in exact mode, `_first_failure` runs
+    it in exact mode and the scalar test in approx mode, and both forms raise
     ZeroDivisionError at the same points."""
     relation = data.draw(st.sampled_from(_RELATIONS))
     pairs = _pairs(values)
     scalar = _outcome(lambda: relation.within(values, EXACT))
     assert _outcome(lambda: relation.decide(dict(pairs))) == scalar
-    assert _outcome(lambda: relation.holds(values, EXACT)) == scalar
-    assert _outcome(lambda: relation.holds(values, APPROX)) == _outcome(
+    assert _outcome(lambda: _first_failure((relation,), values, EXACT) is None) == scalar
+    assert _outcome(lambda: _first_failure((relation,), values, APPROX) is None) == _outcome(
         lambda: relation.within(values, APPROX)
     )
-    for side in range(2) if hasattr(relation, "sides") else ():
+    for side in range(2):
         bound = _outcome(lambda: relation.sides[side](values))
         pair = _outcome(lambda: relation.exact[0][side](dict(pairs)))
         assert (F(*pair) if isinstance(pair, tuple) else pair) == bound
+
+
+@pytest.mark.parametrize("label", [spec.label for spec in BRANCHES])
+@given(values=_POINTS)
+@settings(max_examples=20, deadline=None)
+def test_exact_membership_plan_of_every_branch_decides_as_its_scalar_plan(label, values):
+    """A branch's membership plan, its quartic's set steps included, passes or fails
+    at int pairs where it does on the numbers in exact mode, and raises
+    ZeroDivisionError at the same points; `member` runs it in either mode."""
+    spec = BRANCHES_BY_LABEL[label]
+    params = FamilyParams(spec.family, **values)
+    scalar = _outcome(lambda: _execute(spec.membership, dict(values), False, EXACT) is not None)
+    assert _outcome(lambda: _execute(spec.membership, _pairs(values), True) is not None) == scalar
+    assert _outcome(lambda: spec.member(params, EXACT)) == scalar
+    assert _outcome(lambda: spec.member(params, APPROX)) == _outcome(
+        lambda: _execute(spec.membership, dict(values), False, APPROX) is not None
+    )
 
 
 def test_exact_forms_agree_on_the_seed_7_samples():

@@ -24,7 +24,6 @@ from ein2lie import (
     NotLieAlgebra,
     StructureConstants,
     build_family,
-    curvature,
     from_raw,
     is_ein2,
     jacobi_ok,
@@ -34,7 +33,7 @@ from ein2lie import (
 import ein2lie
 from ein2lie.geometry import _contract, _koszul
 from ein2lie.liealg import _jacobi_base, family_table
-from oracles import CONNECTION_TABLES, RHO_OP_TABLES, ricci_brute
+from oracles import CONNECTION_TABLES, RHO_OP_TABLES, curvature, ricci_brute
 
 F = Fraction
 
