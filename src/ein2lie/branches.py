@@ -48,7 +48,8 @@ branch, and each errata note quotes the formula text it evaluates.
 Each sampler (`BranchSpec.plan`, `_piece_plans`), each membership test
 (`BranchSpec.membership`) and each formula text, `ein2.PRINTED_SYSTEMS`
 too, is a plan of steps from one builder, run by one runner on int
-pairs for exact values (`liealg._plan`, `_execute`).
+pairs for exact values (`liealg._plan`, `_execute`).  One conversion of
+a point (`liealg._point`) serves all the membership plans it runs.
 
 `verify_branch` replays a branch against the solver: every sample must
 be Ein(2) and the stated lambdas must lie in the computed solution set
@@ -81,8 +82,8 @@ from .liealg import (
     _execute,
     _family_relations,
     _numbers,
-    _pairs,
     _plan,
+    _point,
     build_family,
     family_table,
 )
@@ -174,13 +175,8 @@ class BranchSpec(_Value):
         return _sample(self.family, self.plan, rng)
 
     def member(self, params: FamilyParams, mode: Mode) -> bool:
-        """Membership test: every check of the membership plan passes, in order, in exact form
-        on exact values in exact mode."""
-        values = vars(params)
-        pairs = _pairs(values) if mode.is_exact else None
-        if pairs is None:
-            return _execute(self.membership, dict(values), False, mode) is not None
-        return _execute(self.membership, pairs, True) is not None
+        """Membership test: every check of the membership plan passes (`_members`)."""
+        return any(_members((self,), params, mode))
 
     def expected(self, params: FamilyParams, mode: Mode | None = None) -> ExpectedLambdas:
         return _lambdas((self.lambdas,), params, mode)
@@ -326,6 +322,13 @@ def _sample(family: str, plan: tuple, rng: random.Random) -> FamilyParams | None
         return None
     # A quartic's plan binds its coefficients too; only the parameters make the point.
     return FamilyParams(family, **_numbers({name: values[name] for name in _PARAM_NAMES if name in values}))
+
+
+def _members(specs, params: FamilyParams, mode: Mode | None):
+    """The specs whose membership plans pass at `params` in `mode` (exact if None), lazily, on
+    one conversion (`liealg._point`): each plan sets a name before it reads it."""
+    values, exact = _point(vars(params), mode)
+    return (spec for spec in specs if _execute(spec.membership, values, exact, mode) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -681,9 +684,7 @@ def classify(
     if mode is None:
         mode = params.mode()
     sc = build_family(params, mode)
-    matched = tuple(
-        spec.label for spec in branches_for(params.family) if spec.member(params, mode)
-    )
+    matched = tuple(spec.label for spec in _members(branches_for(params.family), params, mode))
     solution = is_ein2(sc, convention, mode)
     if matched and solution.kind != NONE:
         status = EIN2
@@ -732,12 +733,10 @@ def sample_valid_points(family: str, count: int, seed: int = DEFAULT_SEED) -> li
 def sample_off_branch(family: str, count: int, seed: int = DEFAULT_SEED) -> list[FamilyParams]:
     """Valid parameter points of the family matching no branch constraints."""
     draw = partial(sample_family_point, family, _rng_for(seed, f"offbranch|{family}"))
-    plans = [spec.membership for spec in branches_for(family)]
+    specs = branches_for(family)
 
     def off_branch(params: FamilyParams) -> bool:
-        # One int-pair conversion serves every membership plan (each sets a name before reading it).
-        pairs = _pairs(vars(params))
-        return not any(_execute(plan, pairs, True) is not None for plan in plans)
+        return not any(_members(specs, params, None))
 
     return [_first_draw(draw, f"{family}: no off-branch sample", off_branch) for _ in range(count)]
 

@@ -48,7 +48,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .geometry import RicciData, ricci
-from .liealg import EPS, FamilyParams, StructureConstants, _evaluate, _execute, _formula, _pairs, build_family
+from .liealg import EPS, FamilyParams, StructureConstants, _execute, _formula, _point, build_family
 from .scalars import Mode, Scalar, is_exact
 
 DELTA = "delta"
@@ -366,18 +366,18 @@ def _printed_rows(params: FamilyParams, mode: Mode, scale: int) -> list[tuple[Sc
 
     Exact, they are the ints 16 L^4 (A_i, B_i, C_i), L = `scale`, the
     `RicciData.scale` of the point: the plan of the family's text runs on
-    int pairs in exact forms (`liealg._execute`), and each entry n/d becomes
+    int pairs (`liealg._point`, `_execute`), and each entry n/d becomes
     16 L^4 n / d by an exact int division, whose remainder raises and
     never floors.  Every parameter the family reads is a bracket, so L*p
     is an int, and every entry is of degree at most 4.  Approx, they are
-    the floats `_evaluate` gives, the scale of float rows being 1.
+    the floats its plan gives, the scale of float rows being 1.
     """
     text, unit = PRINTED_SYSTEMS[params.family], 16 * scale**4
-    values = (_execute(_formula(text), _pairs(vars(params)), True) if mode.is_exact
-              else _evaluate(text, vars(params), mode))
+    values, exact = _point(vars(params), mode)
+    values = _execute(_formula(text), values, exact, mode)
 
     def entry(name):
-        if not mode.is_exact:
+        if not exact:
             return values[name]
         quotient, remainder = divmod(unit * values[name][0], values[name][1])
         if remainder:

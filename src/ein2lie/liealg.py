@@ -14,13 +14,14 @@ non-unimodular ones.  Each family carries the parameter constraints
 listed in `FAMILY_CONSTRAINTS`, which `validate_params` compiles and
 checks, and the pieces of its parameter variety listed in
 `FAMILY_PIECES`, from which its points are sampled.  The same clause
-compiler reads the package's formula texts, which bind names in turn.
-One builder makes the plan of a text or a sampler (`_plan`) and one
-runner executes every plan (`_execute`), exact values on int pairs with
-no Fraction arithmetic (`_term`).  Arbitrary tables enter through
-`from_raw`, which enforces antisymmetry but deliberately not the Jacobi
-identity: `jacobi_ok` decides it, and `geometry.ricci` raises
-NotLieAlgebra where it fails.
+compiler reads the package's formula texts, which bind names in turn:
+one walk of each side checks it and compiles its scalar and exact forms
+(`_side`).  One builder makes the plan of a text or a sampler (`_plan`)
+and one runner executes every plan (`_execute`) on the point `_point`
+gives, exact values on int pairs with no Fraction arithmetic.
+Arbitrary tables enter through `from_raw`, which enforces antisymmetry
+but deliberately not the Jacobi identity: `jacobi_ok` decides it, and
+`geometry.ricci` raises NotLieAlgebra where it fails.
 """
 
 from __future__ import annotations
@@ -176,64 +177,42 @@ def _operators() -> dict:
             ast.Div: operator.truediv, ast.Pow: operator.pow}
 
 
-def _binary(op, left, right, exact: bool):
-    return _pair_form(op, left, right) if exact else lambda values: op(left(values), right(values))
+def _binary(op, left, right) -> tuple:
+    """The (names, scalar form, exact form) of `left op right`, from those of its sides."""
+    (left_names, scalar_left, exact_left), (right_names, scalar_right, exact_right) = left, right
+    return (left_names | right_names, lambda values: op(scalar_left(values), scalar_right(values)),
+            _pair_form(op, exact_left, exact_right))
 
 
-def _names(node) -> frozenset:
-    """The names a side reads, once it is checked against the grammar, else ValueError: names,
-    integer constants, unary minus and + - * / ^, where a quotient's numerator reads a name
-    (`1/2` would be a float) and `^` takes a non-negative integer constant only."""
+def _side(node) -> tuple[frozenset, Callable, Callable]:
+    """Check a side against the grammar and compile it, in one walk: the names it reads and its
+    scalar and exact forms, functions of the parameter values; else ValueError.
+
+    The grammar is names, integer constants, unary minus and + - * / ^,
+    where a quotient's numerator reads a name (`1/2` would be a float)
+    and `^` takes a non-negative integer constant only.  The scalar form
+    computes on the numbers it reads, its integer constants staying ints.
+    The exact form runs on int pairs (`_pair_form`), a quotient by zero
+    raising ZeroDivisionError as Fraction does.
+    """
     import ast
     if isinstance(node, ast.Name):
-        return frozenset((node.id,))
+        read = operator.itemgetter(node.id)
+        return frozenset((node.id,)), read, read
     if isinstance(node, ast.Constant) and type(node.value) is int:
-        return frozenset()
+        value, pair = node.value, (node.value, 1)
+        return frozenset(), lambda values: value, lambda values: pair
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return _names(node.operand)
+        names, operand, exact = _side(node.operand)
+        return names, lambda values: -operand(values), _pair_form(operator.sub, lambda values: (0, 1), exact)
     if isinstance(node, ast.BinOp) and type(node.op) in _operators():
         exponent = getattr(node.right, "value", None)
         if isinstance(node.op, ast.Pow) and not (type(exponent) is int and exponent >= 0):
             raise ValueError(f"{ast.unparse(node)!r} has no non-negative integer constant exponent")
-        left = _names(node.left)
-        if left or not isinstance(node.op, ast.Div):
-            return left | _names(node.right)
+        left = _side(node.left)
+        if left[0] or not isinstance(node.op, ast.Div):
+            return _binary(_operators()[type(node.op)], left, _side(node.right))
     raise ValueError(f"unsupported term {ast.unparse(node)!r}")
-
-
-def _term(node, exact: bool = False) -> Callable:
-    """Compile a side that keeps to the grammar (`_names`) to a function of the parameter values.
-
-    The scalar form computes on the numbers it reads, its integer constants
-    staying ints.  The `exact` form runs on int pairs (`_pair_form`), a
-    quotient by zero raising ZeroDivisionError as Fraction does.
-    """
-    import ast
-    if isinstance(node, ast.Name):
-        return operator.itemgetter(node.id)
-    if isinstance(node, ast.Constant):
-        value = (node.value, 1) if exact else node.value
-        return lambda values: value
-    if isinstance(node, ast.UnaryOp):
-        operand = _term(node.operand, exact)
-        if exact:
-            return _pair_form(operator.sub, lambda values: (0, 1), operand)
-        return lambda values: -operand(values)
-    return _binary(_operators()[type(node.op)], _term(node.left, exact), _term(node.right, exact), exact)
-
-
-def _forms(left, right, equal: bool, exact: bool) -> tuple:
-    """The compiled sides of a relation and the terms whose zero tests decide it."""
-    import ast
-    sides = _term(left, exact), _term(right, exact)
-    if not (isinstance(right, ast.Constant) and right.value == 0):
-        return sides, (_binary(operator.sub, *sides, exact),)
-    if equal or len(_factors(left)) == 1:
-        return sides, sides[:1]
-    # A product compared != 0 reads factor by factor: the same test in
-    # exact mode, while in approx mode each factor must clear the
-    # tolerance, not their far smaller product.
-    return sides, tuple(_term(factor, exact) for factor in _factors(left))
 
 
 def _factors(node) -> list:
@@ -263,11 +242,19 @@ def _numbers(pairs: dict) -> dict:
     }
 
 
+def _point(values: Mapping[str, Scalar], mode: Mode | None) -> tuple[dict, bool]:
+    """The values a plan runs on in `mode` (exact if None), and whether they are int pairs:
+    the exact values as int pairs (`_pairs`), else, in approx mode or with a float among
+    them, a copy of the numbers."""
+    pairs = _pairs(values) if mode is None or mode.is_exact else None
+    return (dict(values), False) if pairs is None else (pairs, True)
+
+
 def _first_failure(relations, values: Mapping[str, Scalar], mode: Mode):
-    """The first relation that fails at `values` in `mode`, in exact form on exact values in exact mode."""
-    pairs = _pairs(values) if mode.is_exact else None
+    """The first relation that fails at `values` in `mode`, on the point `_point` gives."""
+    values, exact = _point(values, mode)
     for relation in relations:
-        if not (relation.within(values, mode) if pairs is None else relation.decide(pairs)):
+        if not relation.check(values, exact, mode):
             return relation
     return None
 
@@ -280,13 +267,14 @@ class _Relation:
     `squared[i]` its name if it is a bare parameter squared (`gamma^2`),
     `names[i]` the parameters it reads.  The clause `a*x^4 + b*x^2 + c = 0`
     reads as x^2 = a root of a*y^2 + b*y + c, a side that reads its
-    `coefficients` (a, b, c), else None.  The relation is link `index` of
-    its clause.  Its scalar and exact (sides, terms) compile on first use.
+    `coefficients` (a, b, c), else None.  `scalar` and `exact` are its
+    (sides, terms) in either form (`_side`), built with it; the terms'
+    zero tests decide it (`check`).
     """
 
-    def __init__(self, clause: str, index: int, equal: bool, left, right):
+    def __init__(self, clause: str, equal: bool, left, right):
         import ast
-        self.clause, self.index, self.equal = clause, index, equal
+        self.clause, self.equal = clause, equal
         self.bare = tuple(getattr(side, "id", None) for side in (left, right))
         self.squared = tuple(
             getattr(side.left, "id", None)
@@ -294,36 +282,41 @@ class _Relation:
             and getattr(side.right, "value", None) == 2 else None
             for side in (left, right)
         )
-        self.names = (_names(left), _names(right))
+        sides = _side(left), _side(right)
+        if not (isinstance(right, ast.Constant) and right.value == 0):
+            terms = (_binary(operator.sub, *sides),)
+        elif equal or len(_factors(left)) == 1:
+            terms = sides[:1]
+        else:
+            # A product compared != 0 reads factor by factor: the same test in
+            # exact mode, while in approx mode each factor must clear the
+            # tolerance, not their far smaller product.
+            terms = tuple(map(_side, _factors(left)))
+        self.names = sides[0][0], sides[1][0]
+        self.scalar = (sides[0][1], sides[1][1]), tuple(term[1] for term in terms)
+        self.exact = (sides[0][2], sides[1][2]), tuple(term[2] for term in terms)
         quadratic = re.fullmatch(r"(\w+)\*(\w+)\^4 \+ (\w+)\*\2\^2 \+ (\w+) = 0", clause)
         self.coefficients = quadratic and quadratic.group(1, 3, 4)
         if quadratic:
             self.squared = quadratic[2], None
             self.names = frozenset((quadratic[2],)), frozenset(self.coefficients)
 
-    def _compiled(self, exact: bool) -> tuple:
-        left, right = _parse_clause(self.clause)[1][self.index:self.index + 2]
-        return _forms(left, right, self.equal, exact)
-
-    scalar = functools.cached_property(lambda self: self._compiled(False))
-    exact = functools.cached_property(lambda self: self._compiled(True))
     sides = property(lambda self: self.scalar[0])
 
-    def within(self, values: Mapping[str, Scalar], mode: Mode) -> bool:
-        """The scalar form's test in `mode`."""
+    def check(self, values: Mapping, exact: bool, mode: Mode | None) -> bool:
+        """Whether the relation holds at `values`: int pairs if `exact`, each term's numerator
+        zero for =, nonzero for !=; else numbers, each term zero or nonzero in `mode`."""
+        if exact:
+            terms = self.exact[1]
+            if self.equal:
+                return not terms[0](values)[0]
+            for term in terms:
+                if not term(values)[0]:
+                    return False
+            return True
         test = mode.is_zero if self.equal else mode.is_nonzero
         for term in self.scalar[1]:
             if not test(term(values)):
-                return False
-        return True
-
-    def decide(self, pairs: Mapping[str, tuple]) -> bool:
-        """The exact form's test at int pairs: a zero numerator, or for != each nonzero."""
-        terms = self.exact[1]
-        if self.equal:
-            return not terms[0](pairs)[0]
-        for term in terms:
-            if not term(pairs)[0]:
                 return False
         return True
 
@@ -349,26 +342,20 @@ def _compile_clauses(
 
 
 # The catalog repeats many clauses; relations are never mutated, so
-# branches share them and each clause is compiled once.
+# branches share them and each clause is parsed and compiled once.
 @functools.lru_cache(maxsize=None)
 def _compile_clause(clause: str) -> tuple[_Relation, ...]:
-    import ast
-    ops, sides = _parse_clause(clause)
-    return tuple(
-        _Relation(clause, index, isinstance(op, ast.Eq), left, right)
-        for index, (op, left, right) in enumerate(zip(ops, sides, sides[1:]))
-    )
-
-
-def _parse_clause(clause: str) -> tuple[list, list]:
-    """The comparison operators of a clause and the syntax trees of its sides."""
     import ast
     tree = ast.parse(clause.replace("^", "**").replace(" = ", " == "), mode="eval").body
     if not isinstance(tree, ast.Compare) or not all(
         isinstance(op, (ast.Eq, ast.NotEq)) for op in tree.ops
     ):
         raise ValueError(f"constraint {clause!r} is not a chain of = and !=")
-    return tree.ops, [tree.left, *tree.comparators]
+    sides = [tree.left, *tree.comparators]
+    return tuple(
+        _Relation(clause, isinstance(op, ast.Eq), left, right)
+        for op, left, right in zip(tree.ops, sides, sides[1:])
+    )
 
 
 def _next_step(pending, bound, free):
@@ -439,7 +426,7 @@ def _execute(
             relation, side = arg
             values[name] = (relation.exact if exact else relation.scalar)[0][side](values)
         elif kind == "check":
-            if not (arg.decide(values) if exact else arg.within(values, mode)):
+            if not arg.check(values, exact, mode):
                 return None
         elif kind == "draw":
             values[name] = draw(rng, name, arg)
@@ -454,15 +441,15 @@ def _execute(
 def _evaluate(text: str, values: Mapping[str, Scalar], mode: Mode | None) -> dict | None:
     """The `values` and every name the formula text binds; None once one of its checks fails.
 
-    The checks run in `mode`; a text without checks needs none.  Exact
-    values, unless `mode` is approx, run on int pairs (`_execute`), and
-    only the names the text binds become Fractions.
+    The checks run in `mode`; a text without checks needs none.  The text
+    runs on the point `_point` gives, and on int pairs only the names the
+    text binds become Fractions.
     """
-    pairs = _pairs(values) if mode is None or mode.is_exact else None
-    if pairs is None:
-        return _execute(_formula(text), dict(values), False, mode)
-    pairs = _execute(_formula(text), pairs, True)
-    return None if pairs is None else {**values, **_numbers({n: x for n, x in pairs.items() if n not in values})}
+    point, exact = _point(values, mode)
+    point = _execute(_formula(text), point, exact, mode)
+    if point is None or not exact:
+        return point
+    return {**values, **_numbers({n: x for n, x in point.items() if n not in values})}
 
 
 FAMILY_CONSTRAINTS = {

@@ -127,11 +127,11 @@ class Mode(_Value):
         return cls(APPROX, float(tolerance))
 
     @classmethod
-    def for_values(cls, values: Iterable, tolerance: float = DEFAULT_TOLERANCE) -> "Mode":
-        """Exact when every value is rational, approx otherwise."""
+    def for_values(cls, values: Iterable) -> "Mode":
+        """Exact when every value is rational, approx at the default tolerance otherwise."""
         if all(is_exact(v) for v in values):
             return cls.exact()
-        return cls.approx(tolerance)
+        return cls.approx()
 
     @property
     def is_exact(self) -> bool:

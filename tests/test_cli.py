@@ -763,6 +763,27 @@ def test_scan_rows_in_grid_lexicographic_order():
     assert [(r["alpha"], r["beta"]) for r in rows] == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
 
 
+def test_exact_scan_converts_each_row_to_int_pairs_at_most_twice(monkeypatch):
+    """An exact scan row converts its point to int pairs once to validate it and once
+    for every membership plan of its family (8 for G3), counted by wrapping
+    `liealg._pairs` in every module of the package that binds it: at most 2
+    conversions per row, not 1 per branch."""
+    import sys
+
+    from ein2lie import liealg
+
+    calls, pairs = [], liealg._pairs
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ein2lie" and getattr(module, "_pairs", None) is pairs:
+            monkeypatch.setattr(module, "_pairs", lambda values: calls.append(values) or pairs(values))
+    code, out, _ = run_cli(
+        "scan", "--family", "G3", "--gamma", "1", "--grid", "alpha=-2:2:1/2", "--grid", "beta=-2:2:1/2"
+    )
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert (code, len(rows)) == (0, 81)
+    assert 0 < len(calls) <= 2 * len(rows), len(calls)
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

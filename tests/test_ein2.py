@@ -185,8 +185,8 @@ def test_match_printed_system_approx_mode():
 
 def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family_samples_100):
     """Exact is_ein2 and match_printed_system read only the integer contraction,
-    and exact fidelity evaluates the tabulated texts on ints only: it runs
-    their plans on int pairs and calls `_evaluate` on no Fraction."""
+    and exact fidelity evaluates the tabulated texts on ints only: it converts
+    each point to int pairs (`_point`) and runs their plans on them."""
     points = [params for samples in family_samples_100.values() for params in samples[:10]]
     references = [ricci_rows(ricci(build_family(p)), DELTA) for p in points]
 
@@ -195,11 +195,12 @@ def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family
 
     for name in ("rho", "rho_op", "rho_sq"):
         monkeypatch.setattr(RicciData, name, property(refuse))
-    evaluate, execute, integer_runs = ein2._evaluate, ein2._execute, []
+    point, execute, integer_runs = ein2._point, ein2._execute, []
 
-    def no_fraction(text, values, mode):
-        assert not any(isinstance(x, Fraction) for x in values.values()), values
-        return evaluate(text, values, mode)
+    def to_pairs(values, mode):
+        converted, exact = point(values, mode)
+        assert exact and not any(isinstance(x, Fraction) for x in converted.values()), converted
+        return converted, exact
 
     def ints_only(plan, pairs, exact, *args):
         given = [*pairs.values()]
@@ -209,7 +210,7 @@ def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family
         integer_runs.append(plan)
         return out
 
-    monkeypatch.setattr(ein2, "_evaluate", no_fraction)
+    monkeypatch.setattr(ein2, "_point", to_pairs)
     monkeypatch.setattr(ein2, "_execute", ints_only)
     for params, rows in zip(points, references):
         assert_matches_elimination(is_ein2(build_family(params)), rows, Mode.exact())
@@ -247,7 +248,7 @@ def test_match_printed_system_rejects_a_changed_table(monkeypatch, family_sample
     The change wraps `_printed_rows`, which both routes read: in exact
     mode the ints of the text's integer plan, on the scale of `_rows`,
     so +1 is a change of 1/(16 L^4) in the table; in approx mode the
-    floats of `_evaluate`."""
+    floats of the text's plan on numbers."""
     tabulated = ein2._printed_rows
     for family, samples in family_samples_100.items():
         scales = {p: ricci(build_family(p)).scale for p in samples}

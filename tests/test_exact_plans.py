@@ -117,11 +117,11 @@ def test_exact_form_of_every_relation_decides_as_its_scalar_form(values, data):
     ZeroDivisionError at the same points."""
     relation = data.draw(st.sampled_from(_RELATIONS))
     pairs = _pairs(values)
-    scalar = _outcome(lambda: relation.within(values, EXACT))
-    assert _outcome(lambda: relation.decide(dict(pairs))) == scalar
+    scalar = _outcome(lambda: relation.check(values, False, EXACT))
+    assert _outcome(lambda: relation.check(dict(pairs), True, None)) == scalar
     assert _outcome(lambda: _first_failure((relation,), values, EXACT) is None) == scalar
     assert _outcome(lambda: _first_failure((relation,), values, APPROX) is None) == _outcome(
-        lambda: relation.within(values, APPROX)
+        lambda: relation.check(values, False, APPROX)
     )
     for side in range(2):
         bound = _outcome(lambda: relation.sides[side](values))
@@ -154,8 +154,8 @@ def test_exact_forms_agree_on_the_seed_7_samples():
             if params.mode().is_exact:
                 values = vars(params)
                 for relation in _FAMILY_RELATIONS[spec.family]:
-                    exact = _outcome(lambda: relation.decide(_pairs(values)))
-                    assert exact == _outcome(lambda: relation.within(values, EXACT))
+                    exact = _outcome(lambda: relation.check(_pairs(values), True, None))
+                    assert exact == _outcome(lambda: relation.check(values, False, EXACT))
 
 
 @pytest.mark.parametrize("power", ["alpha^beta", "alpha^eta", "alpha^(-1)", "alpha^2.0"])
@@ -164,6 +164,60 @@ def test_a_power_by_anything_but_a_non_negative_integer_constant_is_refused_at_c
         _compile_clauses(f"{power} != 0")
     with pytest.raises(ValueError):
         _formula(f"q = {power}")
+
+
+#: Each kind of term the grammar refuses, with the message it is refused with.
+_REFUSED = {
+    "zeta": "unsupported term 'zeta'",
+    "0.5": "unsupported term '0.5'",
+    "1/2": "unsupported term '1 / 2'",
+    "alpha^beta": "'alpha ** beta' has no non-negative integer constant exponent",
+    "alpha^(-1)": "'alpha ** (-1)' has no non-negative integer constant exponent",
+    "alpha^2.0": "'alpha ** 2.0' has no non-negative integer constant exponent",
+    "alpha < beta": "unsupported term 'alpha < beta'",
+    "abs(alpha)": "unsupported term 'abs(alpha)'",
+}
+
+
+@pytest.mark.parametrize("term", list(_REFUSED))
+@pytest.mark.parametrize("place", ["{} = 0", "-({}) = 0", "alpha*({})*beta != 0", "alpha = {}"])
+def test_every_refused_term_is_refused_at_compile_with_its_message(place, term):
+    """At the top of a side, under unary minus, in a factor of a `!=` product and on an
+    equality's right side, a refused term raises its ValueError when the text compiles.
+    A bare `<` on a side makes the clause no chain of = and !=; a formula text admits
+    any name, so only `_compile_clauses` refuses one outside the parameters."""
+    text = place.format(term)
+    message = _REFUSED[term]
+    if term == "alpha < beta" and place in ("{} = 0", "alpha = {}"):
+        message = f"constraint {text!r} is not a chain of = and !="
+    compilers = [_compile_clauses] + ([_formula] if term != "zeta" else [])
+    for compile_text in compilers:
+        with pytest.raises(ValueError) as error:
+            compile_text(text)
+        assert str(error.value) == message, (compile_text, text)
+
+
+def test_each_distinct_clause_is_parsed_once(monkeypatch):
+    """Compiling a text parses each distinct clause once, and neither compiling it again
+    nor running its relations, in either form, parses anything."""
+    import ast
+
+    parsed, parse = [], ast.parse
+
+    def counted(source, *args, **kwargs):
+        parsed.append(source)
+        return parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counted)
+    text = "alpha*beta - 17 = 3*gamma != 0, delta^3 != 19*alpha, alpha*beta - 17 = 3*gamma != 0"
+    relations = _compile_clauses(text)
+    assert len(parsed) == 2 and len(relations) == 5, parsed
+    values = {"alpha": F(1), "beta": F(20), "gamma": F(1), "delta": F(2), "eta": 1}
+    assert _compile_clauses(text) == relations
+    assert _first_failure(relations, values, EXACT) is None
+    assert _first_failure(relations, values, APPROX) is None
+    assert [relation.sides[1](values) for relation in relations[:2]] == [3, 0]
+    assert len(parsed) == 2, parsed
 
 
 _ARITHMETIC = (
