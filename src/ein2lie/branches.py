@@ -61,6 +61,10 @@ that recomputation checks out, reports the branch as errata with a
 counterexample and the corrected formula attached.  The float branches
 2.7(viii), 3.2(iv) and 3.4(vii) state the generic case identity of
 their family, so for them the recomputation is no independent check.
+The stated lambdas assume the delta convention; under the metric
+convention, which flips the constant coefficient of row (3,3), a branch
+with lambda2 != 0 fails, and `verify_branch` itself replays it under
+delta and, if that replay is ok, reports a convention divergence.
 """
 
 from __future__ import annotations
@@ -89,8 +93,9 @@ from .liealg import (
 )
 from .scalars import Mode, Scalar, _Value
 
-#: Published default seed: default runs are reproducible.
+#: Published default seed and samples per branch: default runs are reproducible.
 DEFAULT_SEED = 7
+DEFAULT_SAMPLES = 50
 
 MAX_DRAWS = 10_000
 
@@ -174,10 +179,6 @@ class BranchSpec(_Value):
         """One run of the sampler's plan (`_sample`): a point of the branch, or None."""
         return _sample(self.family, self.plan, rng)
 
-    def member(self, params: FamilyParams, mode: Mode) -> bool:
-        """Membership test: every check of the membership plan passes (`_members`)."""
-        return any(_members((self,), params, mode))
-
     def expected(self, params: FamilyParams, mode: Mode | None = None) -> ExpectedLambdas:
         return _lambdas((self.lambdas,), params, mode)
 
@@ -212,6 +213,9 @@ class BranchFailure:
         self.recomputed, self.recomputed_ok = recomputed, recomputed_ok
 
 
+CONVENTION_DIVERGENCE = "convention_divergence"
+
+
 class BranchReport:
     """Outcome of replaying one branch at sampled parameter points."""
 
@@ -219,12 +223,12 @@ class BranchReport:
         self.label, self.family, self.constraints = label, family, constraints
         self.attempted, self.passed = attempted, passed
         self.failures: list[BranchFailure] = []
-        self.verdict = "verified"  # verified | errata | inconclusive
+        self.verdict = "verified"  # verified | errata | convention_divergence | inconclusive
         self.correction = ""
 
     @property
     def ok(self) -> bool:
-        return self.verdict in ("verified", "errata")
+        return self.verdict in ("verified", "errata", CONVENTION_DIVERGENCE)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +604,7 @@ def _expected_holds(solution: Ein2Solution, expected: ExpectedLambdas) -> bool:
 
 def verify_branch(
     spec: BranchSpec,
-    count: int = 50,
+    count: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
     convention: str = DELTA,
 ) -> BranchReport:
@@ -608,8 +612,10 @@ def verify_branch(
 
     Failures are data, not errors.  When every sample fails the same way
     and the case-identity recomputation passes on all of them, the
-    verdict is "errata" and the corrected formula is attached; partial
-    or unexplained failures are "inconclusive".
+    verdict is "errata" and the corrected formula is attached.  Under a
+    convention other than delta, which the stated lambdas assume, a
+    branch whose replay under delta is ok is a "convention_divergence";
+    partial or unexplained failures are "inconclusive".
     """
     report = BranchReport(
         label=spec.label,
@@ -647,6 +653,14 @@ def verify_branch(
     elif report.passed == 0 and all(f.recomputed_ok for f in report.failures):
         report.verdict = "errata"
         report.correction = spec.correction_note
+    elif convention != DELTA and (delta_report := verify_branch(spec, count, seed)).ok:
+        report.verdict = CONVENTION_DIVERGENCE
+        report.correction = (
+            "stated lambdas hold under the delta convention "
+            f"(delta verdict: {delta_report.verdict}); the metric convention "
+            "flips the constant coefficient of row (3,3), which matters "
+            "exactly when lambda2 != 0"
+        )
     else:
         report.verdict = "inconclusive"
     return report

@@ -48,7 +48,7 @@ from itertools import product
 from collections.abc import Callable, Sequence
 
 from . import reporting
-from .branches import DEFAULT_SEED, classify
+from .branches import DEFAULT_SAMPLES, DEFAULT_SEED, classify
 from .ein2 import CONVENTIONS, DELTA, is_ein2, solve
 from .geometry import ricci
 from .liealg import (
@@ -61,7 +61,7 @@ from .liealg import (
     unimodular,
 )
 from .scalars import APPROX, DEFAULT_TOLERANCE, EXACT, Mode, Scalar, parse_scalar
-from .verify import run_suite
+from .verify import DEFAULT_POINTS, run_suite
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -435,13 +435,13 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     )
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
-    p_verify.add_argument("--samples", default=50, help="samples per branch (default %(default)s)")
+    p_verify.add_argument("--samples", default=DEFAULT_SAMPLES, help="samples per branch (default %(default)s)")
     p_verify.add_argument(
-        "--fidelity-samples", dest="fidelity_samples", default=100,
+        "--fidelity-samples", dest="fidelity_samples", default=DEFAULT_POINTS,
         help="points per family for system fidelity (default %(default)s; 0 skips the section)",
     )
     p_verify.add_argument(
-        "--neg-samples", dest="neg_samples", default=100,
+        "--neg-samples", dest="neg_samples", default=DEFAULT_POINTS,
         help="off-branch points per family (default %(default)s; 0 skips the section)",
     )
     p_verify.add_argument("--seed", default=DEFAULT_SEED, help="sampling seed (default %(default)s)")

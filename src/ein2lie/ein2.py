@@ -391,7 +391,7 @@ def _covers(rows, others, mode: Mode) -> bool:
     """Every nonzero row of `rows` equals a row of `others` up to sign."""
     signed = [side for other in others for side in (other, tuple(-x for x in other))]
     return all(
-        any(all(map(mode.eq, row, other)) for other in signed)
+        any(all(mode.is_zero(x - y) for x, y in zip(row, other)) for other in signed)
         for row in rows
         if not all(map(mode.is_zero, row))
     )

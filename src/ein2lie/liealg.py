@@ -516,10 +516,11 @@ def validate_params(params: FamilyParams, mode: Mode | None = None) -> None:
     """
     if params.family == "G4" and params.eta not in (1, -1):
         raise ConstraintViolation(FAMILY_CONSTRAINTS["G4"], f"got eta = {params.eta}")
-    if mode is None:
-        mode = params.mode()
+    relations = _family_relations(params.family)
+    if not relations:
+        return
     values = vars(params)
-    relation = _first_failure(_family_relations(params.family), values, mode)
+    relation = _first_failure(relations, values, params.mode() if mode is None else mode)
     if relation is not None:
         # Family clauses are single relations; an equality shows its left side.
         left = relation.clause.partition(" = ")[0]

@@ -146,8 +146,3 @@ class Mode(_Value):
         # Strict inequalities in approx mode read |x| > tolerance: points
         # within tolerance of a constraint surface are deliberately rejected.
         return not self.is_zero(value)
-
-    def eq(self, x: Scalar, y: Scalar) -> bool:
-        if self.kind == EXACT:
-            return x == y
-        return abs(x - y) <= self.tolerance

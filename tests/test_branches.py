@@ -36,13 +36,14 @@ from ein2lie.branches import (
     _CASES,
     _QUARTIC_CLAUSE,
     BranchSpec,
+    _members,
     _piece_plans,
     _positive_quadratic_roots,
     _sample,
     sample_family_point,
 )
 from ein2lie import ein2
-from ein2lie.ein2 import PRINTED_SYSTEMS
+from ein2lie.ein2 import METRIC, PRINTED_SYSTEMS
 from ein2lie.liealg import (
     FAMILY_CONSTRAINTS,
     FAMILY_PIECES,
@@ -77,7 +78,7 @@ def test_samples_satisfy_membership_and_family_constraints():
     for spec in BRANCHES:
         for params in sample_branch(spec, 5, seed=11):
             validate_params(params)
-            assert spec.member(params, params.mode()), (spec.label, params)
+            assert any(_members((spec,), params, params.mode())), (spec.label, params)
 
 
 def test_sample_branch_deterministic():
@@ -199,6 +200,16 @@ def test_verify_branch_3_4_v_is_errata():
         corrected = (p.alpha**4 - p.alpha**2 * p.beta**2 + p.beta**4 / 2) / p.alpha**2
         assert failure.recomputed.lambda1 == corrected
         assert failure.recomputed.lambda2 == failure.expected.lambda2
+
+
+def test_verify_branch_decides_the_convention_divergence():
+    """Under the metric convention `verify_branch` itself replays a failing branch
+    under delta: 3.4(v), an erratum under delta, is a convention divergence, and
+    2.5, whose lambda2 is 0, stays verified."""
+    report = verify_branch(BRANCHES_BY_LABEL["3.4(v)"], 5, seed=7, convention=METRIC)
+    assert (report.verdict, report.ok) == ("convention_divergence", True)
+    assert "delta verdict: errata" in report.correction
+    assert verify_branch(BRANCHES_BY_LABEL["2.5"], 5, seed=7, convention=METRIC).verdict == "verified"
 
 
 def test_verify_branch_is_deterministic():
@@ -864,7 +875,7 @@ def test_product_nonzero_reads_factor_by_factor_in_approx_mode():
     # alpha*beta = -1e-10 is within tolerance, but each factor is not.
     spec = BRANCHES_BY_LABEL["2.7(v)"]
     params = FamilyParams("G3", alpha=-1e-5, beta=1e-5, gamma=0.0)
-    assert spec.member(params, Mode.approx())
+    assert any(_members((spec,), params, Mode.approx()))
 
 
 def test_errata_note_is_the_family_case_note():

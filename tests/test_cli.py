@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import importlib.util
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -763,13 +765,11 @@ def test_scan_rows_in_grid_lexicographic_order():
     assert [(r["alpha"], r["beta"]) for r in rows] == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
 
 
-def test_exact_scan_converts_each_row_to_int_pairs_at_most_twice(monkeypatch):
-    """An exact scan row converts its point to int pairs once to validate it and once
-    for every membership plan of its family (8 for G3), counted by wrapping
-    `liealg._pairs` in every module of the package that binds it: at most 2
-    conversions per row, not 1 per branch."""
-    import sys
-
+def test_exact_scan_converts_each_row_to_int_pairs_at_most_once(monkeypatch):
+    """An exact G3 scan row converts its point to int pairs once for every membership
+    plan of its family (8 for G3) and not to validate it, as G3 has no family
+    constraint, counted by wrapping `liealg._pairs` in every module of the package
+    that binds it: at most 1 conversion per row, not 1 per branch."""
     from ein2lie import liealg
 
     calls, pairs = [], liealg._pairs
@@ -781,7 +781,7 @@ def test_exact_scan_converts_each_row_to_int_pairs_at_most_twice(monkeypatch):
     )
     rows = list(csv.DictReader(io.StringIO(out)))
     assert (code, len(rows)) == (0, 81)
-    assert 0 < len(calls) <= 2 * len(rows), len(calls)
+    assert 0 < len(calls) <= len(rows), len(calls)
 
 
 # ---------------------------------------------------------------------------
@@ -830,6 +830,23 @@ def test_verify_metric_convention_lists_divergences():
     # exactly the branches whose lambda2 is generically nonzero
     assert diverged == {"2.7(ii)", "2.7(viii)", "3.2(iv)", "3.4(v)", "3.4(vii)"}
     assert doc["ok"] is True
+
+
+@pytest.mark.parametrize("workload", ["verify", "scan_exact", "scan_approx"])
+def test_benchmark_workloads_match_their_references(workload, monkeypatch):
+    """perfbench's own invocations and checks, run in process at seed 7: every report
+    item and scan row matches the stored reference, so an output change the benchmark
+    refuses fails here first.  The workloads module is loaded by path and registered
+    in sys.modules, which its dataclass needs."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    outputs = workloads.run_once(cli, workloads.invocations(workload, 7))
+    check = workloads.check_outputs(workload, outputs, workloads.load_references(workload, 7))
+    assert check.attempted > 0 and check.failed == 0, check
 
 
 def test_verify_deterministic_bytes(tmp_path):

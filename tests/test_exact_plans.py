@@ -24,7 +24,7 @@ from ein2lie import (
     validate_params,
     verify_branch,
 )
-from ein2lie.branches import _CASE_TEXTS
+from ein2lie.branches import _CASE_TEXTS, _members
 from ein2lie.ein2 import PRINTED_SYSTEMS
 from ein2lie.liealg import (
     FAMILY_PIECES,
@@ -135,13 +135,13 @@ def test_exact_form_of_every_relation_decides_as_its_scalar_form(values, data):
 def test_exact_membership_plan_of_every_branch_decides_as_its_scalar_plan(label, values):
     """A branch's membership plan, its quartic's set steps included, passes or fails
     at int pairs where it does on the numbers in exact mode, and raises
-    ZeroDivisionError at the same points; `member` runs it in either mode."""
+    ZeroDivisionError at the same points; `_members` runs it in either mode."""
     spec = BRANCHES_BY_LABEL[label]
     params = FamilyParams(spec.family, **values)
     scalar = _outcome(lambda: _execute(spec.membership, dict(values), False, EXACT) is not None)
     assert _outcome(lambda: _execute(spec.membership, _pairs(values), True) is not None) == scalar
-    assert _outcome(lambda: spec.member(params, EXACT)) == scalar
-    assert _outcome(lambda: spec.member(params, APPROX)) == _outcome(
+    assert _outcome(lambda: any(_members((spec,), params, EXACT))) == scalar
+    assert _outcome(lambda: any(_members((spec,), params, APPROX))) == _outcome(
         lambda: _execute(spec.membership, dict(values), False, APPROX) is not None
     )
 
@@ -250,7 +250,7 @@ def test_the_exact_hot_path_does_no_fraction_arithmetic(monkeypatch):
         samples = sample_branch(spec, 50, seed=7)
         for params in samples:
             validate_params(params)
-            assert spec.member(params, EXACT), (spec.label, params)
+            assert any(_members((spec,), params, EXACT)), (spec.label, params)
             spec.expected(params, EXACT)
         assert verify_branch(spec, 50, seed=7).verdict == expected[spec.label]
     for family in FAMILIES:

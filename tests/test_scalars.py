@@ -66,7 +66,7 @@ def test_mode_exact_vs_approx():
     assert exact.is_zero(F(0)) and not exact.is_zero(F(1, 10**9))
     approx = Mode.approx(1e-9)
     assert approx.is_zero(1e-10) and not approx.is_zero(1e-8)
-    assert approx.eq(1.0, 1.0 + 1e-12)
+    assert approx.is_zero(1.0 - (1.0 + 1e-12))
     with pytest.raises(ValueError):
         Mode.approx(0.0)
     with pytest.raises(ValueError):
