@@ -49,7 +49,7 @@ from itertools import combinations
 
 from .geometry import RicciData, ricci
 from .liealg import EPS, FamilyParams, StructureConstants, _execute, _formula, _point, build_family
-from .scalars import Mode, Scalar, is_exact
+from .scalars import Mode, Scalar
 
 DELTA = "delta"
 METRIC = "metric"
@@ -115,10 +115,11 @@ class Ein2Solution:
         return self.kind != NONE
 
     def residual_of(self, lam1: Scalar, lam2: Scalar) -> Scalar:
-        """Sup-norm of the system at a candidate pair; exactly, of the ints a q1 q2 + p1 q2 b + p2 q1 c."""
-        if not (self.mode.is_exact and is_exact(lam1) and is_exact(lam2)):
+        """Sup-norm of the system at a candidate pair; in exact mode, of the ints
+        a q1 q2 + p1 q2 b + p2 q1 c at lambda_i = p_i/q_i, a float as its dyadic rational."""
+        if not self.mode.is_exact:
             return _sup_residual(self.rows, lam1, lam2)
-        (p1, q1), (p2, q2) = (lam1.numerator, lam1.denominator), (lam2.numerator, lam2.denominator)
+        (p1, q1), (p2, q2) = lam1.as_integer_ratio(), lam2.as_integer_ratio()
         q, u, v = q1 * q2, p1 * q2, p2 * q1
         return Fraction(max(abs(a * q + u * b + v * c) for a, b, c in self._rows), q * self._scale)
 

@@ -33,8 +33,8 @@ traced components that rho needs,
                             - c[i][a][m] Gamma[m][j][a]).
 
 It does not build the curvature tensor R.
-`_contract` is the one statement of this sum, and a float table runs
-it.  For an exact table the sum is an integer quadratic form in the
+`_contract` is the one statement of this sum; approx mode runs it on a
+float table.  Otherwise the sum is an integer quadratic form in the
 nine brackets scaled to ints, derived from `_contract` by polarisation
 on the first exact call (`_form`), so an exact decision multiplies only
 ints and builds no Ricci Fraction.
@@ -204,13 +204,13 @@ def ricci(sc: StructureConstants, mode: Mode | None = None) -> RicciData:
     each pair p <= q of nonzero X the coefficients k of `_form` add
     k X_p X_q into the nine entries of N and the three of the Jacobi
     vector J(X) = L^2 J(c), which must vanish exactly, or NotLieAlgebra
-    is raised; the full table `sc.c` is never built.  Float route:
-    `jacobi_ok` tests `sc.c` within the tolerance of `mode`, then
-    `_contract` runs on it with L = 1, adding the terms in the order
-    the full tensor R adds them, so floats come out bit for bit as
-    through it.
+    is raised; the full table `sc.c` is never built.  It serves an exact
+    table, and in exact mode a float one, read as dyadic rationals.  Float
+    route (approx mode, float table): `jacobi_ok` tests `sc.c` within the
+    tolerance, then `_contract` runs on it with L = 1, adding the terms in
+    the order the full tensor R adds them, so floats come out bit for bit.
     """
-    if not sc.is_exact():
+    if not (mode is not None and mode.is_exact or sc.is_exact()):
         if not jacobi_ok(sc, mode):
             raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
         return RicciData(sc, _contract(sc.c), 1)

@@ -18,7 +18,7 @@ compiler reads the package's formula texts, which bind names in turn:
 one walk of each side checks it and compiles its scalar and exact forms
 (`_side`).  One builder makes the plan of a text or a sampler (`_plan`)
 and one runner executes every plan (`_execute`) on the point `_point`
-gives, exact values on int pairs with no Fraction arithmetic.
+gives: in exact mode int pairs, a float's dyadic too, with no Fraction arithmetic.
 Arbitrary tables enter through `from_raw`, which enforces antisymmetry
 but deliberately not the Jacobi identity: `jacobi_ok` decides it, and
 `geometry.ricci` raises NotLieAlgebra where it fails.
@@ -222,15 +222,13 @@ def _factors(node) -> list:
     return [node]
 
 
-def _pairs(values: Mapping) -> dict | None:
-    """The exact numbers among `values` as int pairs (n, d); None if a float is among them."""
+def _pairs(values: Mapping) -> dict:
+    """The numbers among `values` as int pairs (n, d), a float as its dyadic rational."""
     pairs = {}
     for name, x in values.items():
         kind = type(x)
-        if kind is Fraction or kind is int:
+        if kind is Fraction or kind is int or kind is float:
             pairs[name] = x.as_integer_ratio()
-        elif kind is float:
-            return None
     return pairs
 
 
@@ -244,10 +242,9 @@ def _numbers(pairs: dict) -> dict:
 
 def _point(values: Mapping[str, Scalar], mode: Mode | None) -> tuple[dict, bool]:
     """The values a plan runs on in `mode` (exact if None), and whether they are int pairs:
-    the exact values as int pairs (`_pairs`), else, in approx mode or with a float among
-    them, a copy of the numbers."""
-    pairs = _pairs(values) if mode is None or mode.is_exact else None
-    return (dict(values), False) if pairs is None else (pairs, True)
+    in exact mode the numbers as int pairs (`_pairs`), in approx mode a copy of them."""
+    exact = mode is None or mode.is_exact
+    return _pairs(values) if exact else dict(values), exact
 
 
 def _first_failure(relations, values: Mapping[str, Scalar], mode: Mode):
@@ -519,18 +516,21 @@ def validate_params(params: FamilyParams, mode: Mode | None = None) -> None:
     relations = _family_relations(params.family)
     if not relations:
         return
-    values = vars(params)
-    relation = _first_failure(relations, values, params.mode() if mode is None else mode)
+    values, mode = vars(params), params.mode() if mode is None else mode
+    relation = _first_failure(relations, values, mode)
     if relation is not None:
-        # Family clauses are single relations; an equality shows its left side.
+        # Family clauses are single relations; an equality shows its left side as the test read it.
         left = relation.clause.partition(" = ")[0]
-        detail = f"{left} = {relation.sides[0](values)}" if relation.equal else ""
+        detail = f"{left} = {relation.sides[0](_numbers(_point(values, mode)[0]))}" if relation.equal else ""
         raise ConstraintViolation(relation.clause, detail)
 
 
 def build_family(params: FamilyParams, mode: Mode | None = None) -> StructureConstants:
-    """Validate a parameter point, then construct its brackets (`family_table`)."""
+    """Validate a parameter point, then construct its brackets (`family_table`); in exact mode
+    from the parameters as Fractions, a float as its dyadic rational, so no bracket rounds."""
     validate_params(params, mode)
+    if mode is not None and mode.is_exact and float in map(type, vars(params).values()):
+        params = FamilyParams(params.family, **_numbers(_pairs(vars(params))))
     return family_table(params)
 
 
@@ -613,8 +613,11 @@ def _jacobi_base(c) -> Vector:
 
 
 def jacobi_ok(sc: StructureConstants, mode: Mode | None = None) -> bool:
+    """Whether the Jacobi vector vanishes in `mode`; exact mode reads the table as Fractions."""
     if mode is None:
         mode = Mode.for_values(sc.values())
+    if mode.is_exact:
+        sc = StructureConstants(tuple(tuple(map(Fraction, bracket)) for bracket in sc.brackets))
     return all(mode.is_zero(x) for x in _jacobi_base(sc.c))
 
 

@@ -1,10 +1,10 @@
 """Scalar arithmetic shared by all tensor computations.
 
-Every tensor entry is either an exact rational (`fractions.Fraction`,
-ints included) or a float.  Exact values survive arbitrary arithmetic
-without rounding; a single float input contaminates a computation and
-promotes it to float, which is the intended behavior for parameter
-points that are irrational by construction (square-root branch points).
+Every tensor entry is an exact rational (`fractions.Fraction`, ints
+included) or a float.  Exact values survive arithmetic unrounded.  In
+approx mode one float input promotes a computation to float, as meant
+for points irrational by construction (square-root branch points); exact
+mode reads a float as its dyadic rational and computes exactly.
 
 Equality is context dependent: exact values compare with ``==``, floats
 compare against a tolerance.  `Mode` packages that decision so every
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from numbers import Rational
 from collections.abc import Iterable
 
 Scalar = Fraction | float
@@ -29,7 +28,7 @@ APPROX = "approx"
 def as_scalar(value) -> Scalar:
     """Normalize a number: exact rational where possible, float otherwise.
 
-    ints and other rationals become Fractions; strings parse exactly
+    ints become Fractions; strings parse exactly
     ("3", "-5/2", "0.25"); finite floats stay floats, and nan or an
     infinity raises ValueError.
     """
@@ -43,8 +42,6 @@ def as_scalar(value) -> Scalar:
         if not math.isfinite(value):
             raise ValueError(f"not a finite number: {value!r}")
         return value
-    if isinstance(value, Rational):
-        return Fraction(value)
     if isinstance(value, str):
         return parse_scalar(value)
     raise TypeError(f"cannot interpret {value!r} as a scalar")
@@ -64,10 +61,7 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def is_exact(value) -> bool:
-    # the concrete types first, int before Fraction: the ABC checks are slow
-    if isinstance(value, (int, Fraction)):
-        return True
-    return not isinstance(value, float) and isinstance(value, Rational)
+    return isinstance(value, (int, Fraction))
 
 
 def format_scalar(value: Scalar) -> str:

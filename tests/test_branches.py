@@ -81,6 +81,12 @@ def test_samples_satisfy_membership_and_family_constraints():
             assert any(_members((spec,), params, params.mode())), (spec.label, params)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_sample_branch_needs_a_positive_count(count):
+    with pytest.raises(ValueError, match="^count must be >= 1$"):
+        sample_branch(BRANCHES_BY_LABEL["2.3"], count)
+
+
 def test_sample_branch_deterministic():
     spec = BRANCHES_BY_LABEL["3.2(iv)"]
     assert sample_branch(spec, 5, seed=3) == sample_branch(spec, 5, seed=3)

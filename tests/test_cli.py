@@ -172,7 +172,8 @@ def test_derive_bytes_are_pinned(case, tmp_path, monkeypatch):
 
 
 # check and classify on a point, a line, a point that is not Ein(2), the
-# approx 3.2(iv) input and a G4 point (eta in the input line); verify at
+# approx 3.2(iv) input and a G4 point (eta in the input line); check on a
+# general line, with a base and a direction (`check_general_line`); verify at
 # seed 7, whose report carries the 3.4(v) erratum, and under the metric
 # convention, whose report lists the convention divergences.  (exit
 # code, text sha256, JSON sha256) per case.
@@ -186,6 +187,9 @@ _VERDICT_POINTS = {
 REPORT_INPUTS = {
     **{f"{command}_{case}": (command, *argv)
        for command in ("check", "classify") for case, argv in _VERDICT_POINTS.items()},
+    "check_general_line": (
+        "check", "--family", "G3", "--alpha", "1", "--beta", "1", "--gamma", "1", "--convention", "metric",
+    ),
     "verify_seed7": ("verify", "--seed", "7"),
     "verify_metric": (
         "verify", "--convention", "metric", "--samples", "5",
@@ -193,6 +197,11 @@ REPORT_INPUTS = {
     ),
 }
 REPORT_SHA256 = {
+    "check_general_line": (
+        0,
+        "1f4eebc07ef00f633a2d81727fe6d611908bbe839e470e71b2ad96de10b1b280",
+        "7f2d8dd6a5862e2bbb66dfeaea815a945cc07ea6a05c32e94e203f7c0a9b8ada",
+    ),
     "check_G4": (
         0,
         "dc46e93e1b64c7a04d3b1a849c6f4b0cc849bbcdbc52e9fd9add2ddb631077df",
@@ -293,6 +302,15 @@ def test_text_is_a_layout_of_the_json_document(case, tmp_path, monkeypatch):
     argv = ROUND_TRIP_INPUTS[case]
     text, json_text = (report_output(argv, fmt)[1] for fmt in ("text", "json"))
     assert RENDER_TEXT[argv[0]](json.loads(json_text)) == text
+
+
+def test_general_line_prints_its_base_and_direction():
+    code, out = report_output(REPORT_INPUTS["check_general_line"], "text")
+    assert (code, out) == (0, (
+        "input: G3 alpha=1 beta=1 gamma=1\n"
+        "ein2: yes\n"
+        "solution: line: base (0, -1/4) + t * (1, 1/2)\n"
+    ))
 
 
 def test_derive_unimodular_reads_the_tolerance(tmp_path):
@@ -754,6 +772,38 @@ def test_scan_rejects_a_parameter_on_two_grid_axes():
         "scan", "--family", "G1", "--alpha", "1", "--grid", "beta=-1:1:1", "--grid", "beta=0,1"
     )
     assert (code, out, err) == (2, "", "error: grid axis 'beta' given twice\n")
+
+
+# Input checks: exit 2 with one stderr line and no output.  "{tmp}" is the
+# test's directory, which holds a raw file of invalid JSON and a config file
+# with an empty value; missing.json and missing.cfg do not exist.
+_NO_FILE = "[Errno 2] No such file or directory"
+_INVALID_INPUTS = [
+    (("check", "--family", "G1", "--alpha", "abc"), "field alpha: not a rational literal: 'abc'"),
+    (("check", "--family", "G9"), "unknown family 'G9'; expected one of G1, G2, G3, G4, G5, G6, G7"),
+    (("check", "--family", "G1", "--raw", "{tmp}/invalid.json"), "give either --family or --raw, not both"),
+    (("check", "--raw", "{tmp}/missing.json"),
+     f"cannot read raw input {{tmp}}/missing.json: {_NO_FILE}: '{{tmp}}/missing.json'"),
+    (("check", "--raw", "{tmp}/invalid.json"), "{tmp}/invalid.json: line 2: invalid JSON (Expecting ',' delimiter)"),
+    (("check", "--config", "{tmp}/empty.cfg"), "{tmp}/empty.cfg:2: empty value for 'alpha'"),
+    (("check", "--config", "{tmp}/missing.cfg"),
+     f"cannot read config file {{tmp}}/missing.cfg: {_NO_FILE}: '{{tmp}}/missing.cfg'"),
+    (("verify", "--seed", "x"), "field seed: expected an integer, got 'x'"),
+    (("scan", "--grid", "alpha=0:1:1"), "scan needs --family"),
+    (("scan", "--family", "G1", "--grid", "alpha"),
+     "grid axis 'alpha': expected name=start:stop:step or name=v1,v2,..."),
+    (("scan", "--family", "G1", "--grid", "zeta=1,2"), "grid axis 'zeta=1,2': unknown parameter 'zeta'"),
+    (("scan", "--family", "G1", "--grid", "alpha=1:2"), "grid axis 'alpha=1:2': ranges take start:stop:step"),
+    (("scan", "--family", "G1", "--grid", "alpha=,"), "grid axis 'alpha=,': no values"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _INVALID_INPUTS, ids=[" ".join(argv) for argv, _ in _INVALID_INPUTS])
+def test_invalid_input_exit_2_with_its_message(argv, message, tmp_path):
+    (tmp_path / "invalid.json").write_text('{"c": [1, 2\n')
+    (tmp_path / "empty.cfg").write_text("family = G1\nalpha =\n")
+    code, out, err = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out, err) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
 
 
 def test_scan_rows_in_grid_lexicographic_order():

@@ -16,6 +16,7 @@ from ein2lie import (
     FamilyParams,
     Mode,
     build_family,
+    classify,
     is_ein2,
     match_printed_system,
     sample_branch,
@@ -25,7 +26,7 @@ from ein2lie import (
     verify_branch,
 )
 from ein2lie.branches import _CASE_TEXTS, _members
-from ein2lie.ein2 import PRINTED_SYSTEMS
+from ein2lie.ein2 import CONVENTIONS, PRINTED_SYSTEMS
 from ein2lie.liealg import (
     FAMILY_PIECES,
     _PARAM_NAMES,
@@ -260,3 +261,53 @@ def test_the_exact_hot_path_does_no_fraction_arithmetic(monkeypatch):
             assert match_printed_system(params), params
         for params in sample_off_branch(family, 100, seed=7):
             assert is_ein2(build_family(params)).kind == "none", params
+
+
+def _converted(params: FamilyParams, convert) -> FamilyParams:
+    """The point with `convert` applied to alpha, beta, gamma and delta."""
+    return FamilyParams(params.family, eta=params.eta, **{
+        name: convert(getattr(params, name)) for name in ("alpha", "beta", "gamma", "delta")
+    })
+
+
+def _exact_outcomes(params: FamilyParams, convention: str) -> tuple:
+    """What exact mode decides at `params`: the solution of `is_ein2`, the fidelity
+    check and the `classify` status, each as its value or its exception and message."""
+
+    def solved():
+        solution = is_ein2(build_family(params, EXACT), convention, EXACT)
+        return (solution.kind, solution.point, solution.line_base, solution.line_direction,
+                solution.residual)
+
+    outcomes = []
+    for decide in (solved, lambda: match_printed_system(params, EXACT),
+                   lambda: classify(params, convention, EXACT).status):
+        try:
+            outcomes.append(decide())
+        except Exception as exc:
+            outcomes.append((type(exc).__name__, str(exc)))
+    return tuple(outcomes)
+
+
+def test_exact_mode_decides_float_parameters_as_their_dyadic_rationals(family_samples_100):
+    """Each seed-7 fidelity point with its parameters as floats, under both conventions:
+    exact mode decides it as it decides the Fractions of those floats, exceptions and
+    their messages included."""
+    mismatches = []
+    for samples in family_samples_100.values():
+        for params in samples:
+            floats = _converted(params, float)
+            dyadic = _converted(floats, Fraction)
+            for convention in CONVENTIONS:
+                if _exact_outcomes(floats, convention) != _exact_outcomes(dyadic, convention):
+                    mismatches.append((convention, params))
+    assert len(mismatches) == 0, (len(mismatches), mismatches[:3])
+
+
+def test_exact_mode_reads_a_g4_float_beta_unrounded():
+    """G4's bracket 2*eta - beta rounds in float at beta = 1/3; exact mode builds it
+    from the dyadic rational of the float, so the table holds no float."""
+    floats = FamilyParams("G4", alpha=1, beta=1 / 3, eta=1)
+    table = build_family(floats, EXACT)
+    assert float not in map(type, table.values())
+    assert table.brackets[0][2] == 2 - Fraction(1 / 3) != Fraction(2 - 1 / 3)

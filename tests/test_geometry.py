@@ -445,3 +445,21 @@ def test_importing_the_package_derives_no_form():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
     assert run.stdout.strip() == "0"
+
+
+def test_exact_mode_decides_a_float_table_on_ints(family_samples_100):
+    """The float tables of the seed-7 points (16 of the G7 ones fail the Jacobi test in
+    float arithmetic): exact mode reads each entry as its dyadic rational, so `ricci`
+    contracts ints, as on the table of Fractions, and `jacobi_ok` decides as there."""
+    exact = Mode.exact()
+    for samples in family_samples_100.values():
+        for params in samples:
+            floats = family_table(FamilyParams(params.family, eta=params.eta, **{
+                name: float(getattr(params, name)) for name in ("alpha", "beta", "gamma", "delta")
+            }))
+            dyadic = StructureConstants(tuple(tuple(map(F, bracket)) for bracket in floats.brackets))
+            assert jacobi_ok(floats, exact) == jacobi_ok(dyadic, exact), floats
+            if jacobi_ok(dyadic, exact):
+                rd, reference = ricci(floats, exact), ricci(dyadic, exact)
+                assert all(type(x) is int for row in rd.n for x in row), floats
+                assert (rd.n, rd.scale) == (reference.n, reference.scale)

@@ -19,6 +19,7 @@ from ein2lie import (
     from_raw,
     parse_scalar,
 )
+from ein2lie.scalars import is_exact
 
 F = Fraction
 
@@ -71,6 +72,16 @@ def test_mode_exact_vs_approx():
         Mode.approx(0.0)
     with pytest.raises(ValueError):
         Mode("weird")
+
+
+def test_exact_mode_admits_no_tolerance():
+    with pytest.raises(ValueError, match="^exact mode admits no tolerance$"):
+        Mode("exact", 1e-9)
+
+
+def test_only_ints_and_fractions_are_exact():
+    assert is_exact(3) and is_exact(F(1, 3))
+    assert not is_exact(0.5) and not is_exact("1/2") and not is_exact(None)
 
 
 def test_mode_inference():
