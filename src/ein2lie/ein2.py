@@ -26,11 +26,11 @@ Ricci contraction for exact data.  `solve` solves them for one
 systems, so the fidelity check reads the rows every verdict is decided
 on.  The tabulated systems are formula texts (`PRINTED_SYSTEMS`),
 compiled by the compiler of every other formula of the package and run
-by its one plan runner (`liealg._execute`).  For exact data each text's
-plan runs once per point on int pairs, whose entries an exact int
-division puts on the scale of `_rows`, and the two sides compare as sets
-of sign-canonical int rows; float rows are compared within tolerance
-with the text evaluated on floats.  `_solve`
+by its one plan runner (`liealg._execute`).  Fidelity is exact: each
+text's plan runs once per point on int pairs, a float parameter read as
+its dyadic rational, and an exact int division puts its entries on the
+scale of `_rows`; the two sides compare as sets of sign-canonical int
+rows (`_canonical`).  `_solve`
 computes the affine solution set from 2x2 minors, in plain int loops for
 exact rows and with tolerance tests for float ones.  For unsolvable systems
 the reported residual is the minimal achievable sup-norm over all
@@ -48,7 +48,7 @@ from functools import cached_property
 from itertools import combinations
 
 from .geometry import RicciData, ricci
-from .liealg import EPS, FamilyParams, StructureConstants, _execute, _formula, _point, build_family
+from .liealg import EPS, FamilyParams, StructureConstants, _execute, _formula, _pairs, build_family
 from .scalars import Mode, Scalar
 
 DELTA = "delta"
@@ -61,6 +61,8 @@ LINE = "line"
 PLANE = "plane"
 
 PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+_EXACT = Mode.exact()
 
 
 def _constants(convention: str) -> tuple[int, ...]:
@@ -308,8 +310,8 @@ def is_ein2(
 #: per family (`liealg._formula`): it binds helper names and, for each
 #: nonzero equation A + lambda1*B + lambda2*C = 0, row i's (Ai, Bi, Ci).
 #: The rows may differ from the nonzero rows of `_rows` by an overall
-#: sign, by ordering and by repetition; never by more (`_canonical`,
-#: `_covers`).  Every entry is a polynomial of degree at most 4 that
+#: sign, by ordering and by repetition; never by more, which `_canonical`
+#: alone decides.  Every entry is a polynomial of degree at most 4 that
 #: divides by integer constants only, so 16 L^4 times it is an int.
 PRINTED_SYSTEMS: dict[str, str] = {
     "G1": (
@@ -362,24 +364,20 @@ PRINTED_SYSTEMS: dict[str, str] = {
 }
 
 
-def _printed_rows(params: FamilyParams, mode: Mode, scale: int) -> list[tuple[Scalar, ...]]:
-    """The family's tabulated rows (A_i, B_i, C_i) at `params`, on the scale of `_rows`.
+def _printed_rows(params: FamilyParams, scale: int) -> list[tuple[int, ...]]:
+    """The family's tabulated rows (A_i, B_i, C_i) at `params`: the ints 16 L^4 (A_i, B_i, C_i).
 
-    Exact, they are the ints 16 L^4 (A_i, B_i, C_i), L = `scale`, the
-    `RicciData.scale` of the point: the plan of the family's text runs on
-    int pairs (`liealg._point`, `_execute`), and each entry n/d becomes
-    16 L^4 n / d by an exact int division, whose remainder raises and
-    never floors.  Every parameter the family reads is a bracket, so L*p
-    is an int, and every entry is of degree at most 4.  Approx, they are
-    the floats its plan gives, the scale of float rows being 1.
+    L = `scale` is the `RicciData.scale` of the point, so they lie on the
+    scale of `_rows`.  The plan of the family's text runs on int pairs
+    (`liealg._pairs`, a float as its dyadic rational; `_execute`), and each
+    entry n/d becomes 16 L^4 n / d by an exact int division, whose
+    remainder raises and never floors.  Every parameter the family reads
+    is a bracket, so L*p is an int, and every entry is of degree at most 4.
     """
     text, unit = PRINTED_SYSTEMS[params.family], 16 * scale**4
-    values, exact = _point(vars(params), mode)
-    values = _execute(_formula(text), values, exact, mode)
+    values = _execute(_formula(text), _pairs(vars(params)), True)
 
     def entry(name):
-        if not exact:
-            return values[name]
         quotient, remainder = divmod(unit * values[name][0], values[name][1])
         if remainder:
             raise ArithmeticError(f"{name} = {Fraction(*values[name])} is no int on the scale 16 L^4 = {unit}")
@@ -388,21 +386,11 @@ def _printed_rows(params: FamilyParams, mode: Mode, scale: int) -> list[tuple[Sc
     return [tuple(map(entry, (f"A{i}", f"B{i}", f"C{i}"))) for i in range(1, 7) if f"A{i}" in values]
 
 
-def _covers(rows, others, mode: Mode) -> bool:
-    """Every nonzero row of `rows` equals a row of `others` up to sign."""
-    signed = [side for other in others for side in (other, tuple(-x for x in other))]
-    return all(
-        any(all(mode.is_zero(x - y) for x, y in zip(row, other)) for other in signed)
-        for row in rows
-        if not all(map(mode.is_zero, row))
-    )
-
-
 def _canonical(rows) -> set:
-    """The nonzero exact rows, each signed so its first nonzero entry is positive.
+    """The nonzero int rows, each signed so its first nonzero entry is positive.
 
-    Two row lists cover each other (`_covers` both ways) exactly when
-    these sets are equal.
+    Two row lists hold the same rows up to sign, ordering and repetition
+    exactly when these sets are equal.
     """
     signed = set()
     for row in rows:
@@ -413,22 +401,17 @@ def _canonical(rows) -> set:
     return signed
 
 
-def match_printed_system(params: FamilyParams, mode: Mode | None = None) -> bool:
-    """Compare the rows `is_ein2` solves against the tabulated system.
+def match_printed_system(params: FamilyParams) -> bool:
+    """Compare the rows `is_ein2` solves against the tabulated system, exactly.
 
-    The rows of `_rows` (delta convention, zero rows dropped) must equal
-    the family's tabulated equations on the same scale (`_printed_rows`),
-    up to row sign, ordering and repetition: every nonzero row on either
-    side is a row of the other.  Exact mode compares ints, the tabulated
-    ones from the text's plan on int pairs, as sets of sign-canonical rows
-    (`_canonical`), so neither side builds a Fraction; approx mode tests
-    each row against the other side within tolerance (`_covers`).
+    The rows of `_rows` (delta convention, exact mode, zero rows dropped)
+    must equal the family's tabulated equations on the same scale
+    (`_printed_rows`), up to row sign, ordering and repetition: both
+    sides are ints, compared as sets of sign-canonical rows
+    (`_canonical`), so neither builds a Fraction.  A float parameter
+    reads as its dyadic rational, as everywhere in exact mode, so a float
+    point that misses a family relation exactly raises ConstraintViolation.
     """
-    if mode is None:
-        mode = params.mode()
-    rd = ricci(build_family(params, mode), mode)
-    rows, _ = _rows(rd, DELTA, mode)
-    printed = _printed_rows(params, mode, rd.scale)
-    if mode.is_exact:
-        return _canonical(rows) == _canonical(printed)
-    return _covers(rows, printed, mode) and _covers(printed, rows, mode)
+    rd = ricci(build_family(params, _EXACT), _EXACT)
+    rows, _ = _rows(rd, DELTA, _EXACT)
+    return _canonical(rows) == _canonical(_printed_rows(params, rd.scale))

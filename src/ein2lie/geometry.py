@@ -56,18 +56,21 @@ Tensor3 = tuple[tuple[tuple[Scalar, ...], ...], ...]
 class RicciData(_Value):
     """Connection, Ricci tensor, Ricci operator (row convention) and rho^2.
 
-    Holds the structure constants `ricci` read, the contraction
+    Holds the nine brackets `ricci` read times L, the contraction
     n = 4 L^2 rho and its scale L (see `ricci`); the connection, rho,
-    rho_op and rho_sq are built from them on first read.  rho is
+    rho_op and rho_sq are built from them on first read.  On the exact
+    route the scaled brackets are ints, so the connection is exact even
+    for a float table read in exact mode; on the float route L = 1 and
+    they are the table's own values.  rho is
     symmetric; rho_op satisfies rho[i][j] = eps_j * rho_op[i][j] and is
     g-self-adjoint (eps_j rho_op[i][j] = eps_i rho_op[j][i]); in
     Lorentzian signature it need not be diagonalizable.
     """
 
-    _fields = ("sc", "n", "scale")
+    _fields = ("scaled", "n", "scale")
 
-    def __init__(self, sc: StructureConstants, n: Matrix, scale: int):
-        self.sc, self.n, self.scale = sc, n, scale
+    def __init__(self, scaled: tuple, n: Matrix, scale: int):
+        self.scaled, self.n, self.scale = scaled, n, scale
 
     def squares(self) -> Matrix:
         """sum_k eps_k n[i][k] n[j][k], which is 16 L^4 rho_sq[i][j]; the upper triangle, mirrored."""
@@ -81,12 +84,14 @@ class RicciData(_Value):
 
     @cached_property
     def connection(self) -> Tensor3:
-        """The Levi-Civita connection Gamma = `_koszul(sc.c)` / 2.
+        """The Levi-Civita connection Gamma = `_koszul(c)` / 2, as H / (2 L) for H = `_koszul` of L c.
 
         Torsion-freeness (Gamma^k_ij - Gamma^k_ji = c^k_ij) and metric
         compatibility (eps_k Gamma^k_ij + eps_j Gamma^j_ik = 0) hold by construction.
         """
-        return tuple(_divide(plane, 2) for plane in _koszul(self.sc.c))
+        x = self.scaled
+        table = StructureConstants((x[:3], x[3:6], x[6:]))
+        return tuple(_divide(plane, 2 * self.scale) for plane in _koszul(table.c))
 
     @cached_property
     def rho(self) -> Matrix:
@@ -193,8 +198,9 @@ def ricci(sc: StructureConstants, mode: Mode | None = None) -> RicciData:
                            - c^m_ia Gamma^a_mj).
 
     The sum runs in units of H = 2 L Gamma, L the lcm of the table's
-    denominators, giving N = 4 L^2 rho; the result hands on N and L, and
-    each Fraction is built from them once, when it is read:
+    denominators, giving N = 4 L^2 rho; the result hands on N, L and the
+    brackets times L, and each Fraction is built from them once, when it
+    is read:
 
       rho[i][j] = N_ij / (4 L^2),
       rho_sq[i][j] = sum_k eps_k N_ik N_jk / (16 L^4).
@@ -213,10 +219,10 @@ def ricci(sc: StructureConstants, mode: Mode | None = None) -> RicciData:
     if not (mode is not None and mode.is_exact or sc.is_exact()):
         if not jacobi_ok(sc, mode):
             raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
-        return RicciData(sc, _contract(sc.c), 1)
+        return RicciData(sc.values(), _contract(sc.c), 1)
     ratios = [x.as_integer_ratio() for x in sc.values()]
     scale = lcm(*[d for _, d in ratios])
-    x = [n * (scale // d) for n, d in ratios]
+    x = tuple([n * (scale // d) for n, d in ratios])
     live = [p for p in range(9) if x[p]]
     form, out = _form(), [0] * 12
     for i, p in enumerate(live):
@@ -227,4 +233,4 @@ def ricci(sc: StructureConstants, mode: Mode | None = None) -> RicciData:
                 out[o] += k * xpq
     if out[9] or out[10] or out[11]:
         raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
-    return RicciData(sc, (tuple(out[:3]), tuple(out[3:6]), tuple(out[6:9])), scale)
+    return RicciData(x, (tuple(out[:3]), tuple(out[3:6]), tuple(out[6:9])), scale)

@@ -579,12 +579,15 @@ def from_raw(c, mode: Mode | None = None) -> StructureConstants:
 
     Rejects entries with c^k_ij != -c^k_ji beyond tolerance, then stores
     the brackets of the antisymmetrized table, (c^k_ij - c^k_ji) / 2 for
-    i < j (exact inputs as given).  The Jacobi identity is deliberately
-    not enforced here.
+    i < j: Fractions in exact mode, a float entry read as its dyadic
+    rational, and floats in approx mode.  The Jacobi identity is
+    deliberately not enforced here.
     """
     table = [[[as_scalar(c[i][j][k]) for k in range(3)] for j in range(3)] for i in range(3)]
     if mode is None:
         mode = Mode.for_values(x for plane in table for row in plane for x in row)
+    if mode.is_exact:
+        table = [[[Fraction(x) for x in row] for row in plane] for plane in table]
     for i in range(3):
         for j in range(i, 3):
             for k in range(3):

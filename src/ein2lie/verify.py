@@ -13,7 +13,9 @@ requested convention; under the metric convention, branches with
 lambda2 != 0 legitimately diverge, and `verify_branch` decides such a
 divergence (it re-checks the branch under delta), so the suite lists it
 instead of failing.  Fidelity and negative sampling are one routine
-(`_sampled`) run with two checks.
+(`_sampled`) run with two checks, both exact: the points of both
+sections are rational, since the family pieces they are drawn on take
+no root step.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .branches import (
     verify_anchor,
     verify_branch,
 )
-from .ein2 import DELTA, NONE, is_ein2, match_printed_system
+from .ein2 import _EXACT, DELTA, NONE, is_ein2, match_printed_system
 from .liealg import FAMILIES, FamilyParams, build_family
 
 #: Points per family of the fidelity and negative sections by default.
@@ -80,9 +82,9 @@ def _sampled(families, count: int, seed: int, sample, fails) -> list[SampledChec
 
 
 def _solved(params: FamilyParams) -> bool:
-    """An off-branch point the solver finds Ein(2): a violation."""
-    mode = params.mode()
-    return is_ein2(build_family(params, mode), DELTA, mode).kind != NONE
+    """An off-branch point the exact solver finds Ein(2): a violation.  The points
+    `sample_off_branch` draws are rational (its plans take no root step)."""
+    return is_ein2(build_family(params, _EXACT), DELTA, _EXACT).kind != NONE
 
 
 def run_suite(

@@ -14,8 +14,10 @@ Two kinds of oracle live here:
   `ein2lie.geometry`, whose traced sum `geometry.ricci` follows, a
   minors-based affine solver for the component system, the pivoted
   row elimination the production solver used before its integer route,
-  and the minimal sup-norm residual by enumerating the vertices of the
-  Chebyshev linear program.  Same mathematics, different route.
+  the minimal sup-norm residual by enumerating the vertices of the
+  Chebyshev linear program, and the two-way row cover the fidelity check
+  used before it compared sets of sign-canonical rows.  Same
+  mathematics, different route.
 """
 
 from __future__ import annotations
@@ -615,3 +617,17 @@ def solve_eliminate(rows, mode):
     if direction[0] < 0 or (zero(direction[0]) and direction[1] < 0):
         direction = (-direction[0], -direction[1])
     return EliminationResult("line", rows, mode, line_base=tuple(base), line_direction=direction)
+
+
+# ---------------------------------------------------------------------------
+# Row cover (the fidelity comparison before sign-canonical row sets)
+# ---------------------------------------------------------------------------
+
+def covers(rows, others) -> bool:
+    """Every nonzero row of `rows` equals a row of `others` up to sign."""
+    signed = [side for other in others for side in (other, tuple(-x for x in other))]
+    return all(
+        any(all(x == y for x, y in zip(row, other)) for other in signed)
+        for row in rows
+        if any(row)
+    )

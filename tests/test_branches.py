@@ -35,6 +35,7 @@ from ein2lie import (
 from ein2lie.branches import (
     _CASES,
     _QUARTIC_CLAUSE,
+    AnchorSpec,
     BranchSpec,
     _members,
     _piece_plans,
@@ -146,6 +147,14 @@ def test_quartic_root_example_g6():
     assert len(roots) == 1
     assert roots[0] == pytest.approx((-2 + math.sqrt(10)) / 6, abs=1e-15)
     assert roots[0] == pytest.approx(anchor.params.alpha**2, abs=1e-15)
+
+
+def test_positive_quadratic_roots_none_without_x_terms_or_real_roots():
+    """qa = qb = 0 leaves no quadratic in x, and a negative discriminant no real root."""
+    assert _positive_quadratic_roots(0, 0, 0) == []
+    assert _positive_quadratic_roots(0, 0, F(-5, 2)) == []
+    assert _positive_quadratic_roots(1, 0, 1) == []
+    assert _positive_quadratic_roots(F(1, 2), -1, 1) == []
 
 
 def test_sample_branch_2_3_values():
@@ -469,6 +478,29 @@ def test_anchor_g6_reproduces_closed_forms():
     assert result.solution.point[1] == pytest.approx((37 - 8 * math.sqrt(10)) / 12, abs=1e-12)
 
 
+def _wrong_2_5() -> BranchSpec:
+    """Branch 2.5 with 1 added to its stated lambda1, which then fails on every sample."""
+    stated = BRANCHES_BY_LABEL["2.5"]
+    return BranchSpec(stated.label, stated.constraints, stated.free,
+                      "lambda1 = alpha^2/2 + 2*gamma^2 + 1, lambda2 = 0")
+
+
+def test_wrong_stated_lambdas_without_a_recomputation_are_inconclusive():
+    report = verify_branch(_wrong_2_5(), 50, seed=7)
+    assert (report.verdict, report.passed, report.ok) == ("inconclusive", 0, False)
+    assert len(report.failures) == 50
+    assert all(f.recomputed is None and not f.recomputed_ok for f in report.failures)
+
+
+def test_an_anchor_that_is_no_point_fails_with_infinite_errors():
+    """G1 at alpha = beta = 1 is not Ein(2), so its solution is no point."""
+    anchor = AnchorSpec("2.3 @ alpha=beta=1", FamilyParams("G1", alpha=1, beta=1), 0, 0)
+    result = verify_anchor(anchor)
+    assert result.solution.kind == "none"
+    assert (result.lambda1_error, result.lambda2_error) == (math.inf, math.inf)
+    assert not result.ok
+
+
 def test_line_branches_are_exactly_the_flat_ones():
     line_labels = set()
     for spec in BRANCHES:
@@ -745,7 +777,7 @@ def test_every_tabulated_system_compiles_to_an_integer_plan():
         on_numbers = [name for name in _execute(plan, dict(numbers), False, Mode.approx()) if name not in numbers]
         assert on_pairs == on_numbers == [name for _, name, _ in plan], text
         assert all(kind == "set" for kind, _, _ in plan), text
-        rows = ein2._printed_rows(params, Mode.exact(), 7)
+        rows = ein2._printed_rows(params, 7)
         assert rows and all(type(x) is int for row in rows for x in row), (family, rows)
 
 

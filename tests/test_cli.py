@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from ein2lie import cli, ein2, geometry, reporting
+from ein2lie import BRANCHES, BRANCHES_BY_LABEL, BranchSpec, cli, ein2, geometry, reporting, verify
 from ein2lie.cli import main
 
 SCHEMA_PATH = Path(__file__).parent.parent / "schema" / "report.schema.json"
@@ -393,13 +393,14 @@ def test_derive_rejects_non_lie_raw_table(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["derive", "check"])
-def test_non_lie_raw_table_with_denominators_exit_2(command, tmp_path):
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_non_lie_raw_table_with_denominators_exit_2(command, mode, tmp_path):
     raw = tmp_path / "nonlie.json"
     table = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
     table[0][1][2], table[1][0][2] = "1/2", "-1/2"  # [e1,e2] = e3/2
     table[0][2][0], table[2][0][0] = "2/3", "-2/3"  # [e1,e3] = 2 e1/3
     raw.write_text(json.dumps({"c": table}))
-    code, out, err = run_cli(command, "--raw", str(raw))
+    code, out, err = run_cli(command, "--raw", str(raw), "--mode", mode)
     assert (code, out, err) == (2, "", "error: Jacobi identity fails; residual is nonzero\n")
 
 
@@ -880,6 +881,22 @@ def test_verify_metric_convention_lists_divergences():
     # exactly the branches whose lambda2 is generically nonzero
     assert diverged == {"2.7(ii)", "2.7(viii)", "3.2(iv)", "3.4(v)", "3.4(vii)"}
     assert doc["ok"] is True
+
+
+def test_verify_fails_on_an_inconclusive_branch(monkeypatch):
+    """With 1 added to branch 2.5's stated lambda1 every sample fails and no case
+    identity recomputes it: the branch is inconclusive and verify exits 1."""
+    stated = BRANCHES_BY_LABEL["2.5"]
+    wrong = BranchSpec(stated.label, stated.constraints, stated.free,
+                       "lambda1 = alpha^2/2 + 2*gamma^2 + 1, lambda2 = 0")
+    monkeypatch.setattr(verify, "BRANCHES", tuple(wrong if s is stated else s for s in BRANCHES))
+    code, out, err = run_cli("verify", "--theorem", "2.5")
+    assert (code, err) == (1, "")
+    assert "  2.5         G2  inconclusive           0/50 samples\n" in out
+    assert out.endswith("result: FAILED\n")
+    code, doc, _ = run_json("verify", "--theorem", "2.5")
+    assert code == 1 and doc["ok"] is False
+    assert [(b["verdict"], b["passed"]) for b in doc["branches"]] == [("inconclusive", 0)]
 
 
 @pytest.mark.parametrize("workload", ["verify", "scan_exact", "scan_approx"])

@@ -44,7 +44,7 @@ from ein2lie.liealg import (
     _numbers,
     _plan,
 )
-from oracles import min_sup_residual_vertices, solve_brute, solve_eliminate
+from oracles import covers, min_sup_residual_vertices, solve_brute, solve_eliminate
 from test_geometry import _BIG_DENOMINATORS, _valid_table, family_points
 
 F = Fraction
@@ -95,6 +95,14 @@ def test_conventions_differ_only_in_last_diagonal_row(family_samples_100):
             a_m, b_m, c_m = metric_rows[5]
             assert (a_d, b_d) == (a_m, b_m)
             assert (c_d, c_m) == (1, -1)
+
+
+def test_an_unknown_convention_is_refused_with_its_message():
+    sc = build_family(FamilyParams("G1", alpha=1, beta=2))
+    expected = "unknown convention 'bogus'; expected one of ('delta', 'metric')"
+    with pytest.raises(ValueError) as raised:
+        is_ein2(sc, "bogus")
+    assert str(raised.value) == expected
 
 
 def test_conventions_agree_when_lambda2_zero():
@@ -178,15 +186,26 @@ def test_match_printed_system_sampled(family_samples_100):
             assert match_printed_system(params), params
 
 
-def test_match_printed_system_approx_mode():
-    params = FamilyParams("G3", alpha=1.0, beta=2.0, gamma=3.0)
-    assert match_printed_system(params, Mode.approx(1e-9))
+def test_match_printed_system_reads_float_parameters_as_dyadic_rationals():
+    """Fidelity is exact on float points too: a float G5 or G6 branch sample that misses
+    its bilinear family relation exactly raises ConstraintViolation, the others match,
+    and so do both anchors, whose delta = 2*alpha is exact in floats."""
+    for label, missing in (("3.2(iv)", 24), ("3.4(vii)", 29)):
+        raised = 0
+        for params in sample_branch(BRANCHES_BY_LABEL[label], 50, seed=7):
+            assert type(params.alpha) is float, params
+            try:
+                assert match_printed_system(params), params
+            except ConstraintViolation:
+                raised += 1
+        assert raised == missing, label
+    assert all(match_printed_system(anchor.params) for anchor in ANCHORS)
 
 
 def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family_samples_100):
     """Exact is_ein2 and match_printed_system read only the integer contraction,
     and exact fidelity evaluates the tabulated texts on ints only: it converts
-    each point to int pairs (`_point`) and runs their plans on them."""
+    each point to int pairs (`_pairs`) and runs their plans on them."""
     points = [params for samples in family_samples_100.values() for params in samples[:10]]
     references = [ricci_rows(ricci(build_family(p)), DELTA) for p in points]
 
@@ -195,12 +214,12 @@ def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family
 
     for name in ("rho", "rho_op", "rho_sq"):
         monkeypatch.setattr(RicciData, name, property(refuse))
-    point, execute, integer_runs = ein2._point, ein2._execute, []
+    pairs, execute, integer_runs = ein2._pairs, ein2._execute, []
 
-    def to_pairs(values, mode):
-        converted, exact = point(values, mode)
-        assert exact and not any(isinstance(x, Fraction) for x in converted.values()), converted
-        return converted, exact
+    def to_pairs(values):
+        converted = pairs(values)
+        assert not any(isinstance(x, Fraction) for x in converted.values()), converted
+        return converted
 
     def ints_only(plan, pairs, exact, *args):
         given = [*pairs.values()]
@@ -210,7 +229,7 @@ def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family
         integer_runs.append(plan)
         return out
 
-    monkeypatch.setattr(ein2, "_point", to_pairs)
+    monkeypatch.setattr(ein2, "_pairs", to_pairs)
     monkeypatch.setattr(ein2, "_execute", ints_only)
     for params, rows in zip(points, references):
         assert_matches_elimination(is_ein2(build_family(params)), rows, Mode.exact())
@@ -241,44 +260,37 @@ def _distinct_nonzero(rows):
     return len(keys) == len(rows) and all(any(row) for row in rows)
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "approx"])
-def test_match_printed_system_rejects_a_changed_table(monkeypatch, family_samples_100, exact):
+def test_match_printed_system_rejects_a_changed_table(monkeypatch, family_samples_100):
     """Adding 1 to any one tabulated coefficient breaks the match, and so
     does an extra row (0, 0, 2), which no delta-convention system has.
-    The change wraps `_printed_rows`, which both routes read: in exact
-    mode the ints of the text's integer plan, on the scale of `_rows`,
-    so +1 is a change of 1/(16 L^4) in the table; in approx mode the
-    floats of the text's plan on numbers."""
+    The change wraps `_printed_rows`, the ints of the text's integer
+    plan on the scale of `_rows`, so +1 is a change of 1/(16 L^4) in the
+    table."""
     tabulated = ein2._printed_rows
     for family, samples in family_samples_100.items():
         scales = {p: ricci(build_family(p)).scale for p in samples}
-        points = [p for p in samples if _distinct_nonzero(tabulated(p, p.mode(), scales[p]))][:3]
+        points = [p for p in samples if _distinct_nonzero(tabulated(p, scales[p]))][:3]
         assert points, family
         for params in points:
             scale = scales[params]
-            if not exact:
-                values = (params.alpha, params.beta, params.gamma, params.delta)
-                params, scale = FamilyParams(family, *map(float, values), eta=params.eta), 1
-            mode = params.mode()
-            assert mode.is_exact is exact
             monkeypatch.setattr(ein2, "_printed_rows", tabulated)
-            assert match_printed_system(params, mode), params
-            for r in range(len(tabulated(params, mode, scale))):
+            assert match_printed_system(params), params
+            for r in range(len(tabulated(params, scale))):
                 for k in range(3):
 
-                    def changed(p, m, s, r=r, k=k):
-                        rows = [list(row) for row in tabulated(p, m, s)]
+                    def changed(p, s, r=r, k=k):
+                        rows = [list(row) for row in tabulated(p, s)]
                         rows[r][k] += 1
                         return rows
 
                     monkeypatch.setattr(ein2, "_printed_rows", changed)
-                    assert not match_printed_system(params, mode), (params, r, k)
+                    assert not match_printed_system(params), (params, r, k)
 
-            def extended(p, m, s):
-                return [*tabulated(p, m, s), (0, 0, 2)]
+            def extended(p, s):
+                return [*tabulated(p, s), (0, 0, 2)]
 
             monkeypatch.setattr(ein2, "_printed_rows", extended)
-            assert not match_printed_system(params, mode), params
+            assert not match_printed_system(params), params
 
 
 def test_importing_the_package_compiles_no_integer_plan():
@@ -318,7 +330,7 @@ def test_integer_plan_rows_are_the_scaled_fraction_rows(family, free, text, data
     assume(values is not None)
     params = FamilyParams(family, **_numbers(values))
     scale = ricci(_valid_table(params)).scale
-    integer = ein2._printed_rows(params, exact, scale)
+    integer = ein2._printed_rows(params, scale)
     bound = _evaluate(ein2.PRINTED_SYSTEMS[family], vars(params), exact)
     fractions = [tuple(bound[f"{x}{i}"] for x in "ABC") for i in range(1, 7) if f"A{i}" in bound]
     assert all(type(x) is int for row in integer for x in row), integer
@@ -331,7 +343,7 @@ def test_integer_plan_rows_are_the_scaled_fraction_rows(family, free, text, data
 )
 @settings(max_examples=300, deadline=None)
 def test_sign_canonical_sets_equal_the_two_way_cover(rows, data):
-    """Equal sets of sign-canonical nonzero rows are exactly `_covers` both ways.
+    """Equal sets of sign-canonical nonzero rows are exactly the two-way cover of the oracle.
 
     The other side drops, keeps or repeats each row, flips its sign, adds
     zero rows, may change one entry by 1 and is shuffled."""
@@ -347,9 +359,8 @@ def test_sign_canonical_sets_equal_the_two_way_cover(rows, data):
         changed[k] += data.draw(st.sampled_from((1, -1)))
         others[r] = tuple(changed)
     others = data.draw(st.permutations(others))
-    exact = Mode.exact()
-    covers = ein2._covers(rows, others, exact) and ein2._covers(others, rows, exact)
-    assert (ein2._canonical(rows) == ein2._canonical(others)) is covers
+    two_way = covers(rows, others) and covers(others, rows)
+    assert (ein2._canonical(rows) == ein2._canonical(others)) is two_way
 
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -607,15 +618,13 @@ def test_float_rows_come_straight_from_the_contraction(convention, family_sample
 
 
 def test_approx_mode_reads_exact_tables_at_their_scale(family_samples_100):
-    """Approx mode on an exact table finds the exact lambdas, not L^2 or L^4 times them,
-    and the fidelity check matches the tabulated system."""
+    """Approx mode on an exact table finds the exact lambdas, not L^2 or L^4 times them."""
     for params in _exact_points_in_approx(family_samples_100):
         sc = build_family(params)
         exact, approx = is_ein2(sc), is_ein2(sc, mode=Mode.approx())
         assert approx.kind == exact.kind, params
         if exact.kind == "point":
             assert all(abs(x - y) <= 1e-9 for x, y in zip(approx.point, exact.point)), params
-        assert match_printed_system(params, Mode.approx()), params
     assert is_ein2(build_family(_EXACT_IN_APPROX[0]), mode=Mode.approx()).point == (1 / 3, 0)
 
 

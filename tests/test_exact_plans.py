@@ -25,8 +25,9 @@ from ein2lie import (
     validate_params,
     verify_branch,
 )
-from ein2lie.branches import _CASE_TEXTS, _members
+from ein2lie.branches import _CASE_TEXTS, _members, _piece_plans
 from ein2lie.ein2 import CONVENTIONS, PRINTED_SYSTEMS
+from ein2lie.verify import DEFAULT_POINTS, _solved
 from ein2lie.liealg import (
     FAMILY_PIECES,
     _PARAM_NAMES,
@@ -280,7 +281,7 @@ def _exact_outcomes(params: FamilyParams, convention: str) -> tuple:
                 solution.residual)
 
     outcomes = []
-    for decide in (solved, lambda: match_printed_system(params, EXACT),
+    for decide in (solved, lambda: match_printed_system(params),
                    lambda: classify(params, convention, EXACT).status):
         try:
             outcomes.append(decide())
@@ -292,16 +293,40 @@ def _exact_outcomes(params: FamilyParams, convention: str) -> tuple:
 def test_exact_mode_decides_float_parameters_as_their_dyadic_rationals(family_samples_100):
     """Each seed-7 fidelity point with its parameters as floats, under both conventions:
     exact mode decides it as it decides the Fractions of those floats, exceptions and
-    their messages included."""
-    mismatches = []
+    their messages included, and no decision is a TypeError, so each one ran."""
+    mismatches, outcomes = [], []
     for samples in family_samples_100.values():
         for params in samples:
             floats = _converted(params, float)
             dyadic = _converted(floats, Fraction)
             for convention in CONVENTIONS:
-                if _exact_outcomes(floats, convention) != _exact_outcomes(dyadic, convention):
+                outcomes += [_exact_outcomes(floats, convention), _exact_outcomes(dyadic, convention)]
+                if outcomes[-2] != outcomes[-1]:
                     mismatches.append((convention, params))
     assert len(mismatches) == 0, (len(mismatches), mismatches[:3])
+    assert len(outcomes) == 2 * 1400
+    type_errors = [o for point in outcomes for o in point if type(o) is tuple and o[0] == "TypeError"]
+    assert not type_errors, type_errors[:3]
+
+
+def test_the_sampled_sections_of_verify_are_exact_by_construction(monkeypatch):
+    """No family piece's sampler plan takes a root step, so every fidelity and negative
+    sampling point is rational: at seed 7 each holds only Fractions, eta an int for G4,
+    and both sections decide it without asking the point for its mode."""
+
+    def refuse(self):
+        raise AssertionError("a sampled section asked a point for its mode")
+
+    monkeypatch.setattr(FamilyParams, "mode", refuse)
+    for family in FAMILIES:
+        assert all(kind != "root" for plan in _piece_plans(family) for kind, _, _ in plan), family
+        for sample, decide in ((sample_valid_points, match_printed_system),
+                               (sample_off_branch, lambda params: not _solved(params))):
+            for params in sample(family, DEFAULT_POINTS, seed=7):
+                numbers = [getattr(params, name) for name in ("alpha", "beta", "gamma", "delta")]
+                assert all(type(x) is Fraction for x in numbers), params
+                assert type(params.eta) is (int if family == "G4" else type(None)), params
+                assert decide(params), params
 
 
 def test_exact_mode_reads_a_g4_float_beta_unrounded():

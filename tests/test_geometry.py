@@ -167,6 +167,27 @@ def test_lie_table_with_denominators_passes():
             assert rd.connection[i][j] == tuple(expected[i][j]), (i, j)
 
 
+def test_exact_mode_hands_back_no_float_from_a_float_table():
+    """In exact mode a float table reads as its dyadic rationals throughout: `from_raw`
+    stores Fractions and the connection holds no float, equal to that of the Fractions;
+    approx mode keeps the floats."""
+    raw = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    raw[0][1][2], raw[1][0][2] = 0.1, -0.1
+    exact = from_raw(raw, Mode.exact())
+    assert all(type(x) is Fraction for x in exact.values()), exact
+    assert exact.brackets[0][2] == Fraction(0.1)
+    assert type(from_raw(raw, Mode.approx()).brackets[0][2]) is float
+
+    floats = family_table(FamilyParams("G1", alpha=0.5, beta=0.25))
+    connection = ricci(floats, Mode.exact()).connection
+    assert connection[0][1] == (F(1, 2), 0, F(-1, 8))
+    assert all(type(x) is Fraction for plane in connection for row in plane for x in row), connection
+    dyadic = family_table(FamilyParams("G1", alpha=F(1, 2), beta=F(1, 4)))
+    assert connection == ricci(dyadic).connection
+    assert ricci(floats, Mode.approx()).connection[0][1] == (0.5, 0, -0.125)
+    assert type(ricci(floats, Mode.approx()).connection[0][1][0]) is float
+
+
 def test_approx_mode_on_an_exact_table_tests_jacobi_exactly():
     """An exact table's residual is tested on L c, exactly, whatever the mode.
 
