@@ -2,12 +2,14 @@
 
 From Lie-algebra structure constants in a fixed pseudo-orthonormal frame
 (e3 timelike) the package computes, in one `ricci` pass over the table,
-the Levi-Civita connection (`ricci(sc).connection`), the Ricci
+the Levi-Civita connection (`ricci(sc, mode).connection`), the Ricci
 tensor/operator and the rho^2 tensor with exact rational arithmetic,
 decides the Ein(2) condition rho^2 + lambda1*rho + lambda2*g = 0 by
 exact linear algebra, and mechanically verifies the full 30-branch
 classification of the seven families G1..G7, reporting any discrepancy
-as errata with a counterexample and a recomputed formula.
+as errata with a counterexample and a recomputed formula.  Every
+function that decides a point or a table takes its `Mode` from the
+caller; none infers one from the values.
 """
 
 from .branches import (

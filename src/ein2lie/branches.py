@@ -74,7 +74,7 @@ import random
 from fractions import Fraction
 from functools import cache, cached_property, partial
 
-from .ein2 import DELTA, NONE, Ein2Solution, is_ein2
+from .ein2 import _EXACT, DELTA, NONE, Ein2Solution, is_ein2
 from .liealg import (
     FAMILY_PIECES,
     FamilyParams,
@@ -141,7 +141,8 @@ class BranchSpec(_Value):
     `free` lists the parameters its sampler draws, `lambdas` is the
     formula text of its stated (lambda1, lambda2), `note` starts its
     errata correction and `quartic` is the formula text of the quartic
-    its quartic clause names.  The family is read off the label.
+    its quartic clause names.  The family is read off the label, and
+    the arithmetic of its points off its sampler (`mode`).
     """
 
     _fields = ("label", "constraints", "free", "lambdas", "note", "quartic")
@@ -175,11 +176,16 @@ class BranchSpec(_Value):
         """The membership test's plan: every relation a check, but the quartic's set steps."""
         return _plan(self.relations, bound=_PARAM_NAMES)
 
+    @cached_property
+    def mode(self) -> Mode:
+        """Approx if the sampler takes a square root, whose points are floats; exact otherwise."""
+        return Mode.approx() if any(kind == "root" for kind, _, _ in self.plan) else _EXACT
+
     def draw(self, rng: random.Random) -> FamilyParams | None:
         """One run of the sampler's plan (`_sample`): a point of the branch, or None."""
         return _sample(self.family, self.plan, rng)
 
-    def expected(self, params: FamilyParams, mode: Mode | None = None) -> ExpectedLambdas:
+    def expected(self, params: FamilyParams, mode: Mode) -> ExpectedLambdas:
         return _lambdas((self.lambdas,), params, mode)
 
     @property
@@ -328,9 +334,9 @@ def _sample(family: str, plan: tuple, rng: random.Random) -> FamilyParams | None
     return FamilyParams(family, **_numbers({name: values[name] for name in _PARAM_NAMES if name in values}))
 
 
-def _members(specs, params: FamilyParams, mode: Mode | None):
-    """The specs whose membership plans pass at `params` in `mode` (exact if None), lazily, on
-    one conversion (`liealg._point`): each plan sets a name before it reads it."""
+def _members(specs, params: FamilyParams, mode: Mode):
+    """The specs whose membership plans pass at `params` in `mode`, lazily, on one
+    conversion (`liealg._point`): each plan sets a name before it reads it."""
     values, exact = _point(vars(params), mode)
     return (spec for spec in specs if _execute(spec.membership, values, exact, mode) is not None)
 
@@ -400,15 +406,12 @@ _CASE_TEXTS = {
 }
 
 
-def _lambdas(
-    texts, params: FamilyParams, mode: Mode | None = None
-) -> ExpectedLambdas | None:
+def _lambdas(texts, params: FamilyParams, mode: Mode) -> ExpectedLambdas | None:
     """The lambdas of the first formula text whose checks pass at `params`; None if none does.
 
-    Checks run in `mode`, by default the point's own.  A formula that
-    leaves lambda1 unbound states lambda1 free.
+    Checks run in `mode`.  A formula that leaves lambda1 unbound states
+    lambda1 free.
     """
-    mode = params.mode() if mode is None else mode
     for text in texts:
         values = _evaluate(text, vars(params), mode)
         if values is None:
@@ -625,8 +628,8 @@ def verify_branch(
         passed=0,
     )
     samples = sample_branch(spec, count, seed)
+    mode = spec.mode
     for params in samples:
-        mode = params.mode()
         # sample_branch has validated the point
         solution = is_ein2(family_table(params), convention, mode)
         expected = spec.expected(params, mode)
@@ -688,15 +691,11 @@ class ClassificationResult:
         self.params, self.branches, self.solution, self.status = params, branches, solution, status
 
 
-def classify(
-    params: FamilyParams, convention: str = DELTA, mode: Mode | None = None
-) -> ClassificationResult:
+def classify(params: FamilyParams, convention: str, mode: Mode) -> ClassificationResult:
     """Match a parameter point against every branch of its family.
 
     Overlapping branches all appear in the result (overlaps exist).
     """
-    if mode is None:
-        mode = params.mode()
     sc = build_family(params, mode)
     matched = tuple(spec.label for spec in _members(branches_for(params.family), params, mode))
     solution = is_ein2(sc, convention, mode)
@@ -750,7 +749,7 @@ def sample_off_branch(family: str, count: int, seed: int = DEFAULT_SEED) -> list
     specs = branches_for(family)
 
     def off_branch(params: FamilyParams) -> bool:
-        return not any(_members(specs, params, None))
+        return not any(_members(specs, params, _EXACT))
 
     return [_first_draw(draw, f"{family}: no off-branch sample", off_branch) for _ in range(count)]
 
@@ -813,7 +812,8 @@ class AnchorResult:
 
 
 def verify_anchor(anchor: AnchorSpec) -> AnchorResult:
-    mode = anchor.params.mode()
+    """Solve the anchor in approx mode: its parameters are irrational by construction, floats."""
+    mode = Mode.approx()
     solution = is_ein2(build_family(anchor.params, mode), DELTA, mode)
     if solution.kind == "point":
         err1 = abs(float(solution.point[0]) - anchor.lambda1)

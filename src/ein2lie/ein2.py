@@ -293,12 +293,8 @@ def solve(rd: RicciData, convention: str, mode: Mode) -> Ein2Solution:
     return _solve(*_rows(rd, convention, mode), mode)
 
 
-def is_ein2(
-    sc: StructureConstants, convention: str = DELTA, mode: Mode | None = None
-) -> Ein2Solution:
+def is_ein2(sc: StructureConstants, convention: str, mode: Mode) -> Ein2Solution:
     """Decide the Ein(2) condition: one `ricci` call, then `solve`."""
-    if mode is None:
-        mode = Mode.for_values(sc.values())
     return solve(ricci(sc, mode), convention, mode)
 
 

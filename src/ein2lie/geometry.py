@@ -185,7 +185,7 @@ def _form() -> tuple:
     return tuple(tuple(terms(p, q) if p <= q else () for q in range(9)) for p in range(9))
 
 
-def ricci(sc: StructureConstants, mode: Mode | None = None) -> RicciData:
+def ricci(sc: StructureConstants, mode: Mode) -> RicciData:
     """Ricci tensor, operator and rho^2 of the table, with its Jacobi check.
 
     rho(e_i, e_j) = -sum_a R^a_{i a j} (the eps weights of the trace and
@@ -210,13 +210,14 @@ def ricci(sc: StructureConstants, mode: Mode | None = None) -> RicciData:
     each pair p <= q of nonzero X the coefficients k of `_form` add
     k X_p X_q into the nine entries of N and the three of the Jacobi
     vector J(X) = L^2 J(c), which must vanish exactly, or NotLieAlgebra
-    is raised; the full table `sc.c` is never built.  It serves an exact
-    table, and in exact mode a float one, read as dyadic rationals.  Float
-    route (approx mode, float table): `jacobi_ok` tests `sc.c` within the
-    tolerance, then `_contract` runs on it with L = 1, adding the terms in
-    the order the full tensor R adds them, so floats come out bit for bit.
+    is raised; the full table `sc.c` is never built.  It serves every
+    table in exact mode, a float one read as dyadic rationals, and an
+    exact table in approx mode.  Float route (approx mode, float table):
+    `jacobi_ok` tests `sc.c` within the tolerance, then `_contract` runs
+    on it with L = 1, adding the terms in the order the full tensor R
+    adds them, so floats come out bit for bit.
     """
-    if not (mode is not None and mode.is_exact or sc.is_exact()):
+    if not (mode.is_exact or sc.is_exact()):
         if not jacobi_ok(sc, mode):
             raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
         return RicciData(sc.values(), _contract(sc.c), 1)

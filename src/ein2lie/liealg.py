@@ -126,12 +126,6 @@ class FamilyParams(_Value):
             raise ConstraintViolation(FAMILY_CONSTRAINTS["G4"], f"got eta = {eta}")
         self.eta = eta
 
-    def mode(self) -> Mode:
-        """Exact unless a parameter the family reads is a float."""
-        return Mode.for_values(
-            getattr(self, name) for name in PARAMS_USED[self.family] if name != "eta"
-        )
-
 
 # ---------------------------------------------------------------------------
 # Constraint clauses
@@ -240,11 +234,10 @@ def _numbers(pairs: dict) -> dict:
     }
 
 
-def _point(values: Mapping[str, Scalar], mode: Mode | None) -> tuple[dict, bool]:
-    """The values a plan runs on in `mode` (exact if None), and whether they are int pairs:
-    in exact mode the numbers as int pairs (`_pairs`), in approx mode a copy of them."""
-    exact = mode is None or mode.is_exact
-    return _pairs(values) if exact else dict(values), exact
+def _point(values: Mapping[str, Scalar], mode: Mode) -> tuple[dict, bool]:
+    """The values a plan runs on in `mode`, and whether they are int pairs: in exact
+    mode the numbers as int pairs (`_pairs`), in approx mode a copy of them."""
+    return (_pairs(values), True) if mode.is_exact else (dict(values), False)
 
 
 def _first_failure(relations, values: Mapping[str, Scalar], mode: Mode):
@@ -435,12 +428,11 @@ def _execute(
     return values
 
 
-def _evaluate(text: str, values: Mapping[str, Scalar], mode: Mode | None) -> dict | None:
+def _evaluate(text: str, values: Mapping[str, Scalar], mode: Mode) -> dict | None:
     """The `values` and every name the formula text binds; None once one of its checks fails.
 
-    The checks run in `mode`; a text without checks needs none.  The text
-    runs on the point `_point` gives, and on int pairs only the names the
-    text binds become Fractions.
+    The checks run in `mode`.  The text runs on the point `_point` gives,
+    and on int pairs only the names the text binds become Fractions.
     """
     point, exact = _point(values, mode)
     point = _execute(_formula(text), point, exact, mode)
@@ -505,7 +497,7 @@ def _family_relations(family: str) -> tuple[_Relation, ...]:
     return () if family in ("G3", "G4") else _compile_clauses(FAMILY_CONSTRAINTS[family])
 
 
-def validate_params(params: FamilyParams, mode: Mode | None = None) -> None:
+def validate_params(params: FamilyParams, mode: Mode) -> None:
     """Check the family's parameter (in)equalities; raise ConstraintViolation.
 
     Equalities test exactly in exact mode and within tolerance in approx
@@ -516,7 +508,7 @@ def validate_params(params: FamilyParams, mode: Mode | None = None) -> None:
     relations = _family_relations(params.family)
     if not relations:
         return
-    values, mode = vars(params), params.mode() if mode is None else mode
+    values = vars(params)
     relation = _first_failure(relations, values, mode)
     if relation is not None:
         # Family clauses are single relations; an equality shows its left side as the test read it.
@@ -525,11 +517,11 @@ def validate_params(params: FamilyParams, mode: Mode | None = None) -> None:
         raise ConstraintViolation(relation.clause, detail)
 
 
-def build_family(params: FamilyParams, mode: Mode | None = None) -> StructureConstants:
+def build_family(params: FamilyParams, mode: Mode) -> StructureConstants:
     """Validate a parameter point, then construct its brackets (`family_table`); in exact mode
     from the parameters as Fractions, a float as its dyadic rational, so no bracket rounds."""
     validate_params(params, mode)
-    if mode is not None and mode.is_exact and float in map(type, vars(params).values()):
+    if mode.is_exact and float in map(type, vars(params).values()):
         params = FamilyParams(params.family, **_numbers(_pairs(vars(params))))
     return family_table(params)
 
@@ -574,7 +566,7 @@ def _minus(x, y: int = 0):
     return y - x if y else -x
 
 
-def from_raw(c, mode: Mode | None = None) -> StructureConstants:
+def from_raw(c, mode: Mode) -> StructureConstants:
     """Build structure constants from a raw 3x3x3 array c[i][j][k] = c^k_ij.
 
     Rejects entries with c^k_ij != -c^k_ji beyond tolerance, then stores
@@ -583,19 +575,16 @@ def from_raw(c, mode: Mode | None = None) -> StructureConstants:
     rational, and floats in approx mode.  The Jacobi identity is
     deliberately not enforced here.
     """
-    table = [[[as_scalar(c[i][j][k]) for k in range(3)] for j in range(3)] for i in range(3)]
-    if mode is None:
-        mode = Mode.for_values(x for plane in table for row in plane for x in row)
-    if mode.is_exact:
-        table = [[[Fraction(x) for x in row] for row in plane] for plane in table]
+    number = Fraction if mode.is_exact else float
+    table = [[[number(as_scalar(c[i][j][k])) for k in range(3)] for j in range(3)]
+             for i in range(3)]
     for i in range(3):
         for j in range(i, 3):
             for k in range(3):
                 if not mode.is_zero(table[i][j][k] + table[j][i][k]):
                     raise AntisymmetryViolation(i + 1, j + 1, k + 1)
-    half = Fraction(1, 2)
     return StructureConstants(tuple(
-        tuple((table[i][j][k] - table[j][i][k]) * half for k in range(3))
+        tuple((table[i][j][k] - table[j][i][k]) / 2 for k in range(3))
         for i, j in ((0, 1), (0, 2), (1, 2))
     ))
 
@@ -615,17 +604,13 @@ def _jacobi_base(c) -> Vector:
     return tuple(out)
 
 
-def jacobi_ok(sc: StructureConstants, mode: Mode | None = None) -> bool:
+def jacobi_ok(sc: StructureConstants, mode: Mode) -> bool:
     """Whether the Jacobi vector vanishes in `mode`; exact mode reads the table as Fractions."""
-    if mode is None:
-        mode = Mode.for_values(sc.values())
     if mode.is_exact:
         sc = StructureConstants(tuple(tuple(map(Fraction, bracket)) for bracket in sc.brackets))
     return all(mode.is_zero(x) for x in _jacobi_base(sc.c))
 
 
-def unimodular(sc: StructureConstants, mode: Mode | None = None) -> bool:
+def unimodular(sc: StructureConstants, mode: Mode) -> bool:
     """True iff trace(ad_{e_i}) = 0 for i = 1, 2, 3, summed left to right."""
-    if mode is None:
-        mode = Mode.for_values(sc.values())
     return all(mode.is_zero(plane[0][0] + plane[1][1] + plane[2][2]) for plane in sc.c)

@@ -7,15 +7,14 @@ for points irrational by construction (square-root branch points); exact
 mode reads a float as its dyadic rational and computes exactly.
 
 Equality is context dependent: exact values compare with ``==``, floats
-compare against a tolerance.  `Mode` packages that decision so every
-operation can accept an explicit mode or infer one from its inputs.
+compare against a tolerance.  `Mode` packages that decision, and every
+operation that decides a point or a table takes one from its caller.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from collections.abc import Iterable
 
 Scalar = Fraction | float
 
@@ -119,13 +118,6 @@ class Mode(_Value):
     @classmethod
     def approx(cls, tolerance: float = DEFAULT_TOLERANCE) -> "Mode":
         return cls(APPROX, float(tolerance))
-
-    @classmethod
-    def for_values(cls, values: Iterable) -> "Mode":
-        """Exact when every value is rational, approx at the default tolerance otherwise."""
-        if all(is_exact(v) for v in values):
-            return cls.exact()
-        return cls.approx()
 
     @property
     def is_exact(self) -> bool:

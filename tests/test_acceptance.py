@@ -21,8 +21,10 @@ from fractions import Fraction
 
 from ein2lie import (
     BRANCHES,
+    DELTA,
     EPS,
     FamilyParams,
+    Mode,
     build_family,
     is_ein2,
     jacobi_ok,
@@ -38,6 +40,7 @@ from oracles import CONNECTION_TABLES, RHO_OP_TABLES, curvature, ricci_brute
 
 F = Fraction
 SEED = 7
+EXACT, APPROX = Mode.exact(), Mode.approx()
 
 
 def test_criterion_1_connection_fidelity(family_samples_100):
@@ -45,7 +48,7 @@ def test_criterion_1_connection_fidelity(family_samples_100):
         table = CONNECTION_TABLES[family]
         assert len(samples) == 100
         for params in samples:
-            nabla = ricci(build_family(params)).connection
+            nabla = ricci(build_family(params, EXACT), EXACT).connection
             expected = table(params)
             for i in range(3):
                 for j in range(3):
@@ -56,12 +59,12 @@ def test_criterion_1_connection_fidelity(family_samples_100):
 
 
 def test_criterion_2_ricci_fidelity(family_samples_100):
-    spot = ricci(build_family(FamilyParams("G1", alpha=1, beta=2)))
+    spot = ricci(build_family(FamilyParams("G1", alpha=1, beta=2), EXACT), EXACT)
     assert spot.rho_op == ((-2, -2, -2), (-2, -4, -2), (2, 2, 0))
     for family, samples in family_samples_100.items():
         table = RHO_OP_TABLES[family]
         for params in samples:
-            rd = ricci(build_family(params))
+            rd = ricci(build_family(params, EXACT), EXACT)
             expected = tuple(tuple(x for x in row) for row in table(params))
             assert rd.rho_op == expected, (family, params)
     print("PASS criterion 2: Ricci operator matrices reproduced exactly, spot value included")
@@ -78,7 +81,7 @@ def test_criterion_4_g5_anchor():
     alpha_sq = (5 + math.sqrt(405)) / 76
     alpha = math.sqrt(alpha_sq)
     params = FamilyParams("G5", alpha=alpha, beta=F(-1), gamma=F(2), delta=2 * alpha)
-    solution = is_ein2(build_family(params, params.mode()), mode=params.mode())
+    solution = is_ein2(build_family(params, APPROX), DELTA, APPROX)
     assert solution.kind == "point"
     lambda1 = -(45 + 9 * math.sqrt(405)) / 76
     lambda2 = 18 * alpha_sq**2 - F(9, 2) * alpha_sq - F(9, 4)
@@ -91,7 +94,7 @@ def test_criterion_5_g6_anchor():
     alpha_sq = (-2 + math.sqrt(10)) / 6
     alpha = math.sqrt(alpha_sq)
     params = FamilyParams("G6", alpha=alpha, beta=F(1), gamma=F(2), delta=2 * alpha)
-    solution = is_ein2(build_family(params, params.mode()), mode=params.mode())
+    solution = is_ein2(build_family(params, APPROX), DELTA, APPROX)
     assert solution.kind == "point"
     lambda1 = (4 * math.sqrt(10) - 5) / 3
     lambda2 = (37 - 8 * math.sqrt(10)) / 12
@@ -113,10 +116,10 @@ def test_criterion_6_branch_soundness():
             assert all(f.recomputed_ok for f in report.failures)
 
         # Residual discipline at the stated (or corrected) lambdas.
+        mode = spec.mode
         for params in sample_branch(spec, 5, seed=SEED):
-            mode = params.mode()
-            solution = is_ein2(build_family(params, mode), mode=mode)
-            expected = spec.expected(params)
+            solution = is_ein2(build_family(params, mode), DELTA, mode)
+            expected = spec.expected(params, mode)
             if report.verdict == "errata":
                 expected = spec.recompute(params, mode)
             if expected.kind == LAMBDA1_FREE:
@@ -138,7 +141,7 @@ def test_criterion_6_branch_soundness():
 def test_criterion_7_completeness_sampling():
     for family in ("G1", "G2", "G3", "G4", "G5", "G6", "G7"):
         for params in sample_off_branch(family, 1000, seed=SEED):
-            solution = is_ein2(build_family(params))
+            solution = is_ein2(build_family(params, EXACT), DELTA, EXACT)
             assert solution.kind == "none", (family, params)
     print("PASS criterion 7: 1000 off-branch points per family, none is Ein(2)")
 
@@ -146,11 +149,11 @@ def test_criterion_7_completeness_sampling():
 def test_criterion_8_invariant_suite(family_samples_100):
     for family, samples in family_samples_100.items():
         for params in samples:
-            sc = build_family(params)
-            assert jacobi_ok(sc)
-            nabla = ricci(sc).connection
+            sc = build_family(params, EXACT)
+            assert jacobi_ok(sc, EXACT)
+            nabla = ricci(sc, EXACT).connection
             riem = curvature(sc, nabla)
-            rd = ricci(sc)
+            rd = ricci(sc, EXACT)
             for i in range(3):
                 for j in range(3):
                     for k in range(3):

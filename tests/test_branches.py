@@ -16,6 +16,7 @@ from ein2lie import (
     ANCHORS,
     BRANCHES,
     BRANCHES_BY_LABEL,
+    DELTA,
     ConstraintViolation,
     EmptyBranch,
     FAMILIES,
@@ -62,6 +63,7 @@ from ein2lie.liealg import (
 from ein2lie.reporting import expected_json
 
 F = Fraction
+EXACT = Mode.exact()
 
 
 def test_catalog_has_thirty_branches():
@@ -78,8 +80,22 @@ def test_catalog_has_thirty_branches():
 def test_samples_satisfy_membership_and_family_constraints():
     for spec in BRANCHES:
         for params in sample_branch(spec, 5, seed=11):
-            validate_params(params)
-            assert any(_members((spec,), params, params.mode())), (spec.label, params)
+            validate_params(params, spec.mode)
+            assert any(_members((spec,), params, spec.mode)), (spec.label, params)
+
+
+def test_a_branch_is_approx_exactly_when_its_samples_hold_a_float():
+    """`BranchSpec.mode` reads the sampler plan: approx when it takes a root step.
+    At seeds 0-9 a branch's samples hold a float parameter exactly then, and the
+    approx branches are the four whose points need a square root."""
+    for spec in BRANCHES:
+        for seed in range(10):
+            for params in sample_branch(spec, 50, seed):
+                floats = any(type(x) is float for x in vars(params).values())
+                assert floats is not spec.mode.is_exact, (spec.label, seed, params)
+    approx = [spec.label for spec in BRANCHES if not spec.mode.is_exact]
+    assert approx == ["2.7(viii)", "3.2(iv)", "3.4(vii)", "3.4(viiii)"]
+    assert all(spec.mode == Mode.approx() for spec in BRANCHES if spec.label in approx)
 
 
 @pytest.mark.parametrize("count", [0, -1])
@@ -119,7 +135,7 @@ def test_sample_branch_quartic_constraint_holds(label, sign):
 
 def _branch_quartic(label, params):
     """The coefficients (qa, qb, qc) that the branch's own quartic text gives at params."""
-    bound = _evaluate(BRANCHES_BY_LABEL[label].quartic, vars(params), None)
+    bound = _evaluate(BRANCHES_BY_LABEL[label].quartic, vars(params), EXACT)
     return bound["qa"], bound["qb"], bound["qc"]
 
 
@@ -196,7 +212,7 @@ def test_verify_branch_2_3_all_zero_lambdas():
     assert report.verdict == "verified"
     assert report.passed == 50
     for params in sample_branch(BRANCHES_BY_LABEL["2.3"], 5, seed=7):
-        solution = is_ein2(build_family(params))
+        solution = is_ein2(build_family(params, EXACT), DELTA, EXACT)
         assert solution.kind == "point" and solution.point == (0, 0)
 
 
@@ -238,7 +254,7 @@ def test_verify_branch_is_deterministic():
 
 
 def test_classify_line_branch():
-    result = classify(FamilyParams("G7", alpha=1, gamma=0, delta=1, beta=5))
+    result = classify(FamilyParams("G7", alpha=1, gamma=0, delta=1, beta=5), DELTA, EXACT)
     assert result.branches == ("3.6(iii)",)
     assert result.solution.kind == "line"
     assert result.solution.lambda2_zero_line()
@@ -246,7 +262,7 @@ def test_classify_line_branch():
 
 
 def test_classify_point_branch():
-    result = classify(FamilyParams("G5", alpha=1, beta=0, gamma=0, delta=1))
+    result = classify(FamilyParams("G5", alpha=1, beta=0, gamma=0, delta=1), DELTA, EXACT)
     assert "3.2(i)" in result.branches
     assert result.solution.kind == "point"
     assert result.solution.point == (-2, 0)
@@ -254,7 +270,7 @@ def test_classify_point_branch():
 
 
 def test_classify_not_ein2():
-    result = classify(FamilyParams("G6", alpha=4, beta=2, gamma=1, delta=2))
+    result = classify(FamilyParams("G6", alpha=4, beta=2, gamma=1, delta=2), DELTA, EXACT)
     assert result.branches == ()
     assert result.solution.kind == "none"
     assert result.status == "not_ein2"
@@ -264,7 +280,7 @@ def test_classify_not_ein2():
 def test_classify_rejects_invalid_params():
     # alpha*gamma - beta*delta = -3 != 0: not a valid G6 parameter point.
     with pytest.raises(ConstraintViolation):
-        classify(FamilyParams("G6", alpha=1, beta=2, gamma=1, delta=2))
+        classify(FamilyParams("G6", alpha=1, beta=2, gamma=1, delta=2), DELTA, EXACT)
 
 
 def test_classify_validates_once(monkeypatch):
@@ -272,15 +288,15 @@ def test_classify_validates_once(monkeypatch):
 
     calls = []
 
-    def counting(params, mode=None):
+    def counting(params, mode):
         calls.append(params)
         return validate_params(params, mode)
 
     monkeypatch.setattr(liealg, "validate_params", counting)
-    classify(FamilyParams("G5", alpha=1, beta=0, gamma=0, delta=1))
+    classify(FamilyParams("G5", alpha=1, beta=0, gamma=0, delta=1), DELTA, EXACT)
     assert len(calls) == 1
     with pytest.raises(ConstraintViolation) as info:
-        classify(FamilyParams("G5", alpha=1, beta=0, gamma=0, delta=-1))
+        classify(FamilyParams("G5", alpha=1, beta=0, gamma=0, delta=-1), DELTA, EXACT)
     assert str(info.value) == "constraint violated: alpha + delta != 0"
     assert len(calls) == 2
 
@@ -290,7 +306,7 @@ def test_verify_branch_validates_each_sample_once(monkeypatch):
 
     calls = []
 
-    def counting(params, mode=None):
+    def counting(params, mode):
         calls.append(params)
         return validate_params(params, mode)
 
@@ -309,7 +325,7 @@ def test_classify_overlapping_branches():
     # alpha = 0, gamma = -beta is a rational point of the square-root locus
     # gamma^2 = alpha^2 + beta^2, so two branch constraint sets hold at once;
     # classify returns the full match set.
-    result = classify(FamilyParams("G3", alpha=0, beta=1, gamma=-1))
+    result = classify(FamilyParams("G3", alpha=0, beta=1, gamma=-1), DELTA, EXACT)
     assert set(result.branches) == {"2.7(vi)", "2.7(viii)"}
     assert result.status == "ein2"
     assert result.solution.kind == "point"
@@ -319,7 +335,7 @@ def test_classify_overlapping_branches():
 def test_off_branch_points_are_not_ein2():
     for family in ("G1", "G3", "G6", "G7"):
         for params in sample_off_branch(family, 25, seed=7):
-            assert is_ein2(build_family(params)).kind == "none", params
+            assert is_ein2(build_family(params, EXACT), DELTA, EXACT).kind == "none", params
 
 
 def _counting(counts, name, function):
@@ -435,7 +451,7 @@ def _grid_points():
         for values in itertools.product(*axes):
             params = FamilyParams(family, **dict(zip(names, values)))
             try:
-                validate_params(params)
+                validate_params(params, EXACT)
             except ConstraintViolation:
                 continue
             yield params
@@ -445,7 +461,7 @@ def test_classify_is_complete_on_a_grid():
     # Every valid grid point is matched by a branch exactly when it is Ein(2).
     statuses = collections.defaultdict(collections.Counter)
     for params in _grid_points():
-        statuses[params.family][classify(params, mode=Mode.exact()).status] += 1
+        statuses[params.family][classify(params, DELTA, EXACT).status] += 1
     for family in FAMILIES:
         assert set(statuses[family]) == {"ein2", "not_ein2"}, (family, statuses[family])
 
@@ -505,7 +521,7 @@ def test_line_branches_are_exactly_the_flat_ones():
     line_labels = set()
     for spec in BRANCHES:
         for params in sample_branch(spec, 3, seed=13):
-            solution = is_ein2(build_family(params, params.mode()), mode=params.mode())
+            solution = is_ein2(build_family(params, spec.mode), DELTA, spec.mode)
             if solution.kind == "line":
                 line_labels.add(spec.label)
     assert line_labels == {
@@ -673,8 +689,8 @@ def test_stated_and_recomputed_lambdas_are_pinned():
     for spec in BRANCHES:
         doc = [
             [
-                expected_json(spec.expected(p)),
-                expected_json(spec.recompute(p, p.mode())) if spec.recompute else None,
+                expected_json(spec.expected(p, spec.mode)),
+                expected_json(spec.recompute(p, spec.mode)) if spec.recompute else None,
             ]
             for p in sample_branch(spec, 50, seed=7)
         ]
@@ -691,7 +707,7 @@ def test_every_piece_draw_is_a_valid_point():
             points = [p for p in (_sample(family, plan, rng) for _ in range(200)) if p is not None]
             assert len(points) > 100, (family, index)
             for params in points:
-                validate_params(params)
+                validate_params(params, EXACT)
 
 
 def test_pieces_cover_every_valid_grid_point():
@@ -706,7 +722,7 @@ def test_pieces_cover_every_valid_grid_point():
         for a, b, g, d in itertools.product(grid, repeat=4):
             params = FamilyParams(family, alpha=a, beta=b, gamma=g, delta=d)
             try:
-                validate_params(params)
+                validate_params(params, EXACT)
             except ConstraintViolation:
                 continue
             valid += 1
@@ -844,8 +860,8 @@ def test_3_4_v_correction_holds_and_the_stated_lambda1_fails_on_every_sample():
     assert text == "lambda1 = (alpha^4 - alpha^2*beta^2 + beta^4/2) / alpha^2"
     (relation,) = _compile_clauses(text, names=None)
     for params in sample_branch(spec, 50, seed=7):
-        solution = is_ein2(family_table(params))
-        stated = spec.expected(params)
+        solution = is_ein2(family_table(params), DELTA, spec.mode)
+        stated = spec.expected(params, spec.mode)
         assert solution.contains(relation.sides[1](vars(params)), stated.lambda2)
         assert not solution.contains(stated.lambda1, stated.lambda2)
 

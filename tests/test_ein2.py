@@ -48,8 +48,9 @@ from oracles import covers, min_sup_residual_vertices, solve_brute, solve_elimin
 from test_geometry import _BIG_DENOMINATORS, _valid_table, family_points
 
 F = Fraction
+EXACT, APPROX = Mode.exact(), Mode.approx()
 
-ABELIAN = from_raw([[[0] * 3 for _ in range(3)] for _ in range(3)])
+ABELIAN = from_raw([[[0] * 3 for _ in range(3)] for _ in range(3)], EXACT)
 
 
 def solve_triples(triples, mode=Mode.exact()):
@@ -69,25 +70,26 @@ def ricci_rows(rd, convention):
 
 
 def test_rows_g1_first_row():
-    rows = is_ein2(build_family(FamilyParams("G1", alpha=1, beta=2)), DELTA).rows
+    rows = is_ein2(build_family(FamilyParams("G1", alpha=1, beta=2), EXACT), DELTA, EXACT).rows
     assert rows[0] == (4, -2, 1)
 
 
 def test_rows_zero_ricci_rows():
-    for (i, j), (a, b, c) in zip(PAIRS, is_ein2(ABELIAN, DELTA).rows):
+    for (i, j), (a, b, c) in zip(PAIRS, is_ein2(ABELIAN, DELTA, EXACT).rows):
         assert (a, b) == (0, 0)
         assert c == (1 if i == j else 0)
 
 
 def test_rows_g7_mixed_row():
-    rows = is_ein2(build_family(FamilyParams("G7", alpha=0, beta=1, gamma=1, delta=1))).rows
+    sc = build_family(FamilyParams("G7", alpha=0, beta=1, gamma=1, delta=1), EXACT)
+    rows = is_ein2(sc, DELTA, EXACT).rows
     assert rows[PAIRS.index((1, 2))] == (1, 1, 0)
 
 
 def test_conventions_differ_only_in_last_diagonal_row(family_samples_100):
     for samples in family_samples_100.values():
         for params in samples[:10]:
-            rd = ricci(build_family(params))
+            rd = ricci(build_family(params, EXACT), EXACT)
             delta_rows = solve(rd, DELTA, Mode.exact()).rows
             metric_rows = solve(rd, METRIC, Mode.exact()).rows
             assert delta_rows[:5] == metric_rows[:5]
@@ -98,28 +100,28 @@ def test_conventions_differ_only_in_last_diagonal_row(family_samples_100):
 
 
 def test_an_unknown_convention_is_refused_with_its_message():
-    sc = build_family(FamilyParams("G1", alpha=1, beta=2))
+    sc = build_family(FamilyParams("G1", alpha=1, beta=2), EXACT)
     expected = "unknown convention 'bogus'; expected one of ('delta', 'metric')"
     with pytest.raises(ValueError) as raised:
-        is_ein2(sc, "bogus")
+        is_ein2(sc, "bogus", EXACT)
     assert str(raised.value) == expected
 
 
 def test_conventions_agree_when_lambda2_zero():
     # A lambda2 = 0 point solves both readings of the constant column.
     params = FamilyParams("G2", alpha=2, beta=1, gamma=1)
-    rd = ricci(build_family(params))
+    rd = ricci(build_family(params, EXACT), EXACT)
     sol_delta = solve(rd, DELTA, Mode.exact())
     sol_metric = solve(rd, METRIC, Mode.exact())
     assert sol_delta.kind == sol_metric.kind == "point"
     assert sol_delta.point == sol_metric.point == (4, 0)
     # Same for the flat case: both conventions give the lambda2 = 0 line.
-    line_metric = is_ein2(ABELIAN, METRIC)
+    line_metric = is_ein2(ABELIAN, METRIC, EXACT)
     assert line_metric.kind == "line" and line_metric.lambda2_zero_line()
 
 
 def test_solve_zero_ricci_gives_free_lambda1_line():
-    solution = is_ein2(ABELIAN, DELTA)
+    solution = is_ein2(ABELIAN, DELTA, EXACT)
     assert solution.kind == "line"
     assert solution.lambda2_zero_line()
     assert solution.line_base == (0, 0)
@@ -128,21 +130,22 @@ def test_solve_zero_ricci_gives_free_lambda1_line():
 
 
 def test_solve_point_example():
-    solution = is_ein2(build_family(FamilyParams("G2", alpha=2, beta=1, gamma=1)))
+    sc = build_family(FamilyParams("G2", alpha=2, beta=1, gamma=1), EXACT)
+    solution = is_ein2(sc, DELTA, EXACT)
     assert solution.kind == "point"
     assert solution.point == (4, 0)
     assert solution.residual == 0
 
 
 def test_solve_inconsistent_example():
-    solution = is_ein2(build_family(FamilyParams("G1", alpha=1, beta=1)))
+    solution = is_ein2(build_family(FamilyParams("G1", alpha=1, beta=1), EXACT), DELTA, EXACT)
     assert solution.kind == "none"
     assert solve_brute(solution.rows)[0] == "none"
     assert solution.residual > 0
 
 
 def test_minimal_residual_is_a_lower_bound():
-    solution = is_ein2(build_family(FamilyParams("G1", alpha=1, beta=1)))
+    solution = is_ein2(build_family(FamilyParams("G1", alpha=1, beta=1), EXACT), DELTA, EXACT)
     best = solution.residual
     for l1 in (F(-3), F(-1), F(0), F(1), F(3, 2), F(2), F(3)):
         for l2 in (F(-2), F(0), F(1), F(2)):
@@ -164,13 +167,13 @@ def test_solve_lambda2_free_line():
 
 
 def test_is_ein2_examples():
-    sol = is_ein2(build_family(FamilyParams("G1", alpha=F(3, 2), beta=0)))
+    sol = is_ein2(build_family(FamilyParams("G1", alpha=F(3, 2), beta=0), EXACT), DELTA, EXACT)
     assert sol.kind == "point" and sol.point == (0, 0)
 
-    sol = is_ein2(build_family(FamilyParams("G4", alpha=0, beta=1, eta=1)))
+    sol = is_ein2(build_family(FamilyParams("G4", alpha=0, beta=1, eta=1), EXACT), DELTA, EXACT)
     assert sol.kind == "line" and sol.lambda2_zero_line()
 
-    sol = is_ein2(ABELIAN)
+    sol = is_ein2(ABELIAN, DELTA, EXACT)
     assert sol.kind == "line" and sol.lambda2_zero_line()
 
 
@@ -207,7 +210,7 @@ def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family
     and exact fidelity evaluates the tabulated texts on ints only: it converts
     each point to int pairs (`_pairs`) and runs their plans on them."""
     points = [params for samples in family_samples_100.values() for params in samples[:10]]
-    references = [ricci_rows(ricci(build_family(p)), DELTA) for p in points]
+    references = [ricci_rows(ricci(build_family(p, EXACT), EXACT), DELTA) for p in points]
 
     def refuse(self):
         raise AssertionError("a Ricci Fraction was built")
@@ -232,7 +235,8 @@ def test_exact_verdicts_and_fidelity_build_no_ricci_fraction(monkeypatch, family
     monkeypatch.setattr(ein2, "_pairs", to_pairs)
     monkeypatch.setattr(ein2, "_execute", ints_only)
     for params, rows in zip(points, references):
-        assert_matches_elimination(is_ein2(build_family(params)), rows, Mode.exact())
+        solution = is_ein2(build_family(params, EXACT), DELTA, EXACT)
+        assert_matches_elimination(solution, rows, Mode.exact())
         assert match_printed_system(params), params
     assert integer_runs == [_formula(ein2.PRINTED_SYSTEMS[params.family]) for params in points]
 
@@ -241,15 +245,15 @@ def test_exact_verdicts_and_fidelity_build_no_full_table(monkeypatch, family_sam
     """Exact is_ein2 and match_printed_system read the nine brackets, never `c`."""
     built = []
 
-    def build(params, mode=None):
+    def build(params, mode):
         built.append(build_family(params, mode))
         return built[-1]
 
     monkeypatch.setattr(ein2, "build_family", build)
     for samples in family_samples_100.values():
         for params in samples:
-            sc = build_family(params)
-            is_ein2(sc)
+            sc = build_family(params, EXACT)
+            is_ein2(sc, DELTA, EXACT)
             assert match_printed_system(params), params
             assert "c" not in vars(sc) and "c" not in vars(built[-1]), params
 
@@ -268,7 +272,7 @@ def test_match_printed_system_rejects_a_changed_table(monkeypatch, family_sample
     table."""
     tabulated = ein2._printed_rows
     for family, samples in family_samples_100.items():
-        scales = {p: ricci(build_family(p)).scale for p in samples}
+        scales = {p: ricci(build_family(p, EXACT), EXACT).scale for p in samples}
         points = [p for p in samples if _distinct_nonzero(tabulated(p, scales[p]))][:3]
         assert points, family
         for params in points:
@@ -329,7 +333,7 @@ def test_integer_plan_rows_are_the_scaled_fraction_rows(family, free, text, data
     values = _execute(_plan(_compile_clauses(text) if text else (), free), {}, True, draw=draw)
     assume(values is not None)
     params = FamilyParams(family, **_numbers(values))
-    scale = ricci(_valid_table(params)).scale
+    scale = ricci(_valid_table(params, exact), exact).scale
     integer = ein2._printed_rows(params, scale)
     bound = _evaluate(ein2.PRINTED_SYSTEMS[family], vars(params), exact)
     fractions = [tuple(bound[f"{x}{i}"] for x in "ABC") for i in range(1, 7) if f"A{i}" in bound]
@@ -530,11 +534,11 @@ _LARGE = st.fractions(min_value=-10, max_value=10, max_denominator=10**6)
 @settings(max_examples=60, deadline=None)
 def test_is_ein2_matches_elimination_oracle_on_ricci_rows(params, convention):
     try:
-        sc = build_family(params)
+        sc = build_family(params, EXACT)
     except ConstraintViolation:
         assume(False)
-    rows = ricci_rows(ricci(sc), convention)
-    assert_matches_elimination(is_ein2(sc, convention), rows, Mode.exact())
+    rows = ricci_rows(ricci(sc, EXACT), convention)
+    assert_matches_elimination(is_ein2(sc, convention, EXACT), rows, Mode.exact())
 
     values = {name: float(getattr(params, name)) for name in ("alpha", "beta", "gamma", "delta")}
     approx = Mode.approx()
@@ -547,13 +551,12 @@ def test_is_ein2_matches_elimination_oracle_on_ricci_rows(params, convention):
 
 
 def test_systems_carry_plain_int_constants():
-    for params in (
-        FamilyParams("G1", alpha=1.0, beta=2.0),
-        FamilyParams("G5", alpha=0.5, beta=0.0, gamma=0.0, delta=1.5),
-        FamilyParams("G1", alpha=1, beta=2),
+    for params, mode in (
+        (FamilyParams("G1", alpha=1.0, beta=2.0), APPROX),
+        (FamilyParams("G5", alpha=0.5, beta=0.0, gamma=0.0, delta=1.5), APPROX),
+        (FamilyParams("G1", alpha=1, beta=2), EXACT),
     ):
-        mode = params.mode()
-        rd = ricci(build_family(params), mode)
+        rd = ricci(build_family(params, mode), mode)
         for convention in CONVENTIONS:
             constants = [c for _, _, c in ein2._rows(rd, convention, mode)[0]]
             assert all(type(c) is int for c in constants), (params, convention, constants)
@@ -594,7 +597,7 @@ _EXACT_IN_APPROX = (
 def _exact_points_in_approx(family_samples_100):
     points = [*_EXACT_IN_APPROX]
     points += [params for samples in family_samples_100.values() for params in samples[:10]]
-    assert sum(ricci(build_family(params)).scale > 1 for params in points) >= 20
+    assert sum(ricci(build_family(params, EXACT), EXACT).scale > 1 for params in points) >= 20
     return points
 
 
@@ -605,13 +608,12 @@ def test_float_rows_come_straight_from_the_contraction(convention, family_sample
     Exact tables read in approx mode too: their rows divide S and N by
     16 L^4 and 4 L^2, so they are rho_sq and rho rounded once.
     """
-    points = [(params, params.mode()) for params in _float_route_points()]
-    points += [(params, Mode.approx()) for params in _exact_points_in_approx(family_samples_100)]
-    for params, mode in points:
-        sc = build_family(params, mode)
-        rd = ricci(sc, mode)
+    points = [*_float_route_points(), *_exact_points_in_approx(family_samples_100)]
+    for params in points:
+        sc = build_family(params, APPROX)
+        rd = ricci(sc, APPROX)
         assert not any(type(x) is Fraction for row in rd.n for x in row), params
-        rows = is_ein2(sc, convention, mode).rows
+        rows = is_ein2(sc, convention, APPROX).rows
         for row, (i, j), c in zip(rows, PAIRS, ein2._constants(convention)):
             expected = (float(rd.rho_sq[i][j]), float(rd.rho[i][j]), c)
             assert [_bits(x) for x in row] == [_bits(x) for x in expected], params
@@ -620,21 +622,20 @@ def test_float_rows_come_straight_from_the_contraction(convention, family_sample
 def test_approx_mode_reads_exact_tables_at_their_scale(family_samples_100):
     """Approx mode on an exact table finds the exact lambdas, not L^2 or L^4 times them."""
     for params in _exact_points_in_approx(family_samples_100):
-        sc = build_family(params)
-        exact, approx = is_ein2(sc), is_ein2(sc, mode=Mode.approx())
+        sc = build_family(params, EXACT)
+        exact, approx = is_ein2(sc, DELTA, EXACT), is_ein2(sc, DELTA, APPROX)
         assert approx.kind == exact.kind, params
         if exact.kind == "point":
             assert all(abs(x - y) <= 1e-9 for x, y in zip(approx.point, exact.point)), params
-    assert is_ein2(build_family(_EXACT_IN_APPROX[0]), mode=Mode.approx()).point == (1 / 3, 0)
+    assert is_ein2(build_family(_EXACT_IN_APPROX[0], EXACT), DELTA, APPROX).point == (1 / 3, 0)
 
 
 def test_approx_solutions_are_floats_without_negative_zero(family_samples_100):
     """Approx points, line bases and line directions are floats, and a zero is +0.0."""
-    points = [(params, params.mode()) for params in _float_route_points()]
-    points += [(params, Mode.approx()) for params in _exact_points_in_approx(family_samples_100)]
+    points = [*_float_route_points(), *_exact_points_in_approx(family_samples_100)]
     kinds = set()
-    for params, mode in points:
-        solution = is_ein2(build_family(params, mode), DELTA, mode)
+    for params in points:
+        solution = is_ein2(build_family(params, APPROX), DELTA, APPROX)
         kinds.add(solution.kind)
         values = solution.point or (solution.line_base or ()) + (solution.line_direction or ())
         for x in values:
@@ -643,7 +644,8 @@ def test_approx_solutions_are_floats_without_negative_zero(family_samples_100):
 
 
 def test_exact_point_contains_compares_with_the_point():
-    solution = is_ein2(build_family(FamilyParams("G2", alpha=2, beta=1, gamma=1)))
+    sc = build_family(FamilyParams("G2", alpha=2, beta=1, gamma=1), EXACT)
+    solution = is_ein2(sc, DELTA, EXACT)
     assert solution.point == (4, 0)
     assert solution.contains(4, 0) and solution.contains(F(4), F(0))
     assert not solution.contains(4, F(1, 10**30))
@@ -667,7 +669,8 @@ def test_float_decisions_at_the_tolerance(triples, kind):
 
 def _transformed(sc, entry):
     """The raw table whose entry c^k_ij is entry(c, i, j, k)."""
-    return from_raw([[[entry(sc.c, i, j, k) for k in range(3)] for j in range(3)] for i in range(3)])
+    table = [[[entry(sc.c, i, j, k) for k in range(3)] for j in range(3)] for i in range(3)]
+    return from_raw(table, EXACT)
 
 
 def _same_solution(new, old):
@@ -695,11 +698,11 @@ def test_exact_verdicts_are_invariant_under_homothety_and_frame_isometries(
     # isometry of the frame: it permutes the rows up to sign.
     for samples in family_samples_100.values():
         for index, params in enumerate(samples):
-            sc = build_family(params)
-            old = is_ein2(sc, convention)
+            sc = build_family(params, EXACT)
+            old = is_ein2(sc, convention, EXACT)
             t, s = _SCALES[index % len(_SCALES)], _SIGNS[index % len(_SIGNS)]
 
-            scaled = is_ein2(_transformed(sc, lambda c, i, j, k: t * c[i][j][k]), convention)
+            scaled = is_ein2(_transformed(sc, lambda c, i, j, k: t * c[i][j][k]), convention, EXACT)
             assert scaled.kind == old.kind, params
             if old.kind == "point":
                 assert scaled.point == (t**2 * old.point[0], t**4 * old.point[1]), params
@@ -711,4 +714,4 @@ def test_exact_verdicts_are_invariant_under_homothety_and_frame_isometries(
             flip = lambda c, i, j, k: s[i] * s[j] * s[k] * c[i][j][k]
             swap = lambda c, i, j, k: c[(1, 0, 2)[i]][(1, 0, 2)[j]][(1, 0, 2)[k]]
             for entry in (flip, swap):
-                _same_solution(is_ein2(_transformed(sc, entry), convention), old)
+                _same_solution(is_ein2(_transformed(sc, entry), convention, EXACT), old)

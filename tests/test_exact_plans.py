@@ -26,7 +26,7 @@ from ein2lie import (
     verify_branch,
 )
 from ein2lie.branches import _CASE_TEXTS, _members, _piece_plans
-from ein2lie.ein2 import CONVENTIONS, PRINTED_SYSTEMS
+from ein2lie.ein2 import CONVENTIONS, DELTA, PRINTED_SYSTEMS
 from ein2lie.verify import DEFAULT_POINTS, _solved
 from ein2lie.liealg import (
     FAMILY_PIECES,
@@ -152,12 +152,13 @@ def test_exact_forms_agree_on_the_seed_7_samples():
     """At the branch samples, where equalities hold by construction, each relation
     of their family decides alike in both forms."""
     for spec in BRANCHES:
+        if not spec.mode.is_exact:
+            continue
         for params in sample_branch(spec, 10, seed=7):
-            if params.mode().is_exact:
-                values = vars(params)
-                for relation in _FAMILY_RELATIONS[spec.family]:
-                    exact = _outcome(lambda: relation.check(_pairs(values), True, None))
-                    assert exact == _outcome(lambda: relation.check(values, False, EXACT))
+            values = vars(params)
+            for relation in _FAMILY_RELATIONS[spec.family]:
+                exact = _outcome(lambda: relation.check(_pairs(values), True, None))
+                assert exact == _outcome(lambda: relation.check(values, False, EXACT))
 
 
 @pytest.mark.parametrize("power", ["alpha^beta", "alpha^eta", "alpha^(-1)", "alpha^2.0"])
@@ -233,13 +234,15 @@ def test_the_exact_hot_path_does_no_fraction_arithmetic(monkeypatch):
     """With every arithmetic dunder of Fraction raising, the exact samplers,
     membership tests, validation, stated lambdas, branch replays without a root
     step, verdicts and fidelity checks of the seed-7 run still complete."""
-    exact_branches = [
-        spec for spec in BRANCHES if all(p.mode().is_exact for p in sample_branch(spec, 50, seed=7))
-    ]
+    exact_branches = [spec for spec in BRANCHES if spec.mode.is_exact]
     expected = {spec.label: verify_branch(spec, 50, seed=7).verdict for spec in exact_branches}
     assert len(exact_branches) == 26
     valid = {family: sample_valid_points(family, 100, seed=7) for family in FAMILIES}
-    kinds = {family: [is_ein2(build_family(p)).kind for p in valid[family]] for family in FAMILIES}
+
+    def verdicts(family):
+        return [is_ein2(build_family(p, EXACT), DELTA, EXACT).kind for p in valid[family]]
+
+    kinds = {family: verdicts(family) for family in FAMILIES}
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic on the exact path")
@@ -251,17 +254,17 @@ def test_the_exact_hot_path_does_no_fraction_arithmetic(monkeypatch):
     for spec in exact_branches:
         samples = sample_branch(spec, 50, seed=7)
         for params in samples:
-            validate_params(params)
+            validate_params(params, EXACT)
             assert any(_members((spec,), params, EXACT)), (spec.label, params)
             spec.expected(params, EXACT)
         assert verify_branch(spec, 50, seed=7).verdict == expected[spec.label]
     for family in FAMILIES:
         assert sample_valid_points(family, 100, seed=7) == valid[family]
-        assert [is_ein2(build_family(p)).kind for p in valid[family]] == kinds[family]
+        assert verdicts(family) == kinds[family]
         for params in valid[family]:
             assert match_printed_system(params), params
         for params in sample_off_branch(family, 100, seed=7):
-            assert is_ein2(build_family(params)).kind == "none", params
+            assert is_ein2(build_family(params, EXACT), DELTA, EXACT).kind == "none", params
 
 
 def _converted(params: FamilyParams, convert) -> FamilyParams:
@@ -309,15 +312,10 @@ def test_exact_mode_decides_float_parameters_as_their_dyadic_rationals(family_sa
     assert not type_errors, type_errors[:3]
 
 
-def test_the_sampled_sections_of_verify_are_exact_by_construction(monkeypatch):
+def test_the_sampled_sections_of_verify_are_exact_by_construction():
     """No family piece's sampler plan takes a root step, so every fidelity and negative
     sampling point is rational: at seed 7 each holds only Fractions, eta an int for G4,
-    and both sections decide it without asking the point for its mode."""
-
-    def refuse(self):
-        raise AssertionError("a sampled section asked a point for its mode")
-
-    monkeypatch.setattr(FamilyParams, "mode", refuse)
+    and both sections decide it in exact mode."""
     for family in FAMILIES:
         assert all(kind != "root" for plan in _piece_plans(family) for kind, _, _ in plan), family
         for sample, decide in ((sample_valid_points, match_printed_system),

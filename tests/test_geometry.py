@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ein2lie import (
     ANCHORS,
     BRANCHES,
+    DELTA,
     EPS,
     FAMILIES,
     ConstraintViolation,
@@ -36,8 +37,9 @@ from ein2lie.liealg import _jacobi_base, family_table
 from oracles import CONNECTION_TABLES, RHO_OP_TABLES, curvature, ricci_brute
 
 F = Fraction
+EXACT, APPROX = Mode.exact(), Mode.approx()
 
-ABELIAN = from_raw([[[0] * 3 for _ in range(3)] for _ in range(3)])
+ABELIAN = from_raw([[[0] * 3 for _ in range(3)] for _ in range(3)], EXACT)
 
 
 def _non_jacobi_table():
@@ -47,7 +49,7 @@ def _non_jacobi_table():
     return bad
 
 
-def ricci_via_tensor(sc, mode=None):
+def ricci_via_tensor(sc, mode):
     """(rho, rho_op, rho_sq) through the full curvature tensor and its signed trace.
 
     Each sum runs left to right from 0; builtin `sum` compensates float
@@ -79,7 +81,7 @@ def _bits(matrix):
     )
 
 
-def assert_matches_reference_routes(sc, mode=None):
+def assert_matches_reference_routes(sc, mode):
     """ricci against the tensor route (type and bits) and the brute-force oracle."""
     rd = ricci(sc, mode)
     for got, expected in zip((rd.rho, rd.rho_op, rd.rho_sq), ricci_via_tensor(sc, mode)):
@@ -94,7 +96,7 @@ def assert_matches_reference_routes(sc, mode=None):
 
 
 def test_levi_civita_g1_spot_values():
-    nabla = ricci(build_family(FamilyParams("G1", alpha=1, beta=2))).connection
+    nabla = ricci(build_family(FamilyParams("G1", alpha=1, beta=2), EXACT), EXACT).connection
     assert nabla[0][0] == (0, -1, -1)
     assert nabla[1][0] == (0, 0, 1)
     assert nabla[2][0] == (0, 1, 0)
@@ -102,7 +104,8 @@ def test_levi_civita_g1_spot_values():
 
 
 def test_levi_civita_g5_spot_values():
-    nabla = ricci(build_family(FamilyParams("G5", alpha=2, beta=0, gamma=0, delta=1))).connection
+    sc = build_family(FamilyParams("G5", alpha=2, beta=0, gamma=0, delta=1), EXACT)
+    nabla = ricci(sc, EXACT).connection
     assert nabla[0][0] == (0, 0, 2)
     assert nabla[1][1] == (0, 0, 1)
     assert nabla[0][2] == (2, 0, 0)
@@ -112,7 +115,7 @@ def test_levi_civita_g5_spot_values():
 
 
 def test_levi_civita_abelian_is_flat():
-    nabla = ricci(ABELIAN).connection
+    nabla = ricci(ABELIAN, EXACT).connection
     assert all(x == 0 for i in nabla for j in i for x in j)
     riem = curvature(ABELIAN, nabla)
     assert all(x == 0 for a in riem for b in a for c in b for x in c)
@@ -122,7 +125,7 @@ def test_levi_civita_matches_tables(family_samples_100):
     for family, samples in family_samples_100.items():
         expected_table = CONNECTION_TABLES[family]
         for params in samples:
-            nabla = ricci(build_family(params)).connection
+            nabla = ricci(build_family(params, EXACT), EXACT).connection
             expected = expected_table(params)
             for i in range(3):
                 for j in range(3):
@@ -136,12 +139,12 @@ def test_levi_civita_matches_tables(family_samples_100):
 
 def test_levi_civita_rejects_non_lie_algebra():
     with pytest.raises(NotLieAlgebra):
-        ricci(from_raw(_non_jacobi_table())).connection
+        ricci(from_raw(_non_jacobi_table(), EXACT), EXACT).connection
 
 
 def test_ricci_rejects_non_lie_algebra():
     with pytest.raises(NotLieAlgebra):
-        ricci(from_raw(_non_jacobi_table()))
+        ricci(from_raw(_non_jacobi_table(), EXACT), EXACT)
 
 
 def _scaled(table, t):
@@ -150,16 +153,16 @@ def _scaled(table, t):
 
 def test_non_lie_table_with_denominators_is_rejected():
     """The Jacobi check runs on the integer table L c, here with L = 6."""
-    sc = from_raw(_scaled(_non_jacobi_table(), F(5, 6)))
+    sc = from_raw(_scaled(_non_jacobi_table(), F(5, 6)), EXACT)
     with pytest.raises(NotLieAlgebra):
-        ricci(sc)
+        ricci(sc, EXACT)
     with pytest.raises(NotLieAlgebra):
-        is_ein2(sc)
+        is_ein2(sc, DELTA, EXACT)
 
 
 def test_lie_table_with_denominators_passes():
     params = FamilyParams("G5", alpha=F(1, 2), beta=0, gamma=0, delta=F(1, 3))
-    rd = ricci(build_family(params))
+    rd = ricci(build_family(params, EXACT), EXACT)
     assert rd.scale == 6
     expected = CONNECTION_TABLES["G5"](params)
     for i in range(3):
@@ -183,9 +186,25 @@ def test_exact_mode_hands_back_no_float_from_a_float_table():
     assert connection[0][1] == (F(1, 2), 0, F(-1, 8))
     assert all(type(x) is Fraction for plane in connection for row in plane for x in row), connection
     dyadic = family_table(FamilyParams("G1", alpha=F(1, 2), beta=F(1, 4)))
-    assert connection == ricci(dyadic).connection
+    assert connection == ricci(dyadic, EXACT).connection
     assert ricci(floats, Mode.approx()).connection[0][1] == (0.5, 0, -0.125)
     assert type(ricci(floats, Mode.approx()).connection[0][1][0]) is float
+
+
+def test_approx_from_raw_stores_floats_and_ricci_reads_them_as_the_float_table():
+    """In approx mode `from_raw` stores every bracket as a float, int entries
+    included, so `ricci` runs the float route on floats only, bit for bit as on
+    the table given in floats: [e1,e2] = e1, [e1,e3] = 0.5 e2, [e2,e3] = e3."""
+    raw = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    for (i, j, k), x in (((0, 1, 0), 1), ((0, 2, 1), 0.5), ((1, 2, 2), 1)):
+        raw[i][j][k], raw[j][i][k] = x, -x
+    sc = from_raw(raw, APPROX)
+    assert all(type(x) is float for x in sc.values()), sc
+    floats = StructureConstants(((1.0, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 1.0)))
+    rd, reference = ricci(sc, APPROX), ricci(floats, APPROX)
+    assert _bits((rd.scaled,)) == _bits((reference.scaled,)) and rd.scale == reference.scale == 1
+    for name in ("n", "rho", "rho_op", "rho_sq"):
+        assert _bits(getattr(rd, name)) == _bits(getattr(reference, name)), name
 
 
 def test_approx_mode_on_an_exact_table_tests_jacobi_exactly():
@@ -194,20 +213,20 @@ def test_approx_mode_on_an_exact_table_tests_jacobi_exactly():
     Here J(c) = (0, 0, -1e-10), within the 1e-9 tolerance that `jacobi_ok`
     still applies; a float copy of the table keeps that tolerance test.
     """
-    exact = from_raw(_scaled(_non_jacobi_table(), F(1, 100000)))
+    exact = from_raw(_scaled(_non_jacobi_table(), F(1, 100000)), EXACT)
     approx = Mode.approx()
     assert jacobi_ok(exact, approx)
     with pytest.raises(NotLieAlgebra):
         ricci(exact, approx)
-    floats = from_raw(_scaled(_non_jacobi_table(), 1e-5))
-    assert ricci(floats).scale == 1
+    floats = from_raw(_scaled(_non_jacobi_table(), 1e-5), APPROX)
+    assert ricci(floats, APPROX).scale == 1
 
 
 def test_connection_invariants(family_samples_100):
     for samples in family_samples_100.values():
         for params in samples[:25]:
-            sc = build_family(params)
-            nabla = ricci(sc).connection
+            sc = build_family(params, EXACT)
+            nabla = ricci(sc, EXACT).connection
             for i in range(3):
                 for j in range(3):
                     for k in range(3):
@@ -220,8 +239,8 @@ def test_connection_invariants(family_samples_100):
 def test_curvature_antisymmetry_and_bianchi(family_samples_100):
     for samples in family_samples_100.values():
         for params in samples[:25]:
-            sc = build_family(params)
-            riem = curvature(sc, ricci(sc).connection)
+            sc = build_family(params, EXACT)
+            riem = curvature(sc, ricci(sc, EXACT).connection)
             for i in range(3):
                 for j in range(3):
                     for k in range(3):
@@ -238,19 +257,19 @@ def test_curvature_g1_spot_value():
     # brute-force vector-algebra route.
     from oracles import curvature_vec, koszul_connection
 
-    sc = build_family(FamilyParams("G1", alpha=1, beta=0))
-    riem = curvature(sc, ricci(sc).connection)
+    sc = build_family(FamilyParams("G1", alpha=1, beta=0), EXACT)
+    riem = curvature(sc, ricci(sc, EXACT).connection)
     assert riem[0][1][0] == (0, 2, 2)
     assert curvature_vec(sc, koszul_connection(sc), 0, 1, 0) == (0, 2, 2)
 
 
 def test_ricci_g1_printed_matrix():
-    rd = ricci(build_family(FamilyParams("G1", alpha=1, beta=2)))
+    rd = ricci(build_family(FamilyParams("G1", alpha=1, beta=2), EXACT), EXACT)
     assert rd.rho_op == ((-2, -2, -2), (-2, -4, -2), (2, 2, 0))
 
 
 def test_ricci_g2_printed_matrix():
-    rd = ricci(build_family(FamilyParams("G2", alpha=1, beta=1, gamma=1)))
+    rd = ricci(build_family(FamilyParams("G2", alpha=1, beta=1, gamma=1), EXACT), EXACT)
     assert rd.rho_op == (
         (F(-5, 2), 0, 0),
         (0, F(-1, 2), -1),
@@ -259,13 +278,13 @@ def test_ricci_g2_printed_matrix():
 
 
 def test_ricci_abelian_zero():
-    rd = ricci(ABELIAN)
+    rd = ricci(ABELIAN, EXACT)
     assert all(x == 0 for row in rd.rho_op for x in row)
 
 
 def test_ricci_g7_null_image():
     # rho0 maps onto a null direction: rho^2 vanishes while rho0 does not.
-    rd = ricci(build_family(FamilyParams("G7", alpha=1, beta=0, gamma=0, delta=2)))
+    rd = ricci(build_family(FamilyParams("G7", alpha=1, beta=0, gamma=0, delta=2), EXACT), EXACT)
     assert rd.rho_op == ((0, 0, 0), (0, 1, 1), (0, -1, -1))
     assert all(x == 0 for row in rd.rho_sq for x in row)
 
@@ -274,7 +293,7 @@ def test_ricci_matches_tables(family_samples_100):
     for family, samples in family_samples_100.items():
         expected_table = RHO_OP_TABLES[family]
         for params in samples:
-            rd = ricci(build_family(params))
+            rd = ricci(build_family(params, EXACT), EXACT)
             assert rd.rho_op == tuple(
                 tuple(x for x in row) for row in expected_table(params)
             ), (family, params)
@@ -283,7 +302,7 @@ def test_ricci_matches_tables(family_samples_100):
 def test_ricci_symmetry_and_self_adjointness(family_samples_100):
     for samples in family_samples_100.values():
         for params in samples[:25]:
-            rd = ricci(build_family(params))
+            rd = ricci(build_family(params, EXACT), EXACT)
             for i in range(3):
                 for j in range(3):
                     assert rd.rho[i][j] == rd.rho[j][i]
@@ -298,12 +317,12 @@ def test_ricci_symmetry_and_self_adjointness(family_samples_100):
 def test_ricci_agrees_with_brute_force(family_samples_100):
     for samples in family_samples_100.values():
         for params in samples:
-            assert_matches_reference_routes(build_family(params))
+            assert_matches_reference_routes(build_family(params, EXACT), EXACT)
 
 
 def test_mode_promotion_to_float():
-    exact = ricci(build_family(FamilyParams("G1", alpha=1, beta=2)))
-    mixed = ricci(build_family(FamilyParams("G1", alpha=1.0, beta=2.0)))
+    exact = ricci(build_family(FamilyParams("G1", alpha=1, beta=2), EXACT), EXACT)
+    mixed = ricci(build_family(FamilyParams("G1", alpha=1.0, beta=2.0), APPROX), APPROX)
     assert isinstance(mixed.rho_op[0][0], float)
     for i in range(3):
         for j in range(3):
@@ -317,8 +336,8 @@ def test_mode_promotion_to_float():
 def test_ricci_equals_reference_routes_on_branch_samples():
     float_points = 0
     for spec in BRANCHES:
+        mode = spec.mode
         for params in sample_branch(spec, 50):
-            mode = params.mode()
             float_points += not mode.is_exact
             assert_matches_reference_routes(build_family(params, mode), mode)
     assert float_points > 0
@@ -333,7 +352,7 @@ def test_ricci_equals_reference_routes_on_anchors():
 
 
 def test_ricci_hands_on_the_integer_contraction():
-    rd = ricci(build_family(FamilyParams("G1", alpha=F(1, 2), beta=F(1, 3))))
+    rd = ricci(build_family(FamilyParams("G1", alpha=F(1, 2), beta=F(1, 3)), EXACT), EXACT)
     assert rd.scale == 6
     assert all(type(x) is int for row in rd.n for x in row)
     # the Fractions are built on first read only
@@ -344,7 +363,8 @@ def test_ricci_hands_on_the_integer_contraction():
 
 def test_ricci_keeps_exact_zero_in_float_tables():
     # Entries with no nonzero term stay Fraction(0) in a float table.
-    rd = ricci(build_family(FamilyParams("G5", alpha=0.5, beta=0, gamma=0, delta=1.5)))
+    sc = build_family(FamilyParams("G5", alpha=0.5, beta=0, gamma=0, delta=1.5), APPROX)
+    rd = ricci(sc, APPROX)
     assert type(rd.rho[0][1]) is Fraction and rd.rho[0][1] == 0
     assert isinstance(rd.rho[0][0], float)
 
@@ -371,9 +391,9 @@ def family_points(draw, scalars):
     return FamilyParams(family, alpha=a, beta=b, gamma=g, delta=d)
 
 
-def _valid_table(params):
+def _valid_table(params, mode):
     try:
-        return build_family(params)
+        return build_family(params, mode)
     except ConstraintViolation:
         assume(False)
 
@@ -381,15 +401,15 @@ def _valid_table(params):
 @given(params=family_points(_BIG_DENOMINATORS))
 @settings(max_examples=60, deadline=None)
 def test_ricci_equals_reference_routes_with_large_denominators(params):
-    assert_matches_reference_routes(_valid_table(params))
+    assert_matches_reference_routes(_valid_table(params, EXACT), EXACT)
 
 
 @given(params=family_points(_FULL_MANTISSA_FLOATS))
 @settings(max_examples=60, deadline=None)
 def test_ricci_float_tables_bit_identical_to_tensor_route(params):
-    sc = _valid_table(params)
+    sc = _valid_table(params, APPROX)
     assume(not sc.is_exact())
-    assert_matches_reference_routes(sc)
+    assert_matches_reference_routes(sc, APPROX)
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -422,15 +442,15 @@ def test_exact_ricci_equals_the_contraction_loop_on_the_scaled_table(source):
     Raw tables are mostly not Lie and their Lie ones sparse; family
     points add dense Lie tables (G1 and G7 have seven or eight brackets).
     """
-    sc = from_raw(source) if isinstance(source, list) else _valid_table(source)
+    sc = from_raw(source, EXACT) if isinstance(source, list) else _valid_table(source, EXACT)
     scale = math.lcm(*(x.denominator for x in sc.values()))
     scaled = [[[x.numerator * (scale // x.denominator) for x in row] for row in plane]
               for plane in sc.c]
     if any(_jacobi_base(scaled)):
         with pytest.raises(NotLieAlgebra):
-            ricci(sc)
+            ricci(sc, EXACT)
         return
-    rd = ricci(sc)
+    rd = ricci(sc, EXACT)
     assert (rd.n, rd.scale) == (_contract(scaled), scale)
     assert all(type(x) is int for row in rd.n for x in row)
     assert rd.connection == tuple(
@@ -441,7 +461,8 @@ def test_exact_ricci_equals_the_contraction_loop_on_the_scaled_table(source):
 @given(table=raw_tables(_BIG_DENOMINATORS | _FULL_MANTISSA_FLOATS))
 @settings(max_examples=100, deadline=None)
 def test_from_raw_stores_an_antisymmetric_table_with_zero_diagonal(table):
-    _assert_antisymmetric_with_zero_diagonal(from_raw(table))
+    for mode in (EXACT, APPROX):
+        _assert_antisymmetric_with_zero_diagonal(from_raw(table, mode))
 
 
 def test_family_tables_are_antisymmetric_with_zero_diagonal(family_samples_100):

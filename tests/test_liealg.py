@@ -31,6 +31,8 @@ from oracles import jacobi_brute
 
 F = Fraction
 
+EXACT, APPROX = Mode.exact(), Mode.approx()
+
 ZERO_TABLE = [[[0] * 3 for _ in range(3)] for _ in range(3)]
 
 
@@ -45,7 +47,7 @@ def table(**entries):
 
 
 def test_build_family_g1_brackets():
-    sc = build_family(FamilyParams("G1", alpha=1, beta=2))
+    sc = build_family(FamilyParams("G1", alpha=1, beta=2), EXACT)
     assert sc.c[0][1] == (1, 0, -2)
     assert sc.c[0][2] == (-1, -2, 0)
     assert sc.c[1][2] == (2, 1, 1)
@@ -53,7 +55,7 @@ def test_build_family_g1_brackets():
 
 def test_build_family_antisymmetry(family_samples_100):
     for family, samples in family_samples_100.items():
-        sc = build_family(samples[0])
+        sc = build_family(samples[0], EXACT)
         for i in range(3):
             for j in range(3):
                 for k in range(3):
@@ -62,12 +64,12 @@ def test_build_family_antisymmetry(family_samples_100):
 
 def test_build_family_g5_constraint_violation():
     with pytest.raises(ConstraintViolation) as info:
-        build_family(FamilyParams("G5", alpha=1, beta=1, gamma=1, delta=1))
+        build_family(FamilyParams("G5", alpha=1, beta=1, gamma=1, delta=1), EXACT)
     assert "alpha*gamma + beta*delta" in str(info.value)
 
 
 def test_build_family_abelian_g3():
-    sc = build_family(FamilyParams("G3"))
+    sc = build_family(FamilyParams("G3"), EXACT)
     assert all(v == 0 for v in sc.values())
 
 
@@ -77,15 +79,15 @@ def test_unknown_family():
 
 
 def test_from_raw_zero_is_abelian():
-    sc = from_raw(ZERO_TABLE)
+    sc = from_raw(ZERO_TABLE, EXACT)
     assert all(v == 0 for v in sc.values())
-    assert jacobi_ok(sc)
-    assert unimodular(sc)
+    assert jacobi_ok(sc, EXACT)
+    assert unimodular(sc, EXACT)
 
 
 def test_from_raw_matches_build_family():
-    built = build_family(FamilyParams("G1", alpha=1, beta=0))
-    raw = from_raw([[list(built.c[i][j]) for j in range(3)] for i in range(3)])
+    built = build_family(FamilyParams("G1", alpha=1, beta=0), EXACT)
+    raw = from_raw([[list(built.c[i][j]) for j in range(3)] for i in range(3)], EXACT)
     assert raw == built
 
 
@@ -98,8 +100,8 @@ def test_from_raw_of_a_family_table_gives_back_its_brackets(family_samples_100):
             exact = family_table(params)
             floats = StructureConstants(tuple(tuple(map(float, v)) for v in exact.brackets))
             float_table = [[[float(x) for x in row] for row in plane] for plane in exact.c]
-            for sc, raw in ((exact, exact.c), (floats, float_table)):
-                got = from_raw(raw)
+            for sc, raw, mode in ((exact, exact.c, EXACT), (floats, float_table, APPROX)):
+                got = from_raw(raw, mode)
                 assert got.brackets == sc.brackets, params
                 for got_plane, plane in zip(got.c, sc.c):
                     for got_row, row in zip(got_plane, plane):
@@ -114,7 +116,7 @@ def test_from_raw_rejects_antisymmetry_violation():
     bad[0][1][0] = F(1)
     bad[1][0][0] = F(1)  # should be -1
     with pytest.raises(AntisymmetryViolation) as info:
-        from_raw(bad)
+        from_raw(bad, EXACT)
     assert info.value.indices == (1, 2, 1)
 
 
@@ -128,8 +130,8 @@ def test_from_raw_tolerates_float_noise_in_approx_mode():
 
 
 def test_jacobi_zero_for_g2_sample():
-    sc = build_family(FamilyParams("G2", alpha=1, beta=1, gamma=1))
-    assert jacobi_ok(sc)
+    sc = build_family(FamilyParams("G2", alpha=1, beta=1, gamma=1), EXACT)
+    assert jacobi_ok(sc, EXACT)
     assert _jacobi_base(sc.c) == (0, 0, 0)
 
 
@@ -137,46 +139,47 @@ def test_jacobi_solvable_swap_table_is_a_lie_algebra():
     # [e1,e2] = e3, [e1,e3] = e2, [e2,e3] = 0: the cyclic sum cancels
     # termwise, so the residual vanishes (checked against the expansion
     # oracle as well).
-    sc = from_raw(table(c_123=1, c_132=1))
+    sc = from_raw(table(c_123=1, c_132=1), EXACT)
     assert jacobi_brute(sc, 0, 1, 2) == (0, 0, 0)
-    assert jacobi_ok(sc)
+    assert jacobi_ok(sc, EXACT)
 
 
 def test_jacobi_nonzero_residual():
     # [e1,e2] = e3, [e1,e3] = e1: the cyclic sum is -e3.
-    sc = from_raw(table(c_123=1, c_131=1))
+    sc = from_raw(table(c_123=1, c_131=1), EXACT)
     assert jacobi_brute(sc, 0, 1, 2) == (0, 0, -1)
-    assert not jacobi_ok(sc)
+    assert not jacobi_ok(sc, EXACT)
     assert _jacobi_base(sc.c) == (0, 0, -1)
 
 
 def test_jacobi_residual_matches_brute_expansion(family_samples_100):
     for samples in family_samples_100.values():
-        sc = build_family(samples[0])
+        sc = build_family(samples[0], EXACT)
         assert _jacobi_base(sc.c) == jacobi_brute(sc, 0, 1, 2)
 
 
 def test_unimodular_examples():
-    assert unimodular(build_family(FamilyParams("G1", alpha=1, beta=2)))
-    assert not unimodular(build_family(FamilyParams("G5", alpha=1, beta=0, gamma=0, delta=1)))
-    assert unimodular(from_raw(ZERO_TABLE))
+    assert unimodular(build_family(FamilyParams("G1", alpha=1, beta=2), EXACT), EXACT)
+    non_unimodular = build_family(FamilyParams("G5", alpha=1, beta=0, gamma=0, delta=1), EXACT)
+    assert not unimodular(non_unimodular, EXACT)
+    assert unimodular(from_raw(ZERO_TABLE, EXACT), EXACT)
 
 
 def test_unimodular_split_across_families(family_samples_100):
     for family, samples in family_samples_100.items():
         expected = family in ("G1", "G2", "G3", "G4")
         for params in samples:
-            assert unimodular(build_family(params)) is expected
+            assert unimodular(build_family(params, EXACT), EXACT) is expected
 
 
 def test_validate_params_examples():
     with pytest.raises(ConstraintViolation) as info:
-        validate_params(FamilyParams("G1", alpha=0, beta=1))
+        validate_params(FamilyParams("G1", alpha=0, beta=1), EXACT)
     assert "alpha != 0" in str(info.value)
-    validate_params(FamilyParams("G7", alpha=1, gamma=0, delta=1, beta=3))
-    validate_params(FamilyParams("G6", alpha=1, beta=2, gamma=2, delta=1))
+    validate_params(FamilyParams("G7", alpha=1, gamma=0, delta=1, beta=3), EXACT)
+    validate_params(FamilyParams("G6", alpha=1, beta=2, gamma=2, delta=1), EXACT)
     with pytest.raises(ConstraintViolation):
-        validate_params(FamilyParams("G4", alpha=1, beta=1))  # eta missing
+        validate_params(FamilyParams("G4", alpha=1, beta=1), EXACT)  # eta missing
     with pytest.raises(ConstraintViolation):
         FamilyParams("G4", alpha=1, beta=1, eta=2)
 
@@ -191,15 +194,15 @@ def test_family_params_rejects_a_non_int_eta(eta):
 
 def test_validate_params_messages():
     with pytest.raises(ConstraintViolation) as info:
-        validate_params(FamilyParams("G5", alpha=1, beta=1, gamma=1, delta=1))
+        validate_params(FamilyParams("G5", alpha=1, beta=1, gamma=1, delta=1), EXACT)
     assert str(info.value) == (
         "constraint violated: alpha*gamma + beta*delta = 0 (alpha*gamma + beta*delta = 2)"
     )
     with pytest.raises(ConstraintViolation) as info:
-        validate_params(FamilyParams("G7", alpha=1, gamma=F(1, 2), delta=1))
+        validate_params(FamilyParams("G7", alpha=1, gamma=F(1, 2), delta=1), EXACT)
     assert str(info.value) == "constraint violated: alpha*gamma = 0 (alpha*gamma = 1/2)"
     with pytest.raises(ConstraintViolation) as info:
-        validate_params(FamilyParams("G6", alpha=1, delta=-1))
+        validate_params(FamilyParams("G6", alpha=1, delta=-1), EXACT)
     assert str(info.value) == "constraint violated: alpha + delta != 0"
 
 
@@ -213,7 +216,7 @@ def test_validate_params_approx_inequalities():
 def test_families_satisfy_jacobi_at_sampled_points(family_samples_100):
     for samples in family_samples_100.values():
         for params in samples:
-            assert jacobi_ok(build_family(params))
+            assert jacobi_ok(build_family(params, EXACT), EXACT)
 
 
 @given(
@@ -231,7 +234,7 @@ def test_from_raw_antisymmetry_always_holds(entries):
                 v = next(values)
                 t[i][j][k] = v
                 t[j][i][k] = -v
-    sc = from_raw(t)
+    sc = from_raw(t, EXACT)
     for i in range(3):
         for j in range(3):
             for k in range(3):
@@ -243,7 +246,7 @@ def test_sample_valid_points_deterministic():
     b = sample_valid_points("G5", 10, seed=3)
     assert a == b
     for params in a:
-        validate_params(params)
+        validate_params(params, EXACT)
 
 
 def test_family_table_reads_exactly_the_params_used():

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from fractions import Fraction
 
 import pytest
 
+import ein2lie
 from ein2lie import (
     BRANCHES_BY_LABEL,
     BranchSpec,
@@ -44,7 +46,7 @@ def test_non_finite_float_is_no_scalar(value):
     table = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
     table[0][0][0] = value
     with pytest.raises(ValueError, match="^not a finite number: "):
-        from_raw(table)
+        from_raw(table, Mode.approx())
 
 
 def test_parse_scalar_rejects_junk():
@@ -84,10 +86,21 @@ def test_only_ints_and_fractions_are_exact():
     assert not is_exact(0.5) and not is_exact("1/2") and not is_exact(None)
 
 
-def test_mode_inference():
-    assert Mode.for_values([F(1), F(2)]).is_exact
-    assert not Mode.for_values([F(1), 2.0]).is_exact
-    assert Mode.for_values([F(1), 2.0]).tolerance == 1e-9
+def test_the_caller_states_every_mode():
+    """No public function and no BranchSpec method defaults its mode, and
+    nothing infers a mode from the values."""
+    functions = [getattr(ein2lie, name) for name in ein2lie.__all__]
+    functions += [value for value in vars(BranchSpec).values() if callable(value)]
+    defaulted = [
+        function.__qualname__
+        for function in functions
+        if inspect.isfunction(function)
+        and (mode := inspect.signature(function).parameters.get("mode")) is not None
+        and mode.default is not inspect.Parameter.empty
+    ]
+    assert defaulted == []
+    assert not hasattr(Mode, "for_values")
+    assert not hasattr(FamilyParams, "mode")
 
 
 def test_value_types_compare_and_hash_by_their_fields():
