@@ -44,6 +44,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from collections.abc import Callable, Sequence
 
@@ -463,6 +464,12 @@ def build_parser(config: dict[str, str] | None = None) -> argparse.ArgumentParse
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The config-free parser, built once per process by the first `main`."""
+    return build_parser()
+
+
 _DISPATCH = {
     "derive": cmd_derive,
     "check": cmd_check,
@@ -481,10 +488,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             r"-([0-9.]|inf|nan)", argv[i], re.IGNORECASE
         ):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.config:
             # The file may set the command's own options; flags still win.
+            # Its defaults go to a parser of their own, never the shared one.
             config = _read_config_file(args.config, _CONFIG_KEYS.intersection(vars(args)))
             args = build_parser(config).parse_args(argv)
         return _DISPATCH[args.command](_build_job(args))

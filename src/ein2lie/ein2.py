@@ -167,8 +167,15 @@ def _min_sup_residual(rows, scale, mode):
     compare by cross-multiplication and one Fraction is built at the
     end; float rows run the same enumeration with scale 1 and
     tolerance-based degeneracy tests.
+
+    Rows of exact zeros (no tolerance) are dropped first, which is exact:
+    every reference through one has sum w_r a_r = 0 (the row alone, a
+    pair whose other weight is its b or c, a triple whose other two
+    cofactors vanish), a numerator of 0 never beats the initial 0/1 under
+    the strict `>`, and the other candidates keep their order.
     """
     zero = mode.is_zero
+    rows = [row for row in rows if any(row)]
     a = [row[0] for row in rows]
     cross = {
         (i, j): rows[i][1] * rows[j][2] - rows[j][1] * rows[i][2]

@@ -65,11 +65,9 @@ def is_exact(value) -> bool:
 
 def format_scalar(value: Scalar) -> str:
     """Render exact values as "p" or "p/q", floats with 17 significant digits."""
-    if is_exact(value):
-        frac = Fraction(value)
-        if frac.denominator == 1:
-            return str(frac.numerator)
-        return f"{frac.numerator}/{frac.denominator}"
+    if is_exact(value):  # ints and Fractions both carry numerator and denominator
+        n, d = value.numerator, value.denominator
+        return str(n) if d == 1 else f"{n}/{d}"
     return format(float(value), ".17g")
 
 

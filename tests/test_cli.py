@@ -645,6 +645,37 @@ def test_option_the_command_does_not_take_is_a_usage_error(argv):
     assert exc.value.code == 2
 
 
+_G1_CHECK = ("check", "--family", "G1", "--alpha", "1", "--beta", "0")
+
+
+def test_the_default_parser_is_built_once_per_process(monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda config=None: built.append(config) or build(config))
+    assert run_cli(*_G1_CHECK) == run_cli(*_G1_CHECK)
+    assert built == [None]
+
+
+def test_a_config_file_leaves_later_flag_only_runs_as_they_were(tmp_path):
+    cfg = tmp_path / "format.cfg"
+    cfg.write_text("format = json\n")
+    text = run_cli(*_G1_CHECK)
+    code, out, err = run_cli(*_G1_CHECK, "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["ein2"] is True
+    assert run_cli(*_G1_CHECK) == text
+    assert text[1].startswith("input: G1 alpha=1 beta=0\n")
+
+
+def test_usage_errors_on_the_cached_parser_each_exit_2():
+    run_cli(*_G1_CHECK)
+    for argv in (("check", "--no-such-flag"), ("verify", "--mode", "approx")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "command, fmt",
     [("derive", "csv"), ("check", "csv"), ("classify", "csv"), ("verify", "csv"), ("scan", "json")],

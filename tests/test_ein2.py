@@ -475,6 +475,67 @@ def test_float_minimal_residual_tracks_exact(triples, scale):
     assert abs(approx.residual - r) <= 1e-9 * max(1, r)
 
 
+def _interleave(nonzero, at, zeros):
+    """len(zeros) rows: `nonzero` in its order at the positions `at`, the next of `zeros` elsewhere."""
+    rows, fill = iter(nonzero), iter(zeros)
+    return [next(rows) if i in at else next(fill) for i in range(len(zeros))]
+
+
+# all-zero rows as float rows may hold them: int 0, 0.0 and -0.0
+_ZERO_ROWS = ((0, 0, 0), (0.0, -0.0, 0.0), (-0.0, -0.0, -0.0))
+
+
+@given(triples=rank_forced_triples(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_all_zero_rows_leave_the_minimal_residual_as_it_was(triples, data):
+    rows = [tuple(F(x) for x in row) for row in triples]
+    scale = lcm(*(x.denominator for row in rows for x in row)) * data.draw(st.integers(2, 5))
+    ints = [row for row in (tuple(int(x * scale) for x in row) for row in rows) if any(row)]
+    assume(ints)
+    keep = data.draw(st.sets(st.integers(0, len(ints) - 1), min_size=1))
+    nonzero = [ints[i] for i in sorted(keep)]
+    total = max(3, len(nonzero)) + data.draw(st.integers(0, 2))
+    at = set(data.draw(st.permutations(range(total)))[: len(nonzero)])
+    zeros = data.draw(st.lists(st.sampled_from(_ZERO_ROWS), min_size=total, max_size=total))
+    padded = _interleave(nonzero, at, [(0, 0, 0)] * total)
+    exact = [ein2._min_sup_residual(r, scale, EXACT) for r in (nonzero, padded)]
+    assert type(exact[0]) is type(exact[1]) is Fraction
+    oracle = min_sup_residual_vertices([tuple(F(x, scale) for x in row) for row in padded], EXACT)
+    assert exact[0] == exact[1] == oracle
+    floats = [tuple(x / scale for x in row) for row in nonzero]
+    approx = [ein2._min_sup_residual(r, 1, APPROX) for r in (floats, _interleave(floats, at, zeros))]
+    assert type(approx[0]) is type(approx[1]) is float
+    assert approx[0] == approx[1]
+    assert abs(approx[1] - oracle) <= 1e-9 * max(1, oracle)
+
+
+@pytest.mark.parametrize(
+    "nonzero, expected",
+    [
+        ([(3, 0, 0)], F(3, 2)),
+        ([(3, 1, 2)], 0),
+        ([(2, 0, 2), (6, 0, 2)], 1),
+        ([(2, 2, 4), (-2, 4, 8)], 1),
+        ([(2, 2, 0), (4, 0, 2)], 0),
+    ],
+)
+def test_minimal_residual_of_one_or_two_nonzero_rows(nonzero, expected):
+    """Scale 2; no triple is left once the zero rows are dropped."""
+    for at in itertools.combinations(range(6), len(nonzero)):
+        padded = _interleave(nonzero, set(at), [(0, 0, 0)] * 6)
+        assert min_sup_residual_vertices([tuple(F(x, 2) for x in row) for row in padded], EXACT) == expected
+        for rows in (nonzero, padded):
+            residual = ein2._min_sup_residual(rows, 2, EXACT)
+            assert type(residual) is Fraction and residual == expected
+            residual = ein2._min_sup_residual([tuple(x / 2 for x in row) for row in rows], 1, APPROX)
+            assert type(residual) is float and residual == expected
+
+
+def test_a_row_within_tolerance_of_zero_is_not_dropped():
+    tiny = APPROX.tolerance / 2
+    assert ein2._min_sup_residual([(tiny, 0.0, 0.0), (0.0, -0.0, 0.0)], 1, APPROX) == tiny
+
+
 # ---------------------------------------------------------------------------
 # The integer solver against the pivoted elimination it replaced
 # ---------------------------------------------------------------------------
