@@ -207,27 +207,34 @@ def _min_sup_residual(rows, scale, mode):
 def _solve(rows, scale, mode: Mode) -> Ein2Solution:
     """Affine solution set of the rows scale * (a, b, c), decided by 2x2 minors.
 
-    The pivot is the largest |b| or |c|, and the second row the one whose
-    minor b_p c - b c_p against the pivot row is largest, each the first on
-    ties.  Exact rows have int minors, tested in plain loops; float ones
-    read as minor / pivot against the tolerance, and a point is refined by
-    least squares.
+    The pivot is the largest |b| or |c| (b before c), and the second row
+    the one whose minor b_p c - b c_p against the pivot row is largest;
+    each search is one pass that moves only to a strictly larger size, as
+    max() would, so ties and a leading nan of an overflow keep the first.
+    Exact minors are ints, tested in plain loops; a float one counts when
+    minor / pivot passes the tolerance, and least squares refines a point.
     """
     exact, zero = mode.is_exact, mode.is_zero
-    entries = [abs(x) for _, b, c in rows for x in (b, c)]
-    entry = max(range(len(entries)), key=entries.__getitem__, default=None)
-    if entry is None or entries[entry] <= mode.tolerance:
+    p = None
+    for r, (_, b, c) in enumerate(rows):
+        if p is None or abs(b) > size:
+            size, p, col = abs(b), r, 1
+        if abs(c) > size:
+            size, p, col = abs(c), r, 2
+    if p is None or size <= mode.tolerance:
         kind = PLANE if all(zero(row[0]) for row in rows) else NONE
         return Ein2Solution(kind, rows, mode, scale)
-    p, col = entry // 2, entry % 2 + 1
     prow = pa, pb, pc = rows[p]
     pivot = prow[col]
-    minors = [pb * c - b * pc for _, b, c in rows]
-    sizes = [abs(u) for u in minors] if exact else [0 if zero(u / pivot) else abs(u) for u in minors]
-    q = max(range(len(rows)), key=sizes.__getitem__)
-    if sizes[q]:
+    q = None
+    for r, (_, b, c) in enumerate(rows):
+        u = pb * c - b * pc
+        u_size = abs(u) if exact or not zero(u / pivot) else 0
+        if q is None or u_size > size:
+            size, q, det = u_size, r, u
+    if size:
         qa, qb, qc = rows[q]
-        det, num1, num2 = minors[q], qa * pc - pa * qc, pa * qb - qa * pb
+        num1, num2 = qa * pc - pa * qc, pa * qb - qa * pb
         if exact:
             if any(a * det + num1 * b + num2 * c for a, b, c in rows):
                 return Ein2Solution(NONE, rows, mode, scale)
@@ -278,7 +285,7 @@ def _least_squares(rows):
 
 
 def _rows(rd: RicciData, convention: str, mode: Mode):
-    """The six rows scale * (a, b, c) on PAIRS, and their scale.
+    """The six rows scale * (a, b, c) on PAIRS, written out, and their scale.
 
     Exact rows are the ints (S_ij, 4 L^2 N_ij, 16 L^4 c_ij) at scale
     16 L^4, S = `RicciData.squares()`, so no Ricci Fraction is built;
@@ -286,13 +293,16 @@ def _rows(rd: RicciData, convention: str, mode: Mode):
     A float table has L = 1, so its rows are the bits of (rho_sq, rho,
     c), both divisors being powers of two.
     """
-    a, b = rd.squares(), rd.n
-    pairs = zip(PAIRS, _constants(convention))
+    (s00, s01, s02), (_, s11, s12), (*_, s22) = rd.squares()
+    (n00, n01, n02), (_, n11, n12), (*_, n22) = rd.n
+    c = _constants(convention)[5]
     unit = 4 * rd.scale**2
     scale = unit * unit
     if not mode.is_exact:
-        return tuple((a[i][j] / scale, b[i][j] / unit, c) for (i, j), c in pairs), 1
-    return tuple((a[i][j], unit * b[i][j], scale * c) for (i, j), c in pairs), scale
+        return ((s00 / scale, n00 / unit, 1), (s01 / scale, n01 / unit, 0), (s02 / scale, n02 / unit, 0),
+                (s11 / scale, n11 / unit, 1), (s12 / scale, n12 / unit, 0), (s22 / scale, n22 / unit, c)), 1
+    return ((s00, unit * n00, scale), (s01, unit * n01, 0), (s02, unit * n02, 0),
+            (s11, unit * n11, scale), (s12, unit * n12, 0), (s22, unit * n22, scale * c)), scale
 
 
 def solve(rd: RicciData, convention: str, mode: Mode) -> Ein2Solution:

@@ -73,13 +73,13 @@ class RicciData(_Value):
         self.scaled, self.n, self.scale = scaled, n, scale
 
     def squares(self) -> Matrix:
-        """sum_k eps_k n[i][k] n[j][k], which is 16 L^4 rho_sq[i][j]; the upper triangle, mirrored."""
-        (e0, e1, e2), (n0, n1, n2) = EPS, self.n
-        # summed from 0 in the order of `sum`, so float bits do not move
-        s00, s01, s02, s11, s12, s22 = (
-            0 + e0 * u[0] * v[0] + e1 * u[1] * v[1] + e2 * u[2] * v[2]
-            for u, v in ((n0, n0), (n0, n1), (n0, n2), (n1, n1), (n1, n2), (n2, n2))
-        )
+        """sum_k eps_k n[i][k] n[j][k], which is 16 L^4 rho_sq[i][j]; the upper triangle, mirrored.
+
+        Written out with eps = (1, 1, -1) as the signs, each sum from 0 in k order as `sum`
+        adds, so float bits and int-or-float types do not move."""
+        (a, b, c), (d, e, f), (g, h, k) = self.n
+        s00, s11, s22 = 0 + a * a + b * b - c * c, 0 + d * d + e * e - f * f, 0 + g * g + h * h - k * k
+        s01, s02, s12 = 0 + a * d + b * e - c * f, 0 + a * g + b * h - c * k, 0 + d * g + e * h - f * k
         return (s00, s01, s02), (s01, s11, s12), (s02, s12, s22)
 
     @cached_property
@@ -213,11 +213,16 @@ def ricci(sc: StructureConstants, mode: Mode) -> RicciData:
     is raised; the full table `sc.c` is never built.  It serves every
     table in exact mode, a float one read as dyadic rationals, and an
     exact table in approx mode.  Float route (approx mode, float table):
-    `jacobi_ok` tests `sc.c` within the tolerance, then `_contract` runs
+    each Fraction of the table is read once, a nonzero one as its float
+    and a zero as an exact int 0, so no product mixes Fractions and floats.
+    `jacobi_ok` tests its `c` within the tolerance, then `_contract` runs
     on it with L = 1, adding the terms in the order the full tensor R
     adds them, so floats come out bit for bit.
     """
     if not (mode.is_exact or sc.is_exact()):
+        if Fraction in map(type, sc.values()):
+            x = [(float(v) if v else 0) if type(v) is Fraction else v for v in sc.values()]
+            sc = StructureConstants((tuple(x[:3]), tuple(x[3:6]), tuple(x[6:])))
         if not jacobi_ok(sc, mode):
             raise NotLieAlgebra("Jacobi identity fails; residual is nonzero")
         return RicciData(sc.values(), _contract(sc.c), 1)

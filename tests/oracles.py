@@ -15,9 +15,11 @@ Two kinds of oracle live here:
   minors-based affine solver for the component system, the pivoted
   row elimination the production solver used before its integer route,
   the minimal sup-norm residual by enumerating the vertices of the
-  Chebyshev linear program, and the two-way row cover the fidelity check
-  used before it compared sets of sign-canonical rows.  Same
-  mathematics, different route.
+  Chebyshev linear program, the two-way row cover the fidelity check
+  used before it compared sets of sign-canonical rows, and the row
+  assembly and solver searches before they became straight-line code and
+  single passes (bit-identity references).  Same mathematics, different
+  route.
 """
 
 from __future__ import annotations
@@ -631,3 +633,80 @@ def covers(rows, others) -> bool:
         for row in rows
         if any(row)
     )
+
+
+# ---------------------------------------------------------------------------
+# Row assembly by comprehension and the max(key=...) searches of the solver
+# (the production forms before straight-line rows and single-pass searches)
+# ---------------------------------------------------------------------------
+
+_ROW_PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+
+
+def squares_by_comprehension(n):
+    """sum_k eps_k n[i][k] n[j][k], the upper triangle mirrored, each summed from 0."""
+    (e0, e1, e2), (n0, n1, n2) = EPS, n
+    s00, s01, s02, s11, s12, s22 = (
+        0 + e0 * u[0] * v[0] + e1 * u[1] * v[1] + e2 * u[2] * v[2]
+        for u, v in ((n0, n0), (n0, n1), (n0, n2), (n1, n1), (n1, n2), (n2, n2))
+    )
+    return (s00, s01, s02), (s01, s11, s12), (s02, s12, s22)
+
+
+def rows_by_comprehension(rd, convention, mode):
+    """The six rows scale * (a, b, c) of `rd` and their scale, as zipped comprehensions."""
+    a, b = squares_by_comprehension(rd.n), rd.n
+    pairs = zip(_ROW_PAIRS, (1, 0, 0, 1, 0, -1 if convention == "metric" else 1))
+    unit = 4 * rd.scale**2
+    scale = unit * unit
+    if not mode.is_exact:
+        return tuple((a[i][j] / scale, b[i][j] / unit, c) for (i, j), c in pairs), 1
+    return tuple((a[i][j], unit * b[i][j], scale * c) for (i, j), c in pairs), scale
+
+
+def solve_max_key(rows, mode):
+    """(kind, point, line base, line direction) of the rows scale * (a, b, c).
+
+    The pivot is the first largest |b| or |c| of an index list and the
+    second row the first largest minor, each found by max(key=...); the
+    least squares refinement and the float clean-up are the production ones.
+    """
+    from ein2lie.ein2 import _least_squares, _sup_residual, _unsigned
+
+    exact, zero = mode.is_exact, mode.is_zero
+    entries = [abs(x) for _, b, c in rows for x in (b, c)]
+    entry = max(range(len(entries)), key=entries.__getitem__, default=None)
+    if entry is None or entries[entry] <= mode.tolerance:
+        return ("plane" if all(zero(row[0]) for row in rows) else "none"), None, None, None
+    p, col = entry // 2, entry % 2 + 1
+    prow = pa, pb, pc = rows[p]
+    pivot = prow[col]
+    minors = [pb * c - b * pc for _, b, c in rows]
+    sizes = [abs(u) for u in minors] if exact else [0 if zero(u / pivot) else abs(u) for u in minors]
+    q = max(range(len(rows)), key=sizes.__getitem__)
+    if sizes[q]:
+        qa, qb, qc = rows[q]
+        det, num1, num2 = minors[q], qa * pc - pa * qc, pa * qb - qa * pb
+        if exact:
+            if any(a * det + num1 * b + num2 * c for a, b, c in rows):
+                return "none", None, None, None
+            point = (Fraction(num1, det), Fraction(num2, det))
+        else:
+            point = _unsigned(_least_squares(rows) or (num1 / det, num2 / det))
+            if not zero(_sup_residual(rows, *point)):
+                return "none", None, None, None
+        return "point", point, None, None
+    reduced = [pivot * row[0] - row[col] * pa for row in rows]
+    if any(reduced) if exact else not all(zero(u / pivot) for u in reduced):
+        return "none", None, None, None
+    divide = Fraction if exact else (lambda x, y: x / y)
+    base = [divide(0, 1), divide(0, 1)]
+    base[col - 1] = divide(-pa, pivot)
+    lead = abs(pb if zero(pc) else pc)
+    d1, d2 = divide(-pc, lead), divide(pb, lead)
+    if d1 < 0 or (zero(d1) and d2 < 0):
+        lead = -lead
+    direction = (divide(-pc, lead), divide(pb, lead))
+    if not exact:
+        base, direction = _unsigned(base), _unsigned(direction)
+    return "line", None, tuple(base), direction

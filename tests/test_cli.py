@@ -68,8 +68,11 @@ def test_derive_invalid_params_exit_2():
 # derive's text and JSON bytes, pinned by sha256: one branch point per
 # family, a point that is not Ein(2), a line, approx mode at the 3.2(iv)
 # anchor, the metric convention on a point with lambda2 != 0 and on the
-# approx input, and a raw table, exact and approx (read from the working
-# directory, so that the path it echoes is fixed).
+# approx input, a raw table, exact and approx (read from the working
+# directory, so that the path it echoes is fixed), and two approx inputs
+# whose float tables hold Fractions: Fraction(0) for the omitted G5
+# parameters, and Fraction(2) from 2*eta - beta in the G4 table.  Their
+# printed connections and Ricci zeros must keep their exact entries.
 DERIVE_INPUTS = {
     "G1": ("--family", "G1", "--alpha", "2", "--beta", "0"),
     "G2": ("--family", "G2", "--alpha", "2", "--beta", "1", "--gamma=-1/2"),
@@ -91,6 +94,8 @@ DERIVE_INPUTS = {
     ),
     "raw": ("--raw", "raw.json"),
     "raw_approx": ("--raw", "raw.json", "--mode", "approx"),
+    "approx_zeros": ("--family", "G5", "--alpha", "0.5", "--delta", "1.5", "--mode", "approx"),
+    "approx_G4": ("--family", "G4", "--alpha", "0.5", "--eta", "1", "--mode", "approx"),
 }
 RAW_TABLE = {
     "c": [
@@ -155,6 +160,14 @@ DERIVE_SHA256 = {
     "raw_approx": (
         "90e71de22d9a99595f7d9d36520317d78a66d45611d24315620ec518650019b2",
         "719dc04368230b2c6d24cb72ad5a176f7e20526c166a4f64c3510737575ed942",
+    ),
+    "approx_zeros": (
+        "f2ea8a471c42f109cf02021f01cb7ceabfdcfd3def8873047940f0f453e20fc8",
+        "36f6f15579fd5947b12ecde17d1d6f793945cf1d31a4543b3d91fd9aa6ead418",
+    ),
+    "approx_G4": (
+        "c6adefe451fa87789d82741e28e55941943e2693bc983f445fbc1aa3e2302fe7",
+        "59e9b0d4c7004afb8f5f7934c9f0118399f307876ea0715816f1c27fd3031f52",
     ),
 }
 
@@ -255,7 +268,7 @@ REPORT_SHA256 = {
     "verify_metric": (
         0,
         "43ed8c428818d299494d1bff370012a3e7f9199fdf368c89776ba40492e51338",
-        "48e4166008593eb476c86f210a92876c9ee4baee0d2f6a23e82b93584f77ea74",
+        "9f15f2b21c8dcfae04335726e6cfc013a2b998b23c47a431e1fccf552e7a482c",
     ),
     "verify_seed7": (
         0,

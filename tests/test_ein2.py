@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from ein2lie import (
     ANCHORS,
+    BRANCHES,
     BRANCHES_BY_LABEL,
     CONVENTIONS,
     DELTA,
@@ -44,7 +46,15 @@ from ein2lie.liealg import (
     _numbers,
     _plan,
 )
-from oracles import covers, min_sup_residual_vertices, solve_brute, solve_eliminate
+from oracles import (
+    covers,
+    min_sup_residual_vertices,
+    rows_by_comprehension,
+    solve_brute,
+    solve_eliminate,
+    solve_max_key,
+    squares_by_comprehension,
+)
 from test_geometry import _BIG_DENOMINATORS, _valid_table, family_points
 
 F = Fraction
@@ -702,6 +712,117 @@ def test_approx_solutions_are_floats_without_negative_zero(family_samples_100):
         for x in values:
             assert type(x) is float and (x != 0 or math.copysign(1.0, x) == 1.0), (params, x)
     assert {"point", "line"} <= kinds
+
+
+# Entries a float contraction can hold: signed zeros, int 0, Fraction(0), and
+# floats whose products round, overflow (inf - inf is nan) or underflow.
+_ROW_VALUES = (-0.0, 0.0, 0, F(0), 1.5, -2.25, 0.1, -1 / 3, 3e150, -1e-300, 7.0)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_straight_line_rows_keep_the_bits_of_the_comprehensions(convention):
+    """`RicciData.squares` and `_rows` give each entry the type and float bits of
+    their comprehension forms (`oracles`): on the seed-7 samples of every exact
+    branch in both modes, on the float route's points, and on 2000 contractions
+    drawn from `_ROW_VALUES`."""
+    cases = [
+        (ricci(build_family(params, EXACT), EXACT), mode)
+        for spec in BRANCHES if spec.mode.is_exact
+        for params in sample_branch(spec, 10, 7)
+        for mode in (EXACT, APPROX)
+    ]
+    cases += [(ricci(build_family(params, APPROX), APPROX), APPROX) for params in _float_route_points()]
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = tuple(tuple(rng.choice(_ROW_VALUES) for _ in range(3)) for _ in range(3))
+        cases.append((RicciData((0,) * 9, n, 1), APPROX))
+    for rd, mode in cases:
+        assert [_bits(x) for row in rd.squares() for x in row] == [
+            _bits(x) for row in squares_by_comprehension(rd.n) for x in row
+        ], rd.n
+        (rows, scale), (expected, expected_scale) = ein2._rows(rd, convention, mode), rows_by_comprehension(
+            rd, convention, mode
+        )
+        assert scale == expected_scale, rd.n
+        assert [_bits(x) for row in rows for x in row] == [_bits(x) for row in expected for x in row], rd.n
+
+
+def test_rows_refuse_an_unknown_convention_in_either_mode():
+    rd = ricci(build_family(FamilyParams("G1", alpha=1, beta=2), EXACT), EXACT)
+    for mode in (EXACT, APPROX):
+        with pytest.raises(ValueError, match="unknown convention 'bogus'"):
+            ein2._rows(rd, "bogus", mode)
+
+
+_ZERO = (0, 0, 0)
+#: Rows whose searches meet ties: |b| = |c| within a row, the largest entry in
+#: several rows, equal minors against the pivot row, all-zero (b, c), rank one.
+_TIE_ROWS = {
+    "b_c_tie_point": [(1, 2, -2), (3, 1, 1), *[_ZERO] * 4],
+    "b_c_tie_none": [(1, 2, -2), (3, 1, 1), (1, 1, -1), *[_ZERO] * 3],
+    "maxima_across_rows": [(-3, 3, 0), (6, 0, -3), (-9, 3, 3), (1, -3, 1), (-3, 1, 1), (0, 2, -1)],
+    "equal_minors_point": [(-4, 4, 0), (0, 1, 1), (-3, 2, -1), (-2, 3, 1), _ZERO, _ZERO],
+    "equal_minors_none": [(-4, 4, 0), (0, 1, 1), (-3, 2, -1), (-1, 3, 1), _ZERO, _ZERO],
+    "plane": [_ZERO] * 6,
+    "zero_b_c_none": [*[_ZERO] * 5, (1, 0, 0)],
+    "rank_one_line": [(2, 1, 2), (4, 2, 4), (-2, -1, -2), *[_ZERO] * 3],
+    "rank_one_b_c_tie": [(1, 1, -1), (-2, -2, 2), *[_ZERO] * 4],
+    "rank_one_c_only": [(1, 0, 3), (2, 0, 6), (0, 0, -3), *[_ZERO] * 3],
+    "rank_one_b_only": [(3, -2, 0), (6, -4, 0), *[_ZERO] * 4],
+    "rank_one_none": [(1, 1, 1), (3, 2, 2), *[_ZERO] * 4],
+}
+
+
+def _decision(kind, point, base, direction):
+    return kind, *(None if v is None else tuple(map(_bits, v)) for v in (point, base, direction))
+
+
+def _assert_searches_decide_as_max_key(rows, mode):
+    solution = ein2._solve(rows, 1, mode)
+    got = _decision(solution.kind, solution.point, solution.line_base, solution.line_direction)
+    assert got == _decision(*solve_max_key(rows, mode)), rows
+
+
+@pytest.mark.parametrize("case", sorted(_TIE_ROWS))
+def test_single_pass_searches_break_ties_as_max_key(case):
+    """Kind, point, line base and direction equal those of the max(key=...) search
+    (`oracles.solve_max_key`), on int rows in exact mode and float rows in approx mode."""
+    rows = tuple(_TIE_ROWS[case])
+    _assert_searches_decide_as_max_key(rows, EXACT)
+    _assert_searches_decide_as_max_key(tuple(tuple(map(float, row)) for row in rows), APPROX)
+
+
+def test_single_pass_searches_decide_as_max_key_on_small_rows():
+    """3000 systems of six rows with entries in -2..2 (seed 7), so ties are common;
+    float rows also at tolerance-sized minors."""
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(3000):
+        rows = tuple(tuple(rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(3)) for _ in range(6))
+        _assert_searches_decide_as_max_key(rows, EXACT)
+        _assert_searches_decide_as_max_key(tuple(tuple(map(float, row)) for row in rows), APPROX)
+        kinds.add(ein2._solve(rows, 1, EXACT).kind)
+    for case in ([(-1e4, 1e4, 0.0), (-1e4, 1e4, 1e-12)], [(1.0, 1.0, 1e-13), (2.0, 2.0, -1e-13)]):
+        _assert_searches_decide_as_max_key(tuple(case) + ((0.0, 0.0, 0.0),) * 4, APPROX)
+    assert kinds == {"none", "point", "line"}
+
+
+def test_single_pass_searches_keep_a_leading_nan_as_max_key_does():
+    """A float contraction that overflows gives inf - inf = nan.  max() keeps a
+    leading nan as its maximum and skips a later one; so do the single passes,
+    and a nan pivot or minor leaves the system inconsistent, never a plane or a line."""
+    nan, zero = math.nan, (0.0, 0.0, 0.0)
+    cases = (
+        [(0.0, nan, 0.0)],
+        [(0.0, nan, 1.0), (0.0, 1.0, 0.0)],
+        [(0.0, 1.0, nan), (0.0, 1.0, 0.0)],
+        [(0.0, 1.0, 1.0), (nan, 1.0, 0.0)],
+        [(0.0, 1.0, 0.0), (0.0, nan, 2.0)],
+    )
+    for case in cases:
+        rows = tuple(case) + (zero,) * (6 - len(case))
+        _assert_searches_decide_as_max_key(rows, APPROX)
+        assert ein2._solve(rows, 1, APPROX).kind == "none", rows
 
 
 def test_exact_point_contains_compares_with_the_point():

@@ -1,5 +1,5 @@
 """The exact form of every formula text and relation against its scalar form, and
-the exact hot path's freedom from Fraction arithmetic."""
+the freedom of the exact hot path and of the float route from Fraction arithmetic."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ein2lie import (
+    ANCHORS,
     BRANCHES,
     BRANCHES_BY_LABEL,
     FAMILIES,
@@ -19,12 +20,14 @@ from ein2lie import (
     classify,
     is_ein2,
     match_printed_system,
+    ricci,
     sample_branch,
     sample_off_branch,
     sample_valid_points,
     validate_params,
     verify_branch,
 )
+from ein2lie import ein2
 from ein2lie.branches import _CASE_TEXTS, _members, _piece_plans
 from ein2lie.ein2 import CONVENTIONS, DELTA, PRINTED_SYSTEMS
 from ein2lie.verify import DEFAULT_POINTS, _solved
@@ -265,6 +268,41 @@ def test_the_exact_hot_path_does_no_fraction_arithmetic(monkeypatch):
             assert match_printed_system(params), params
         for params in sample_off_branch(family, 100, seed=7):
             assert is_ein2(build_family(params, EXACT), DELTA, EXACT).kind == "none", params
+
+
+#: The anchors' approx (delta) points, as float.hex, from before the float route read
+#: each Fraction of its table as a float: the anchor tables multiply drawn Fractions
+#: by rooted floats, and the points must not move.
+_ANCHOR_POINTS = (
+    ("-0x1.7cd612932cb7cp+1", "-0x1.c53cfb5330211p+0"),
+    ("0x1.465caf9232470p+1", "0x1.f346a0db9b72cp-1"),
+)
+
+
+def test_the_float_route_does_no_fraction_arithmetic(monkeypatch):
+    """With every arithmetic dunder of Fraction raising, approx `ricci`, `_rows` and
+    `_solve` run on the seed-7 samples of the four root branches, whose float tables
+    hold drawn Fractions (Fraction(0) among them), and on the anchors; the contraction
+    holds no Fraction, and the anchor points keep their bits."""
+    root = [spec for spec in BRANCHES if not spec.mode.is_exact]
+    assert len(root) == 4
+    tables = [build_family(params, APPROX) for spec in root for params in sample_branch(spec, 50, seed=7)]
+    anchors = [build_family(anchor.params, APPROX) for anchor in ANCHORS]
+    values = [x for sc in tables + anchors for x in sc.values()]
+    assert any(type(x) is F and x for x in values) and any(type(x) is F and not x for x in values)
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic on the float route")
+
+    for name in _ARITHMETIC:
+        monkeypatch.setattr(Fraction, name, refuse)
+    for sc in tables + anchors:
+        rd = ricci(sc, APPROX)
+        assert not any(type(x) is F for row in rd.n for x in row), sc
+        for convention in CONVENTIONS:
+            ein2._solve(*ein2._rows(rd, convention, APPROX), APPROX)
+    points = [ein2._solve(*ein2._rows(ricci(sc, APPROX), DELTA, APPROX), APPROX).point for sc in anchors]
+    assert tuple(tuple(x.hex() for x in point) for point in points) == _ANCHOR_POINTS
 
 
 def _converted(params: FamilyParams, convert) -> FamilyParams:
